@@ -426,7 +426,7 @@ def run(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, CascadeError) as exc:
+    except CascadeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -12,11 +12,12 @@ Two routes are provided:
   Gauss-Legendre rule with the same Gaussian weight and equivalent base
   resolution.  Results are independent of threading and scheduling.
 
-* :func:`average_analytic_I3` - exact partial-fraction evaluation of the
-  perturbative upper-level average: 1/|D(u)|^2 has four simple complex
-  poles, and each Gaussian pole integral is a Faddeeva-function value via
-  ``Integral e^{-t^2}/(t - z) dt = i pi w(z)`` for Im z > 0 (the lower
-  half-plane reached by conjugation symmetry).
+* :func:`average_analytic_I3` / :func:`average_analytic_I2` - exact
+  partial-fraction evaluation of the perturbative averages: 1/|D(u)|^2 has
+  four simple complex poles, and each Gaussian pole integral is a
+  Faddeeva-function value via ``Integral e^{-t^2}/(t - z) dt = i pi w(z)``
+  for Im z > 0 (the lower half-plane reached by conjugation symmetry).  One
+  routine evaluates the whole detuning grid at once.
 
 Both routes agree to ~1e-9 relative; the numeric route never touches the
 Faddeeva function or partial fractions, so the pair forms an independent
@@ -24,7 +25,6 @@ cross-check.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -34,14 +34,15 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, DegenerateRootError, NumericalError
 from .faddeeva import w as faddeeva_w
-from .lineshape import (K_RHO33, CascadeDenominator, denominator_coefficients,
-                        doppler_slopes, rho_weak_batch)
+from .lineshape import (K_RHO22, K_RHO33, denominator_coefficients, doppler_slopes,
+                        rho_weak_batch)
 from .liouville import populations_batch
 from .model import DopplerParams, DriveParams, LevelScheme, rates, wavenumber_ratio
 
 _SQRTPI = math.sqrt(math.pi)
 _U_MAX = 6.5               # Gaussian support cutoff: exp(-6.5^2) ~ 5e-19
 _PANEL_DEGREE = 12
+_DEGENERATE_SEP = 1e-9     # relative pole separation refused by partial fractions
 
 ENGINES = ("full", "perturbative")
 
@@ -75,17 +76,13 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class PoleDecomposition:
-    """Roots of D(u) and the residues of 1/(D conj(D)) at them.
-
-    The other two poles of 1/|D|^2 are the complex conjugates, with
-    conjugate residues.  ``region_two`` marks -1 < x < 0, the
-    counter-propagating geometry whose splitting is Doppler-insensitive.
+    """Roots of D(u); the other two poles of 1/|D|^2 are their complex
+    conjugates.  ``region_two`` marks -1 < x < 0, the counter-propagating
+    geometry whose splitting is Doppler-insensitive.
     """
 
     z1: complex
     z2: complex
-    r1: complex
-    r2: complex
     region_two: bool
 
 
@@ -98,17 +95,6 @@ class Spectrum:
     I3: np.ndarray | None
     engine: str
     quad_order: int | None
-    fingerprint: str
-
-    def normalized(self) -> "Spectrum":
-        """Copy with each intensity column scaled to unit peak."""
-        def norm(arr):
-            if arr is None:
-                return None
-            peak = float(np.max(arr))
-            return arr / peak if peak > 0 else arr.copy()
-        return Spectrum(self.delta1.copy(), norm(self.I2), norm(self.I3),
-                        self.engine, self.quad_order, self.fingerprint)
 
 
 def _validated_intensity(vals: np.ndarray) -> np.ndarray:
@@ -120,82 +106,32 @@ def _validated_intensity(vals: np.ndarray) -> np.ndarray:
     return np.maximum(vals, 0.0)
 
 
-def _fingerprint(*parts) -> str:
-    text = "|".join(repr(p) for p in parts)
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
 def pole_decomposition(scheme: LevelScheme, drive: DriveParams, dopp: DopplerParams,
                        delta1: float | None = None) -> PoleDecomposition:
-    """Roots and residues for the analytic route at one probe detuning."""
+    """Roots of D at one probe detuning."""
     den = denominator_coefficients(scheme, drive, dopp, delta1=delta1)
     z1, z2 = den.roots()
-    if abs(z1 - z2) < 1e-9 * max(abs(z1), abs(z2)):
+    if abs(z1 - z2) < _DEGENERATE_SEP * max(abs(z1), abs(z2)):
         raise DegenerateRootError("denominator roots are degenerate")
-    poles = (z1, z2, z1.conjugate(), z2.conjugate())
-    aa = abs(den.a) ** 2
-    res = []
-    for i, p in enumerate(poles[:2]):
-        prod = 1.0 + 0.0j
-        for j, q in enumerate(poles):
-            if j != i:
-                prod *= (p - q)
-        res.append(1.0 / (aa * prod))
     x = wavenumber_ratio(scheme, drive)
-    return PoleDecomposition(z1=z1, z2=z2, r1=res[0], r2=res[1],
-                             region_two=(-1.0 < x < 0.0))
+    return PoleDecomposition(z1=z1, z2=z2, region_two=(-1.0 < x < 0.0))
 
 
-def _gaussian_pole_integral(p: complex) -> complex:
-    """Integral e^{-u^2}/(u - p) du over the real line."""
-    if p.imag > 0:
-        return 1j * math.pi * faddeeva_w(p)
-    return -1j * math.pi * faddeeva_w(-p)
-
-
-def _min_pole_separation(poles) -> float:
-    sep = math.inf
-    for i in range(len(poles)):
-        for j in range(i + 1, len(poles)):
-            sep = min(sep, abs(poles[i] - poles[j]))
-    return sep
-
-
-def _analytic_point(den: CascadeDenominator, numerator_poly) -> float:
-    """(1/sqrt(pi)) Integral e^{-u^2} N(u)/(D(u) conj(D)(u)) du by partial
-    fractions; ``numerator_poly`` maps complex u to the (entire) numerator."""
-    z1, z2 = den.roots()
-    poles = (z1, z2, z1.conjugate(), z2.conjugate())
-    scale = max(abs(z1), abs(z2), 1e-30)
-    if _min_pole_separation(poles) < 1e-9 * scale:
-        raise DegenerateRootError("pole decomposition is degenerate")
-    aa = abs(den.a) ** 2
-    total = 0.0 + 0.0j
-    for i, p in enumerate(poles):
-        prod = 1.0 + 0.0j
-        for j, q in enumerate(poles):
-            if j != i:
-                prod *= (p - q)
-        total += numerator_poly(p) / (aa * prod) * _gaussian_pole_integral(p)
-    return total.real / _SQRTPI
-
-
-def _refined_rule(den: CascadeDenominator, base_order: int,
+def _refined_rule(roots, base_order: int,
                   extra_windows=()) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule with geometric refinement around every
     velocity-space structure narrower than the base panels.
 
-    ``extra_windows`` are (center, halfwidth_scale) pairs for structures the
-    quadratic roots do not capture (used by the full engine).  Deterministic
-    pure function of its arguments.
+    ``roots`` are the roots of D at the grid point; ``extra_windows`` are
+    (center, halfwidth_scale) pairs for structures they do not capture
+    (used by the full engine).  Deterministic pure function of its
+    arguments.
     """
     n_panels = max(4, base_order // _PANEL_DEGREE)
     width0 = 2 * _U_MAX / n_panels
     edges = set(np.linspace(-_U_MAX, _U_MAX, n_panels + 1).tolist())
 
-    windows = []
-    for p in den.roots():
-        windows.append((p.real, abs(p.imag)))
+    windows = [(p.real, abs(p.imag)) for p in roots]
     windows.extend(extra_windows)
 
     for center, scale in windows:
@@ -277,9 +213,6 @@ def average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParam
     if fwhm < 0:
         raise ConfigError("Doppler width must be >= 0")
 
-    fp = _fingerprint("average", engine, observable, scheme, drive, dopp,
-                      rule.order, grid.tobytes())
-
     i2 = np.empty_like(grid)
     i3 = np.empty_like(grid)
     if fwhm == 0.0:
@@ -301,7 +234,7 @@ def average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParam
             else:
                 extra = ()
             if narrow:
-                t, wts = _refined_rule(den, rule.order, extra)
+                t, wts = _refined_rule(roots, rule.order, extra)
             else:
                 t, wts = rule.nodes, rule.weights
             v2, v3 = _engine_batch(engine, scheme, drive,
@@ -312,83 +245,76 @@ def average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParam
     i2 = _validated_intensity(i2) if observable in ("I2", "both") else None
     i3 = _validated_intensity(i3) if observable in ("I3", "both") else None
     return Spectrum(delta1=grid.copy(), I2=i2, I3=i3, engine=engine,
-                    quad_order=rule.order, fingerprint=fp)
+                    quad_order=rule.order)
+
+
+def _partial_fraction_average(observable: str, scheme: LevelScheme,
+                              drive: DriveParams, dopp: DopplerParams,
+                              delta1_grid, prefactor: float, numerator) -> Spectrum:
+    """(prefactor/sqrt(pi)) Integral e^{-u^2} N(u)/(D(u) conj(D)(u)) du over a
+    probe-detuning grid, by partial fractions at every grid point at once.
+
+    ``numerator(delta1, p)`` continues N off the real axis to the poles ``p``
+    (shape grid x 4).  Grid points whose four poles come closer than 1e-9
+    relative fall back to the pole-refined numeric rule.
+    """
+    grid = np.asarray(delta1_grid, dtype=float)
+    col = ("I2", "I3").index(observable)
+    if dopp.fwhm_mhz(scheme) == 0.0:
+        vals = _engine_batch("perturbative", scheme, drive,
+                             grid + 0.0, np.full_like(grid, drive.detuning_2))[col]
+    else:
+        alpha, beta = doppler_slopes(scheme, drive, dopp)
+        den = denominator_coefficients(scheme, drive, dopp, delta1=grid)
+        z1, z2 = den.roots()
+        poles = np.stack((z1, z2, np.conj(z1), np.conj(z2)), axis=-1)
+        diff = poles[:, :, None] - poles[:, None, :]
+        off = ~np.eye(4, dtype=bool)
+        scale = np.maximum(np.maximum(np.abs(z1), np.abs(z2)), 1e-30)
+        degenerate = np.abs(diff[:, off]).min(axis=-1) < _DEGENERATE_SEP * scale
+        ok = ~degenerate
+        p = poles[ok]
+        prod = np.prod(np.where(off, diff[ok], 1.0), axis=-1)
+        # Integral e^{-u^2}/(u - p) du = +-i pi w(+-p), signed so that the
+        # Faddeeva argument lies in the upper half-plane
+        sign = np.where(p.imag > 0, 1.0, -1.0)
+        pole_integral = sign * 1j * math.pi * faddeeva_w(sign * p)
+        terms = numerator(grid[ok, None], p) / (abs(den.a) ** 2 * prod) * pole_integral
+        vals = np.empty_like(grid)
+        vals[ok] = prefactor * terms.sum(axis=-1).real / _SQRTPI
+        for k in np.nonzero(degenerate)[0]:
+            t, wts = _refined_rule((z1[k], z2[k]), 400)
+            v = _engine_batch("perturbative", scheme, drive,
+                              grid[k] + alpha * t, drive.detuning_2 + beta * t)[col]
+            vals[k] = float(np.dot(wts, v)) / _SQRTPI
+    vals = _validated_intensity(vals)
+    return Spectrum(delta1=grid.copy(), I2=vals if col == 0 else None,
+                    I3=vals if col == 1 else None, engine="analytic", quad_order=None)
 
 
 def average_analytic_I3(scheme: LevelScheme, drive: DriveParams, dopp: DopplerParams,
                         delta1_grid: np.ndarray) -> Spectrum:
-    """Exact Doppler average of the perturbative upper-level intensity.
-
-    Grid points with a degenerate pole configuration (separation below
-    1e-9 relative) fall back to the pole-refined numeric rule.
-    """
-    grid = np.asarray(delta1_grid, dtype=float)
-    fwhm = dopp.fwhm_mhz(scheme)
-    fp = _fingerprint("analytic", "I3", scheme, drive, dopp, grid.tobytes())
-    rp = rates(scheme)
-    prefactor = rp.Gamma_3 * K_RHO33 * (drive.rabi_1 * drive.rabi_2 / 4) ** 2
-
-    if fwhm == 0.0:
-        _, i3 = _engine_batch("perturbative", scheme, drive,
-                              grid + 0.0, np.full_like(grid, drive.detuning_2))
-        return Spectrum(delta1=grid.copy(), I2=None,
-                        I3=_validated_intensity(i3), engine="analytic",
-                        quad_order=None, fingerprint=fp)
-
-    alpha, beta = doppler_slopes(scheme, drive, dopp)
-    i3 = np.empty_like(grid)
-    for k, delta1 in enumerate(grid):
-        den = denominator_coefficients(scheme, drive, dopp, delta1=delta1)
-        try:
-            i3[k] = prefactor * _analytic_point(den, lambda p: 1.0)
-        except DegenerateRootError:
-            t, wts = _refined_rule(den, 400)
-            _, v3 = _engine_batch("perturbative", scheme, drive,
-                                  delta1 + alpha * t, drive.detuning_2 + beta * t)
-            i3[k] = float(np.dot(wts, v3)) / _SQRTPI
-    return Spectrum(delta1=grid.copy(), I2=None, I3=_validated_intensity(i3),
-                    engine="analytic", quad_order=None, fingerprint=fp)
+    """Exact Doppler average of the perturbative upper-level intensity."""
+    prefactor = rates(scheme).Gamma_3 * K_RHO33 * (drive.rabi_1 * drive.rabi_2 / 4) ** 2
+    return _partial_fraction_average("I3", scheme, drive, dopp, delta1_grid,
+                                     prefactor, lambda delta1, p: 1.0)
 
 
 def average_analytic_I2(scheme: LevelScheme, drive: DriveParams, dopp: DopplerParams,
                         delta1_grid: np.ndarray) -> Spectrum:
     """Exact Doppler average of the perturbative intermediate-level
-    intensity; same partial-fraction route with the quadratic numerator
-    |gamma_13 + i(d1+d2)|^2 continued off the real axis."""
-    from .lineshape import K_RHO22
-
-    grid = np.asarray(delta1_grid, dtype=float)
-    fwhm = dopp.fwhm_mhz(scheme)
-    fp = _fingerprint("analytic", "I2", scheme, drive, dopp, grid.tobytes())
+    intensity; the quadratic numerator |gamma_13 + i(d1+d2)|^2 is continued
+    off the real axis."""
     rp = rates(scheme)
     prefactor = rp.Gamma_2 * K_RHO22 * (drive.rabi_1 / 2) ** 2
-
-    if fwhm == 0.0:
-        i2, _ = _engine_batch("perturbative", scheme, drive,
-                              grid + 0.0, np.full_like(grid, drive.detuning_2))
-        return Spectrum(delta1=grid.copy(), I2=_validated_intensity(i2),
-                        I3=None, engine="analytic", quad_order=None, fingerprint=fp)
-
     alpha, beta = doppler_slopes(scheme, drive, dopp)
-    ab = alpha + beta
-    i2 = np.empty_like(grid)
-    for k, delta1 in enumerate(grid):
-        den = denominator_coefficients(scheme, drive, dopp, delta1=delta1)
-        d12 = delta1 + drive.detuning_2
 
-        def numerator(p, d12=d12):
-            d2ph = d12 + ab * p
-            return rp.gamma_13 ** 2 + d2ph * d2ph
+    def numerator(delta1, p):
+        d2ph = delta1 + drive.detuning_2 + (alpha + beta) * p
+        return rp.gamma_13 ** 2 + d2ph * d2ph
 
-        try:
-            i2[k] = prefactor * _analytic_point(den, numerator)
-        except DegenerateRootError:
-            t, wts = _refined_rule(den, 400)
-            v2, _ = _engine_batch("perturbative", scheme, drive,
-                                  delta1 + alpha * t, drive.detuning_2 + beta * t)
-            i2[k] = float(np.dot(wts, v2)) / _SQRTPI
-    return Spectrum(delta1=grid.copy(), I2=_validated_intensity(i2), I3=None,
-                    engine="analytic", quad_order=None, fingerprint=fp)
+    return _partial_fraction_average("I2", scheme, drive, dopp, delta1_grid,
+                                     prefactor, numerator)
 
 
 def root_difference_closed_form(scheme: LevelScheme, drive: DriveParams,

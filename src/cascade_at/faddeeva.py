@@ -1,15 +1,13 @@
 """The Faddeeva function w(z) = exp(-z^2) erfc(-iz).
 
-``w`` is the production evaluator: a region-switched scheme using the
-Maclaurin series near the origin, a rational approximation in the
-intermediate annulus, and the Laplace continued fraction for large ``|z|``,
-with the crossover to the continued fraction near ``|z| = 6``.  The lower
-half-plane is reached through the reflection identity
-``w(z) = 2 exp(-z^2) - w(-z)``.
+``w`` is the production evaluator: ``scipy.special.wofz`` (the Faddeeva
+package, after Poppe & Wijers and Weideman) behind a domain check, over a
+scalar or a whole array of arguments.
 
 ``w_reference`` is the slow, test-only oracle: adaptive numerical
-quadrature of the defining integral.  It shares no code with ``w`` beyond
-the reflection identity.
+quadrature of the defining integral, with the reflection identity
+``w(z) = 2 exp(-z^2) - w(-z)`` below the real axis.  It shares no code
+with ``w``.
 """
 from __future__ import annotations
 
@@ -22,98 +20,28 @@ from .errors import DomainError, NumericalError
 
 _SQRTPI = math.sqrt(math.pi)
 
-_SERIES_RADIUS = 3.5
-_CF_RADIUS = 6.0
-_CF_DEPTH = 26
 _MAX_ABS = 1e8
 
 
-def _w_series(z: complex) -> complex:
-    # Maclaurin series sum_n (iz)^n / Gamma(n/2 + 1); fine to |z| ~ 4 where
-    # cancellation costs ~7 digits of the 16 available.
-    iz = 1j * z
-    term = 1.0 + 0.0j
-    total = complex(term)
-    for n in range(1, 128):
-        term *= iz
-        contrib = term * math.exp(-math.lgamma(n / 2 + 1))
-        total += contrib
-        if abs(contrib) < 1e-18 * abs(total) and n > 8:
-            break
-    return total
-
-
-def _weideman_coefficients(n_terms: int = 40):
-    # Fourier construction of the rational-approximation coefficients.
-    m = 2 * n_terms
-    big_l = math.sqrt(n_terms / math.sqrt(2.0))
-    theta = (np.arange(-m + 1, m)) * math.pi / m
-    t = big_l * np.tan(0.5 * theta)
-    f = np.zeros(2 * m)
-    f[1:] = np.exp(-t * t) * (big_l * big_l + t * t)
-    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
-    return big_l, np.flipud(a[1:n_terms + 1])
-
-
-_WEIDEMAN_L, _WEIDEMAN_A = _weideman_coefficients(40)
-
-
-def _w_rational(z: complex) -> complex:
-    big_l = _WEIDEMAN_L
-    iz = 1j * z
-    zf = (big_l + iz) / (big_l - iz)
-    p = 0.0 + 0.0j
-    for a in _WEIDEMAN_A:
-        p = p * zf + a
-    return 2 * p / (big_l - iz) ** 2 + (1.0 / _SQRTPI) / (big_l - iz)
-
-
-def _w_continued_fraction(z: complex, depth: int = _CF_DEPTH) -> complex:
-    # Laplace continued fraction; accurate for |z| >~ 5 in the upper
-    # half-plane but blind to the exponentially small Re w on the real axis.
-    f = 0.0 + 0.0j
-    for k in range(depth, 0, -1):
-        f = (k / 2.0) / (z - f)
-    return (1j / _SQRTPI) / (z - f)
-
-
-def _w_upper(z: complex) -> complex:
-    r = abs(z)
-    if r <= _SERIES_RADIUS:
-        return _w_series(z)
-    if r <= _CF_RADIUS:
-        return _w_rational(z)
-    return _w_continued_fraction(z)
-
-
-def w(z: complex) -> complex:
+def w(z):
     """Evaluate the Faddeeva function for ``|z| <= 1e8``, either half-plane.
 
-    Relative accuracy is well inside 1e-6 everywhere on the supported
-    domain; on the real axis the exponentially small real part is computed
-    as ``exp(-x^2)`` directly.
+    Takes a scalar or an array; a scalar gives a Python ``complex``.  Raises
+    :class:`DomainError` if any element is non-finite or beyond the domain.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    # imported here so that commands which never evaluate w do not pay for
+    # loading scipy.special
+    from scipy.special import wofz
+
+    arr = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(arr)):
         raise DomainError("w(z) requires finite z")
-    if abs(z) > _MAX_ABS:
-        raise DomainError(f"|z| = {abs(z):.3g} outside supported domain (<= {_MAX_ABS:.0e})")
-    if z.imag == 0.0:
-        x = z.real
-        val = _w_upper(z)
-        # Re w(x) = exp(-x^2) exactly; the branch evaluators lose it in
-        # cancellation for |x| >~ 4.
-        return complex(math.exp(-min(x * x, 745.0)), val.imag)
-    if z.imag < 0.0:
-        return 2.0 * cmath.exp(-z * z) - _w_upper(-z)
-    return _w_upper(z)
-
-
-def w_many(zs) -> np.ndarray:
-    """Pointwise ``w`` over an array; convenience for grids and tests."""
-    flat = np.asarray(zs, dtype=complex).ravel()
-    out = np.array([w(z) for z in flat], dtype=complex)
-    return out.reshape(np.shape(zs))
+    modulus = np.abs(arr)
+    if np.any(modulus > _MAX_ABS):
+        raise DomainError(
+            f"|z| = {modulus.max():.3g} outside supported domain (<= {_MAX_ABS:.0e})")
+    val = wofz(arr)
+    return complex(val) if val.ndim == 0 else val
 
 
 def w_reference(z: complex, rtol: float = 1e-11) -> complex:

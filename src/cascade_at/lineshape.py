@@ -33,28 +33,27 @@ K_RHO22 = 1.195583630615565
 
 @dataclass(frozen=True)
 class CascadeDenominator:
-    """Quadratic coefficients of D in the dimensionless velocity u = v_z/v_p."""
+    """Quadratic coefficients of D in the dimensionless velocity u = v_z/v_p;
+    ``b`` and ``c`` are arrays when D is built over a detuning grid."""
 
     a: complex
-    b: complex
-    c: complex
+    b: complex | np.ndarray
+    c: complex | np.ndarray
 
     def value(self, u):
         return (self.a * u + self.b) * u + self.c
 
-    def roots(self) -> tuple[complex, complex]:
-        """Roots by the numerically stable quadratic formula."""
+    def roots(self):
+        """Roots by the numerically stable quadratic formula, elementwise
+        when ``b`` and ``c`` are arrays over a detuning grid."""
         a, b, c = self.a, self.b, self.c
         sq = np.sqrt(b * b - 4 * a * c)
         # pick the sign that avoids cancellation in b + sq
-        if (b.conjugate() * sq).real >= 0:
-            q = -(b + sq) / 2
-        else:
-            q = -(b - sq) / 2
-        if q == 0:  # b == 0 and degenerate c or a
-            z1 = sq / (2 * a)
-            return z1, -z1
-        return q / a, c / q
+        q = -(b + np.where((np.conj(b) * sq).real >= 0, sq, -sq)) / 2
+        # q == 0 only when b == c == 0: a double root at the origin
+        z1 = q / a
+        z2 = np.where(q == 0, z1, c / np.where(q == 0, 1.0, q))
+        return z1[()], z2[()]
 
 
 def _denominator_value(rp, drive: DriveParams, det: EffectiveDetunings) -> complex:
@@ -97,10 +96,11 @@ def doppler_slopes(scheme: LevelScheme, drive: DriveParams,
 
 def denominator_coefficients(scheme: LevelScheme, drive: DriveParams,
                              dopp: DopplerParams,
-                             delta1: float | None = None) -> CascadeDenominator:
+                             delta1=None) -> CascadeDenominator:
     """Quadratic coefficients (a, b, c) of D in u = v_z/v_p.
 
-    ``delta1`` overrides ``drive.detuning_1`` (the spectrum scan variable).
+    ``delta1`` overrides ``drive.detuning_1`` (the spectrum scan variable);
+    an array gives ``b`` and ``c`` over the whole grid.
     Degenerate if a = 0, which happens only for a zero wavenumber or zero
     Doppler width.
     """
@@ -114,7 +114,7 @@ def denominator_coefficients(scheme: LevelScheme, drive: DriveParams,
             "denominator is not quadratic in u (zero wavenumber or zero Doppler width)")
     b = 1j * alpha * (rp.gamma_13 + 1j * d12) + 1j * (alpha + beta) * (rp.gamma_12 + 1j * d1)
     c = (rp.gamma_12 + 1j * d1) * (rp.gamma_13 + 1j * d12) + (drive.rabi_2 / 2) ** 2
-    return CascadeDenominator(a=complex(a), b=complex(b), c=complex(c))
+    return CascadeDenominator(a=complex(a), b=b, c=c)
 
 
 # vectorized forms used by the Doppler averaging engines

@@ -60,11 +60,6 @@ class LevelScheme:
         for b in (self.branch_2_to_1, self.branch_3_to_2):
             if not 0.0 <= b <= 1.0:
                 raise ConfigError("branching fractions must lie in [0, 1]")
-        if self.branch_2_to_1 == 1.0 and self.branch_3_to_2 == 1.0 and self.transit_rate == 0.0:
-            # fully closed with no transit would be a different model; allowed
-            # only because a steady state still exists, but flag the open-system
-            # requirement when branching leaks and there is no refill.
-            pass
         if self.transit_rate < 0:
             raise ConfigError("transit_rate must be >= 0")
         open_system = self.branch_2_to_1 < 1.0 or self.branch_3_to_2 < 1.0

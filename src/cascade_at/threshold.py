@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .doppler import QuadratureRule, average, average_analytic_I3
-from .errors import ConfigError
+from .errors import CascadeError, ConfigError
 from .model import DopplerParams, DriveParams, LevelScheme, rates
 from .msublevel import MSublevelWeights, m_summed
 
@@ -81,20 +81,18 @@ def _geometry_for_x(scheme: LevelScheme, x: float, rabi_1: float) -> tuple[Level
     return scheme_x, drive
 
 
-def _i3_at(engine: str, scheme: LevelScheme, drive: DriveParams,
-           dopp: DopplerParams, delta1: float,
-           msum: MSublevelWeights | None) -> float:
-    grid = np.array([delta1])
-
+def _i3_on(engine: str, scheme: LevelScheme, drive: DriveParams,
+           dopp: DopplerParams, grid: np.ndarray,
+           msum: MSublevelWeights | None) -> np.ndarray:
     def one(drv):
         if engine == "analytic":
-            return average_analytic_I3(scheme, drv, dopp, grid).I3[0]
+            return average_analytic_I3(scheme, drv, dopp, grid).I3
         rule = QuadratureRule.gauss_hermite(200)
-        return average(engine, "I3", scheme, drv, dopp, rule, grid).I3[0]
+        return average(engine, "I3", scheme, drv, dopp, rule, grid).I3
 
     if msum is None:
-        return float(one(drive))
-    return float(m_summed(one, msum, drive))
+        return one(drive)
+    return m_summed(one, msum, drive)
 
 
 def curvature_at_zero(engine: str, scheme: LevelScheme, drive: DriveParams,
@@ -109,8 +107,8 @@ def curvature_at_zero(engine: str, scheme: LevelScheme, drive: DriveParams,
     if drive.detuning_2 != 0.0:
         raise ConfigError("curvature condition is defined at resonant coupling")
     h = max(0.5, drive.rabi_2 / 200.0)
-    f = [_i3_at(engine, scheme, drive, dopp, d, msum)
-         for d in (-2 * h, -h, 0.0, h, 2 * h)]
+    f = _i3_on(engine, scheme, drive, dopp,
+               np.array([-2 * h, -h, 0.0, h, 2 * h]), msum).tolist()
     return (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
 
 
@@ -190,7 +188,7 @@ def _sweep(engine, scheme, tasks, msum, rabi_1):
         try:
             results[idx] = threshold_rabi(engine, scheme, x, dopp,
                                           msum=msum, rabi_1=rabi_1)
-        except Exception:
+        except CascadeError:
             results[idx] = ThresholdResult(omega_t=float("nan"), converged=False)
 
     workers = _worker_count()

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import cascade_at as ca
+from cascade_at import doppler
 from cascade_at.doppler import _refined_rule, _full_engine_windows
 from cascade_at.errors import ConfigError, DegenerateRootError
 from cascade_at.lineshape import doppler_slopes
@@ -156,6 +157,53 @@ class TestAnalytic:
                 num = ca.average("perturbative", "I3", sch, drv, dopp,
                                  rule, grid).I3
                 assert np.max(np.abs(an - num) / num) < 1e-4
+
+
+def coincident_roots_drive(scheme, drive, dopp):
+    """Resonant coupling at the Omega_2 where the two roots of D coincide at
+    Delta_1 = 0: Omega_2^2 = (alpha g13 - (alpha+beta) g12)^2 / (alpha (alpha+beta)).
+    Of the doubles next to that value, the one whose computed roots lie
+    closest together is taken."""
+    alpha, beta = doppler_slopes(scheme, drive, dopp)
+    rp = rates(scheme)
+    om = abs(alpha * rp.gamma_13 - (alpha + beta) * rp.gamma_12) / math.sqrt(
+        alpha * (alpha + beta))
+
+    def separation(drv):
+        z1, z2 = ca.denominator_coefficients(scheme, drv, dopp, delta1=0.0).roots()
+        return abs(z1 - z2) / max(abs(z1), abs(z2))
+
+    candidates = [replace(drive, detuning_2=0.0, rabi_2=om + k * np.spacing(om))
+                  for k in range(-4, 5)]
+    best = min(candidates, key=separation)
+    assert separation(best) < 1e-12
+    return best
+
+
+class TestDegeneratePoles:
+    @pytest.mark.parametrize("observable", ["I2", "I3"])
+    def test_fallback_beside_partial_fractions(self, case_b, gh200, observable,
+                                               monkeypatch):
+        # the middle point has a double root and takes the refined numeric
+        # rule; the outer two take the partial fractions, in the same call
+        scheme, drive, dopp = case_b
+        drv = coincident_roots_drive(scheme, drive, dopp)
+        grid = np.array([-5.0, 0.0, 5.0])
+        num = getattr(ca.average("perturbative", observable, scheme, drv, dopp,
+                                 gh200, grid), observable)
+
+        fallbacks, w_shapes = [], []
+        rule, w = doppler._refined_rule, doppler.faddeeva_w
+        monkeypatch.setattr(doppler, "_refined_rule",
+                            lambda roots, *a: fallbacks.append(roots) or rule(roots, *a))
+        monkeypatch.setattr(doppler, "faddeeva_w",
+                            lambda z: w_shapes.append(np.shape(z)) or w(z))
+        analytic = getattr(doppler, f"average_analytic_{observable}")
+        an = getattr(analytic(scheme, drv, dopp, grid), observable)
+
+        assert len(fallbacks) == 1
+        assert w_shapes == [(2, 4)]
+        assert np.max(np.abs(an - num) / num) < 1e-6
 
 
 class TestPoleDecomposition:

@@ -89,22 +89,38 @@ class TestIdentities:
             assert abs(z * ca.w(z) * SQRTPI - 1j) < 1e-3
 
 
+def conformance_grid():
+    radii = np.geomspace(1e-2, 15, 12)
+    angles = np.linspace(-math.pi + 0.05, math.pi - 0.05, 17)
+    return [r * cmath.exp(1j * th) for r in radii for th in angles]
+
+
 class TestConformance:
     def test_against_reference_grid(self):
         # small version of the acceptance sweep: both half-planes
-        radii = np.geomspace(1e-2, 15, 12)
-        angles = np.linspace(-math.pi + 0.05, math.pi - 0.05, 17)
         worst = 0.0
-        for r in radii:
-            for th in angles:
-                z = r * cmath.exp(1j * th)
-                ref = ca.w_reference(z)
-                worst = max(worst, abs(ca.w(z) - ref) / abs(ref))
+        for z in conformance_grid():
+            ref = ca.w_reference(z)
+            worst = max(worst, abs(ca.w(z) - ref) / abs(ref))
         assert worst <= 1e-6
 
+    def test_array_matches_scalar(self):
+        zs = np.array(conformance_grid()).reshape(12, 17)
+        vals = ca.w(zs)
+        assert vals.shape == zs.shape
+        for z, val in zip(zs.ravel(), vals.ravel()):
+            scalar = ca.w(complex(z))
+            assert type(scalar) is complex
+            assert scalar == val
+
+    @pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(0.0, math.nan),
+                                     2e8 + 0j, -1e8 - 1e3j])
+    def test_array_domain_error(self, bad):
+        with pytest.raises(DomainError):
+            ca.w(np.array([0.5 + 0.5j, bad, 1.0]))
+
     def test_region_boundaries_consistent(self):
-        # values must agree across the series/rational/continued-fraction
-        # switch radii
+        # w must be continuous across the circles |z| = 3.5 and |z| = 6
         for r in (3.5, 6.0):
             for th in (0.2, 1.0, 2.5):
                 z_in = (r - 1e-9) * cmath.exp(1j * th)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import cascade_at as ca
-from cascade_at.errors import ConfigError
+from cascade_at import threshold
+from cascade_at.errors import ConfigError, NumericalError
 from cascade_at.msublevel import weights
 from cascade_at.threshold import (_geometry_for_x, curvature_at_zero,
                                   region_two_estimate, threshold_curve,
@@ -152,3 +153,24 @@ class TestThresholdSurface:
         with pytest.raises(ConfigError):
             threshold_surface("analytic", scheme, np.array([-0.5]),
                               np.array([-100.0]))
+
+
+class TestSweepErrors:
+    GRID = np.array([-0.5, 0.5])
+
+    def test_bug_propagates(self, case_a, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("bug in the search")
+
+        monkeypatch.setattr(threshold, "threshold_rabi", broken)
+        with pytest.raises(ZeroDivisionError):
+            threshold_curve("analytic", case_a[0], self.GRID, DOP)
+
+    def test_numerical_failure_marks_cell_unconverged(self, case_a, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NumericalError("solver failed")
+
+        monkeypatch.setattr(threshold, "threshold_rabi", failing)
+        tmap = threshold_curve("analytic", case_a[0], self.GRID, DOP)
+        assert np.all(np.isnan(tmap.omega_t))
+        assert not tmap.converged.any()
