@@ -4,7 +4,7 @@ Subcommands: ``spectrum`` (probe-detuning scan), ``threshold`` (x sweep),
 ``surface`` (x times Doppler-width sweep), ``selftest`` (Faddeeva
 conformance and smoke checks) and ``preset`` (dump a bundled scenario
 file).  Output is deterministic CSV: identical inputs and flags produce
-byte-identical files regardless of ``CASCADE_AT_THREADS``.
+byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -17,7 +17,6 @@ import io
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,78 +202,46 @@ def _load_inputs(args) -> Scenario:
     raise ConfigError("one of --scenario or --preset is required")
 
 
-def _spectrum_engine_run(engine, observable, sc, drive, grid, quad_order):
-    if engine == "analytic":
-        i2 = i3 = None
-        if observable in ("I2", "both"):
-            i2 = doppler.average_analytic_I2(sc.scheme, drive, sc.dopp, grid).I2
-        if observable in ("I3", "both"):
-            i3 = doppler.average_analytic_I3(sc.scheme, drive, sc.dopp, grid).I3
-        return i2, i3
-    rule = doppler.QuadratureRule.gauss_hermite(quad_order)
-    spec = doppler.average(engine, observable, sc.scheme, drive, sc.dopp, rule, grid)
-    return spec.I2, spec.I3
+def _settings(args, sc: Scenario, default_engine: str):
+    """Engine and M-sublevel weights (None when off), each from its flag if
+    given, else from the scenario's [scan] section, else the default."""
+    engine = args.engine if args.engine is not None \
+        else sc.scan.get("engine", default_engine)
+    if engine not in threshold.ALL_ENGINES:
+        raise ConfigError(f"engine must be one of {threshold.ALL_ENGINES}, "
+                          f"got {engine!r}")
+    msum = args.msum if args.msum is not None else sc.scan.get("msum", "off")
+    if msum not in ("on", "off"):
+        raise ConfigError(f"msum must be on or off, got {msum!r}")
+    wts = msublevel.weights(sc.scheme.j2, sc.scheme.j3) if msum == "on" else None
+    return engine, wts
 
 
-def _compute_spectrum(sc: Scenario, engine, observable, quad_order, msum_on):
+def _compute_spectrum(sc: Scenario, engine, observable, quad_order, wts):
     grid = _grid(sc.scan, "delta1")
-    workers = threshold._worker_count()
-    chunks = np.array_split(np.arange(len(grid)), max(1, min(workers * 4, len(grid))))
 
     def one(drv):
-        i2 = np.zeros(len(grid)) if observable in ("I2", "both") else None
-        i3 = np.zeros(len(grid)) if observable in ("I3", "both") else None
+        return doppler.intensities(engine, observable, sc.scheme, drv, sc.dopp,
+                                   grid, quad_order)
 
-        def run_chunk(idx):
-            sub2, sub3 = _spectrum_engine_run(engine, observable, sc, drv,
-                                              grid[idx], quad_order)
-            return idx, sub2, sub3
-
-        if workers == 1 or len(chunks) == 1:
-            results = [run_chunk(idx) for idx in chunks]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_chunk, chunks))
-        for idx, sub2, sub3 in results:
-            if i2 is not None:
-                i2[idx] = sub2
-            if i3 is not None:
-                i3[idx] = sub3
-        out = []
-        if i2 is not None:
-            out.append(i2)
-        if i3 is not None:
-            out.append(i3)
-        return np.vstack(out)
-
-    if msum_on:
-        wts = msublevel.weights(sc.scheme.j2, sc.scheme.j3)
-        stacked = msublevel.m_summed(one, wts, sc.drive)
-    else:
-        stacked = one(sc.drive)
-    cols = {}
-    pos = 0
-    if observable in ("I2", "both"):
-        cols["I2"] = stacked[pos]; pos += 1
-    if observable in ("I3", "both"):
-        cols["I3"] = stacked[pos]
-    return grid, cols
+    stacked = one(sc.drive) if wts is None else msublevel.m_summed(one, wts, sc.drive)
+    names = [name for name in ("I2", "I3") if observable in (name, "both")]
+    return grid, dict(zip(names, stacked))
 
 
 def _cmd_spectrum(args) -> int:
     sc = _load_inputs(args)
-    engine = args.engine or sc.scan.get("engine") or "full"
+    engine, wts = _settings(args, sc, "full")
     quad_order = args.quad_order if args.quad_order is not None \
-        else (sc.scan.get("quad_order") or 200)
-    msum_on = (args.msum or sc.scan.get("msum") or "off") == "on"
-    grid, cols = _compute_spectrum(sc, engine, args.observable, quad_order, msum_on)
+        else sc.scan.get("quad_order", 200)
+    grid, cols = _compute_spectrum(sc, engine, args.observable, quad_order, wts)
     if args.normalize == "peak":
         for key, arr in cols.items():
             peak = arr.max()
             if peak > 0:
                 cols[key] = arr / peak
     fp = _fingerprint(sc, repr(("spectrum", engine, args.observable, quad_order,
-                                msum_on, args.normalize)))
+                                wts is not None, args.normalize)))
     header = ["delta1_mhz"] + list(cols)
     rows = [(grid[i], *(cols[k][i] for k in cols)) for i in range(len(grid))]
     _emit_csv(header, rows, "spectrum", fp, args.out)
@@ -283,12 +250,10 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_threshold(args) -> int:
     sc = _load_inputs(args)
-    engine = args.engine or sc.scan.get("engine") or "analytic"
-    msum_on = (args.msum or sc.scan.get("msum") or "off") == "on"
-    wts = msublevel.weights(sc.scheme.j2, sc.scheme.j3) if msum_on else None
+    engine, wts = _settings(args, sc, "analytic")
     x_grid = _grid(sc.scan, "x")
     tmap = threshold.threshold_curve(engine, sc.scheme, x_grid, sc.dopp, msum=wts)
-    fp = _fingerprint(sc, repr(("threshold", engine, msum_on)))
+    fp = _fingerprint(sc, repr(("threshold", engine, wts is not None)))
     rows = [(tmap.x_grid[i], tmap.omega_t[i, 0], tmap.converged[i, 0],
              tmap.region_two[i])
             for i in range(len(tmap.x_grid))]
@@ -299,13 +264,11 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_surface(args) -> int:
     sc = _load_inputs(args)
-    engine = args.engine or sc.scan.get("engine") or "analytic"
-    msum_on = (args.msum or sc.scan.get("msum") or "off") == "on"
-    wts = msublevel.weights(sc.scheme.j2, sc.scheme.j3) if msum_on else None
+    engine, wts = _settings(args, sc, "analytic")
     x_grid = _grid(sc.scan, "x")
     dnu_grid = _grid(sc.scan, "dnu")
     tmap = threshold.threshold_surface(engine, sc.scheme, x_grid, dnu_grid, msum=wts)
-    fp = _fingerprint(sc, repr(("surface", engine, msum_on)))
+    fp = _fingerprint(sc, repr(("surface", engine, wts is not None)))
     rows = []
     for i in range(len(x_grid)):
         for j in range(len(dnu_grid)):

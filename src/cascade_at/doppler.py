@@ -10,7 +10,7 @@ Two routes are provided:
   the natural widths gamma/(k v_p) fall below the node spacing), the sum
   for that grid point is evaluated on a pole-refined composite
   Gauss-Legendre rule with the same Gaussian weight and equivalent base
-  resolution.  Results are independent of threading and scheduling.
+  resolution.
 
 * :func:`average_analytic_I3` / :func:`average_analytic_I2` - exact
   partial-fraction evaluation of the perturbative averages: 1/|D(u)|^2 has
@@ -43,6 +43,7 @@ _SQRTPI = math.sqrt(math.pi)
 _U_MAX = 6.5               # Gaussian support cutoff: exp(-6.5^2) ~ 5e-19
 _PANEL_DEGREE = 12
 _DEGENERATE_SEP = 1e-9     # relative pole separation refused by partial fractions
+_PANEL_NODES, _PANEL_WEIGHTS = leggauss(_PANEL_DEGREE)
 
 ENGINES = ("full", "perturbative")
 
@@ -154,11 +155,10 @@ def _refined_rule(roots, base_order: int,
     edges = np.array(sorted(edges))
     keep = np.concatenate(([True], np.diff(edges) > 1e-12))
     edges = edges[keep]
-    gx, gw = leggauss(_PANEL_DEGREE)
     mid = (edges[:-1] + edges[1:]) / 2
     half = (edges[1:] - edges[:-1]) / 2
-    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    wts = (half[:, None] * gw[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * _PANEL_NODES[None, :]).ravel()
+    wts = (half[:, None] * _PANEL_WEIGHTS[None, :]).ravel()
     return nodes, wts * np.exp(-nodes * nodes)
 
 
@@ -315,6 +315,26 @@ def average_analytic_I2(scheme: LevelScheme, drive: DriveParams, dopp: DopplerPa
 
     return _partial_fraction_average("I2", scheme, drive, dopp, delta1_grid,
                                      prefactor, numerator)
+
+
+def intensities(engine: str, observable: str, scheme: LevelScheme,
+                drive: DriveParams, dopp: DopplerParams, delta1_grid: np.ndarray,
+                quad_order: int = 200) -> np.ndarray:
+    """Doppler-averaged I2 and/or I3 over a probe-detuning grid, one row per
+    observable (I2 first): the exact average for engine "analytic", else
+    :func:`average` on the Gauss-Hermite rule of order ``quad_order``."""
+    if observable not in ("I2", "I3", "both"):
+        raise ConfigError(f"observable must be I2, I3 or both, got {observable!r}")
+    if engine == "analytic":
+        rows = []
+        if observable in ("I2", "both"):
+            rows.append(average_analytic_I2(scheme, drive, dopp, delta1_grid).I2)
+        if observable in ("I3", "both"):
+            rows.append(average_analytic_I3(scheme, drive, dopp, delta1_grid).I3)
+        return np.array(rows)
+    rule = QuadratureRule.gauss_hermite(quad_order)
+    spec = average(engine, observable, scheme, drive, dopp, rule, delta1_grid)
+    return np.array([row for row in (spec.I2, spec.I3) if row is not None])
 
 
 def root_difference_closed_form(scheme: LevelScheme, drive: DriveParams,

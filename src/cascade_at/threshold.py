@@ -10,14 +10,12 @@ estimate ``Gam / sqrt(-x (1+x))`` seeds the bracket.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .doppler import QuadratureRule, average, average_analytic_I3
-from .errors import CascadeError, ConfigError
+from .doppler import intensities
+from .errors import ConfigError, NumericalError
 from .model import DopplerParams, DriveParams, LevelScheme, rates
 from .msublevel import MSublevelWeights, m_summed
 
@@ -57,17 +55,9 @@ class ThresholdMap:
     column_log_slope: np.ndarray | None = None
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("CASCADE_AT_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"CASCADE_AT_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ConfigError("CASCADE_AT_THREADS must be >= 0")
-    if n == 0:
-        return min(os.cpu_count() or 1, 8)
-    return n
+def _validate_engine(engine: str) -> None:
+    if engine not in ALL_ENGINES:
+        raise ConfigError(f"engine must be one of {ALL_ENGINES}, got {engine!r}")
 
 
 def _geometry_for_x(scheme: LevelScheme, x: float, rabi_1: float) -> tuple[LevelScheme, DriveParams]:
@@ -81,20 +71,6 @@ def _geometry_for_x(scheme: LevelScheme, x: float, rabi_1: float) -> tuple[Level
     return scheme_x, drive
 
 
-def _i3_on(engine: str, scheme: LevelScheme, drive: DriveParams,
-           dopp: DopplerParams, grid: np.ndarray,
-           msum: MSublevelWeights | None) -> np.ndarray:
-    def one(drv):
-        if engine == "analytic":
-            return average_analytic_I3(scheme, drv, dopp, grid).I3
-        rule = QuadratureRule.gauss_hermite(200)
-        return average(engine, "I3", scheme, drv, dopp, rule, grid).I3
-
-    if msum is None:
-        return one(drive)
-    return m_summed(one, msum, drive)
-
-
 def curvature_at_zero(engine: str, scheme: LevelScheme, drive: DriveParams,
                       dopp: DopplerParams,
                       msum: MSublevelWeights | None = None) -> float:
@@ -102,13 +78,16 @@ def curvature_at_zero(engine: str, scheme: LevelScheme, drive: DriveParams,
     (5-point central stencil, step max(0.5 MHz, Om2/200)).  Positive means
     a local minimum, i.e. resolved splitting.  Requires resonant coupling.
     """
-    if engine not in ALL_ENGINES:
-        raise ConfigError(f"engine must be one of {ALL_ENGINES}")
+    _validate_engine(engine)
     if drive.detuning_2 != 0.0:
         raise ConfigError("curvature condition is defined at resonant coupling")
     h = max(0.5, drive.rabi_2 / 200.0)
-    f = _i3_on(engine, scheme, drive, dopp,
-               np.array([-2 * h, -h, 0.0, h, 2 * h]), msum).tolist()
+    grid = np.array([-2 * h, -h, 0.0, h, 2 * h])
+
+    def i3(drv):
+        return intensities(engine, "I3", scheme, drv, dopp, grid)[0]
+
+    f = (i3(drive) if msum is None else m_summed(i3, msum, drive)).tolist()
     return (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
 
 
@@ -180,24 +159,15 @@ def _validate_x_grid(x_grid: np.ndarray) -> np.ndarray:
 
 
 def _sweep(engine, scheme, tasks, msum, rabi_1):
-    """Deterministic parallel map over (x, dopp) tasks, assembled by index."""
-    results: list[ThresholdResult | None] = [None] * len(tasks)
-
-    def run(idx):
-        x, dopp = tasks[idx]
+    """Threshold of every (x, dopp) task in order; a numerical failure
+    leaves its cell nan and unconverged."""
+    results = []
+    for x, dopp in tasks:
         try:
-            results[idx] = threshold_rabi(engine, scheme, x, dopp,
-                                          msum=msum, rabi_1=rabi_1)
-        except CascadeError:
-            results[idx] = ThresholdResult(omega_t=float("nan"), converged=False)
-
-    workers = _worker_count()
-    if workers == 1 or len(tasks) == 1:
-        for i in range(len(tasks)):
-            run(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(tasks))))
+            results.append(threshold_rabi(engine, scheme, x, dopp,
+                                          msum=msum, rabi_1=rabi_1))
+        except NumericalError:
+            results.append(ThresholdResult(omega_t=float("nan"), converged=False))
     return results
 
 
@@ -205,6 +175,7 @@ def threshold_curve(engine: str, scheme: LevelScheme, x_grid, dopp: DopplerParam
                     msum: MSublevelWeights | None = None,
                     rabi_1: float | None = None) -> ThresholdMap:
     """Threshold vs wavenumber ratio at a fixed Doppler width."""
+    _validate_engine(engine)
     x_grid = _validate_x_grid(x_grid)
     tasks = [(float(x), dopp) for x in x_grid]
     res = _sweep(engine, scheme, tasks, msum, rabi_1)
@@ -223,6 +194,7 @@ def threshold_surface(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
                       msum: MSublevelWeights | None = None,
                       rabi_1: float | None = None) -> ThresholdMap:
     """Threshold over the (x, Doppler width) plane with per-row statistics."""
+    _validate_engine(engine)
     x_grid = _validate_x_grid(x_grid)
     dnu_grid = np.asarray(dnu_grid, dtype=float)
     if np.any(dnu_grid <= 0):

@@ -5,7 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+import cascade_at as ca
+from cascade_at import doppler
 from cascade_at.cli import run
+from cascade_at.msublevel import weights
 
 CLI = [sys.executable, "-m", "cascade_at"]
 
@@ -80,6 +83,21 @@ class TestSpectrumCommand:
         off = np.loadtxt(str(o1), delimiter=",", skiprows=2)
         on = np.loadtxt(str(o2), delimiter=",", skiprows=2)
         assert on[:, 1].sum() > 2 * off[:, 1].sum()   # 39 components add up
+
+    def test_one_analytic_call_per_m_weight(self, tmp_path, monkeypatch):
+        calls = []
+        original = doppler.average_analytic_I3
+
+        def counting(scheme, drive, dopp, grid):
+            calls.append(len(grid))
+            return original(scheme, drive, dopp, grid)
+
+        monkeypatch.setattr(doppler, "average_analytic_I3", counting)
+        out = tmp_path / "a.csv"
+        assert run(["spectrum", "--preset", "case-a", "--engine", "analytic",
+                    "--observable", "I3", "--msum", "on", "--out", str(out)]) == 0
+        scheme, _, _ = ca.preset("case_a")
+        assert calls == [601] * len(weights(scheme.j2, scheme.j3).folded())
 
 
 class TestDeterminism:
@@ -178,6 +196,20 @@ class TestErrorPaths:
     def test_bad_flag_exits_2(self):
         res = run_cli(["spectrum", "--preset", "case-a", "--engine", "magic"])
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("command,line", [
+        ("threshold", "engine = bogus"),
+        ("surface", "engine = bogus"),
+        ("spectrum", "msum = yes"),
+        ("spectrum", "quad_order = 0"),
+    ])
+    def test_bad_scan_setting_exits_2(self, tmp_path, command, line):
+        scen = small_scan("a.ini", tmp_path)
+        with open(scen, "a") as fh:          # [scan] is the last section
+            fh.write(line + "\n")
+        res = run_cli([command, "--scenario", scen])
+        assert res.returncode == 2, res.stdout[:200] + res.stderr
+        assert res.stderr.startswith("error: ")
 
     def test_run_callable_matches_subprocess(self, capsys):
         # the in-process entry point returns the same exit codes

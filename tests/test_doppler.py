@@ -206,6 +206,33 @@ class TestDegeneratePoles:
         assert np.max(np.abs(an - num) / num) < 1e-6
 
 
+class TestIntensities:
+    GRID = np.linspace(-600.0, 600.0, 7)
+
+    @pytest.mark.parametrize("engine", ["full", "perturbative", "analytic"])
+    @pytest.mark.parametrize("observable", ["I2", "I3", "both"])
+    def test_rows_match_direct_calls(self, case_a, gh200, engine, observable):
+        scheme, drive, dopp = case_a
+        rows = doppler.intensities(engine, observable, scheme, drive, dopp,
+                                   self.GRID)
+        names = [n for n in ("I2", "I3") if observable in (n, "both")]
+        if engine == "analytic":
+            direct = {"I2": ca.average_analytic_I2, "I3": ca.average_analytic_I3}
+            expected = [getattr(direct[n](scheme, drive, dopp, self.GRID), n)
+                        for n in names]
+        else:
+            spec = ca.average(engine, observable, scheme, drive, dopp, gh200,
+                              self.GRID)
+            expected = [getattr(spec, n) for n in names]
+        assert rows.shape == (len(names), len(self.GRID))
+        for row, exp in zip(rows, expected):
+            assert np.array_equal(row, exp)
+
+    def test_bad_observable(self, case_a):
+        with pytest.raises(ConfigError):
+            doppler.intensities("analytic", "I4", *case_a, self.GRID)
+
+
 class TestPoleDecomposition:
     def test_reconstruction(self, case_a):
         scheme, drive, dopp = case_a

@@ -159,12 +159,13 @@ class TestSweepErrors:
     GRID = np.array([-0.5, 0.5])
 
     def test_bug_propagates(self, case_a, monkeypatch):
-        def broken(*args, **kwargs):
-            raise ZeroDivisionError("bug in the search")
+        for exc in (ZeroDivisionError, ConfigError):
+            def broken(*args, **kwargs):
+                raise exc("bug in the search")
 
-        monkeypatch.setattr(threshold, "threshold_rabi", broken)
-        with pytest.raises(ZeroDivisionError):
-            threshold_curve("analytic", case_a[0], self.GRID, DOP)
+            monkeypatch.setattr(threshold, "threshold_rabi", broken)
+            with pytest.raises(exc):
+                threshold_curve("analytic", case_a[0], self.GRID, DOP)
 
     def test_numerical_failure_marks_cell_unconverged(self, case_a, monkeypatch):
         def failing(*args, **kwargs):
