@@ -2,7 +2,7 @@
 thresholds for an open three-level molecular cascade."""
 
 from .doppler import (PoleDecomposition, QuadratureRule, Spectrum, average,
-                      average_analytic_I2, average_analytic_I3,
+                      average_analytic_I2, average_analytic_I3, average_full_exact,
                       pole_decomposition, root_difference_closed_form)
 from .errors import (CascadeError, ConfigError, DegenerateRootError, DomainError,
                      NumericalError, SelectionRuleError, SingularSystemError,
@@ -28,6 +28,7 @@ __all__ = [
     "PoleDecomposition", "QuadratureRule", "RateParams", "SelectionRuleError",
     "SingularSystemError", "SolverFailure", "Spectrum", "ThresholdMap",
     "ThresholdResult", "average", "average_analytic_I2", "average_analytic_I3",
+    "average_full_exact",
     "curvature_at_zero", "denominator_coefficients", "doppler_fwhm",
     "effective_detunings", "fluorescence_rates", "m_summed",
     "most_probable_speed", "pole_decomposition", "preset", "rates",

@@ -17,7 +17,7 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -234,6 +234,8 @@ def _cmd_spectrum(args) -> int:
     engine, wts = _settings(args, sc, "full")
     quad_order = args.quad_order if args.quad_order is not None \
         else sc.scan.get("quad_order", 200)
+    if quad_order < doppler.MIN_QUAD_ORDER:
+        raise ConfigError(f"quadrature order must be >= {doppler.MIN_QUAD_ORDER}")
     grid, cols = _compute_spectrum(sc, engine, args.observable, quad_order, wts)
     if args.normalize == "peak":
         for key, arr in cols.items():
@@ -310,7 +312,7 @@ def _cmd_selftest(args) -> int:
 
     # invariant smoke checks
     checks = []
-    sa, da, _ = model.preset("case_a")
+    sa, da, pa = model.preset("case_a")
     sb, db, _ = model.preset("case_b")
     checks.append(("case_a x = -0.9219",
                    abs(model.wavenumber_ratio(sa, da) + 0.9219) < 5e-4))
@@ -328,6 +330,13 @@ def _cmd_selftest(args) -> int:
     quad_mod = 1.0 / abs((den.z1 - den.z2) * beta / 2)
     checks.append(("closed-form root difference vs quadratic roots",
                    abs(abs(cf) - quad_mod) / quad_mod < 1e-6))
+    weak = replace(da, rabi_1=rp.Gamma_2 / 20)
+    grid = np.array([-600.0, -200.0, 0.0, 200.0, 600.0])
+    exact = doppler.average_full_exact("I3", sa, weak, pa, grid).I3
+    numeric = doppler.average("full", "I3", sa, weak, pa,
+                              doppler.QuadratureRule.gauss_hermite(200), grid).I3
+    checks.append(("full-engine pole expansion vs numeric average",
+                   np.max(np.abs(exact - numeric)) < 1e-6 * numeric.max()))
     for name, passed in checks:
         print(f"  {'PASS' if passed else 'FAIL'}  {name}")
         ok = ok and passed
@@ -356,7 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sp, ("full", "perturbative", "analytic"), "full")
     sp.add_argument("--observable", choices=("I2", "I3", "both"), default="both")
     sp.add_argument("--quad-order", type=int, default=None,
-                    help="velocity quadrature order (default 200)")
+                    help="velocity quadrature order of the perturbative "
+                         "engine (default 200)")
     sp.add_argument("--normalize", choices=("peak", "none"), default="none")
     sp.set_defaults(func=_cmd_spectrum)
 

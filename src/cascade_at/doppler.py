@@ -1,6 +1,6 @@
 """Gaussian velocity averaging of the fixed-velocity lineshapes.
 
-Two routes are provided:
+Three routes are provided:
 
 * :func:`average` - deterministic numeric quadrature of either engine
   (``full`` steady-state solver or ``perturbative`` weak-probe forms) over
@@ -19,9 +19,15 @@ Two routes are provided:
   for Im z > 0 (the lower half-plane reached by conjugation symmetry).  One
   routine evaluates the whole detuning grid at once.
 
-Both routes agree to ~1e-9 relative; the numeric route never touches the
-Faddeeva function or partial fractions, so the pair forms an independent
-cross-check.
+* :func:`average_full_exact` - exact evaluation of the ``full`` engine's
+  average, to all orders in both fields: the Liouvillian is affine in
+  velocity with a diagonal slope, so each population is rational in u with
+  at most six finite poles (:func:`cascade_at.liouville.velocity_poles`),
+  and the same Gaussian pole sum turns each pole into one Faddeeva value.
+
+On the bundled presets the exact routes agree with the numeric one to
+~1e-9 relative; the numeric route never touches the Faddeeva function or
+partial fractions, so each pair forms an independent cross-check.
 """
 from __future__ import annotations
 
@@ -36,16 +42,19 @@ from .errors import ConfigError, DegenerateRootError, NumericalError
 from .faddeeva import w as faddeeva_w
 from .lineshape import (K_RHO22, K_RHO33, denominator_coefficients, doppler_slopes,
                         rho_weak_batch)
-from .liouville import populations_batch
+from .liouville import populations_batch, velocity_poles
 from .model import DopplerParams, DriveParams, LevelScheme, rates, wavenumber_ratio
 
 _SQRTPI = math.sqrt(math.pi)
 _U_MAX = 6.5               # Gaussian support cutoff: exp(-6.5^2) ~ 5e-19
 _PANEL_DEGREE = 12
 _DEGENERATE_SEP = 1e-9     # relative pole separation refused by partial fractions
+_ZERO_EIGENVALUE = 1e-8    # |lam| counted as zero; keeps |p| = 1/|lam| within w's domain
+_COND_LIMIT = 1e8          # eigenbasis condition number refused by the pole expansion
 _PANEL_NODES, _PANEL_WEIGHTS = leggauss(_PANEL_DEGREE)
 
 ENGINES = ("full", "perturbative")
+MIN_QUAD_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -206,8 +215,8 @@ def average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParam
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
     if observable not in ("I2", "I3", "both"):
         raise ConfigError(f"observable must be I2, I3 or both, got {observable!r}")
-    if rule.order < 16:
-        raise ConfigError("quadrature order must be >= 16")
+    if rule.order < MIN_QUAD_ORDER:
+        raise ConfigError(f"quadrature order must be >= {MIN_QUAD_ORDER}")
     grid = np.asarray(delta1_grid, dtype=float)
     fwhm = dopp.fwhm_mhz(scheme)
     if fwhm < 0:
@@ -248,6 +257,15 @@ def average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParam
                     quad_order=rule.order)
 
 
+def _gaussian_pole_sum(poles, residues):
+    """Sum over the last axis of r_k Integral e^{-u^2}/(u - p_k) du, one
+    Faddeeva value per pole; ``poles`` broadcasts against ``residues``."""
+    # Integral e^{-u^2}/(u - p) du = +-i pi w(+-p), signed so that the
+    # Faddeeva argument lies in the upper half-plane
+    sign = np.where(poles.imag > 0, 1.0, -1.0)
+    return (residues * (sign * 1j * math.pi * faddeeva_w(sign * poles))).sum(axis=-1)
+
+
 def _partial_fraction_average(observable: str, scheme: LevelScheme,
                               drive: DriveParams, dopp: DopplerParams,
                               delta1_grid, prefactor: float, numerator) -> Spectrum:
@@ -275,13 +293,9 @@ def _partial_fraction_average(observable: str, scheme: LevelScheme,
         ok = ~degenerate
         p = poles[ok]
         prod = np.prod(np.where(off, diff[ok], 1.0), axis=-1)
-        # Integral e^{-u^2}/(u - p) du = +-i pi w(+-p), signed so that the
-        # Faddeeva argument lies in the upper half-plane
-        sign = np.where(p.imag > 0, 1.0, -1.0)
-        pole_integral = sign * 1j * math.pi * faddeeva_w(sign * p)
-        terms = numerator(grid[ok, None], p) / (abs(den.a) ** 2 * prod) * pole_integral
+        residues = numerator(grid[ok, None], p) / (abs(den.a) ** 2 * prod)
         vals = np.empty_like(grid)
-        vals[ok] = prefactor * terms.sum(axis=-1).real / _SQRTPI
+        vals[ok] = prefactor * _gaussian_pole_sum(p, residues).real / _SQRTPI
         for k in np.nonzero(degenerate)[0]:
             t, wts = _refined_rule((z1[k], z2[k]), 400)
             v = _engine_batch("perturbative", scheme, drive,
@@ -317,12 +331,56 @@ def average_analytic_I2(scheme: LevelScheme, drive: DriveParams, dopp: DopplerPa
                                      prefactor, numerator)
 
 
+def average_full_exact(observable: str, scheme: LevelScheme, drive: DriveParams,
+                       dopp: DopplerParams, delta1_grid: np.ndarray) -> Spectrum:
+    """Exact Doppler average of the full steady state over a probe-detuning
+    grid, to all orders in both fields.
+
+    The populations are rational in u with at most six finite poles
+    (:func:`cascade_at.liouville.velocity_poles`), so each average is a sum
+    of Faddeeva values: 1/(1 + u lam) = (1/lam)/(u - p) with p = -1/lam.
+    Eigenvalues with |lam| <= 1e-8 (the populations, and the two-photon
+    coherences as x -> -1) contribute their residue as a constant, an error
+    below lam^2.  Grid points whose eigenbasis is ill-conditioned fall back,
+    one by one, to :func:`average` on the Gauss-Hermite rule of order 200.
+    """
+    if observable not in ("I2", "I3", "both"):
+        raise ConfigError(f"observable must be I2, I3 or both, got {observable!r}")
+    grid = np.asarray(delta1_grid, dtype=float)
+    if dopp.fwhm_mhz(scheme) == 0.0:
+        i2, i3 = _engine_batch("full", scheme, drive,
+                               grid + 0.0, np.full_like(grid, drive.detuning_2))
+    else:
+        alpha, beta = doppler_slopes(scheme, drive, dopp)
+        lam, res, cond = velocity_poles(scheme, drive, grid, alpha, beta)
+        ok = cond <= _COND_LIMIT
+        lam, res = lam[ok, None, :], res[ok]
+        finite = np.abs(lam) > _ZERO_EIGENVALUE
+        safe = np.where(finite, lam, 1.0)
+        # zero eigenvalues get a placeholder pole with zero weight
+        poles = np.where(finite, -1.0 / safe, 1j)
+        pops = (np.where(finite, 0.0, res).sum(axis=-1)
+                + _gaussian_pole_sum(poles, np.where(finite, res / safe, 0.0)) / _SQRTPI)
+        rp = rates(scheme)
+        i2, i3 = np.empty_like(grid), np.empty_like(grid)
+        i2[ok] = rp.Gamma_2 * pops[:, 0].real
+        i3[ok] = rp.Gamma_3 * pops[:, 1].real
+        for k in np.nonzero(~ok)[0]:
+            spec = average("full", "both", scheme, drive, dopp,
+                           QuadratureRule.gauss_hermite(200), grid[k:k + 1])
+            i2[k], i3[k] = spec.I2[0], spec.I3[0]
+    i2 = _validated_intensity(i2) if observable in ("I2", "both") else None
+    i3 = _validated_intensity(i3) if observable in ("I3", "both") else None
+    return Spectrum(delta1=grid.copy(), I2=i2, I3=i3, engine="full", quad_order=None)
+
+
 def intensities(engine: str, observable: str, scheme: LevelScheme,
                 drive: DriveParams, dopp: DopplerParams, delta1_grid: np.ndarray,
                 quad_order: int = 200) -> np.ndarray:
     """Doppler-averaged I2 and/or I3 over a probe-detuning grid, one row per
-    observable (I2 first): the exact average for engine "analytic", else
-    :func:`average` on the Gauss-Hermite rule of order ``quad_order``."""
+    observable (I2 first): the exact averages for engines "analytic" and
+    "full", else :func:`average` on the Gauss-Hermite rule of order
+    ``quad_order``."""
     if observable not in ("I2", "I3", "both"):
         raise ConfigError(f"observable must be I2, I3 or both, got {observable!r}")
     if engine == "analytic":
@@ -332,8 +390,11 @@ def intensities(engine: str, observable: str, scheme: LevelScheme,
         if observable in ("I3", "both"):
             rows.append(average_analytic_I3(scheme, drive, dopp, delta1_grid).I3)
         return np.array(rows)
-    rule = QuadratureRule.gauss_hermite(quad_order)
-    spec = average(engine, observable, scheme, drive, dopp, rule, delta1_grid)
+    if engine == "full":
+        spec = average_full_exact(observable, scheme, drive, dopp, delta1_grid)
+    else:
+        rule = QuadratureRule.gauss_hermite(quad_order)
+        spec = average(engine, observable, scheme, drive, dopp, rule, delta1_grid)
     return np.array([row for row in (spec.I2, spec.I3) if row is not None])
 
 

@@ -152,6 +152,38 @@ def steady_state_batch(scheme: LevelScheme, drive: DriveParams,
     return v
 
 
+def velocity_poles(scheme: LevelScheme, drive: DriveParams, delta1: np.ndarray,
+                   alpha: float, beta: float):
+    """Populations as rational functions of the dimensionless velocity u over
+    a probe-detuning grid.
+
+    With d1 = delta1 + alpha u and d2 = detuning_2 + beta u the generator is
+    affine in u, A(u) = A0 + u B, where B = alpha ad1 + beta ad2 is diagonal
+    and zero on the populations.  So rho(u) = (I + u M)^{-1} rho0 with
+    rho0 = -A0^{-1} s and M = A0^{-1} B, and diagonalizing M = V diag(lam) V^{-1}
+    gives
+
+        rho_ii(u) = sum_k r_ik / (1 + u lam_k),   r_ik = V[i, k] (V^{-1} rho0)_k.
+
+    Returns ``(lam, res, cond)``: the (N, 9) eigenvalues, the (N, 2, 9)
+    residues of rho22 and rho33, and the (N,) condition numbers of V.
+    """
+    if scheme.transit_rate <= 0:
+        raise SingularSystemError("steady state needs transit_rate > 0")
+    d1 = np.atleast_1d(np.asarray(delta1, dtype=float))
+    a0, ad1, ad2, source = _liouvillian_parts(scheme, drive)
+    a = a0[None, :, :] + d1[:, None, None] * ad1[None, :, :] + drive.detuning_2 * ad2
+    rhs = np.concatenate((-source[:, None], alpha * ad1 + beta * ad2), axis=1)
+    try:
+        sol = np.linalg.solve(a, np.broadcast_to(rhs, (len(d1), 9, 10)))
+        lam, vecs = np.linalg.eig(sol[..., 1:])
+        coef = np.linalg.solve(vecs, sol[..., :1])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"velocity pole expansion failed: {exc}") from exc
+    res = vecs[:, (_I22, _I33), :] * coef[:, None, :]
+    return lam, res, np.linalg.cond(vecs)
+
+
 def steady_state(scheme: LevelScheme, drive: DriveParams,
                  det: EffectiveDetunings) -> DensityMatrix:
     """Unique steady state of the open cascade at fixed effective detunings."""

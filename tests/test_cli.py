@@ -202,12 +202,14 @@ class TestErrorPaths:
         ("surface", "engine = bogus"),
         ("spectrum", "msum = yes"),
         ("spectrum", "quad_order = 0"),
+        ("spectrum --engine analytic", "quad_order = 0"),
+        ("spectrum --engine full", "quad_order = 0"),
     ])
     def test_bad_scan_setting_exits_2(self, tmp_path, command, line):
         scen = small_scan("a.ini", tmp_path)
         with open(scen, "a") as fh:          # [scan] is the last section
             fh.write(line + "\n")
-        res = run_cli([command, "--scenario", scen])
+        res = run_cli(command.split() + ["--scenario", scen])
         assert res.returncode == 2, res.stdout[:200] + res.stderr
         assert res.stderr.startswith("error: ")
 

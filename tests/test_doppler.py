@@ -10,8 +10,9 @@ from cascade_at import doppler
 from cascade_at.doppler import _refined_rule, _full_engine_windows
 from cascade_at.errors import ConfigError, DegenerateRootError
 from cascade_at.lineshape import doppler_slopes
-from cascade_at.liouville import populations_batch
+from cascade_at.liouville import populations_batch, velocity_poles
 from cascade_at.model import rates
+from cascade_at.msublevel import m_summed, weights
 
 SQRTPI = math.sqrt(math.pi)
 
@@ -206,6 +207,99 @@ class TestDegeneratePoles:
         assert np.max(np.abs(an - num) / num) < 1e-6
 
 
+class TestFullExact:
+    """The exact pole expansion of the full engine against the pole-refined
+    numeric average, its independent oracle."""
+
+    @pytest.mark.parametrize("case", ["case_a", "case_b"])
+    def test_msum_spectra_match_numeric_average(self, case, gh200):
+        scheme, drive, dopp = ca.preset(case)
+        wts = weights(scheme.j2, scheme.j3)
+        grid = np.linspace(-1500.0, 1500.0, 61)
+
+        def exact(drv):
+            spec = doppler.average_full_exact("both", scheme, drv, dopp, grid)
+            return np.array([spec.I2, spec.I3])
+
+        def numeric(drv):
+            spec = ca.average("full", "both", scheme, drv, dopp, gh200, grid)
+            return np.array([spec.I2, spec.I3])
+
+        got, ref = m_summed(exact, wts, drive), m_summed(numeric, wts, drive)
+        for row, ref_row in zip(got, ref):
+            assert np.max(np.abs(row - ref_row)) < 1e-6 * ref_row.max()
+
+    def test_dense_quadrature_stress_point(self):
+        # x = 0.05 with a saturating probe and a weak coupling: two-photon
+        # poles 6e-4 from the real axis, which the refined numeric rule
+        # misses by percents in I3 at this detuning
+        from cascade_at.threshold import _geometry_for_x
+        scheme, drive = _geometry_for_x(ca.preset("case_a")[0], 0.05, 300.0)
+        drive = replace(drive, rabi_2=1.0)
+        dopp = ca.DopplerParams(fwhm=1100.0)
+        delta1 = -20.0
+        alpha, beta = doppler_slopes(scheme, drive, dopp)
+        # 16 000 uniform 12-point Gauss-Legendre panels on [-6.5, 6.5]
+        nodes, wts = np.polynomial.legendre.leggauss(12)
+        edges = np.linspace(-6.5, 6.5, 16001)
+        sums = np.zeros(2)
+        for lo in range(0, 16000, 4000):
+            e = edges[lo:lo + 4001]
+            mid, half = (e[:-1] + e[1:]) / 2, (e[1:] - e[:-1]) / 2
+            t = (mid[:, None] + half[:, None] * nodes).ravel()
+            wt = (half[:, None] * wts).ravel() * np.exp(-t * t)
+            pops = populations_batch(scheme, drive, delta1 + alpha * t,
+                                     drive.detuning_2 + beta * t)
+            sums += [wt @ pops[0], wt @ pops[1]]
+        rp = rates(scheme)
+        dense = np.array([rp.Gamma_2, rp.Gamma_3]) * sums / SQRTPI
+        spec = doppler.average_full_exact("both", scheme, drive, dopp,
+                                          np.array([delta1]))
+        got = np.array([spec.I2[0], spec.I3[0]])
+        assert np.all(np.abs(got - dense) < 1e-8 * dense)
+
+    @pytest.mark.parametrize("x,rabi_2", [(-1.02, 400.0), (-0.9219, 0.0)])
+    def test_near_singular_geometry_and_no_coupling(self, case_a, gh200, x, rabi_2):
+        # x -> -1 drives the two-photon eigenvalues of M towards zero;
+        # Omega_2 = 0 decouples level 3 altogether
+        from cascade_at.threshold import _geometry_for_x
+        scheme, drive = _geometry_for_x(case_a[0], x, 6.0)
+        drive = replace(drive, rabi_2=rabi_2)
+        dopp = case_a[2]
+        grid = np.array([-400.0, -35.0, 0.0, 120.0])
+        got = doppler.average_full_exact("both", scheme, drive, dopp, grid)
+        ref = ca.average("full", "both", scheme, drive, dopp, gh200, grid)
+        for name in ("I2", "I3"):
+            row, ref_row = getattr(got, name), getattr(ref, name)
+            assert np.all(np.isfinite(row))
+            assert np.max(np.abs(row - ref_row)) <= 1e-6 * ref_row.max()
+
+    def test_conditioning_fallback(self, case_a, gh200, monkeypatch):
+        # lower the condition-number limit so that the one grid point with
+        # the worst eigenbasis is refused and averaged numerically
+        scheme, drive, dopp = case_a
+        grid = np.array([-300.0, -10.0, 0.0, 250.0])
+        alpha, beta = doppler_slopes(scheme, drive, dopp)
+        cond = velocity_poles(scheme, drive, grid, alpha, beta)[2]
+        worst = int(np.argmax(cond))
+        monkeypatch.setattr(doppler, "_COND_LIMIT", np.sort(cond)[-2])
+        calls = []
+        average = doppler.average
+        monkeypatch.setattr(doppler, "average",
+                            lambda *a: calls.append(a[-1]) or average(*a))
+        got = doppler.average_full_exact("both", scheme, drive, dopp, grid)
+        monkeypatch.undo()
+
+        assert [list(c) for c in calls] == [[grid[worst]]]
+        point = ca.average("full", "both", scheme, drive, dopp, gh200,
+                           grid[worst:worst + 1])
+        assert got.I2[worst] == point.I2[0] and got.I3[worst] == point.I3[0]
+        exact = doppler.average_full_exact("both", scheme, drive, dopp, grid)
+        rest = np.arange(len(grid)) != worst
+        assert np.array_equal(got.I3[rest], exact.I3[rest])
+        assert abs(got.I3[worst] - exact.I3[worst]) < 1e-6 * exact.I3.max()
+
+
 class TestIntensities:
     GRID = np.linspace(-600.0, 600.0, 7)
 
@@ -220,6 +314,10 @@ class TestIntensities:
             direct = {"I2": ca.average_analytic_I2, "I3": ca.average_analytic_I3}
             expected = [getattr(direct[n](scheme, drive, dopp, self.GRID), n)
                         for n in names]
+        elif engine == "full":
+            spec = doppler.average_full_exact(observable, scheme, drive, dopp,
+                                              self.GRID)
+            expected = [getattr(spec, n) for n in names]
         else:
             spec = ca.average(engine, observable, scheme, drive, dopp, gh200,
                               self.GRID)
