@@ -8,10 +8,7 @@ from .errors import (CascadeError, ConfigError, DegenerateRootError, DomainError
                      NumericalError, SelectionRuleError, SingularSystemError,
                      SolverFailure)
 from .faddeeva import w, w_reference
-from .lineshape import (CascadeDenominator, denominator_coefficients,
-                        rho22_weak_probe, rho33_weak_probe)
-from .liouville import (DensityMatrix, EffectiveDetunings, effective_detunings,
-                        fluorescence_rates, steady_state)
+from .lineshape import CascadeDenominator, denominator_coefficients
 from .model import (DopplerParams, DriveParams, LevelScheme, RateParams,
                     doppler_fwhm, most_probable_speed, preset, rates,
                     wavenumber_ratio)
@@ -23,16 +20,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CascadeDenominator", "CascadeError", "ConfigError", "DegenerateRootError",
-    "DensityMatrix", "DomainError", "DopplerParams", "DriveParams",
-    "EffectiveDetunings", "LevelScheme", "MSublevelWeights", "NumericalError",
-    "PoleDecomposition", "QuadratureRule", "RateParams", "SelectionRuleError",
-    "SingularSystemError", "SolverFailure", "Spectrum", "ThresholdMap",
-    "ThresholdResult", "average", "average_analytic_I2", "average_analytic_I3",
-    "average_full_exact",
-    "curvature_at_zero", "denominator_coefficients", "doppler_fwhm",
-    "effective_detunings", "fluorescence_rates", "m_summed",
+    "DomainError", "DopplerParams", "DriveParams", "LevelScheme",
+    "MSublevelWeights", "NumericalError", "PoleDecomposition", "QuadratureRule",
+    "RateParams", "SelectionRuleError", "SingularSystemError", "SolverFailure",
+    "Spectrum", "ThresholdMap", "ThresholdResult", "average",
+    "average_analytic_I2", "average_analytic_I3", "average_full_exact",
+    "curvature_at_zero", "denominator_coefficients", "doppler_fwhm", "m_summed",
     "most_probable_speed", "pole_decomposition", "preset", "rates",
-    "rho22_weak_probe", "rho33_weak_probe", "root_difference_closed_form",
-    "steady_state", "threshold_curve", "threshold_rabi", "threshold_surface",
-    "w", "w_reference", "wavenumber_ratio", "weights",
+    "root_difference_closed_form", "threshold_curve", "threshold_rabi",
+    "threshold_surface", "w", "w_reference", "wavenumber_ratio", "weights",
 ]

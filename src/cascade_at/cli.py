@@ -207,9 +207,8 @@ def _settings(args, sc: Scenario, default_engine: str):
     given, else from the scenario's [scan] section, else the default."""
     engine = args.engine if args.engine is not None \
         else sc.scan.get("engine", default_engine)
-    if engine not in threshold.ALL_ENGINES:
-        raise ConfigError(f"engine must be one of {threshold.ALL_ENGINES}, "
-                          f"got {engine!r}")
+    if engine not in doppler.ENGINES:
+        raise ConfigError(f"engine must be one of {doppler.ENGINES}, got {engine!r}")
     msum = args.msum if args.msum is not None else sc.scan.get("msum", "off")
     if msum not in ("on", "off"):
         raise ConfigError(f"msum must be on or off, got {msum!r}")
@@ -351,18 +350,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Autler-Townes splitting thresholds")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, engines, default_engine_note):
+    def add_common(sp, default_engine):
         sp.add_argument("--scenario", help="scenario file (INI)")
         sp.add_argument("--preset", choices=("case-a", "case-b"),
                         help="use a bundled parameter set")
-        sp.add_argument("--engine", choices=engines, default=None,
-                        help=f"computation engine (default {default_engine_note})")
+        sp.add_argument("--engine", choices=doppler.ENGINES, default=None,
+                        help=f"computation engine (default {default_engine})")
         sp.add_argument("--msum", choices=("on", "off"), default=None,
                         help="sum over magnetic sublevels (default off)")
         sp.add_argument("--out", help="output CSV path (default stdout)")
 
     sp = sub.add_parser("spectrum", help="probe-detuning scan of I2/I3")
-    add_common(sp, ("full", "perturbative", "analytic"), "full")
+    add_common(sp, "full")
     sp.add_argument("--observable", choices=("I2", "I3", "both"), default="both")
     sp.add_argument("--quad-order", type=int, default=None,
                     help="velocity quadrature order of the perturbative "
@@ -371,11 +370,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_spectrum)
 
     sp = sub.add_parser("threshold", help="threshold Rabi frequency vs x")
-    add_common(sp, ("full", "perturbative", "analytic"), "analytic")
+    add_common(sp, "analytic")
     sp.set_defaults(func=_cmd_threshold)
 
     sp = sub.add_parser("surface", help="threshold over (x, Doppler width)")
-    add_common(sp, ("full", "perturbative", "analytic"), "analytic")
+    add_common(sp, "analytic")
     sp.set_defaults(func=_cmd_surface)
 
     sp = sub.add_parser("selftest", help="Faddeeva conformance and smoke checks")

@@ -25,6 +25,12 @@ Three routes are provided:
   at most six finite poles (:func:`cascade_at.liouville.velocity_poles`),
   and the same Gaussian pole sum turns each pole into one Faddeeva value.
 
+The two exact routes differ only in how they build poles and residues.  They
+share the zero-width case and the fallback: every grid point whose poles
+cannot be summed (coincident roots of D, or an ill-conditioned eigenbasis)
+goes, in one call, to :func:`average` of the same model on the Gauss-Hermite
+rule of order 200.
+
 On the bundled presets the exact routes agree with the numeric one to
 ~1e-9 relative; the numeric route never touches the Faddeeva function or
 partial fractions, so each pair forms an independent cross-check.
@@ -53,7 +59,7 @@ _ZERO_EIGENVALUE = 1e-8    # |lam| counted as zero; keeps |p| = 1/|lam| within w
 _COND_LIMIT = 1e8          # eigenbasis condition number refused by the pole expansion
 _PANEL_NODES, _PANEL_WEIGHTS = leggauss(_PANEL_DEGREE)
 
-ENGINES = ("full", "perturbative")
+ENGINES = ("full", "perturbative", "analytic")
 MIN_QUAD_ORDER = 16
 
 
@@ -188,17 +194,21 @@ def _full_engine_windows(scheme: LevelScheme, drive: DriveParams, delta1: float,
     return out
 
 
-def _engine_batch(engine: str, scheme: LevelScheme, drive: DriveParams,
+def _engine_batch(model: str, scheme: LevelScheme, drive: DriveParams,
                   d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(I2, I3) raw intensities at arrays of effective detunings."""
+    """(I2, I3) raw intensities of the ``full`` or ``perturbative`` model at
+    arrays of effective detunings."""
     rp = rates(scheme)
-    if engine == "full":
+    if model == "full":
         r22, r33 = populations_batch(scheme, drive, d1, d2)
-    elif engine == "perturbative":
-        r22, r33 = rho_weak_batch(scheme, drive, d1, d2)
     else:
-        raise ConfigError(f"unknown engine {engine!r}")
+        r22, r33 = rho_weak_batch(scheme, drive, d1, d2)
     return rp.Gamma_2 * r22, rp.Gamma_3 * r33
+
+
+def _check_observable(observable: str) -> None:
+    if observable not in ("I2", "I3", "both"):
+        raise ConfigError(f"observable must be I2, I3 or both, got {observable!r}")
 
 
 def average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParams,
@@ -211,24 +221,19 @@ def average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParam
     Summation order is fixed (ascending node index) so results are
     bit-reproducible.
     """
-    if engine not in ENGINES:
-        raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if observable not in ("I2", "I3", "both"):
-        raise ConfigError(f"observable must be I2, I3 or both, got {observable!r}")
+    if engine not in ("full", "perturbative"):
+        raise ConfigError(f"average integrates the full or perturbative model, "
+                          f"got {engine!r}")
+    _check_observable(observable)
     if rule.order < MIN_QUAD_ORDER:
         raise ConfigError(f"quadrature order must be >= {MIN_QUAD_ORDER}")
     grid = np.asarray(delta1_grid, dtype=float)
-    fwhm = dopp.fwhm_mhz(scheme)
-    if fwhm < 0:
-        raise ConfigError("Doppler width must be >= 0")
 
-    i2 = np.empty_like(grid)
-    i3 = np.empty_like(grid)
-    if fwhm == 0.0:
-        v2, v3 = _engine_batch(engine, scheme, drive,
+    if dopp.fwhm_mhz(scheme) == 0.0:
+        i2, i3 = _engine_batch(engine, scheme, drive,
                                grid + 0.0, np.full_like(grid, drive.detuning_2))
-        i2[:], i3[:] = v2, v3
     else:
+        i2, i3 = np.empty_like(grid), np.empty_like(grid)
         alpha, beta = doppler_slopes(scheme, drive, dopp)
         narrow_cut = 4.0 * rule.spacing
         for k, delta1 in enumerate(grid):
@@ -266,112 +271,105 @@ def _gaussian_pole_sum(poles, residues):
     return (residues * (sign * 1j * math.pi * faddeeva_w(sign * poles))).sum(axis=-1)
 
 
-def _partial_fraction_average(observable: str, scheme: LevelScheme,
-                              drive: DriveParams, dopp: DopplerParams,
-                              delta1_grid, prefactor: float, numerator) -> Spectrum:
-    """(prefactor/sqrt(pi)) Integral e^{-u^2} N(u)/(D(u) conj(D)(u)) du over a
-    probe-detuning grid, by partial fractions at every grid point at once.
+def _weak_probe_poles(observable, scheme, drive, dopp, grid, alpha, beta):
+    """Perturbative I2 or I3 by partial fractions: 1/(D(u) conj(D)(u)) has
+    four simple poles, the roots of D and their conjugates.  I2's quadratic
+    numerator |gamma_13 + i(d1+d2)|^2 is continued off the real axis to the
+    poles.  Refuses grid points whose poles come closer than 1e-9 relative."""
+    rp = rates(scheme)
+    den = denominator_coefficients(scheme, drive, dopp, delta1=grid)
+    z1, z2 = den.roots()
+    poles = np.stack((z1, z2, np.conj(z1), np.conj(z2)), axis=-1)
+    diff = poles[:, :, None] - poles[:, None, :]
+    off = ~np.eye(4, dtype=bool)
+    scale = np.maximum(np.maximum(np.abs(z1), np.abs(z2)), 1e-30)
+    ok = ~(np.abs(diff[:, off]).min(axis=-1) < _DEGENERATE_SEP * scale)
+    p = poles[ok]
+    if observable == "I3":
+        prefactor = rp.Gamma_3 * K_RHO33 * (drive.rabi_1 * drive.rabi_2 / 4) ** 2
+        numerator = 1.0
+    else:
+        prefactor = rp.Gamma_2 * K_RHO22 * (drive.rabi_1 / 2) ** 2
+        d2ph = grid[ok, None] + drive.detuning_2 + (alpha + beta) * p
+        numerator = rp.gamma_13 ** 2 + d2ph * d2ph
+    prod = np.prod(np.where(off, diff[ok], 1.0), axis=-1)
+    residues = numerator / (abs(den.a) ** 2 * prod)
+    return ok, {observable: prefactor * _gaussian_pole_sum(p, residues).real / _SQRTPI}
 
-    ``numerator(delta1, p)`` continues N off the real axis to the poles ``p``
-    (shape grid x 4).  Grid points whose four poles come closer than 1e-9
-    relative fall back to the pole-refined numeric rule.
-    """
+
+def _full_engine_poles(observable, scheme, drive, dopp, grid, alpha, beta):
+    """Full steady state by its velocity poles: 1/(1 + u lam) =
+    (1/lam)/(u - p) with p = -1/lam.  Eigenvalues with |lam| <= 1e-8 (the
+    populations, and the two-photon coherences as x -> -1) count as a
+    constant residue, an error below lam^2.  Refuses grid points whose
+    eigenbasis has cond(V) > 1e8."""
+    lam, res, cond = velocity_poles(scheme, drive, grid, alpha, beta)
+    ok = cond <= _COND_LIMIT
+    lam, res = lam[ok, None, :], res[ok]
+    finite = np.abs(lam) > _ZERO_EIGENVALUE
+    safe = np.where(finite, lam, 1.0)
+    # zero eigenvalues get a placeholder pole with zero weight
+    poles = np.where(finite, -1.0 / safe, 1j)
+    pops = (np.where(finite, 0.0, res).sum(axis=-1)
+            + _gaussian_pole_sum(poles, np.where(finite, res / safe, 0.0)) / _SQRTPI)
+    rp = rates(scheme)
+    return ok, {"I2": rp.Gamma_2 * pops[:, 0].real, "I3": rp.Gamma_3 * pops[:, 1].real}
+
+
+def _exact_average(engine: str, observable: str, scheme: LevelScheme,
+                   drive: DriveParams, dopp: DopplerParams,
+                   delta1_grid: np.ndarray) -> Spectrum:
+    """Exact Doppler average of one model over a probe-detuning grid: the
+    weak-probe partial fractions for ``analytic``, the velocity poles of the
+    steady state for ``full``.  A zero Doppler width evaluates the model at
+    u = 0.  Every grid point the pole builder refuses goes, in one call, to
+    :func:`average` of the same model on the Gauss-Hermite rule of order
+    200."""
+    _check_observable(observable)
+    model, pole_builder = _EXACT_ROUTES[engine]
     grid = np.asarray(delta1_grid, dtype=float)
-    col = ("I2", "I3").index(observable)
+    names = [name for name in ("I2", "I3") if observable in (name, "both")]
     if dopp.fwhm_mhz(scheme) == 0.0:
-        vals = _engine_batch("perturbative", scheme, drive,
-                             grid + 0.0, np.full_like(grid, drive.detuning_2))[col]
+        rows = dict(zip(("I2", "I3"), _engine_batch(
+            model, scheme, drive, grid + 0.0, np.full_like(grid, drive.detuning_2))))
     else:
         alpha, beta = doppler_slopes(scheme, drive, dopp)
-        den = denominator_coefficients(scheme, drive, dopp, delta1=grid)
-        z1, z2 = den.roots()
-        poles = np.stack((z1, z2, np.conj(z1), np.conj(z2)), axis=-1)
-        diff = poles[:, :, None] - poles[:, None, :]
-        off = ~np.eye(4, dtype=bool)
-        scale = np.maximum(np.maximum(np.abs(z1), np.abs(z2)), 1e-30)
-        degenerate = np.abs(diff[:, off]).min(axis=-1) < _DEGENERATE_SEP * scale
-        ok = ~degenerate
-        p = poles[ok]
-        prod = np.prod(np.where(off, diff[ok], 1.0), axis=-1)
-        residues = numerator(grid[ok, None], p) / (abs(den.a) ** 2 * prod)
-        vals = np.empty_like(grid)
-        vals[ok] = prefactor * _gaussian_pole_sum(p, residues).real / _SQRTPI
-        for k in np.nonzero(degenerate)[0]:
-            t, wts = _refined_rule((z1[k], z2[k]), 400)
-            v = _engine_batch("perturbative", scheme, drive,
-                              grid[k] + alpha * t, drive.detuning_2 + beta * t)[col]
-            vals[k] = float(np.dot(wts, v)) / _SQRTPI
-    vals = _validated_intensity(vals)
-    return Spectrum(delta1=grid.copy(), I2=vals if col == 0 else None,
-                    I3=vals if col == 1 else None, engine="analytic", quad_order=None)
+        ok, accepted = pole_builder(observable, scheme, drive, dopp, grid, alpha, beta)
+        rows = {}
+        for name in names:
+            rows[name] = np.empty_like(grid)
+            rows[name][ok] = accepted[name]
+        if not ok.all():
+            fallback = average(model, observable, scheme, drive, dopp,
+                               QuadratureRule.gauss_hermite(200), grid[~ok])
+            for name in names:
+                rows[name][~ok] = getattr(fallback, name)
+    i2, i3 = (_validated_intensity(rows[name]) if name in names else None
+              for name in ("I2", "I3"))
+    return Spectrum(delta1=grid.copy(), I2=i2, I3=i3, engine=engine, quad_order=None)
+
+
+_EXACT_ROUTES = {"analytic": ("perturbative", _weak_probe_poles),
+                 "full": ("full", _full_engine_poles)}
 
 
 def average_analytic_I3(scheme: LevelScheme, drive: DriveParams, dopp: DopplerParams,
                         delta1_grid: np.ndarray) -> Spectrum:
     """Exact Doppler average of the perturbative upper-level intensity."""
-    prefactor = rates(scheme).Gamma_3 * K_RHO33 * (drive.rabi_1 * drive.rabi_2 / 4) ** 2
-    return _partial_fraction_average("I3", scheme, drive, dopp, delta1_grid,
-                                     prefactor, lambda delta1, p: 1.0)
+    return _exact_average("analytic", "I3", scheme, drive, dopp, delta1_grid)
 
 
 def average_analytic_I2(scheme: LevelScheme, drive: DriveParams, dopp: DopplerParams,
                         delta1_grid: np.ndarray) -> Spectrum:
-    """Exact Doppler average of the perturbative intermediate-level
-    intensity; the quadratic numerator |gamma_13 + i(d1+d2)|^2 is continued
-    off the real axis."""
-    rp = rates(scheme)
-    prefactor = rp.Gamma_2 * K_RHO22 * (drive.rabi_1 / 2) ** 2
-    alpha, beta = doppler_slopes(scheme, drive, dopp)
-
-    def numerator(delta1, p):
-        d2ph = delta1 + drive.detuning_2 + (alpha + beta) * p
-        return rp.gamma_13 ** 2 + d2ph * d2ph
-
-    return _partial_fraction_average("I2", scheme, drive, dopp, delta1_grid,
-                                     prefactor, numerator)
+    """Exact Doppler average of the perturbative intermediate-level intensity."""
+    return _exact_average("analytic", "I2", scheme, drive, dopp, delta1_grid)
 
 
 def average_full_exact(observable: str, scheme: LevelScheme, drive: DriveParams,
                        dopp: DopplerParams, delta1_grid: np.ndarray) -> Spectrum:
     """Exact Doppler average of the full steady state over a probe-detuning
-    grid, to all orders in both fields.
-
-    The populations are rational in u with at most six finite poles
-    (:func:`cascade_at.liouville.velocity_poles`), so each average is a sum
-    of Faddeeva values: 1/(1 + u lam) = (1/lam)/(u - p) with p = -1/lam.
-    Eigenvalues with |lam| <= 1e-8 (the populations, and the two-photon
-    coherences as x -> -1) contribute their residue as a constant, an error
-    below lam^2.  Grid points whose eigenbasis is ill-conditioned fall back,
-    one by one, to :func:`average` on the Gauss-Hermite rule of order 200.
-    """
-    if observable not in ("I2", "I3", "both"):
-        raise ConfigError(f"observable must be I2, I3 or both, got {observable!r}")
-    grid = np.asarray(delta1_grid, dtype=float)
-    if dopp.fwhm_mhz(scheme) == 0.0:
-        i2, i3 = _engine_batch("full", scheme, drive,
-                               grid + 0.0, np.full_like(grid, drive.detuning_2))
-    else:
-        alpha, beta = doppler_slopes(scheme, drive, dopp)
-        lam, res, cond = velocity_poles(scheme, drive, grid, alpha, beta)
-        ok = cond <= _COND_LIMIT
-        lam, res = lam[ok, None, :], res[ok]
-        finite = np.abs(lam) > _ZERO_EIGENVALUE
-        safe = np.where(finite, lam, 1.0)
-        # zero eigenvalues get a placeholder pole with zero weight
-        poles = np.where(finite, -1.0 / safe, 1j)
-        pops = (np.where(finite, 0.0, res).sum(axis=-1)
-                + _gaussian_pole_sum(poles, np.where(finite, res / safe, 0.0)) / _SQRTPI)
-        rp = rates(scheme)
-        i2, i3 = np.empty_like(grid), np.empty_like(grid)
-        i2[ok] = rp.Gamma_2 * pops[:, 0].real
-        i3[ok] = rp.Gamma_3 * pops[:, 1].real
-        for k in np.nonzero(~ok)[0]:
-            spec = average("full", "both", scheme, drive, dopp,
-                           QuadratureRule.gauss_hermite(200), grid[k:k + 1])
-            i2[k], i3[k] = spec.I2[0], spec.I3[0]
-    i2 = _validated_intensity(i2) if observable in ("I2", "both") else None
-    i3 = _validated_intensity(i3) if observable in ("I3", "both") else None
-    return Spectrum(delta1=grid.copy(), I2=i2, I3=i3, engine="full", quad_order=None)
+    grid, to all orders in both fields (:func:`cascade_at.liouville.velocity_poles`)."""
+    return _exact_average("full", observable, scheme, drive, dopp, delta1_grid)
 
 
 def intensities(engine: str, observable: str, scheme: LevelScheme,
@@ -381,8 +379,7 @@ def intensities(engine: str, observable: str, scheme: LevelScheme,
     observable (I2 first): the exact averages for engines "analytic" and
     "full", else :func:`average` on the Gauss-Hermite rule of order
     ``quad_order``."""
-    if observable not in ("I2", "I3", "both"):
-        raise ConfigError(f"observable must be I2, I3 or both, got {observable!r}")
+    _check_observable(observable)
     if engine == "analytic":
         rows = []
         if observable in ("I2", "both"):

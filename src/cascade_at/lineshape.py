@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRootError
-from .liouville import EffectiveDetunings
-from .model import DopplerParams, DriveParams, LevelScheme, most_probable_speed, rates
-from .model import C_M_PER_S
+from .model import (C_M_PER_S, DopplerParams, DriveParams, LevelScheme,
+                    most_probable_speed, rates)
 
 # frozen scale factors (dimensionless); see module docstring
 K_RHO33 = 1.1957333777107713
@@ -54,35 +53,6 @@ class CascadeDenominator:
         z1 = q / a
         z2 = np.where(q == 0, z1, c / np.where(q == 0, 1.0, q))
         return z1[()], z2[()]
-
-
-def _denominator_value(rp, drive: DriveParams, det: EffectiveDetunings) -> complex:
-    d2ph = det.d1 + det.d2
-    return ((rp.gamma_12 + 1j * det.d1) * (rp.gamma_13 + 1j * d2ph)
-            + (drive.rabi_2 / 2) ** 2)
-
-
-def rho33_weak_probe(scheme: LevelScheme, drive: DriveParams,
-                     det: EffectiveDetunings) -> float:
-    """Upper-level population to lowest order in the probe:
-    ``K * (Om1 Om2 / 4)^2 / |D|^2``.  Caller contract: Om1 <= Gamma_2."""
-    rp = rates(scheme)
-    d = _denominator_value(rp, drive, det)
-    num = (drive.rabi_1 * drive.rabi_2 / 4) ** 2
-    return K_RHO33 * num / abs(d) ** 2
-
-
-def rho22_weak_probe(scheme: LevelScheme, drive: DriveParams,
-                     det: EffectiveDetunings) -> float:
-    """Intermediate-level population to lowest order in the probe:
-    ``K' * (Om1/2)^2 |gamma_13 + i(d1+d2)|^2 / |D|^2``.  The numerator
-    vanishes at two-photon resonance as gamma_13 -> 0 (the interference
-    null behind the transparency dip)."""
-    rp = rates(scheme)
-    d = _denominator_value(rp, drive, det)
-    d2ph = det.d1 + det.d2
-    num = (drive.rabi_1 / 2) ** 2 * (rp.gamma_13 ** 2 + d2ph ** 2)
-    return K_RHO22 * num / abs(d) ** 2
 
 
 def doppler_slopes(scheme: LevelScheme, drive: DriveParams,

