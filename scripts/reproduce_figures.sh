@@ -1,5 +1,5 @@
 #!/bin/sh
-# Regenerate the four bundled datasets: split/unsplit upper-level spectra,
+# Regenerate the six bundled datasets: split/unsplit upper-level spectra,
 # the two transparency-dip spectra, the threshold curve and the threshold
 # surface.  Output lands in out/ as deterministic CSV.
 set -e

@@ -81,9 +81,12 @@ def _parse_scenario(path: str) -> Scenario:
             conv = _SCHEMA[section][key]
             raw = cp[section][key]
             try:
-                return conv(raw)
+                val = conv(raw)
             except ValueError:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r}")
+            if conv is float and not math.isfinite(val):
+                raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
+            return val
         return default
 
     for section in ("levels", "fields", "doppler"):

@@ -114,18 +114,23 @@ class Spectrum:
 
 
 def _validated_intensity(vals: np.ndarray) -> np.ndarray:
+    """Clip ``vals`` at zero after checking each row (the last axis) for
+    non-finite values and for negative ones beyond 1e-9 of its peak."""
     if not np.all(np.isfinite(vals)):
         raise NumericalError("non-finite intensity in Doppler average")
-    peak = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if np.any(vals < -1e-9 * max(peak, 1e-300)):
-        raise NumericalError("significantly negative intensity in Doppler average")
+    if vals.size:
+        peak = np.max(np.abs(vals), axis=-1, keepdims=True)
+        if np.any(vals < -1e-9 * np.maximum(peak, 1e-300)):
+            raise NumericalError("significantly negative intensity in Doppler average")
     return np.maximum(vals, 0.0)
 
 
 def pole_decomposition(scheme: LevelScheme, drive: DriveParams, dopp: DopplerParams,
                        delta1: float | None = None) -> PoleDecomposition:
     """Roots of D at one probe detuning."""
-    den = denominator_coefficients(scheme, drive, dopp, delta1=delta1)
+    d1 = drive.detuning_1 if delta1 is None else delta1
+    den = denominator_coefficients(scheme, d1, drive.detuning_2, drive.rabi_2,
+                                   *doppler_slopes(scheme, drive, dopp))
     z1, z2 = den.roots()
     if abs(z1 - z2) < _DEGENERATE_SEP * max(abs(z1), abs(z2)):
         raise DegenerateRootError("denominator roots are degenerate")
@@ -237,8 +242,8 @@ def average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParam
         alpha, beta = doppler_slopes(scheme, drive, dopp)
         narrow_cut = 4.0 * rule.spacing
         for k, delta1 in enumerate(grid):
-            den = denominator_coefficients(scheme, drive, dopp, delta1=delta1)
-            roots = den.roots()
+            roots = denominator_coefficients(scheme, delta1, drive.detuning_2,
+                                             drive.rabi_2, alpha, beta).roots()
             narrow = any(abs(p.imag) < narrow_cut and abs(p.real) < _U_MAX + 1.0
                          for p in roots)
             if engine == "full":
@@ -271,39 +276,50 @@ def _gaussian_pole_sum(poles, residues):
     return (residues * (sign * 1j * math.pi * faddeeva_w(sign * poles))).sum(axis=-1)
 
 
-def _weak_probe_poles(observable, scheme, drive, dopp, grid, alpha, beta):
+def _weak_probe_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
     """Perturbative I2 or I3 by partial fractions: 1/(D(u) conj(D)(u)) has
     four simple poles, the roots of D and their conjugates.  I2's quadratic
     numerator |gamma_13 + i(d1+d2)|^2 is continued off the real axis to the
-    poles.  Refuses grid points whose poles come closer than 1e-9 relative."""
+    poles.  ``alpha``, ``beta`` and ``rabi_2`` broadcast against ``grid``.
+    Refuses grid points whose poles come closer than 1e-9 relative."""
     rp = rates(scheme)
-    den = denominator_coefficients(scheme, drive, dopp, delta1=grid)
+    grid, alpha, beta, rabi_2 = np.broadcast_arrays(grid, alpha, beta, rabi_2)
+    den = denominator_coefficients(scheme, grid, drive.detuning_2, rabi_2, alpha, beta)
     z1, z2 = den.roots()
     poles = np.stack((z1, z2, np.conj(z1), np.conj(z2)), axis=-1)
-    diff = poles[:, :, None] - poles[:, None, :]
-    off = ~np.eye(4, dtype=bool)
+    # residue k needs prod_{j != k} (p_k - p_j): one product reduction per
+    # pole over its four differences (1 at j = k), with no (..., 4, 4) tensor
+    one = np.ones(grid.shape, dtype=complex)
+    prod = np.empty_like(poles)
+    sep = np.full(grid.shape, np.inf)
+    for k in range(4):
+        diffs = [poles[..., k] - poles[..., j] if j != k else one for j in range(4)]
+        prod[..., k] = np.prod(np.stack(diffs, axis=-1), axis=-1)
+        for d in diffs[k + 1:]:
+            sep = np.minimum(sep, np.abs(d))
     scale = np.maximum(np.maximum(np.abs(z1), np.abs(z2)), 1e-30)
-    ok = ~(np.abs(diff[:, off]).min(axis=-1) < _DEGENERATE_SEP * scale)
+    ok = ~(sep < _DEGENERATE_SEP * scale)
     p = poles[ok]
     if observable == "I3":
-        prefactor = rp.Gamma_3 * K_RHO33 * (drive.rabi_1 * drive.rabi_2 / 4) ** 2
+        prefactor = rp.Gamma_3 * K_RHO33 * np.square(drive.rabi_1 * rabi_2[ok] / 4)
         numerator = 1.0
     else:
         prefactor = rp.Gamma_2 * K_RHO22 * (drive.rabi_1 / 2) ** 2
-        d2ph = grid[ok, None] + drive.detuning_2 + (alpha + beta) * p
+        d2ph = grid[ok, None] + drive.detuning_2 + (alpha[ok] + beta[ok])[:, None] * p
         numerator = rp.gamma_13 ** 2 + d2ph * d2ph
-    prod = np.prod(np.where(off, diff[ok], 1.0), axis=-1)
-    residues = numerator / (abs(den.a) ** 2 * prod)
+    residues = numerator / (np.square(np.abs(den.a[ok]))[:, None] * prod[ok])
     return ok, {observable: prefactor * _gaussian_pole_sum(p, residues).real / _SQRTPI}
 
 
-def _full_engine_poles(observable, scheme, drive, dopp, grid, alpha, beta):
+def _full_engine_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
     """Full steady state by its velocity poles: 1/(1 + u lam) =
     (1/lam)/(u - p) with p = -1/lam.  Eigenvalues with |lam| <= 1e-8 (the
     populations, and the two-photon coherences as x -> -1) count as a
-    constant residue, an error below lam^2.  Refuses grid points whose
+    constant residue, an error below lam^2.  ``alpha``, ``beta`` and
+    ``rabi_2`` broadcast against ``grid``.  Refuses grid points whose
     eigenbasis has cond(V) > 1e8."""
-    lam, res, cond = velocity_poles(scheme, drive, grid, alpha, beta)
+    lam, res, cond = velocity_poles(scheme, drive.rabi_1, grid, drive.detuning_2,
+                                    rabi_2, alpha, beta)
     ok = cond <= _COND_LIMIT
     lam, res = lam[ok, None, :], res[ok]
     finite = np.abs(lam) > _ZERO_EIGENVALUE
@@ -334,7 +350,8 @@ def _exact_average(engine: str, observable: str, scheme: LevelScheme,
             model, scheme, drive, grid + 0.0, np.full_like(grid, drive.detuning_2))))
     else:
         alpha, beta = doppler_slopes(scheme, drive, dopp)
-        ok, accepted = pole_builder(observable, scheme, drive, dopp, grid, alpha, beta)
+        ok, accepted = pole_builder(observable, scheme, drive, grid, alpha, beta,
+                                    drive.rabi_2)
         rows = {}
         for name in names:
             rows[name] = np.empty_like(grid)
@@ -351,6 +368,28 @@ def _exact_average(engine: str, observable: str, scheme: LevelScheme,
 
 _EXACT_ROUTES = {"analytic": ("perturbative", _weak_probe_poles),
                  "full": ("full", _full_engine_poles)}
+
+
+def i3_rows(engine: str, scheme: LevelScheme, drive: DriveParams, grid: np.ndarray,
+            alpha, beta, rabi_2) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Doppler-averaged I3 of engine "analytic" or "full" over rows of
+    probe detunings, the last axis of ``grid``.
+
+    ``alpha``, ``beta`` and ``rabi_2`` are per-row Doppler slopes and
+    coupling Rabi frequencies that broadcast against ``grid``; ``drive``
+    gives the probe Rabi frequency and the coupling detuning.  Each row is
+    validated on its own, as one :func:`intensities` call is.  Returns the
+    values and a mask of the rows holding a point the pole builder refuses;
+    those rows are left nan, for the caller to evaluate through
+    :func:`intensities`, which averages such points numerically.
+    """
+    _, pole_builder = _EXACT_ROUTES[engine]
+    ok, accepted = pole_builder("I3", scheme, drive, grid, alpha, beta, rabi_2)
+    vals = np.full(ok.shape, np.nan)
+    vals[ok] = accepted["I3"]
+    refused = ~ok.all(axis=-1)
+    vals[~refused] = _validated_intensity(vals[~refused])
+    return vals, refused
 
 
 def average_analytic_I3(scheme: LevelScheme, drive: DriveParams, dopp: DopplerParams,

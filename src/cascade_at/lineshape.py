@@ -33,9 +33,9 @@ K_RHO22 = 1.195583630615565
 @dataclass(frozen=True)
 class CascadeDenominator:
     """Quadratic coefficients of D in the dimensionless velocity u = v_z/v_p;
-    ``b`` and ``c`` are arrays when D is built over a detuning grid."""
+    arrays when D is built over a detuning grid or over rows of parameters."""
 
-    a: complex
+    a: complex | np.ndarray
     b: complex | np.ndarray
     c: complex | np.ndarray
 
@@ -64,27 +64,29 @@ def doppler_slopes(scheme: LevelScheme, drive: DriveParams,
     return alpha, beta
 
 
-def denominator_coefficients(scheme: LevelScheme, drive: DriveParams,
-                             dopp: DopplerParams,
-                             delta1=None) -> CascadeDenominator:
-    """Quadratic coefficients (a, b, c) of D in u = v_z/v_p.
+def denominator_coefficients(scheme: LevelScheme, delta1, detuning_2, rabi_2,
+                             alpha, beta) -> CascadeDenominator:
+    """Quadratic coefficients (a, b, c) of D in u = v_z/v_p at probe
+    detunings ``delta1``, coupling detuning ``detuning_2``, coupling Rabi
+    frequency ``rabi_2`` and Doppler slopes ``alpha``, ``beta``
+    (:func:`doppler_slopes`).  Every argument after ``scheme`` may be an
+    array; they broadcast elementwise, so per-row parameters of shape
+    (rows, 1) go with a (rows, points) detuning grid.
 
-    ``delta1`` overrides ``drive.detuning_1`` (the spectrum scan variable);
-    an array gives ``b`` and ``c`` over the whole grid.
     Degenerate if a = 0, which happens only for a zero wavenumber or zero
     Doppler width.
     """
     rp = rates(scheme)
-    alpha, beta = doppler_slopes(scheme, drive, dopp)
-    d1 = drive.detuning_1 if delta1 is None else delta1
-    d12 = d1 + drive.detuning_2
-    a = -(alpha * (alpha + beta))
-    if a == 0:
+    d12 = delta1 + detuning_2
+    a = -(alpha * (alpha + beta)) + 0j
+    if np.any(a == 0):
         raise DegenerateRootError(
             "denominator is not quadratic in u (zero wavenumber or zero Doppler width)")
-    b = 1j * alpha * (rp.gamma_13 + 1j * d12) + 1j * (alpha + beta) * (rp.gamma_12 + 1j * d1)
-    c = (rp.gamma_12 + 1j * d1) * (rp.gamma_13 + 1j * d12) + (drive.rabi_2 / 2) ** 2
-    return CascadeDenominator(a=complex(a), b=b, c=c)
+    b = 1j * alpha * (rp.gamma_13 + 1j * d12) + 1j * (alpha + beta) * (rp.gamma_12 + 1j * delta1)
+    # np.square rounds x*x the same for a scalar and an array; Python's
+    # float ** 2 goes through pow() and can differ in the last bit
+    c = (rp.gamma_12 + 1j * delta1) * (rp.gamma_13 + 1j * d12) + np.square(rabi_2 / 2)
+    return CascadeDenominator(a=a, b=b, c=c)
 
 
 # vectorized forms used by the Doppler averaging engines

@@ -38,14 +38,16 @@ def _comm_superoperator(h: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _liouvillian_parts(scheme: LevelScheme, drive: DriveParams):
-    """Constant, d1-linear and d2-linear parts of the generator plus the
-    transit source vector (all angular units).  Cached: both parameter
-    types are frozen dataclasses."""
+def _liouvillian_parts(scheme: LevelScheme, rabi_1: float):
+    """Parts of the generator A = A0 + w2 C + d1 Ad1 + d2 Ad2 (angular
+    units, w2 = 2 pi Omega_2 / 2): A0 at Omega_2 = 0, the coupling pattern C,
+    Ad1, Ad2, and the transit source vector.  C holds only 0 and +-i on
+    entries where A0 is zero, so A0 + w2 C is exactly the generator built
+    at w2.  Cached: the scheme is a frozen dataclass."""
     rp = rates(scheme)
-    w1 = _TWO_PI * drive.rabi_1 / 2
-    w2 = _TWO_PI * drive.rabi_2 / 2
-    h0 = np.array([[0, w1, 0], [w1, 0, w2], [0, w2, 0]], dtype=complex)
+    w1 = _TWO_PI * rabi_1 / 2
+    h0 = np.array([[0, w1, 0], [w1, 0, 0], [0, 0, 0]], dtype=complex)
+    h2 = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
     hd1 = _TWO_PI * np.diag([0.0, -1.0, -1.0]).astype(complex)
     hd2 = _TWO_PI * np.diag([0.0, 0.0, -1.0]).astype(complex)
 
@@ -65,7 +67,16 @@ def _liouvillian_parts(scheme: LevelScheme, drive: DriveParams):
     source = np.zeros(9, dtype=complex)
     source[idx(0, 0)] = wt
     a0 = _comm_superoperator(h0) + relax
-    return a0, _comm_superoperator(hd1), _comm_superoperator(hd2), source
+    return (a0, _comm_superoperator(h2), _comm_superoperator(hd1),
+            _comm_superoperator(hd2), source)
+
+
+def _generator(parts, rabi_2):
+    """A0 + w2 C at coupling Rabi frequency ``rabi_2`` (scalar, or an array
+    giving one 9x9 matrix per element)."""
+    a0, coupling = parts[:2]
+    w2 = _TWO_PI * np.asarray(rabi_2, dtype=float) / 2
+    return a0 + w2[..., None, None] * coupling
 
 
 def steady_state_batch(scheme: LevelScheme, drive: DriveParams,
@@ -79,8 +90,9 @@ def steady_state_batch(scheme: LevelScheme, drive: DriveParams,
         raise SingularSystemError("steady state needs transit_rate > 0")
     d1 = np.atleast_1d(np.asarray(d1, dtype=float))
     d2 = np.atleast_1d(np.asarray(d2, dtype=float))
-    a0, ad1, ad2, source = _liouvillian_parts(scheme, drive)
-    a = (a0[None, :, :]
+    parts = _liouvillian_parts(scheme, drive.rabi_1)
+    ad1, ad2, source = parts[2:]
+    a = (_generator(parts, drive.rabi_2)[None, :, :]
          + d1[:, None, None] * ad1[None, :, :]
          + d2[:, None, None] * ad2[None, :, :])
     rhs = np.broadcast_to(-source, (len(d1), 9))[..., None]
@@ -95,8 +107,8 @@ def steady_state_batch(scheme: LevelScheme, drive: DriveParams,
     return v
 
 
-def velocity_poles(scheme: LevelScheme, drive: DriveParams, delta1: np.ndarray,
-                   alpha: float, beta: float):
+def velocity_poles(scheme: LevelScheme, rabi_1: float, delta1, detuning_2,
+                   rabi_2, alpha, beta):
     """Populations as rational functions of the dimensionless velocity u over
     a probe-detuning grid.
 
@@ -108,22 +120,29 @@ def velocity_poles(scheme: LevelScheme, drive: DriveParams, delta1: np.ndarray,
 
         rho_ii(u) = sum_k r_ik / (1 + u lam_k),   r_ik = V[i, k] (V^{-1} rho0)_k.
 
-    Returns ``(lam, res, cond)``: the (N, 9) eigenvalues, the (N, 2, 9)
-    residues of rho22 and rho33, and the (N,) condition numbers of V.
+    ``rabi_2``, ``alpha`` and ``beta`` may be per-row arrays that broadcast
+    against ``delta1``, e.g. (rows, 1) against a (rows, points) grid.
+    Returns ``(lam, res, cond)``: the (..., 9) eigenvalues, the (..., 2, 9)
+    residues of rho22 and rho33, and the condition numbers of V, over the
+    broadcast grid shape.
     """
     if scheme.transit_rate <= 0:
         raise SingularSystemError("steady state needs transit_rate > 0")
-    d1 = np.atleast_1d(np.asarray(delta1, dtype=float))
-    a0, ad1, ad2, source = _liouvillian_parts(scheme, drive)
-    a = a0[None, :, :] + d1[:, None, None] * ad1[None, :, :] + drive.detuning_2 * ad2
-    rhs = np.concatenate((-source[:, None], alpha * ad1 + beta * ad2), axis=1)
+    d1 = np.asarray(delta1, dtype=float)
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    parts = _liouvillian_parts(scheme, rabi_1)
+    ad1, ad2, source = parts[2:]
+    a = _generator(parts, rabi_2) + d1[..., None, None] * ad1 + detuning_2 * ad2
+    slope = alpha[..., None, None] * ad1 + beta[..., None, None] * ad2
+    rhs = np.concatenate((np.broadcast_to(-source[:, None], slope.shape[:-1] + (1,)),
+                          slope), axis=-1)
     try:
-        sol = np.linalg.solve(a, np.broadcast_to(rhs, (len(d1), 9, 10)))
+        sol = np.linalg.solve(a, np.broadcast_to(rhs, a.shape[:-1] + (10,)))
         lam, vecs = np.linalg.eig(sol[..., 1:])
         coef = np.linalg.solve(vecs, sol[..., :1])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"velocity pole expansion failed: {exc}") from exc
-    res = vecs[:, (_I22, _I33), :] * coef[:, None, :]
+    res = vecs[..., (_I22, _I33), :] * coef[..., None, :]
     return lam, res, np.linalg.cond(vecs)
 
 

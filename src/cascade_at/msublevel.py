@@ -63,10 +63,16 @@ def m_summed(engine_op, wts: MSublevelWeights, drive: DriveParams, *args, **kwar
     scaled per component.  Zero-weight components contribute their
     Omega_2 = 0 evaluation.  Linear, so it commutes with velocity averaging.
     """
+    return folded_sum((engine_op(replace(drive, rabi_2=drive.rabi_2 * weight),
+                                 *args, **kwargs)
+                       for weight, _ in wts.folded()), wts)
+
+
+def folded_sum(terms, wts: MSublevelWeights):
+    """Sum per-component values given in ``wts.folded()`` order, each times
+    its multiplicity: the one summation order of every M sum."""
     total = None
-    for weight, count in wts.folded():
-        scaled = replace(drive, rabi_2=drive.rabi_2 * weight)
-        val = engine_op(scaled, *args, **kwargs)
+    for (_, count), val in zip(wts.folded(), terms):
         term = count * val if count > 1 else val
         total = term if total is None else total + term
     return total

@@ -2,10 +2,22 @@
 
 The splitting counts as resolved when the Doppler-averaged upper-level
 intensity develops a local minimum at zero probe detuning, i.e. when its
-curvature there changes sign.  ``threshold_rabi`` locates the smallest
-coupling Rabi frequency with positive curvature by a log-space pre-scan and
-bisection; in the counter-propagating region -1 < x < 0 the analytic
-estimate ``Gam / sqrt(-x (1+x))`` seeds the bracket.
+curvature there changes sign.  The threshold is the smallest coupling Rabi
+frequency with positive curvature.  One lockstep search finds it for every
+cell of a curve or surface at once, in three phases:
+
+1. seed check: in the counter-propagating region -1 < x < 0 the analytic
+   estimate ``Gam / sqrt(-x (1+x))`` proposes the bracket [seed/30, seed*30],
+   kept where the curvature is negative at its bottom and positive at its top;
+2. pre-scan: 20 log-spaced Omega_2 over each cell's bracket find the first
+   negative-to-positive crossing and flag multiple sign changes;
+3. bisection: every cell with a crossing halves its own bracket at the
+   geometric midpoint until b/a <= 1 + 1e-3.
+
+Each phase evaluates the curvature of all its (cell, Omega_2) rows in one
+row-batched call, so the cells share their numpy calls; a cell's arithmetic
+is the same as that of a search run on it alone.  ``threshold_rabi`` is the
+one-cell case.
 """
 from __future__ import annotations
 
@@ -14,15 +26,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .doppler import ENGINES, intensities
+from .doppler import ENGINES, i3_rows, intensities
 from .errors import ConfigError, NumericalError
+from .lineshape import doppler_slopes
 from .model import DopplerParams, DriveParams, LevelScheme, rates
-from .msublevel import MSublevelWeights, m_summed
+from .msublevel import MSublevelWeights, folded_sum, m_summed
 
 SINGULAR_BAND = 0.02          # excluded neighbourhoods of x = 0 and x = -1
 _BRACKET = (1.0, 50000.0)     # MHz
 _PRESCAN_POINTS = 20
 _REL_TOL = 1e-3
+_STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])   # in units of the step h
+# stencil points (rows x M weights x 5) per batched evaluation: bounds its
+# temporaries at any grid size
+_BLOCK_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -49,6 +66,20 @@ class ThresholdMap:
     region_two: np.ndarray
 
 
+@dataclass(frozen=True)
+class _Cell:
+    """One (x, Doppler width) cell of a search: the geometry realizing x,
+    its Doppler slopes and the region-II bracket seed (None outside)."""
+
+    x: float
+    dopp: DopplerParams
+    scheme: LevelScheme
+    drive: DriveParams        # rabi_2 = 0; each row sets its own
+    alpha: float
+    beta: float
+    seed: float | None
+
+
 def _validate_engine(engine: str) -> None:
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -65,6 +96,12 @@ def _geometry_for_x(scheme: LevelScheme, x: float, rabi_1: float) -> tuple[Level
     return scheme_x, drive
 
 
+def _second_derivative(f, h):
+    """5-point central stencil over the last axis of ``f``, step ``h``."""
+    return (-f[..., 0] + 16 * f[..., 1] - 30 * f[..., 2] + 16 * f[..., 3]
+            - f[..., 4]) / (12 * h * h)
+
+
 def curvature_at_zero(engine: str, scheme: LevelScheme, drive: DriveParams,
                       dopp: DopplerParams,
                       msum: MSublevelWeights | None = None) -> float:
@@ -76,13 +113,64 @@ def curvature_at_zero(engine: str, scheme: LevelScheme, drive: DriveParams,
     if drive.detuning_2 != 0.0:
         raise ConfigError("curvature condition is defined at resonant coupling")
     h = max(0.5, drive.rabi_2 / 200.0)
-    grid = np.array([-2 * h, -h, 0.0, h, 2 * h])
+    grid = h * _STENCIL
 
     def i3(drv):
         return intensities(engine, "I3", scheme, drv, dopp, grid)[0]
 
-    f = (i3(drive) if msum is None else m_summed(i3, msum, drive)).tolist()
-    return (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
+    f = i3(drive) if msum is None else m_summed(i3, msum, drive)
+    return float(_second_derivative(f, h))
+
+
+def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
+                    cells: list[_Cell], rabi_2: np.ndarray,
+                    msum: MSublevelWeights | None) -> np.ndarray:
+    """``curvature_at_zero`` of every row: cell ``cells[r]`` at coupling
+    ``rabi_2[r]``, with the same bits.
+
+    ``scheme`` and ``drive`` carry what all rows share (decay rates, the
+    probe, resonant coupling); each cell's geometry enters through its
+    Doppler slopes.  The analytic and full engines evaluate the rows at a
+    nonzero Doppler width in batches of 5-point stencils, up to
+    ``_BLOCK_POINTS`` points each; the analytic engine makes the M weights
+    one more row axis, the full engine runs one batch per weight.
+    Perturbative rows, zero-width rows and rows with a point the pole
+    builders refuse go through ``curvature_at_zero`` one by one.  Raises
+    NumericalError if any row fails.
+    """
+    rabi_2 = np.asarray(rabi_2, dtype=float)
+    curv = np.empty(len(cells))
+    # alpha = 0 only at zero Doppler width, which has no velocity poles
+    single = np.array([engine == "perturbative" or c.alpha == 0.0 for c in cells],
+                      dtype=bool)
+    weights = [1.0] if msum is None else [w for w, _ in msum.folded()]
+    batched = np.flatnonzero(~single)
+    block = max(1, _BLOCK_POINTS // (len(_STENCIL) * len(weights)))
+    for rows in (batched[i:i + block] for i in range(0, len(batched), block)):
+        om = rabi_2[rows]
+        h = np.maximum(0.5, om / 200.0)
+        grid = h[:, None] * _STENCIL
+        alpha = np.array([cells[r].alpha for r in rows])[:, None]
+        beta = np.array([cells[r].beta for r in rows])[:, None]
+        if engine == "analytic":
+            vals, refused = i3_rows(engine, scheme, drive, grid[:, None, :],
+                                    alpha[:, None], beta[:, None],
+                                    (om[:, None] * weights)[..., None])
+            terms, refused = vals.transpose(1, 0, 2), refused.any(axis=1)
+        else:
+            runs = [i3_rows(engine, scheme, drive, grid, alpha, beta,
+                            (om * w)[:, None]) for w in weights]
+            terms = [vals for vals, _ in runs]
+            refused = np.any([refused for _, refused in runs], axis=0)
+        f = terms[0] if msum is None else folded_sum(terms, msum)
+        curv[rows] = _second_derivative(f, h)
+        single[rows[refused]] = True
+    for r in np.flatnonzero(single):
+        cell = cells[r]
+        curv[r] = curvature_at_zero(engine, cell.scheme,
+                                    replace(cell.drive, rabi_2=float(rabi_2[r])),
+                                    cell.dopp, msum=msum)
+    return curv
 
 
 def region_two_estimate(scheme: LevelScheme, x: float) -> float | None:
@@ -94,52 +182,113 @@ def region_two_estimate(scheme: LevelScheme, x: float) -> float | None:
     return gam / math.sqrt(-x * (1 + x))
 
 
-def threshold_rabi(engine: str, scheme: LevelScheme, x: float, dopp: DopplerParams,
-                   msum: MSublevelWeights | None = None,
-                   rabi_1: float | None = None) -> ThresholdResult:
-    """Smallest coupling Rabi frequency with resolved splitting at ratio x.
-
-    Pre-scans the bracket at log-spaced points to detect multiple sign
-    changes (reported via ``non_monotonic``), then bisects the first
-    crossing to 1e-3 relative.
-    """
+def _cell(scheme: LevelScheme, x: float, dopp: DopplerParams, rabi_1: float) -> _Cell:
     if abs(x) < SINGULAR_BAND or abs(x + 1.0) < SINGULAR_BAND:
         raise ConfigError(f"x = {x} inside a singular band of the threshold map")
+    scheme_x, drive_x = _geometry_for_x(scheme, x, rabi_1)
+    alpha, beta = doppler_slopes(scheme_x, drive_x, dopp)
+    return _Cell(x=x, dopp=dopp, scheme=scheme_x, drive=drive_x, alpha=alpha,
+                 beta=beta, seed=region_two_estimate(scheme_x, x))
+
+
+def _search(engine: str, scheme: LevelScheme, tasks, msum: MSublevelWeights | None,
+            rabi_1: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Threshold, converged and non-monotonic flags of every (x, dopp) task
+    by one lockstep search (module docstring).  A numerical failure in any
+    curvature a cell needs leaves that cell nan and unconverged."""
     if rabi_1 is None:
         rabi_1 = rates(scheme).Gamma_2 / 20.0
-    scheme_x, drive0 = _geometry_for_x(scheme, x, rabi_1)
+    cells = [_cell(scheme, x, dopp, rabi_1) for x, dopp in tasks]
+    drive = DriveParams(rabi_1=rabi_1, rabi_2=0.0)
 
-    def curv(om2: float) -> float:
-        return curvature_at_zero(engine, scheme_x, replace(drive0, rabi_2=om2),
-                                 dopp, msum=msum)
+    def curvatures(idx, rabi_2):
+        """Curvatures of the rows (cells[idx[r]], rabi_2[r]) and the mask of
+        rows that raise NumericalError (nan).  A failed batch is retried row
+        by row, each row being one call of a search run on its cell alone."""
+        rows = [cells[i] for i in idx]
+        try:
+            return (_curvature_rows(engine, scheme, drive, rows, rabi_2, msum),
+                    np.zeros(len(rows), dtype=bool))
+        except NumericalError:
+            pass
+        curv, bad = np.full(len(rows), np.nan), np.zeros(len(rows), dtype=bool)
+        for r, cell in enumerate(rows):
+            try:
+                curv[r] = _curvature_rows(engine, scheme, drive, [cell],
+                                          rabi_2[r:r + 1], msum)[0]
+            except NumericalError:
+                bad[r] = True
+        return curv, bad
 
-    lo, hi = _BRACKET
-    seed = region_two_estimate(scheme_x, x)
-    if seed is not None:
-        # bracket hint only: widen around the estimate, fall back if wrong
-        lo_s, hi_s = max(lo, seed / 30), min(hi, seed * 30)
-        if curv(lo_s) < 0 < curv(hi_s):
-            lo, hi = lo_s, hi_s
+    n = len(cells)
+    lo, hi = np.full(n, _BRACKET[0]), np.full(n, _BRACKET[1])
+    failed = np.zeros(n, dtype=bool)
 
-    scan = np.geomspace(lo, hi, _PRESCAN_POINTS)
-    signs = np.array([curv(om) > 0 for om in scan])
-    crossings = np.nonzero(~signs[:-1] & signs[1:])[0]
-    if len(crossings) == 0:
-        return ThresholdResult(omega_t=float("nan"), converged=False)
+    # 1. seed check, as `curv(lo_s) < 0 < curv(hi_s)`: the top counts only
+    # where the bottom is negative
+    seeded = np.array([i for i, c in enumerate(cells) if c.seed is not None], dtype=int)
+    seeds = np.array([cells[i].seed for i in seeded])
+    lo_s = np.maximum(_BRACKET[0], seeds / 30)
+    hi_s = np.minimum(_BRACKET[1], seeds * 30)
+    curv, bad = curvatures(np.concatenate((seeded, seeded)), np.concatenate((lo_s, hi_s)))
+    k = len(seeded)
+    below, above = curv[:k] < 0, curv[k:] > 0
+    failed[seeded] = bad[:k] | (below & bad[k:])
+    take = below & above & ~failed[seeded]
+    lo[seeded[take]], hi[seeded[take]] = lo_s[take], hi_s[take]
+
+    # 2. pre-scan
+    live = np.flatnonzero(~failed)
+    scans = np.array([np.geomspace(lo[i], hi[i], _PRESCAN_POINTS) for i in live])
+    scans = scans.reshape(len(live), _PRESCAN_POINTS)
+    curv, bad = curvatures(np.repeat(live, _PRESCAN_POINTS), scans.ravel())
+    bad = bad.reshape(scans.shape).any(axis=1)
+    signs = curv.reshape(scans.shape) > 0
+    rising = ~signs[:, :-1] & signs[:, 1:]
+    found = rising.any(axis=1) & ~bad
     # a positive sign before the first crossing (strong-probe dressing can
     # curve the line upward at negligible coupling) also counts as
     # non-monotonic: the reported value is still the smallest Omega_2 where
     # the curvature crosses from negative to positive.
-    non_monotonic = len(crossings) > 1 or bool(signs[0])
-    a, b = float(scan[crossings[0]]), float(scan[crossings[0] + 1])
-    while b / a > 1.0 + _REL_TOL:
-        mid = math.sqrt(a * b)
-        if curv(mid) > 0:
-            b = mid
-        else:
-            a = mid
-    return ThresholdResult(omega_t=math.sqrt(a * b), converged=True,
-                           non_monotonic=non_monotonic)
+    non_monotonic = np.zeros(n, dtype=bool)
+    non_monotonic[live[found]] = ((rising.sum(axis=1) > 1) | signs[:, 0])[found]
+    first = rising.argmax(axis=1)[found]
+    bisected = live[found]
+    a = scans[found, first]
+    b = scans[found, first + 1]
+
+    # 3. bisection, each cell on its own bracket
+    active = np.ones(len(bisected), dtype=bool)
+    while True:
+        step = np.flatnonzero(active & (b / a > 1.0 + _REL_TOL))
+        if not len(step):
+            break
+        mid = np.sqrt(a[step] * b[step])
+        curv, bad = curvatures(bisected[step], mid)
+        up, down = curv > 0, ~(curv > 0) & ~bad
+        b[step[up]], a[step[down]] = mid[up], mid[down]
+        active[step[bad]] = False
+
+    omega = np.full(n, np.nan)
+    omega[bisected[active]] = np.sqrt(a[active] * b[active])
+    converged = np.zeros(n, dtype=bool)
+    converged[bisected[active]] = True
+    return omega, converged, non_monotonic & converged
+
+
+def threshold_rabi(engine: str, scheme: LevelScheme, x: float, dopp: DopplerParams,
+                   msum: MSublevelWeights | None = None,
+                   rabi_1: float | None = None) -> ThresholdResult:
+    """Smallest coupling Rabi frequency with resolved splitting at ratio x:
+    the one-cell case of the lockstep search (module docstring).  The
+    pre-scan reports multiple sign changes via ``non_monotonic``; the
+    bisection stops at 1e-3 relative.  A numerical failure gives an
+    unconverged nan result.
+    """
+    _validate_engine(engine)
+    omega, converged, non_monotonic = _search(engine, scheme, [(x, dopp)], msum, rabi_1)
+    return ThresholdResult(omega_t=float(omega[0]), converged=bool(converged[0]),
+                           non_monotonic=bool(non_monotonic[0]))
 
 
 def _validate_x_grid(x_grid: np.ndarray) -> np.ndarray:
@@ -152,19 +301,6 @@ def _validate_x_grid(x_grid: np.ndarray) -> np.ndarray:
     return x_grid
 
 
-def _sweep(engine, scheme, tasks, msum, rabi_1):
-    """Threshold of every (x, dopp) task in order; a numerical failure
-    leaves its cell nan and unconverged."""
-    results = []
-    for x, dopp in tasks:
-        try:
-            results.append(threshold_rabi(engine, scheme, x, dopp,
-                                          msum=msum, rabi_1=rabi_1))
-        except NumericalError:
-            results.append(ThresholdResult(omega_t=float("nan"), converged=False))
-    return results
-
-
 def threshold_curve(engine: str, scheme: LevelScheme, x_grid, dopp: DopplerParams,
                     msum: MSublevelWeights | None = None,
                     rabi_1: float | None = None) -> ThresholdMap:
@@ -172,11 +308,8 @@ def threshold_curve(engine: str, scheme: LevelScheme, x_grid, dopp: DopplerParam
     _validate_engine(engine)
     x_grid = _validate_x_grid(x_grid)
     tasks = [(float(x), dopp) for x in x_grid]
-    res = _sweep(engine, scheme, tasks, msum, rabi_1)
-    n = len(x_grid)
-    omega = np.array([r.omega_t for r in res]).reshape(n, 1)
-    conv = np.array([r.converged for r in res]).reshape(n, 1)
-    nonmono = np.array([r.non_monotonic for r in res]).reshape(n, 1)
+    omega, conv, nonmono = (arr.reshape(len(x_grid), 1)
+                            for arr in _search(engine, scheme, tasks, msum, rabi_1))
     sch = scheme  # Doppler width resolved against the probe transition
     return ThresholdMap(
         x_grid=x_grid, dnu_grid=np.array([dopp.fwhm_mhz(sch)]),
@@ -195,11 +328,8 @@ def threshold_surface(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
         raise ConfigError("Doppler widths in the surface grid must be > 0")
     tasks = [(float(x), DopplerParams(fwhm=float(dnu)))
              for x in x_grid for dnu in dnu_grid]
-    res = _sweep(engine, scheme, tasks, msum, rabi_1)
-    nx, nd = len(x_grid), len(dnu_grid)
-    omega = np.array([r.omega_t for r in res]).reshape(nx, nd)
-    conv = np.array([r.converged for r in res]).reshape(nx, nd)
-    nonmono = np.array([r.non_monotonic for r in res]).reshape(nx, nd)
+    omega, conv, nonmono = (arr.reshape(len(x_grid), len(dnu_grid))
+                            for arr in _search(engine, scheme, tasks, msum, rabi_1))
     return ThresholdMap(
         x_grid=x_grid, dnu_grid=dnu_grid, omega_t=omega, converged=conv,
         non_monotonic=nonmono, engine=engine,

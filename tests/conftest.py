@@ -1,7 +1,12 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import cascade_at as ca
+from cascade_at.lineshape import doppler_slopes
+from cascade_at.model import rates
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +35,25 @@ def local_maxima(grid, vals):
     vals = np.asarray(vals)
     mask = (vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])
     return np.nonzero(mask)[0] + 1
+
+
+def coincident_roots_drive(scheme, drive, dopp):
+    """Resonant coupling at the Omega_2 where the two roots of D coincide at
+    Delta_1 = 0: Omega_2^2 = (alpha g13 - (alpha+beta) g12)^2 / (alpha (alpha+beta)).
+    Of the doubles next to that value, the one whose computed roots lie
+    closest together is taken."""
+    alpha, beta = doppler_slopes(scheme, drive, dopp)
+    rp = rates(scheme)
+    om = abs(alpha * rp.gamma_13 - (alpha + beta) * rp.gamma_12) / math.sqrt(
+        alpha * (alpha + beta))
+
+    def separation(drv):
+        z1, z2 = ca.denominator_coefficients(scheme, 0.0, 0.0, drv.rabi_2,
+                                             alpha, beta).roots()
+        return abs(z1 - z2) / max(abs(z1), abs(z2))
+
+    candidates = [replace(drive, detuning_2=0.0, rabi_2=om + k * np.spacing(om))
+                  for k in range(-4, 5)]
+    best = min(candidates, key=separation)
+    assert separation(best) < 1e-12
+    return best

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -142,6 +143,23 @@ class TestDeterminism:
             loaded.read_text().splitlines()[1:]
 
 
+class TestByteIdentity:
+    # SHA-256 of the default case-a threshold curve and surface, measured
+    # with numpy 2.4.6 and scipy 1.17.1.  Any change of arithmetic that moves
+    # a printed digit of a threshold changes them.
+    EXPECTED = {
+        "threshold": "a6df8dea4e80a2752cc0256571396e6b245158d08b5761ba17ee788de8399ad8",
+        "surface": "0037ad865c699f4b3ee4e08d63c53ac0a36e704b5f766cd0f41c0b7ff51d8426",
+    }
+
+    @pytest.mark.parametrize("command", ["threshold", "surface"])
+    def test_default_csv_sha256(self, tmp_path, command):
+        out = tmp_path / f"{command}.csv"
+        assert run([command, "--preset", "case-a", "--engine", "analytic",
+                    "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.EXPECTED[command]
+
+
 class TestThresholdCommands:
     def test_threshold_csv(self, tmp_path):
         scen = small_scan("a.ini", tmp_path,
@@ -215,6 +233,24 @@ class TestErrorPaths:
         res = run_cli(command.split() + ["--scenario", scen])
         assert res.returncode == 2, res.stdout[:200] + res.stderr
         assert res.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("command,old,new", [
+        ("threshold", "x_start = ", "x_start = nan"),
+        ("spectrum", "delta1_step = ", "delta1_step = nan"),
+        ("spectrum", "temperature = ", "fwhm = nan"),
+        ("spectrum", "rabi_2 = ", "rabi_2 = nan"),
+        ("threshold", "lifetime_2 = ", "lifetime_2 = inf"),
+    ], ids=["x_start-nan", "delta1_step-nan", "fwhm-nan", "rabi_2-nan", "lifetime_2-inf"])
+    def test_non_finite_value_exits_2(self, tmp_path, command, old, new):
+        scen = small_scan("a.ini", tmp_path)
+        lines = open(scen).read().splitlines()
+        assert sum(line.startswith(old) for line in lines) == 1
+        text = "\n".join(new if line.startswith(old) else line for line in lines)
+        open(scen, "w").write(text + "\n")
+        res = run_cli([command, "--scenario", scen])
+        assert res.returncode == 2, res.stdout[:200] + res.stderr
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+        assert "must be finite" in res.stderr
 
     def test_run_callable_matches_subprocess(self, capsys):
         # the in-process entry point returns the same exit codes

@@ -5,7 +5,7 @@ import pytest
 
 import cascade_at as ca
 from cascade_at.errors import DegenerateRootError
-from cascade_at.lineshape import K_RHO22, K_RHO33, rho_weak_batch
+from cascade_at.lineshape import K_RHO22, K_RHO33, doppler_slopes, rho_weak_batch
 from cascade_at.liouville import populations_batch
 
 
@@ -70,27 +70,32 @@ class TestDenominator:
         scheme, drive, dopp = case_a
         rp = ca.rates(scheme)
         off = replace(drive, rabi_2=0.0, detuning_1=37.0)
-        den = ca.denominator_coefficients(scheme, off, dopp)
+        den = ca.denominator_coefficients(scheme, 37.0, 0.0, 0.0,
+                                          *doppler_slopes(scheme, off, dopp))
         expected = (rp.gamma_12 + 37.0j) * (rp.gamma_13 + 37.0j)
         assert den.c == pytest.approx(expected, rel=1e-12)
 
     def test_roots_self_consistent(self, case_a):
         scheme, drive, dopp = case_a
-        den = ca.denominator_coefficients(scheme, drive, dopp, delta1=250.0)
+        den = ca.denominator_coefficients(scheme, 250.0, 0.0, drive.rabi_2,
+                                          *doppler_slopes(scheme, drive, dopp))
         for z in den.roots():
             scale = max(abs(den.a * z * z), abs(den.b * z), abs(den.c))
             assert abs(den.value(z)) <= 1e-10 * scale
 
     def test_case_a_roots_off_axis(self, case_a):
         scheme, drive, dopp = case_a
-        den = ca.denominator_coefficients(scheme, drive, dopp, delta1=0.0)
+        den = ca.denominator_coefficients(scheme, 0.0, 0.0, drive.rabi_2,
+                                          *doppler_slopes(scheme, drive, dopp))
         z1, z2 = den.roots()
         assert abs(z1.imag) > 0.1 and abs(z2.imag) > 0.1
 
     def test_degenerate_zero_width(self, case_a):
         scheme, drive, _ = case_a
         with pytest.raises(DegenerateRootError):
-            ca.denominator_coefficients(scheme, drive, ca.DopplerParams(fwhm=0.0))
+            ca.denominator_coefficients(
+                scheme, 0.0, 0.0, drive.rabi_2,
+                *doppler_slopes(scheme, drive, ca.DopplerParams(fwhm=0.0)))
 
 
 class TestProperties:

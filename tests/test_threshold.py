@@ -8,11 +8,69 @@ import cascade_at as ca
 from cascade_at import threshold
 from cascade_at.errors import ConfigError, NumericalError
 from cascade_at.msublevel import weights
-from cascade_at.threshold import (_geometry_for_x, curvature_at_zero,
+from cascade_at.threshold import (ThresholdResult, _cell, _curvature_rows,
+                                  _geometry_for_x, curvature_at_zero,
                                   region_two_estimate, threshold_curve,
                                   threshold_rabi, threshold_surface)
+from conftest import coincident_roots_drive
 
 DOP = ca.DopplerParams(fwhm=1100.0)
+
+
+def scalar_search(engine, scheme, x, dopp, msum=None, rabi_1=None):
+    """Slow oracle for the lockstep search: one cell, one curvature_at_zero
+    call per evaluation, seed check, pre-scan and bisection in plain
+    Python.  Also returns whether the region-II seed bracket was taken
+    (None outside region II)."""
+    if rabi_1 is None:
+        rabi_1 = ca.rates(scheme).Gamma_2 / 20.0
+    scheme_x, drive0 = _geometry_for_x(scheme, x, rabi_1)
+
+    def curv(om2):
+        return curvature_at_zero(engine, scheme_x, replace(drive0, rabi_2=om2),
+                                 dopp, msum=msum)
+
+    lo, hi = 1.0, 50000.0
+    seed = region_two_estimate(scheme_x, x)
+    taken = None
+    if seed is not None:
+        lo_s, hi_s = max(lo, seed / 30), min(hi, seed * 30)
+        taken = curv(lo_s) < 0 < curv(hi_s)
+        if taken:
+            lo, hi = lo_s, hi_s
+    scan = np.geomspace(lo, hi, 20)
+    signs = np.array([curv(om) > 0 for om in scan])
+    crossings = np.nonzero(~signs[:-1] & signs[1:])[0]
+    if len(crossings) == 0:
+        return ThresholdResult(omega_t=float("nan"), converged=False), taken
+    non_monotonic = len(crossings) > 1 or bool(signs[0])
+    a, b = float(scan[crossings[0]]), float(scan[crossings[0] + 1])
+    while b / a > 1.0 + 1e-3:
+        mid = math.sqrt(a * b)
+        if curv(mid) > 0:
+            b = mid
+        else:
+            a = mid
+    return ThresholdResult(math.sqrt(a * b), True, non_monotonic), taken
+
+
+def assert_surface_matches_oracle(engine, scheme, x_grid, dnu_grid, msum=None,
+                                  rabi_1=None):
+    """Every cell of one lockstep surface equals the scalar oracle exactly;
+    returns the oracle's (result, seed taken) per cell."""
+    tmap = threshold_surface(engine, scheme, np.array(x_grid), np.array(dnu_grid),
+                             msum=msum, rabi_1=rabi_1)
+    seen = []
+    for i, x in enumerate(x_grid):
+        for j, dnu in enumerate(dnu_grid):
+            ref, taken = scalar_search(engine, scheme, x, ca.DopplerParams(fwhm=dnu),
+                                       msum=msum, rabi_1=rabi_1)
+            got = tmap.omega_t[i, j]
+            assert got == ref.omega_t or (math.isnan(got) and math.isnan(ref.omega_t))
+            assert tmap.converged[i, j] == ref.converged
+            assert tmap.non_monotonic[i, j] == ref.non_monotonic
+            seen.append((ref, taken))
+    return seen
 
 
 class TestCurvature:
@@ -136,7 +194,7 @@ class TestThresholdSurface:
         tmap = threshold_surface("analytic", scheme, np.array([-0.5]),
                                  np.array([1100.0]))
         single = threshold_rabi("analytic", scheme, -0.5, DOP)
-        assert tmap.omega_t[0, 0] == pytest.approx(single.omega_t, rel=1e-12)
+        assert tmap.omega_t[0, 0] == single.omega_t
 
     def test_region_ii_columns_flat_others_grow(self, case_a):
         scheme, _, _ = case_a
@@ -160,23 +218,107 @@ class TestThresholdSurface:
                               np.array([-100.0]))
 
 
+class TestLockstepSearch:
+    @pytest.mark.parametrize("msum", [False, True])
+    def test_analytic_surface(self, case_a, msum):
+        scheme = case_a[0]
+        wts = weights(scheme.j2, scheme.j3) if msum else None
+        seen = assert_surface_matches_oracle("analytic", scheme, [-1.9, -0.5, 0.05],
+                                             [200.0, 20000.0], msum=wts)
+        assert any(taken for _, taken in seen)             # seeded region II
+        assert any(not r.converged for r, _ in seen)       # no crossing
+        assert sum(r.converged for r, _ in seen) >= 4
+
+    def test_full_strong_probe(self, case_a):
+        # a 300 MHz probe dresses the line and both seed brackets fail: at
+        # x = -0.975 the curvature is already positive at the bottom (and
+        # changes sign more than once), at x = -0.5 still negative at the top
+        seen = assert_surface_matches_oracle("full", case_a[0], [-0.975, -0.5], [200.0],
+                                             rabi_1=300.0)
+        assert [taken for _, taken in seen] == [False, False]
+        assert seen[0][0].non_monotonic and seen[0][0].converged
+
+    def test_full_msum_case_b(self, case_b):
+        scheme, drive, _ = case_b
+        seen = assert_surface_matches_oracle(
+            "full", scheme, [-1.1162, -0.5, 0.5], [1100.0],
+            msum=weights(scheme.j2, scheme.j3), rabi_1=drive.rabi_1)
+        assert all(r.converged for r, _ in seen)
+
+    def test_perturbative(self, case_a):
+        seen = assert_surface_matches_oracle("perturbative", case_a[0], [-0.5, 0.5],
+                                             [1100.0])
+        assert all(r.converged for r, _ in seen)
+
+
+class TestCurvatureRows:
+    OMEGAS = np.geomspace(0.7, 40000.0, 9)
+
+    def check(self, engine, scheme, cells, omegas, msum=None, rabi_1=1.0):
+        drive = ca.DriveParams(rabi_1=rabi_1, rabi_2=0.0)
+        row_cells = [cell for cell in cells for _ in omegas]
+        rabi_2 = np.tile(omegas, len(cells))
+        got = _curvature_rows(engine, scheme, drive, row_cells, rabi_2, msum)
+        for cell, om, val in zip(row_cells, rabi_2, got):
+            ref = curvature_at_zero(engine, cell.scheme,
+                                    replace(cell.drive, rabi_2=float(om)), cell.dopp,
+                                    msum=msum)
+            assert val == ref
+
+    @pytest.mark.parametrize("msum", [False, True])
+    def test_analytic(self, case_a, msum):
+        scheme = case_a[0]
+        cells = [_cell(scheme, x, ca.DopplerParams(fwhm=dnu), 1.0)
+                 for x, dnu in ((-1.9, 200.0), (-0.5, 1100.0), (0.05, 20000.0),
+                                (0.5, 0.0))]          # zero width: one by one
+        wts = weights(scheme.j2, scheme.j3) if msum else None
+        self.check("analytic", scheme, cells, self.OMEGAS, msum=wts)
+
+    @pytest.mark.parametrize("msum", [False, True])
+    def test_full(self, case_b, msum):
+        scheme = case_b[0]
+        cells = [_cell(scheme, x, DOP, 36.0) for x in (-1.1162, -0.5, 0.5)]
+        wts = weights(scheme.j2, scheme.j3) if msum else None
+        self.check("full", scheme, cells, self.OMEGAS[::2], msum=wts, rabi_1=36.0)
+
+    def test_refused_row(self, case_b, monkeypatch):
+        # at this Omega_2 the roots of D coincide at Delta_1 = 0, the middle
+        # stencil point: the row leaves the batch for curvature_at_zero
+        scheme = case_b[0]
+        cell = _cell(scheme, -1.1162, ca.DopplerParams(fwhm=500.0), 1.0)
+        om = coincident_roots_drive(cell.scheme, cell.drive, cell.dopp).rabi_2
+        single = []
+        monkeypatch.setattr(threshold, "curvature_at_zero",
+                            lambda *a, **k: single.append(a[2].rabi_2)
+                            or curvature_at_zero(*a, **k))
+        self.check("analytic", scheme, [cell], np.array([om / 2, om, 2 * om]))
+        assert single == [om]
+
+
 class TestSweepErrors:
     GRID = np.array([-0.5, 0.5])
 
     def test_bug_propagates(self, case_a, monkeypatch):
         for exc in (ZeroDivisionError, ConfigError):
             def broken(*args, **kwargs):
-                raise exc("bug in the search")
+                raise exc("bug in the curvature")
 
-            monkeypatch.setattr(threshold, "threshold_rabi", broken)
+            monkeypatch.setattr(threshold, "_curvature_rows", broken)
             with pytest.raises(exc):
                 threshold_curve("analytic", case_a[0], self.GRID, DOP)
 
     def test_numerical_failure_marks_cell_unconverged(self, case_a, monkeypatch):
-        def failing(*args, **kwargs):
-            raise NumericalError("solver failed")
+        plain = threshold_curve("analytic", case_a[0], self.GRID, DOP)
+        rows = threshold._curvature_rows
 
-        monkeypatch.setattr(threshold, "threshold_rabi", failing)
+        def failing(engine, scheme, drive, cells, rabi_2, msum):
+            if any(cell.x == 0.5 for cell in cells):
+                raise NumericalError("solver failed")
+            return rows(engine, scheme, drive, cells, rabi_2, msum)
+
+        monkeypatch.setattr(threshold, "_curvature_rows", failing)
         tmap = threshold_curve("analytic", case_a[0], self.GRID, DOP)
-        assert np.all(np.isnan(tmap.omega_t))
-        assert not tmap.converged.any()
+        assert np.isnan(tmap.omega_t[1, 0]) and not tmap.converged[1, 0]
+        assert tmap.omega_t[0, 0] == plain.omega_t[0, 0]
+        assert tmap.converged[0, 0] and plain.converged.all()
+        assert not threshold_rabi("analytic", case_a[0], 0.5, DOP).converged
