@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import doppler, faddeeva, model, msublevel, threshold
-from .errors import CascadeError, ConfigError, NumericalError
+from .errors import CascadeError, ConfigError
 
 _SCHEMA = {
     "levels": {
@@ -178,21 +178,26 @@ def _fmt(val) -> str:
     return f"{v:.9g}"
 
 
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when None.  A path
+    that cannot be written is a configuration error."""
+    if out is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {out}: {exc}")
+
+
 def _emit_csv(header_cols, rows, subcommand: str, fingerprint: str, out: str | None) -> None:
     buf = io.StringIO()
     buf.write(f"# cascade-at v1 {subcommand} {fingerprint}\n")
     buf.write(",".join(header_cols) + "\n")
     for row in rows:
         buf.write(",".join(_fmt(v) for v in row) + "\n")
-    data = buf.getvalue()
-    if out is None:
-        sys.stdout.write(data)
-    else:
-        try:
-            with open(out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(data)
-        except OSError as exc:
-            raise NumericalError(f"cannot write output file {out}: {exc}")
+    _write(buf.getvalue(), out)
 
 
 def _load_inputs(args) -> Scenario:
@@ -220,13 +225,16 @@ def _settings(args, sc: Scenario, default_engine: str):
 
 
 def _compute_spectrum(sc: Scenario, engine, observable, quad_order, wts):
+    """Spectrum columns by name.  With M weights on, the folded weights'
+    coupling Rabi frequencies are rows of the one row average, summed by
+    ``folded_sum``."""
     grid = _grid(sc.scan, "delta1")
-
-    def one(drv):
-        return doppler.intensities(engine, observable, sc.scheme, drv, sc.dopp,
-                                   grid, quad_order)
-
-    stacked = one(sc.drive) if wts is None else msublevel.m_summed(one, wts, sc.drive)
+    weights = np.array([1.0] if wts is None else [w for w, _ in wts.folded()])
+    alpha, beta = doppler.doppler_slopes(sc.scheme, sc.drive, sc.dopp)
+    rows = doppler._row_average(engine, observable, sc.scheme, sc.drive, grid, alpha,
+                                beta, sc.drive.rabi_2 * weights[:, None], quad_order)
+    stacked = (rows[:, 0] if wts is None
+               else msublevel.folded_sum(rows.swapaxes(0, 1), wts))
     names = [name for name in ("I2", "I3") if observable in (name, "both")]
     return grid, dict(zip(names, stacked))
 
@@ -284,13 +292,7 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    sc = _preset_scenario(args.case)
-    text = _dump_scenario(sc)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write(_dump_scenario(_preset_scenario(args.case)), args.out)
     return 0
 
 
@@ -327,8 +329,7 @@ def _cmd_selftest(args) -> int:
     cf = doppler.root_difference_closed_form(sa, da, 100.0)
     den = doppler.pole_decomposition(sa, da, model.DopplerParams(fwhm=1100.0),
                                      delta1=100.0)
-    from .lineshape import doppler_slopes
-    _, beta = doppler_slopes(sa, da, model.DopplerParams(fwhm=1100.0))
+    _, beta = doppler.doppler_slopes(sa, da, model.DopplerParams(fwhm=1100.0))
     quad_mod = 1.0 / abs((den.z1 - den.z2) * beta / 2)
     checks.append(("closed-form root difference vs quadratic roots",
                    abs(abs(cf) - quad_mod) / quad_mod < 1e-6))

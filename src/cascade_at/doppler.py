@@ -1,44 +1,43 @@
 """Gaussian velocity averaging of the fixed-velocity lineshapes.
 
-Three routes are provided:
+Every Doppler-averaged value of the package comes from one row average,
+:func:`_row_average`: rows of probe detunings with per-row Doppler slopes
+alpha, beta and coupling Rabi frequency Omega_2.  A spectrum is one row
+(:func:`intensities`); an M-summed spectrum makes the folded M weights one
+more row axis; a threshold search makes every (cell, Omega_2, M weight)
+stencil a row.  Each grid point takes one of three routes:
 
-* :func:`average` - deterministic numeric quadrature of either engine
-  (``full`` steady-state solver or ``perturbative`` weak-probe forms) over
-  the velocity distribution.  The nominal rule is Gauss-Hermite of the
-  requested order; whenever the integrand has velocity-space poles too
-  close to the real axis for that rule to resolve (which happens as soon as
-  the natural widths gamma/(k v_p) fall below the node spacing), the sum
-  for that grid point is evaluated on a pole-refined composite
-  Gauss-Legendre rule with the same Gaussian weight and equivalent base
-  resolution.
+* zero-width rows (alpha = 0) evaluate the model at u = 0;
 
-* :func:`average_analytic_I3` / :func:`average_analytic_I2` - exact
-  partial-fraction evaluation of the perturbative averages: 1/|D(u)|^2 has
-  four simple complex poles, and each Gaussian pole integral is a
-  Faddeeva-function value via ``Integral e^{-t^2}/(t - z) dt = i pi w(z)``
-  for Im z > 0 (the lower half-plane reached by conjugation symmetry).  One
-  routine evaluates the whole detuning grid at once.
+* engines ``analytic`` and ``full`` sum velocity poles exactly, one
+  Faddeeva value per pole via ``Integral e^{-t^2}/(t - z) dt = i pi w(z)``
+  for Im z > 0 (the lower half-plane reached by conjugation symmetry).
+  For ``analytic``, the weak-probe 1/|D(u)|^2 has four simple poles, the
+  roots of D and their conjugates; for ``full``, the Liouvillian is affine
+  in velocity with a diagonal slope, so each population is rational in u
+  with at most six finite poles (:func:`cascade_at.liouville.velocity_poles`).
+  The pole builders run in blocks of a fixed number of grid points, which
+  bounds their temporaries at any grid size;
 
-* :func:`average_full_exact` - exact evaluation of the ``full`` engine's
-  average, to all orders in both fields: the Liouvillian is affine in
-  velocity with a diagonal slope, so each population is rational in u with
-  at most six finite poles (:func:`cascade_at.liouville.velocity_poles`),
-  and the same Gaussian pole sum turns each pole into one Faddeeva value.
+* every point of the ``perturbative`` engine, and every point a pole
+  builder refuses (coincident roots of D, an ill-conditioned eigenbasis),
+  takes the numeric sum of :func:`average`: the nominal Gauss-Hermite rule,
+  or, where velocity-space poles lie too close to the real axis for its
+  nodes (the natural widths gamma/(k v_p) fall below the node spacing), a
+  pole-refined composite Gauss-Legendre rule with the same Gaussian weight
+  and equivalent base resolution.
 
-The two exact routes differ only in how they build poles and residues.  They
-share the zero-width case and the fallback: every grid point whose poles
-cannot be summed (coincident roots of D, or an ill-conditioned eigenbasis)
-goes, in one call, to :func:`average` of the same model on the Gauss-Hermite
-rule of order 200.
-
-On the bundled presets the exact routes agree with the numeric one to
-~1e-9 relative; the numeric route never touches the Faddeeva function or
-partial fractions, so each pair forms an independent cross-check.
+:func:`average` is that numeric sum over a whole grid, for either model.
+It never touches the Faddeeva function or partial fractions, so it is an
+independent cross-check of both exact routes; on the bundled presets they
+agree to ~1e-9 relative.  :func:`average_analytic_I3`,
+:func:`average_analytic_I2` and :func:`average_full_exact` return the row
+average of one grid as a :class:`Spectrum`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -57,6 +56,10 @@ _PANEL_DEGREE = 12
 _DEGENERATE_SEP = 1e-9     # relative pole separation refused by partial fractions
 _ZERO_EIGENVALUE = 1e-8    # |lam| counted as zero; keeps |p| = 1/|lam| within w's domain
 _COND_LIMIT = 1e8          # eigenbasis condition number refused by the pole expansion
+# grid points per pole-builder call: bounds the temporaries at any grid size
+# (a velocity_poles point holds ~8 kB of 9x9 and 9x10 stacks)
+_WEAK_PROBE_BLOCK = 1024
+_FULL_ENGINE_BLOCK = 64
 _PANEL_NODES, _PANEL_WEIGHTS = leggauss(_PANEL_DEGREE)
 
 ENGINES = ("full", "perturbative", "analytic")
@@ -216,6 +219,30 @@ def _check_observable(observable: str) -> None:
         raise ConfigError(f"observable must be I2, I3 or both, got {observable!r}")
 
 
+def _numeric_point(model: str, scheme: LevelScheme, drive: DriveParams, delta1,
+                   alpha: float, beta: float, rule: QuadratureRule) -> tuple[float, float]:
+    """(I2, I3) of the ``full`` or ``perturbative`` model at one probe
+    detuning by the numeric velocity sum: ``rule``, or a pole-refined rule
+    of the same base order where a root of D (or, for the full model, an
+    extra window) is narrower than its nodes can resolve."""
+    narrow_cut = 4.0 * rule.spacing
+    roots = denominator_coefficients(scheme, delta1, drive.detuning_2, drive.rabi_2,
+                                     alpha, beta).roots()
+    narrow = any(abs(p.imag) < narrow_cut and abs(p.real) < _U_MAX + 1.0 for p in roots)
+    if model == "full":
+        extra = _full_engine_windows(scheme, drive, delta1, alpha, beta)
+        narrow = narrow or any(s < narrow_cut and abs(c) < _U_MAX + 1.0 for c, s in extra)
+    else:
+        extra = ()
+    if narrow:
+        t, wts = _refined_rule(roots, rule.order, extra)
+    else:
+        t, wts = rule.nodes, rule.weights
+    v2, v3 = _engine_batch(model, scheme, drive, delta1 + alpha * t,
+                           drive.detuning_2 + beta * t)
+    return float(np.dot(wts, v2)) / _SQRTPI, float(np.dot(wts, v3)) / _SQRTPI
+
+
 def average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParams,
             dopp: DopplerParams, rule: QuadratureRule,
             delta1_grid: np.ndarray) -> Spectrum:
@@ -238,28 +265,10 @@ def average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParam
         i2, i3 = _engine_batch(engine, scheme, drive,
                                grid + 0.0, np.full_like(grid, drive.detuning_2))
     else:
-        i2, i3 = np.empty_like(grid), np.empty_like(grid)
         alpha, beta = doppler_slopes(scheme, drive, dopp)
-        narrow_cut = 4.0 * rule.spacing
-        for k, delta1 in enumerate(grid):
-            roots = denominator_coefficients(scheme, delta1, drive.detuning_2,
-                                             drive.rabi_2, alpha, beta).roots()
-            narrow = any(abs(p.imag) < narrow_cut and abs(p.real) < _U_MAX + 1.0
-                         for p in roots)
-            if engine == "full":
-                extra = _full_engine_windows(scheme, drive, delta1, alpha, beta)
-                narrow = narrow or any(s < narrow_cut and abs(c) < _U_MAX + 1.0
-                                       for c, s in extra)
-            else:
-                extra = ()
-            if narrow:
-                t, wts = _refined_rule(roots, rule.order, extra)
-            else:
-                t, wts = rule.nodes, rule.weights
-            v2, v3 = _engine_batch(engine, scheme, drive,
-                                   delta1 + alpha * t, drive.detuning_2 + beta * t)
-            i2[k] = float(np.dot(wts, v2)) / _SQRTPI
-            i3[k] = float(np.dot(wts, v3)) / _SQRTPI
+        sums = [_numeric_point(engine, scheme, drive, delta1, alpha, beta, rule)
+                for delta1 in grid]
+        i2, i3 = np.array(sums, dtype=float).reshape(len(grid), 2).T
 
     i2 = _validated_intensity(i2) if observable in ("I2", "both") else None
     i3 = _validated_intensity(i3) if observable in ("I3", "both") else None
@@ -267,23 +276,23 @@ def average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParam
                     quad_order=rule.order)
 
 
-def _gaussian_pole_sum(poles, residues):
-    """Sum over the last axis of r_k Integral e^{-u^2}/(u - p_k) du, one
-    Faddeeva value per pole; ``poles`` broadcasts against ``residues``."""
-    # Integral e^{-u^2}/(u - p) du = +-i pi w(+-p), signed so that the
-    # Faddeeva argument lies in the upper half-plane
+def _pole_integrals(poles):
+    """Integral e^{-u^2}/(u - p) du for every pole p, one Faddeeva value each:
+    +-i pi w(+-p), signed so that the Faddeeva argument lies in the upper
+    half-plane."""
     sign = np.where(poles.imag > 0, 1.0, -1.0)
-    return (residues * (sign * 1j * math.pi * faddeeva_w(sign * poles))).sum(axis=-1)
+    return sign * 1j * math.pi * faddeeva_w(sign * poles)
 
 
 def _weak_probe_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
-    """Perturbative I2 or I3 by partial fractions: 1/(D(u) conj(D)(u)) has
-    four simple poles, the roots of D and their conjugates.  I2's quadratic
-    numerator |gamma_13 + i(d1+d2)|^2 is continued off the real axis to the
-    poles.  ``alpha``, ``beta`` and ``rabi_2`` broadcast against ``grid``.
-    Refuses grid points whose poles come closer than 1e-9 relative."""
+    """Perturbative I2 and/or I3 by partial fractions: 1/(D(u) conj(D)(u))
+    has four simple poles, the roots of D and their conjugates.  I2's
+    quadratic numerator |gamma_13 + i(d1+d2)|^2 is continued off the real
+    axis to the poles; both observables share the roots, the pole products
+    and one Faddeeva call.  ``alpha``, ``beta`` and ``rabi_2`` are given per
+    grid point.  Refuses grid points whose poles come closer than 1e-9
+    relative."""
     rp = rates(scheme)
-    grid, alpha, beta, rabi_2 = np.broadcast_arrays(grid, alpha, beta, rabi_2)
     den = denominator_coefficients(scheme, grid, drive.detuning_2, rabi_2, alpha, beta)
     z1, z2 = den.roots()
     poles = np.stack((z1, z2, np.conj(z1), np.conj(z2)), axis=-1)
@@ -300,15 +309,19 @@ def _weak_probe_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
     scale = np.maximum(np.maximum(np.abs(z1), np.abs(z2)), 1e-30)
     ok = ~(sep < _DEGENERATE_SEP * scale)
     p = poles[ok]
-    if observable == "I3":
-        prefactor = rp.Gamma_3 * K_RHO33 * np.square(drive.rabi_1 * rabi_2[ok] / 4)
-        numerator = 1.0
-    else:
+    integrals = _pole_integrals(p)
+    den_prod = np.square(np.abs(den.a[ok]))[:, None] * prod[ok]
+    out = {}
+    if observable in ("I2", "both"):
         prefactor = rp.Gamma_2 * K_RHO22 * (drive.rabi_1 / 2) ** 2
         d2ph = grid[ok, None] + drive.detuning_2 + (alpha[ok] + beta[ok])[:, None] * p
-        numerator = rp.gamma_13 ** 2 + d2ph * d2ph
-    residues = numerator / (np.square(np.abs(den.a[ok]))[:, None] * prod[ok])
-    return ok, {observable: prefactor * _gaussian_pole_sum(p, residues).real / _SQRTPI}
+        residues = (rp.gamma_13 ** 2 + d2ph * d2ph) / den_prod
+        out["I2"] = prefactor * (residues * integrals).sum(axis=-1).real / _SQRTPI
+    if observable in ("I3", "both"):
+        prefactor = rp.Gamma_3 * K_RHO33 * np.square(drive.rabi_1 * rabi_2[ok] / 4)
+        residues = 1.0 / den_prod
+        out["I3"] = prefactor * (residues * integrals).sum(axis=-1).real / _SQRTPI
+    return ok, out
 
 
 def _full_engine_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
@@ -316,8 +329,8 @@ def _full_engine_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
     (1/lam)/(u - p) with p = -1/lam.  Eigenvalues with |lam| <= 1e-8 (the
     populations, and the two-photon coherences as x -> -1) count as a
     constant residue, an error below lam^2.  ``alpha``, ``beta`` and
-    ``rabi_2`` broadcast against ``grid``.  Refuses grid points whose
-    eigenbasis has cond(V) > 1e8."""
+    ``rabi_2`` are given per grid point.  Returns both observables.
+    Refuses grid points whose eigenbasis has cond(V) > 1e8."""
     lam, res, cond = velocity_poles(scheme, drive.rabi_1, grid, drive.detuning_2,
                                     rabi_2, alpha, beta)
     ok = cond <= _COND_LIMIT
@@ -327,111 +340,106 @@ def _full_engine_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
     # zero eigenvalues get a placeholder pole with zero weight
     poles = np.where(finite, -1.0 / safe, 1j)
     pops = (np.where(finite, 0.0, res).sum(axis=-1)
-            + _gaussian_pole_sum(poles, np.where(finite, res / safe, 0.0)) / _SQRTPI)
+            + (np.where(finite, res / safe, 0.0) * _pole_integrals(poles)).sum(axis=-1)
+            / _SQRTPI)
     rp = rates(scheme)
     return ok, {"I2": rp.Gamma_2 * pops[:, 0].real, "I3": rp.Gamma_3 * pops[:, 1].real}
 
 
-def _exact_average(engine: str, observable: str, scheme: LevelScheme,
-                   drive: DriveParams, dopp: DopplerParams,
-                   delta1_grid: np.ndarray) -> Spectrum:
-    """Exact Doppler average of one model over a probe-detuning grid: the
-    weak-probe partial fractions for ``analytic``, the velocity poles of the
-    steady state for ``full``.  A zero Doppler width evaluates the model at
-    u = 0.  Every grid point the pole builder refuses goes, in one call, to
-    :func:`average` of the same model on the Gauss-Hermite rule of order
-    200."""
-    _check_observable(observable)
-    model, pole_builder = _EXACT_ROUTES[engine]
-    grid = np.asarray(delta1_grid, dtype=float)
-    names = [name for name in ("I2", "I3") if observable in (name, "both")]
-    if dopp.fwhm_mhz(scheme) == 0.0:
-        rows = dict(zip(("I2", "I3"), _engine_batch(
-            model, scheme, drive, grid + 0.0, np.full_like(grid, drive.detuning_2))))
-    else:
-        alpha, beta = doppler_slopes(scheme, drive, dopp)
-        ok, accepted = pole_builder(observable, scheme, drive, grid, alpha, beta,
-                                    drive.rabi_2)
-        rows = {}
-        for name in names:
-            rows[name] = np.empty_like(grid)
-            rows[name][ok] = accepted[name]
-        if not ok.all():
-            fallback = average(model, observable, scheme, drive, dopp,
-                               QuadratureRule.gauss_hermite(200), grid[~ok])
-            for name in names:
-                rows[name][~ok] = getattr(fallback, name)
-    i2, i3 = (_validated_intensity(rows[name]) if name in names else None
-              for name in ("I2", "I3"))
-    return Spectrum(delta1=grid.copy(), I2=i2, I3=i3, engine=engine, quad_order=None)
-
-
-_EXACT_ROUTES = {"analytic": ("perturbative", _weak_probe_poles),
-                 "full": ("full", _full_engine_poles)}
-
-
-def i3_rows(engine: str, scheme: LevelScheme, drive: DriveParams, grid: np.ndarray,
-            alpha, beta, rabi_2) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Doppler-averaged I3 of engine "analytic" or "full" over rows of
-    probe detunings, the last axis of ``grid``.
+def _row_average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParams,
+                 grid, alpha, beta, rabi_2, quad_order: int = 200) -> np.ndarray:
+    """Doppler-averaged I2 and/or I3 of ``engine`` over rows of probe
+    detunings, the last axis of ``grid``: one leading axis per observable
+    (I2 first) before the broadcast shape of the arguments.
 
     ``alpha``, ``beta`` and ``rabi_2`` are per-row Doppler slopes and
     coupling Rabi frequencies that broadcast against ``grid``; ``drive``
-    gives the probe Rabi frequency and the coupling detuning.  Each row is
-    validated on its own, as one :func:`intensities` call is.  Returns the
-    values and a mask of the rows holding a point the pole builder refuses;
-    those rows are left nan, for the caller to evaluate through
-    :func:`intensities`, which averages such points numerically.
+    gives the probe Rabi frequency and the coupling detuning.  Zero-width
+    rows (alpha = 0) evaluate the model at u = 0.  Engines "analytic" and
+    "full" sum velocity poles, ``_WEAK_PROBE_BLOCK`` or
+    ``_FULL_ENGINE_BLOCK`` grid points per pole-builder call.  Every point
+    a pole builder refuses takes the numeric sum of :func:`average`, with
+    its row's alpha, beta and Omega_2, on the Gauss-Hermite rule of order
+    200; every point of engine "perturbative" takes it on the rule of order
+    ``quad_order``.  Each row is validated on its own.
     """
-    _, pole_builder = _EXACT_ROUTES[engine]
-    ok, accepted = pole_builder("I3", scheme, drive, grid, alpha, beta, rabi_2)
-    vals = np.full(ok.shape, np.nan)
-    vals[ok] = accepted["I3"]
-    refused = ~ok.all(axis=-1)
-    vals[~refused] = _validated_intensity(vals[~refused])
-    return vals, refused
+    if engine not in ENGINES:
+        raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
+    _check_observable(observable)
+    pole_routes = {"analytic": (_weak_probe_poles, _WEAK_PROBE_BLOCK),
+                   "full": (_full_engine_poles, _FULL_ENGINE_BLOCK)}
+    builder, block = pole_routes.get(engine, (None, 0))
+    if builder is None and quad_order < MIN_QUAD_ORDER:
+        raise ConfigError(f"quadrature order must be >= {MIN_QUAD_ORDER}")
+    model = "full" if engine == "full" else "perturbative"
+    arrays = np.broadcast_arrays(np.asarray(grid, dtype=float), alpha, beta, rabi_2)
+    shape = arrays[0].shape
+    grid, alpha, beta, rabi_2 = (np.asarray(a, dtype=float).ravel() for a in arrays)
+
+    vals = np.full((2, grid.size), np.nan)
+    zero = alpha == 0.0
+    numeric = ~zero
+    if builder is not None:
+        points = np.flatnonzero(~zero)
+        for part in (points[i:i + block] for i in range(0, len(points), block)):
+            ok, accepted = builder(observable, scheme, drive, grid[part], alpha[part],
+                                   beta[part], rabi_2[part])
+            for k, name in enumerate(("I2", "I3")):
+                if name in accepted:
+                    vals[k, part[ok]] = accepted[name]
+            numeric[part[ok]] = False
+    for om in np.unique(rabi_2[zero]):
+        at = np.flatnonzero(zero & (rabi_2 == om))
+        vals[:, at] = _engine_batch(model, scheme, replace(drive, rabi_2=float(om)),
+                                    grid[at] + 0.0, np.full(len(at), drive.detuning_2, float))
+    if numeric.any():
+        rule = QuadratureRule.gauss_hermite(quad_order if builder is None else 200)
+        for k in np.flatnonzero(numeric):
+            drv = replace(drive, rabi_2=float(rabi_2[k]))
+            vals[:, k] = _numeric_point(model, scheme, drv, grid[k], float(alpha[k]),
+                                        float(beta[k]), rule)
+    rows = [k for k, name in enumerate(("I2", "I3")) if observable in (name, "both")]
+    return np.stack([_validated_intensity(vals[k].reshape(shape)) for k in rows])
+
+
+def _spectrum(engine: str, observable: str, scheme: LevelScheme, drive: DriveParams,
+              dopp: DopplerParams, delta1_grid: np.ndarray) -> Spectrum:
+    grid = np.asarray(delta1_grid, dtype=float)
+    names = [name for name in ("I2", "I3") if observable in (name, "both")]
+    cols = dict(zip(names, intensities(engine, observable, scheme, drive, dopp, grid)))
+    return Spectrum(delta1=grid.copy(), I2=cols.get("I2"), I3=cols.get("I3"),
+                    engine=engine, quad_order=None)
 
 
 def average_analytic_I3(scheme: LevelScheme, drive: DriveParams, dopp: DopplerParams,
                         delta1_grid: np.ndarray) -> Spectrum:
     """Exact Doppler average of the perturbative upper-level intensity."""
-    return _exact_average("analytic", "I3", scheme, drive, dopp, delta1_grid)
+    return _spectrum("analytic", "I3", scheme, drive, dopp, delta1_grid)
 
 
 def average_analytic_I2(scheme: LevelScheme, drive: DriveParams, dopp: DopplerParams,
                         delta1_grid: np.ndarray) -> Spectrum:
     """Exact Doppler average of the perturbative intermediate-level intensity."""
-    return _exact_average("analytic", "I2", scheme, drive, dopp, delta1_grid)
+    return _spectrum("analytic", "I2", scheme, drive, dopp, delta1_grid)
 
 
 def average_full_exact(observable: str, scheme: LevelScheme, drive: DriveParams,
                        dopp: DopplerParams, delta1_grid: np.ndarray) -> Spectrum:
     """Exact Doppler average of the full steady state over a probe-detuning
     grid, to all orders in both fields (:func:`cascade_at.liouville.velocity_poles`)."""
-    return _exact_average("full", observable, scheme, drive, dopp, delta1_grid)
+    return _spectrum("full", observable, scheme, drive, dopp, delta1_grid)
 
 
 def intensities(engine: str, observable: str, scheme: LevelScheme,
                 drive: DriveParams, dopp: DopplerParams, delta1_grid: np.ndarray,
                 quad_order: int = 200) -> np.ndarray:
     """Doppler-averaged I2 and/or I3 over a probe-detuning grid, one row per
-    observable (I2 first): the exact averages for engines "analytic" and
-    "full", else :func:`average` on the Gauss-Hermite rule of order
-    ``quad_order``."""
-    _check_observable(observable)
-    if engine == "analytic":
-        rows = []
-        if observable in ("I2", "both"):
-            rows.append(average_analytic_I2(scheme, drive, dopp, delta1_grid).I2)
-        if observable in ("I3", "both"):
-            rows.append(average_analytic_I3(scheme, drive, dopp, delta1_grid).I3)
-        return np.array(rows)
-    if engine == "full":
-        spec = average_full_exact(observable, scheme, drive, dopp, delta1_grid)
-    else:
-        rule = QuadratureRule.gauss_hermite(quad_order)
-        spec = average(engine, observable, scheme, drive, dopp, rule, delta1_grid)
-    return np.array([row for row in (spec.I2, spec.I3) if row is not None])
+    observable (I2 first): the row average (:func:`_row_average`) of the
+    grid at the drive's coupling Rabi frequency.  ``quad_order`` is the
+    Gauss-Hermite order of engine "perturbative"."""
+    alpha, beta = doppler_slopes(scheme, drive, dopp)
+    return _row_average(engine, observable, scheme, drive, delta1_grid, alpha, beta,
+                        drive.rabi_2, quad_order)
 
 
 def root_difference_closed_form(scheme: LevelScheme, drive: DriveParams,

@@ -33,5 +33,5 @@ class DomainError(CascadeError):
     """Argument outside a function's supported domain."""
 
 
-class SelectionRuleError(CascadeError):
-    """Angular-momentum selection rule violated."""
+class SelectionRuleError(ConfigError):
+    """Angular-momentum selection rule violated by the configured levels."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .doppler import ENGINES, i3_rows, intensities
+from .doppler import ENGINES, _row_average, intensities
 from .errors import ConfigError, NumericalError
 from .lineshape import doppler_slopes
 from .model import DopplerParams, DriveParams, LevelScheme, rates
@@ -37,9 +37,6 @@ _BRACKET = (1.0, 50000.0)     # MHz
 _PRESCAN_POINTS = 20
 _REL_TOL = 1e-3
 _STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])   # in units of the step h
-# stencil points (rows x M weights x 5) per batched evaluation: bounds its
-# temporaries at any grid size
-_BLOCK_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -128,49 +125,22 @@ def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
     """``curvature_at_zero`` of every row: cell ``cells[r]`` at coupling
     ``rabi_2[r]``, with the same bits.
 
-    ``scheme`` and ``drive`` carry what all rows share (decay rates, the
-    probe, resonant coupling); each cell's geometry enters through its
-    Doppler slopes.  The analytic and full engines evaluate the rows at a
-    nonzero Doppler width in batches of 5-point stencils, up to
-    ``_BLOCK_POINTS`` points each; the analytic engine makes the M weights
-    one more row axis, the full engine runs one batch per weight.
-    Perturbative rows, zero-width rows and rows with a point the pole
-    builders refuse go through ``curvature_at_zero`` one by one.  Raises
-    NumericalError if any row fails.
+    The 5-point stencils of all rows, times the folded M weights, are the
+    rows of one :func:`cascade_at.doppler._row_average` call; ``folded_sum``
+    then sums the M axis.  ``scheme`` and ``drive`` carry what all rows
+    share (decay rates, the probe, resonant coupling); each cell's geometry
+    enters through its Doppler slopes.  Raises NumericalError if any row
+    fails.
     """
     rabi_2 = np.asarray(rabi_2, dtype=float)
-    curv = np.empty(len(cells))
-    # alpha = 0 only at zero Doppler width, which has no velocity poles
-    single = np.array([engine == "perturbative" or c.alpha == 0.0 for c in cells],
-                      dtype=bool)
-    weights = [1.0] if msum is None else [w for w, _ in msum.folded()]
-    batched = np.flatnonzero(~single)
-    block = max(1, _BLOCK_POINTS // (len(_STENCIL) * len(weights)))
-    for rows in (batched[i:i + block] for i in range(0, len(batched), block)):
-        om = rabi_2[rows]
-        h = np.maximum(0.5, om / 200.0)
-        grid = h[:, None] * _STENCIL
-        alpha = np.array([cells[r].alpha for r in rows])[:, None]
-        beta = np.array([cells[r].beta for r in rows])[:, None]
-        if engine == "analytic":
-            vals, refused = i3_rows(engine, scheme, drive, grid[:, None, :],
-                                    alpha[:, None], beta[:, None],
-                                    (om[:, None] * weights)[..., None])
-            terms, refused = vals.transpose(1, 0, 2), refused.any(axis=1)
-        else:
-            runs = [i3_rows(engine, scheme, drive, grid, alpha, beta,
-                            (om * w)[:, None]) for w in weights]
-            terms = [vals for vals, _ in runs]
-            refused = np.any([refused for _, refused in runs], axis=0)
-        f = terms[0] if msum is None else folded_sum(terms, msum)
-        curv[rows] = _second_derivative(f, h)
-        single[rows[refused]] = True
-    for r in np.flatnonzero(single):
-        cell = cells[r]
-        curv[r] = curvature_at_zero(engine, cell.scheme,
-                                    replace(cell.drive, rabi_2=float(rabi_2[r])),
-                                    cell.dopp, msum=msum)
-    return curv
+    weights = np.array([1.0] if msum is None else [w for w, _ in msum.folded()])
+    h = np.maximum(0.5, rabi_2 / 200.0)
+    slopes = np.array([(cell.alpha, cell.beta) for cell in cells]).reshape(-1, 2, 1, 1)
+    grid = (h[:, None] * _STENCIL)[:, None, :]            # (row, M weight, point)
+    i3 = _row_average(engine, "I3", scheme, drive, grid, slopes[:, 0], slopes[:, 1],
+                      (rabi_2[:, None] * weights)[..., None])[0]
+    f = i3[:, 0] if msum is None else folded_sum(i3.swapaxes(0, 1), msum)
+    return _second_derivative(f, h)
 
 
 def region_two_estimate(scheme: LevelScheme, x: float) -> float | None:

@@ -8,8 +8,8 @@ import pytest
 
 import cascade_at as ca
 from cascade_at import doppler
-from cascade_at.cli import run
-from cascade_at.msublevel import weights
+from cascade_at.cli import _compute_spectrum, _preset_scenario, run
+from cascade_at.msublevel import m_summed, weights
 
 CLI = [sys.executable, "-m", "cascade_at"]
 
@@ -83,20 +83,35 @@ class TestSpectrumCommand:
         on = np.loadtxt(str(o2), delimiter=",", skiprows=2)
         assert on[:, 1].sum() > 2 * off[:, 1].sum()   # 39 components add up
 
-    def test_one_analytic_call_per_m_weight(self, tmp_path, monkeypatch):
+    def test_m_sum_in_bounded_pole_blocks(self, tmp_path, monkeypatch):
+        # the M-summed spectrum is one row average over the folded weights:
+        # every weight's 601 grid points reach the partial fractions, in
+        # calls of at most one block
         calls = []
-        original = doppler.average_analytic_I3
+        builder = doppler._weak_probe_poles
 
-        def counting(scheme, drive, dopp, grid):
+        def counting(observable, scheme, drive, grid, *args):
             calls.append(len(grid))
-            return original(scheme, drive, dopp, grid)
+            return builder(observable, scheme, drive, grid, *args)
 
-        monkeypatch.setattr(doppler, "average_analytic_I3", counting)
+        monkeypatch.setattr(doppler, "_weak_probe_poles", counting)
         out = tmp_path / "a.csv"
         assert run(["spectrum", "--preset", "case-a", "--engine", "analytic",
                     "--observable", "I3", "--msum", "on", "--out", str(out)]) == 0
         scheme, _, _ = ca.preset("case_a")
-        assert calls == [601] * len(weights(scheme.j2, scheme.j3).folded())
+        assert sum(calls) == 601 * len(weights(scheme.j2, scheme.j3).folded())
+        assert max(calls) <= doppler._WEAK_PROBE_BLOCK < sum(calls)
+
+    @pytest.mark.parametrize("engine", ["analytic", "full", "perturbative"])
+    def test_m_sum_equals_m_summed(self, engine):
+        # the weights as a row axis give the bits of one call per weight
+        sc = _preset_scenario("case-b")
+        sc.scan.update(delta1_start=-600.0, delta1_stop=600.0, delta1_step=40.0)
+        wts = weights(sc.scheme.j2, sc.scheme.j3)
+        grid, cols = _compute_spectrum(sc, engine, "both", 200, wts)
+        ref = m_summed(lambda drv: doppler.intensities(engine, "both", sc.scheme, drv,
+                                                       sc.dopp, grid), wts, sc.drive)
+        assert np.array_equal(np.array([cols["I2"], cols["I3"]]), ref)
 
 
 class TestDeterminism:
@@ -251,6 +266,28 @@ class TestErrorPaths:
         assert res.returncode == 2, res.stdout[:200] + res.stderr
         assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
         assert "must be finite" in res.stderr
+
+    def test_msum_without_rotational_levels_exits_2(self, tmp_path):
+        # the rotational quantum numbers default to 0, and the coupling
+        # transition J = 0 -> J = 0 has no allowed M component
+        scen = small_scan("a.ini", tmp_path)
+        lines = [line for line in open(scen).read().splitlines()
+                 if not line.startswith(("j1 = ", "j2 = ", "j3 = "))]
+        open(scen, "w").write("\n".join(lines) + "\n")
+        res = run_cli(["spectrum", "--scenario", scen, "--msum", "on"])
+        assert res.returncode == 2, res.stdout[:200] + res.stderr
+        assert res.stderr.startswith("error: ") and "J = 0 -> J = 0" in res.stderr
+
+    @pytest.mark.parametrize("command", [
+        "spectrum --preset case-a --engine analytic --observable I3",
+        "threshold --preset case-a --engine analytic",
+        "surface --preset case-a --engine analytic",
+        "preset case-a",
+    ], ids=lambda c: c.split()[0])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "out.csv"
+        assert run(command.split() + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output file")
 
     def test_run_callable_matches_subprocess(self, capsys):
         # the in-process entry point returns the same exit codes

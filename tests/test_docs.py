@@ -1,4 +1,5 @@
 """The cookbook is executable documentation: run every fenced sh command."""
+import hashlib
 import os
 import re
 import subprocess
@@ -11,6 +12,15 @@ import pytest
 import cascade_at
 
 COOKBOOK = Path(__file__).resolve().parent.parent / "docs" / "cookbook.md"
+
+# SHA-256 of the four cookbook spectra, measured with numpy 2.4.6 and scipy
+# 1.17.1.  Any change of arithmetic that moves a printed digit changes them.
+SPECTRA_SHA256 = {
+    "case_a_I3": "ce0947327cbab5ba76252f599b8df943358ec16dfe774dade7a0fa686e3aa71f",
+    "case_b_I3": "8817be43214f2e2bdd9e85f541a4637b0dda35b5f20b415f6a2f1305f6d9ca76",
+    "case_a_I2": "5349e57edf62bc50736cf171b5e947eaa0647f369bfc2fcfe5827af280d9b53f",
+    "case_b_I2": "83a81220d924796f5728c71000aa663d8466247e33ce9c3bd3b41545b6e74d4e",
+}
 
 
 def cookbook_commands():
@@ -89,3 +99,11 @@ def test_cookbook_outputs_match_claims(workdir, cookbook_run):
     region_ii = thr[(thr[:, 0] > -1) & (thr[:, 0] < 0), 1]
     outside = thr[(thr[:, 0] > 0) | (thr[:, 0] < -1), 1]
     assert np.nanmax(region_ii) * 5 < np.nanmin(outside)
+
+
+@pytest.mark.parametrize("name", list(SPECTRA_SHA256))
+def test_cookbook_spectrum_sha256(workdir, cookbook_run, name):
+    out = f"out/{name}.csv"
+    produce(cookbook_run, out)
+    digest = hashlib.sha256((workdir / out).read_bytes()).hexdigest()
+    assert digest == SPECTRA_SHA256[name]

@@ -270,13 +270,14 @@ class TestFullExact:
         worst = int(np.argmax(cond))
         monkeypatch.setattr(doppler, "_COND_LIMIT", np.sort(cond)[-2])
         calls = []
-        average = doppler.average
-        monkeypatch.setattr(doppler, "average",
-                            lambda *a: calls.append(a[-1]) or average(*a))
+        numeric = doppler._numeric_point
+        monkeypatch.setattr(doppler, "_numeric_point",
+                            lambda model, sch, drv, delta1, *a:
+                            calls.append(delta1) or numeric(model, sch, drv, delta1, *a))
         got = doppler.average_full_exact("both", scheme, drive, dopp, grid)
         monkeypatch.undo()
 
-        assert [list(c) for c in calls] == [[grid[worst]]]
+        assert calls == [grid[worst]]
         point = ca.average("full", "both", scheme, drive, dopp, gh200,
                            grid[worst:worst + 1])
         assert got.I2[worst] == point.I2[0] and got.I3[worst] == point.I3[0]
@@ -311,6 +312,17 @@ class TestIntensities:
         assert rows.shape == (len(names), len(self.GRID))
         for row, exp in zip(rows, expected):
             assert np.array_equal(row, exp)
+
+    def test_analytic_both_in_one_pass(self, case_a, monkeypatch):
+        # I2 and I3 share the roots, the pole products and one Faddeeva call
+        singles = [doppler.intensities("analytic", name, *case_a, self.GRID)[0]
+                   for name in ("I2", "I3")]
+        shapes, w = [], doppler.faddeeva_w
+        monkeypatch.setattr(doppler, "faddeeva_w",
+                            lambda z: shapes.append(np.shape(z)) or w(z))
+        both = doppler.intensities("analytic", "both", *case_a, self.GRID)
+        assert shapes == [(len(self.GRID), 4)]
+        assert np.array_equal(both, singles)
 
     def test_bad_observable(self, case_a):
         with pytest.raises(ConfigError):

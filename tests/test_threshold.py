@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cascade_at as ca
-from cascade_at import threshold
+from cascade_at import doppler, threshold
 from cascade_at.errors import ConfigError, NumericalError
 from cascade_at.msublevel import weights
 from cascade_at.threshold import (ThresholdResult, _cell, _curvature_rows,
@@ -270,7 +270,7 @@ class TestCurvatureRows:
         scheme = case_a[0]
         cells = [_cell(scheme, x, ca.DopplerParams(fwhm=dnu), 1.0)
                  for x, dnu in ((-1.9, 200.0), (-0.5, 1100.0), (0.05, 20000.0),
-                                (0.5, 0.0))]          # zero width: one by one
+                                (0.5, 0.0))]          # zero width: u = 0
         wts = weights(scheme.j2, scheme.j3) if msum else None
         self.check("analytic", scheme, cells, self.OMEGAS, msum=wts)
 
@@ -283,16 +283,25 @@ class TestCurvatureRows:
 
     def test_refused_row(self, case_b, monkeypatch):
         # at this Omega_2 the roots of D coincide at Delta_1 = 0, the middle
-        # stencil point: the row leaves the batch for curvature_at_zero
+        # stencil point: that one point takes the per-point numeric sum
+        # inside the batch, and its row keeps the oracle's bits
         scheme = case_b[0]
         cell = _cell(scheme, -1.1162, ca.DopplerParams(fwhm=500.0), 1.0)
         om = coincident_roots_drive(cell.scheme, cell.drive, cell.dopp).rabi_2
-        single = []
-        monkeypatch.setattr(threshold, "curvature_at_zero",
-                            lambda *a, **k: single.append(a[2].rabi_2)
-                            or curvature_at_zero(*a, **k))
-        self.check("analytic", scheme, [cell], np.array([om / 2, om, 2 * om]))
-        assert single == [om]
+        omegas = np.array([om / 2, om, 2 * om])
+        numeric = []
+        point = doppler._numeric_point
+
+        def recording(model, sch, drv, delta1, *args):
+            numeric.append((drv.rabi_2, delta1))
+            return point(model, sch, drv, delta1, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(doppler, "_numeric_point", recording)
+            _curvature_rows("analytic", scheme, ca.DriveParams(rabi_1=1.0, rabi_2=0.0),
+                            [cell] * 3, omegas, None)
+        assert numeric == [(om, 0.0)]
+        self.check("analytic", scheme, [cell], omegas)
 
 
 class TestSweepErrors:
