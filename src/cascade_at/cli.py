@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import doppler, faddeeva, model, msublevel, threshold
+from . import doppler, faddeeva, liouville, model, msublevel, threshold
 from .errors import CascadeError, ConfigError
 
 _SCHEMA = {
@@ -340,6 +340,15 @@ def _cmd_selftest(args) -> int:
                               doppler.QuadratureRule.gauss_hermite(200), grid).I3
     checks.append(("full-engine pole expansion vs numeric average",
                    np.max(np.abs(exact - numeric)) < 1e-6 * numeric.max()))
+    alpha, beta = doppler.doppler_slopes(sa, da, pa)
+    u = np.arange(-3.0, 4.0)
+    lam, res, _ = liouville.velocity_poles(sa, da.rabi_1, 100.0, da.detuning_2,
+                                           da.rabi_2, alpha, beta)
+    poles = (res / (1 + u[:, None, None] * lam)).sum(axis=-1).real
+    steady = np.transpose(liouville.populations_batch(
+        sa, da, 100.0 + alpha * u, da.detuning_2 + beta * u))
+    checks.append(("full-engine velocity poles vs steady state at 7 velocities",
+                   np.max(np.abs(poles - steady)) <= 1e-10 * np.max(steady)))
     for name, passed in checks:
         print(f"  {'PASS' if passed else 'FAIL'}  {name}")
         ok = ok and passed

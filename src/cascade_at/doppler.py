@@ -41,7 +41,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, DegenerateRootError, NumericalError
 from .faddeeva import w as faddeeva_w
@@ -55,9 +54,9 @@ _U_MAX = 6.5               # Gaussian support cutoff: exp(-6.5^2) ~ 5e-19
 _PANEL_DEGREE = 12
 _DEGENERATE_SEP = 1e-9     # relative pole separation refused by partial fractions
 _ZERO_EIGENVALUE = 1e-8    # |lam| counted as zero; keeps |p| = 1/|lam| within w's domain
-_COND_LIMIT = 1e8          # eigenbasis condition number refused by the pole expansion
+_COND_LIMIT = 1e8          # eigenbasis 1-norm condition number refused by the pole expansion
 # grid points per pole-builder call: bounds the temporaries at any grid size
-# (a velocity_poles point holds ~8 kB of 9x9 and 9x10 stacks)
+# (a velocity_poles point holds ~4 kB of real 9x9, 6x6 and 6x7 and complex 6x6 stacks)
 _WEAK_PROBE_BLOCK = 1024
 _FULL_ENGINE_BLOCK = 64
 _PANEL_NODES, _PANEL_WEIGHTS = leggauss(_PANEL_DEGREE)
@@ -78,6 +77,9 @@ class QuadratureRule:
     def gauss_hermite(cls, order: int) -> "QuadratureRule":
         if order < 1:
             raise ConfigError("quadrature order must be >= 1")
+        # imported here so that commands which build no rule do not pay for
+        # loading scipy
+        from scipy.linalg import eigh_tridiagonal
         # Golub-Welsch on the Jacobi matrix; numpy's recurrence-based
         # hermgauss overflows for order >~ 385.
         k = np.arange(1, order)
@@ -327,10 +329,10 @@ def _weak_probe_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
 def _full_engine_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
     """Full steady state by its velocity poles: 1/(1 + u lam) =
     (1/lam)/(u - p) with p = -1/lam.  Eigenvalues with |lam| <= 1e-8 (the
-    populations, and the two-photon coherences as x -> -1) count as a
-    constant residue, an error below lam^2.  ``alpha``, ``beta`` and
+    population constant, and the two-photon coherences as x -> -1) count as
+    a constant residue, an error below lam^2.  ``alpha``, ``beta`` and
     ``rabi_2`` are given per grid point.  Returns both observables.
-    Refuses grid points whose eigenbasis has cond(V) > 1e8."""
+    Refuses grid points whose eigenbasis has ||V||_1 ||V^{-1}||_1 > 1e8."""
     lam, res, cond = velocity_poles(scheme, drive.rabi_1, grid, drive.detuning_2,
                                     rabi_2, alpha, beta)
     ok = cond <= _COND_LIMIT

@@ -73,10 +73,39 @@ def _liouvillian_parts(scheme: LevelScheme, rabi_1: float):
 
 def _generator(parts, rabi_2):
     """A0 + w2 C at coupling Rabi frequency ``rabi_2`` (scalar, or an array
-    giving one 9x9 matrix per element)."""
+    giving one 9x9 matrix per element), in the basis of ``parts``."""
     a0, coupling = parts[:2]
     w2 = _TWO_PI * np.asarray(rabi_2, dtype=float) / 2
     return a0 + w2[..., None, None] * coupling
+
+
+def _real_basis():
+    """T and T^{-1} for vec(rho) = T r, r = [r11, r22, r33, Re r12, Im r12,
+    Re r13, Im r13, Re r23, Im r23]: the populations, then the coherences.
+    The columns of T are orthogonal, so T^{-1} = diag(1/|t_k|^2) T^H."""
+    t = np.zeros((9, 9), dtype=complex)
+    t[(0, 4, 8), (0, 1, 2)] = 1
+    for k, (ij, ji) in enumerate(((1, 3), (2, 6), (5, 7))):
+        t[(ij, ji), 3 + 2 * k] = 1
+        t[(ij, ji), 4 + 2 * k] = (1j, -1j)
+    return t, np.diag([1.0] * 3 + [0.5] * 6) @ t.conj().T
+
+
+_T, _T_INV = _real_basis()
+
+
+@lru_cache(maxsize=256)
+def _pencil_parts(scheme: LevelScheme, rabi_1: float):
+    """The generator's parts in the real basis, where the equations of motion
+    of a Hermitian rho are real: A0 and the coupling pattern C (9x9), the
+    coherence blocks of Ad1 and Ad2 (6x6), the population source, and the
+    inverse of the population block A_pp of A0, which holds only decay and
+    transit (C and Ad1, Ad2 are zero there)."""
+    a0, coupling, ad1, ad2, source = _liouvillian_parts(scheme, rabi_1)
+    real = lambda m: (_T_INV @ m @ _T).real
+    a0 = real(a0)
+    return (a0, real(coupling), real(ad1)[3:, 3:], real(ad2)[3:, 3:],
+            (_T_INV @ source).real[:3], np.linalg.inv(a0[:3, :3]))
 
 
 def steady_state_batch(scheme: LevelScheme, drive: DriveParams,
@@ -113,37 +142,64 @@ def velocity_poles(scheme: LevelScheme, rabi_1: float, delta1, detuning_2,
     a probe-detuning grid.
 
     With d1 = delta1 + alpha u and d2 = detuning_2 + beta u the generator is
-    affine in u, A(u) = A0 + u B, where B = alpha ad1 + beta ad2 is diagonal
-    and zero on the populations.  So rho(u) = (I + u M)^{-1} rho0 with
-    rho0 = -A0^{-1} s and M = A0^{-1} B, and diagonalizing M = V diag(lam) V^{-1}
-    gives
+    affine in u, A(u) = A0 + u B.  In the real basis (:data:`_T`) both are
+    real and B = alpha ad1 + beta ad2 acts on the six coherences alone.  The
+    population block A_pp holds only decay and transit, so it is constant and
+    invertible (w_t > 0), and eliminating the populations leaves the real 6x6
+    pencil on the coherences
 
-        rho_ii(u) = sum_k r_ik / (1 + u lam_k),   r_ik = V[i, k] (V^{-1} rho0)_k.
+        (S + u B_c) rho_c = q,   S = A_cc - A_cp A_pp^{-1} A_pc,
+        q = A_cp A_pp^{-1} s_p,
+
+    with rho_p(u) = -A_pp^{-1} s_p - A_pp^{-1} A_pc rho_c(u).  One real solve
+    gives S^{-1} [q | B_c], and diagonalizing M = S^{-1} B_c =
+    V diag(lam) V^{-1} gives
+
+        rho_ii(u) = c_i + sum_k r_ik / (1 + u lam_k),
+
+    r_ik = (-A_pp^{-1} A_pc V)[i, k] (V^{-1} S^{-1} q)_k, where the constant
+    c_i = (-A_pp^{-1} s_p)_i is carried as one more residue at lam = 0.
 
     ``rabi_2``, ``alpha`` and ``beta`` may be per-row arrays that broadcast
     against ``delta1``, e.g. (rows, 1) against a (rows, points) grid.
-    Returns ``(lam, res, cond)``: the (..., 9) eigenvalues, the (..., 2, 9)
-    residues of rho22 and rho33, and the condition numbers of V, over the
-    broadcast grid shape.
+    Returns ``(lam, res, cond)``: the (..., 7) eigenvalues, the (..., 2, 7)
+    residues of rho22 and rho33, and ||V||_1 ||V^{-1}||_1, over the broadcast
+    grid shape.  For a 6x6 V this lies within a factor of 6 of the 2-norm
+    condition number.
     """
     if scheme.transit_rate <= 0:
         raise SingularSystemError("steady state needs transit_rate > 0")
     d1 = np.asarray(delta1, dtype=float)
     alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-    parts = _liouvillian_parts(scheme, rabi_1)
-    ad1, ad2, source = parts[2:]
-    a = _generator(parts, rabi_2) + d1[..., None, None] * ad1 + detuning_2 * ad2
+    parts = _pencil_parts(scheme, rabi_1)
+    ad1, ad2, source, app_inv = parts[2:]
+    shape = np.broadcast_shapes(d1.shape, alpha.shape, beta.shape, np.shape(rabi_2))
+    a = _generator(parts, rabi_2)
+    pop = -app_inv @ a[..., :3, 3:]          # rho_p = rho_p0 + pop rho_c
+    rho_p0 = -app_inv @ source
+    schur = (a[..., 3:, 3:] + a[..., 3:, :3] @ pop
+             + d1[..., None, None] * ad1 + detuning_2 * ad2)
     slope = alpha[..., None, None] * ad1 + beta[..., None, None] * ad2
-    rhs = np.concatenate((np.broadcast_to(-source[:, None], slope.shape[:-1] + (1,)),
-                          slope), axis=-1)
+    q = -a[..., 3:, :3] @ rho_p0
+    rhs = np.concatenate((np.broadcast_to(q[..., None], shape + (6, 1)),
+                          np.broadcast_to(slope, shape + (6, 6))), axis=-1)
     try:
-        sol = np.linalg.solve(a, np.broadcast_to(rhs, a.shape[:-1] + (10,)))
+        sol = np.linalg.solve(np.broadcast_to(schur, shape + (6, 6)), rhs)
         lam, vecs = np.linalg.eig(sol[..., 1:])
-        coef = np.linalg.solve(vecs, sol[..., :1])[..., 0]
+        inv = np.linalg.inv(vecs)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"velocity pole expansion failed: {exc}") from exc
-    res = vecs[..., (_I22, _I33), :] * coef[..., None, :]
-    return lam, res, np.linalg.cond(vecs)
+    coef = (inv @ sol[..., :1])[..., 0]
+    res = (pop[..., 1:, :] @ vecs) * coef[..., None, :]
+    cond = _norm_1(vecs) * _norm_1(inv)
+    lam = np.concatenate((lam, np.zeros(shape + (1,))), axis=-1)
+    res = np.concatenate((res, np.broadcast_to(rho_p0[1:, None], shape + (2, 1))), axis=-1)
+    return lam, res, cond
+
+
+def _norm_1(m):
+    """Largest column sum of |m| over a stack of matrices."""
+    return np.abs(m).sum(axis=-2).max(axis=-1)
 
 
 def populations_batch(scheme: LevelScheme, drive: DriveParams,

@@ -300,3 +300,16 @@ class TestSelftest:
         assert res.returncode == 0, res.stdout + res.stderr
         assert "selftest: OK" in res.stdout
         assert "max relative error" in res.stdout
+        assert "PASS  full-engine velocity poles vs steady state" in res.stdout
+
+
+class TestStartup:
+    def test_preset_loads_no_scipy(self):
+        # scipy is imported where a Gauss-Hermite rule or w is first needed
+        code = ("import sys\n"
+                "from cascade_at.cli import run\n"
+                "assert run(['preset', 'case-a']) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[]"

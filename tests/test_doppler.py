@@ -214,17 +214,11 @@ class TestFullExact:
         for row, ref_row in zip(got, ref):
             assert np.max(np.abs(row - ref_row)) < 1e-6 * ref_row.max()
 
-    def test_dense_quadrature_stress_point(self):
-        # x = 0.05 with a saturating probe and a weak coupling: two-photon
-        # poles 6e-4 from the real axis, which the refined numeric rule
-        # misses by percents in I3 at this detuning
-        from cascade_at.threshold import _geometry_for_x
-        scheme, drive = _geometry_for_x(ca.preset("case_a")[0], 0.05, 300.0)
-        drive = replace(drive, rabi_2=1.0)
-        dopp = ca.DopplerParams(fwhm=1100.0)
-        delta1 = -20.0
+    @staticmethod
+    def dense_average(scheme, drive, dopp, delta1):
+        """(I2, I3) at one probe detuning on 16 000 uniform 12-point
+        Gauss-Legendre panels over [-6.5, 6.5] (192k nodes)."""
         alpha, beta = doppler_slopes(scheme, drive, dopp)
-        # 16 000 uniform 12-point Gauss-Legendre panels on [-6.5, 6.5]
         nodes, wts = np.polynomial.legendre.leggauss(12)
         edges = np.linspace(-6.5, 6.5, 16001)
         sums = np.zeros(2)
@@ -237,11 +231,28 @@ class TestFullExact:
                                      drive.detuning_2 + beta * t)
             sums += [wt @ pops[0], wt @ pops[1]]
         rp = rates(scheme)
-        dense = np.array([rp.Gamma_2, rp.Gamma_3]) * sums / SQRTPI
-        spec = doppler.average_full_exact("both", scheme, drive, dopp,
-                                          np.array([delta1]))
-        got = np.array([spec.I2[0], spec.I3[0]])
-        assert np.all(np.abs(got - dense) < 1e-8 * dense)
+        return np.array([rp.Gamma_2, rp.Gamma_3]) * sums / SQRTPI
+
+    def test_dense_quadrature_stress_point(self):
+        from cascade_at.threshold import _geometry_for_x
+        points = [
+            # x = 0.05 with a saturating probe and a weak coupling: two-photon
+            # poles 6e-4 from the real axis, which the refined numeric rule
+            # misses by percents in I3 at this detuning
+            (0.05, 300.0, 1.0, 1100.0, -20.0, 1e-8),
+            # x = -0.05 with a weak probe, a very strong coupling and a wide
+            # Doppler profile, far out on the probe wing
+            (-0.05, 0.65, 5e4, 5000.0, 1000.0, 1e-9),
+        ]
+        for x, rabi_1, rabi_2, fwhm, delta1, tol in points:
+            scheme, drive = _geometry_for_x(ca.preset("case_a")[0], x, rabi_1)
+            drive = replace(drive, rabi_2=rabi_2)
+            dopp = ca.DopplerParams(fwhm=fwhm)
+            dense = self.dense_average(scheme, drive, dopp, delta1)
+            spec = doppler.average_full_exact("both", scheme, drive, dopp,
+                                              np.array([delta1]))
+            got = np.array([spec.I2[0], spec.I3[0]])
+            assert np.all(np.abs(got - dense) < tol * dense), (x, got, dense)
 
     @pytest.mark.parametrize("x,rabi_2", [(-1.02, 400.0), (-0.9219, 0.0)])
     def test_near_singular_geometry_and_no_coupling(self, case_a, gh200, x, rabi_2):

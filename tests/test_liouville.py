@@ -8,7 +8,8 @@ import cascade_at as ca
 from cascade_at.doppler import _engine_batch
 from cascade_at.errors import SingularSystemError
 from cascade_at.lineshape import doppler_slopes
-from cascade_at.liouville import populations_batch, steady_state_batch
+from cascade_at.liouville import populations_batch, steady_state_batch, velocity_poles
+from cascade_at.threshold import _geometry_for_x
 
 
 def density_matrix(scheme, drive, d1, d2):
@@ -178,3 +179,38 @@ class TestFluorescence:
         scheme, drive, _ = case_a
         i2, i3 = _engine_batch("full", scheme, drive, [0.0], [0.0])
         assert i2[0] > 0 and i3[0] > 0
+
+
+class TestVelocityPoles:
+    """The pole sum of velocity_poles against the steady-state solve at the
+    shifted detunings, which shares no eigensolver with it."""
+
+    U = np.arange(-3.0, 4.0)
+    GRID = np.linspace(-1500.0, 1500.0, 13)
+
+    @pytest.mark.parametrize("case,x,changes", [
+        ("case_a", None, {}),
+        ("case_b", None, {}),
+        ("case_a", None, {"rabi_1": 300.0}),
+        ("case_a", None, {"rabi_2": 0.0}),
+        ("case_a", None, {"rabi_2": 5e4}),
+        # alpha + beta -> 0: the two-photon eigenvalues approach zero
+        ("case_a", -1.03, {}),
+    ])
+    def test_pole_sum_reconstructs_populations(self, case, x, changes):
+        scheme, drive, dopp = ca.preset(case)
+        if x is not None:
+            scheme, geometry = _geometry_for_x(scheme, x, drive.rabi_1)
+            drive = replace(geometry, rabi_2=drive.rabi_2)
+        drive = replace(drive, **changes)
+        alpha, beta = doppler_slopes(scheme, drive, dopp)
+        lam, res, _ = velocity_poles(scheme, drive.rabi_1, self.GRID, drive.detuning_2,
+                                     drive.rabi_2, alpha, beta)
+        u = self.U[:, None]
+        got = (res / (1 + u[..., None, None] * lam[:, None, :])).sum(axis=-1).real
+        d1 = self.GRID + alpha * u
+        d2 = np.broadcast_to(drive.detuning_2 + beta * u, d1.shape)
+        ref = populations_batch(scheme, drive, d1.ravel(), d2.ravel())
+        for k, row in enumerate(ref):
+            row = row.reshape(d1.shape)
+            assert np.all(np.abs(got[..., k] - row) <= 1e-10 * np.abs(row).max())
