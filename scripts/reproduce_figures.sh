@@ -4,6 +4,8 @@
 # surface.  Output lands in out/ as deterministic CSV.
 set -e
 cd "$(dirname "$0")/.."
+PYTHONPATH="$(pwd)/src${PYTHONPATH:+:$PYTHONPATH}"   # runs without an install
+export PYTHONPATH
 mkdir -p out
 
 run() { echo "+ cascade-at $*"; python3 -m cascade_at "$@"; }

@@ -18,6 +18,17 @@ Each phase evaluates the curvature of all its (cell, Omega_2) rows in one
 row-batched call, so the cells share their numpy calls; a cell's arithmetic
 is the same as that of a search run on it alone.  ``threshold_rabi`` is the
 one-cell case.
+
+The curvature is a 5-point central stencil, evaluated at Delta_1 = 0, h, 2h
+only: at resonant coupling I3 is even in Delta_1 for every engine.  In the
+analytic and perturbative engines D(-u, -Delta_1) = conj D(u, Delta_1) and
+the Gaussian weight is even; in the full engine P = diag(1, -1, 1) gives
+P H(d1, d2) P = -H(-d1, -d2) with real diagonal relaxation, so P rho* P is
+the steady state at the negated detunings, with the same populations.
+
+The search runs at the probe ``rabi_1`` it is given (default the weak probe
+Gamma_2/20) and at resonant coupling; the CLI commands pass neither the
+scenario's probe nor its coupling detuning.
 """
 from __future__ import annotations
 
@@ -37,6 +48,10 @@ _BRACKET = (1.0, 50000.0)     # MHz
 _PRESCAN_POINTS = 20
 _REL_TOL = 1e-3
 _STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])   # in units of the step h
+# I3 is even in Delta_1 at resonant coupling (module docstring): the stencil
+# is evaluated at its points 0, h, 2h, and _MIRROR picks [f2, f1, f0, f1, f2]
+_HALF_STENCIL = _STENCIL[2:]
+_MIRROR = np.array([2, 1, 0, 1, 2])
 
 
 @dataclass(frozen=True)
@@ -103,20 +118,22 @@ def curvature_at_zero(engine: str, scheme: LevelScheme, drive: DriveParams,
                       dopp: DopplerParams,
                       msum: MSublevelWeights | None = None) -> float:
     """Second derivative of the Doppler-averaged I3 at zero probe detuning
-    (5-point central stencil, step max(0.5 MHz, Om2/200)).  Positive means
-    a local minimum, i.e. resolved splitting.  Requires resonant coupling.
+    (5-point central stencil, step h = max(0.5 MHz, Om2/200)).  Positive
+    means a local minimum, i.e. resolved splitting.  Requires resonant
+    coupling, where I3 is even in Delta_1 (module docstring): the stencil is
+    evaluated at 0, h and 2h and mirrored.
     """
     _validate_engine(engine)
     if drive.detuning_2 != 0.0:
         raise ConfigError("curvature condition is defined at resonant coupling")
     h = max(0.5, drive.rabi_2 / 200.0)
-    grid = h * _STENCIL
+    grid = h * _HALF_STENCIL
 
     def i3(drv):
         return intensities(engine, "I3", scheme, drv, dopp, grid)[0]
 
     f = i3(drive) if msum is None else m_summed(i3, msum, drive)
-    return float(_second_derivative(f, h))
+    return float(_second_derivative(f[..., _MIRROR], h))
 
 
 def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
@@ -125,9 +142,9 @@ def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
     """``curvature_at_zero`` of every row: cell ``cells[r]`` at coupling
     ``rabi_2[r]``, with the same bits.
 
-    The 5-point stencils of all rows, times the folded M weights, are the
-    rows of one :func:`cascade_at.doppler._row_average` call; ``folded_sum``
-    then sums the M axis.  ``scheme`` and ``drive`` carry what all rows
+    The half stencils (0, h, 2h) of all rows, times the folded M weights,
+    are the rows of one :func:`cascade_at.doppler._row_average` call;
+    ``folded_sum`` then sums the M axis.  ``scheme`` and ``drive`` carry what all rows
     share (decay rates, the probe, resonant coupling); each cell's geometry
     enters through its Doppler slopes.  Raises NumericalError if any row
     fails.
@@ -136,11 +153,11 @@ def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
     weights = np.array([1.0] if msum is None else [w for w, _ in msum.folded()])
     h = np.maximum(0.5, rabi_2 / 200.0)
     slopes = np.array([(cell.alpha, cell.beta) for cell in cells]).reshape(-1, 2, 1, 1)
-    grid = (h[:, None] * _STENCIL)[:, None, :]            # (row, M weight, point)
+    grid = (h[:, None] * _HALF_STENCIL)[:, None, :]       # (row, M weight, point)
     i3 = _row_average(engine, "I3", scheme, drive, grid, slopes[:, 0], slopes[:, 1],
                       (rabi_2[:, None] * weights)[..., None])[0]
     f = i3[:, 0] if msum is None else folded_sum(i3.swapaxes(0, 1), msum)
-    return _second_derivative(f, h)
+    return _second_derivative(f[..., _MIRROR], h)
 
 
 def region_two_estimate(scheme: LevelScheme, x: float) -> float | None:
@@ -209,8 +226,7 @@ def _search(engine: str, scheme: LevelScheme, tasks, msum: MSublevelWeights | No
 
     # 2. pre-scan
     live = np.flatnonzero(~failed)
-    scans = np.array([np.geomspace(lo[i], hi[i], _PRESCAN_POINTS) for i in live])
-    scans = scans.reshape(len(live), _PRESCAN_POINTS)
+    scans = np.geomspace(lo[live], hi[live], _PRESCAN_POINTS, axis=1)
     curv, bad = curvatures(np.repeat(live, _PRESCAN_POINTS), scans.ravel())
     bad = bad.reshape(scans.shape).any(axis=1)
     signs = curv.reshape(scans.shape) > 0

@@ -1,5 +1,7 @@
 import math
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,17 @@ def case_b():
 @pytest.fixture(scope="session")
 def gh200():
     return ca.QuadratureRule.gauss_hermite(200)
+
+
+def subprocess_env(extra=None):
+    """Environment in which `python -m cascade_at` imports the package that
+    this test session imported, whatever the subprocess's working directory,
+    updated by ``extra``."""
+    src = str(Path(ca.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    env.update(extra or {})
+    return env
 
 
 def local_minima(grid, vals):

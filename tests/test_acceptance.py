@@ -15,6 +15,7 @@ import cascade_at as ca
 from cascade_at.doppler import intensities
 from cascade_at.msublevel import m_summed, weights
 from cascade_at.threshold import _geometry_for_x, threshold_rabi
+from conftest import subprocess_env
 
 GH200 = ca.QuadratureRule.gauss_hermite(200)
 GRID_601 = np.linspace(-1500.0, 1500.0, 601)
@@ -226,7 +227,7 @@ def test_criterion_10_engine_consistency():
 def test_criterion_11_determinism(tmp_path):
     scen = tmp_path / "scan.ini"
     base = subprocess.run([sys.executable, "-m", "cascade_at", "preset", "case-a"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=subprocess_env())
     text = base.stdout.replace("delta1_start = -1500.0", "delta1_start = -400.0")
     text = text.replace("delta1_stop = 1500.0", "delta1_stop = 400.0")
     text = text.replace("delta1_step = 5.0", "delta1_step = 25.0")
@@ -237,7 +238,7 @@ def test_criterion_11_determinism(tmp_path):
         res = subprocess.run(
             [sys.executable, "-m", "cascade_at", "spectrum", "--scenario",
              str(scen), "--engine", "full", "--observable", "both",
-             "--out", str(out)], capture_output=True, text=True)
+             "--out", str(out)], capture_output=True, text=True, env=subprocess_env())
         assert res.returncode == 0, res.stderr
         blobs.append(out.read_bytes())
     ok = blobs[0] == blobs[1] == blobs[2]

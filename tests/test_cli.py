@@ -1,5 +1,4 @@
 import hashlib
-import os
 import subprocess
 import sys
 
@@ -10,15 +9,14 @@ import cascade_at as ca
 from cascade_at import doppler
 from cascade_at.cli import _compute_spectrum, _preset_scenario, run
 from cascade_at.msublevel import m_summed, weights
+from conftest import subprocess_env
 
 CLI = [sys.executable, "-m", "cascade_at"]
 
 
 def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(CLI + args, capture_output=True, text=True, env=env)
+    return subprocess.run(CLI + args, capture_output=True, text=True,
+                          env=subprocess_env(env_extra))
 
 
 def small_scan(path, tmp, extra_scan=()):
@@ -310,6 +308,7 @@ class TestStartup:
                 "from cascade_at.cli import run\n"
                 "assert run(['preset', 'case-a']) == 0\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=subprocess_env())
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == "[]"

@@ -1,6 +1,5 @@
 """The cookbook is executable documentation: run every fenced sh command."""
 import hashlib
-import os
 import re
 import subprocess
 import sys
@@ -9,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import cascade_at
+from conftest import subprocess_env
 
 COOKBOOK = Path(__file__).resolve().parent.parent / "docs" / "cookbook.md"
 
@@ -32,14 +31,6 @@ def cookbook_commands():
             if line.strip():
                 cmds.append(line.strip())
     return cmds
-
-
-def subprocess_env():
-    """Environment in which `python -m cascade_at` imports the package that
-    this test session imported, whatever the subprocess's working directory."""
-    src = str(Path(cascade_at.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
 
 
 @pytest.fixture(scope="module")

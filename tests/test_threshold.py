@@ -7,9 +7,10 @@ import pytest
 import cascade_at as ca
 from cascade_at import doppler, threshold
 from cascade_at.errors import ConfigError, NumericalError
-from cascade_at.msublevel import weights
-from cascade_at.threshold import (ThresholdResult, _cell, _curvature_rows,
-                                  _geometry_for_x, curvature_at_zero,
+from cascade_at.msublevel import m_summed, weights
+from cascade_at.threshold import (_STENCIL, ThresholdResult, _cell, _curvature_rows,
+                                  _geometry_for_x, _second_derivative,
+                                  curvature_at_zero,
                                   region_two_estimate, threshold_curve,
                                   threshold_rabi, threshold_surface)
 from conftest import coincident_roots_drive
@@ -302,6 +303,109 @@ class TestCurvatureRows:
                             [cell] * 3, omegas, None)
         assert numeric == [(om, 0.0)]
         self.check("analytic", scheme, [cell], omegas)
+
+
+def random_cells(scheme, rng, n, rabi_1):
+    """n random (cell, Omega_2) pairs over both signs of x, Doppler widths
+    100-5000 MHz and Omega_2 0.7-40000 MHz, outside the singular bands."""
+    pairs = []
+    while len(pairs) < n:
+        x = rng.choice([-1.0, 1.0]) * rng.uniform(0.03, 2.0)
+        if abs(x + 1.0) < 0.03:
+            continue
+        dopp = ca.DopplerParams(fwhm=rng.uniform(100.0, 5000.0))
+        om = float(np.exp(rng.uniform(np.log(0.7), np.log(40000.0))))
+        pairs.append((_cell(scheme, x, dopp, rabi_1), om))
+    return pairs
+
+
+class TestEvenStencil:
+    """At resonant coupling I3 is even in Delta_1 for every engine, so the
+    curvature stencil is evaluated at 0, h and 2h only and mirrored."""
+
+    @staticmethod
+    def i3(engine, cell, rabi_2, grid, msum):
+        def op(drv):
+            return doppler.intensities(engine, "I3", cell.scheme, drv, cell.dopp,
+                                       grid)[0]
+
+        drive = replace(cell.drive, rabi_2=rabi_2)
+        return op(drive) if msum is None else m_summed(op, msum, drive)
+
+    @staticmethod
+    def rows(scheme, rabi_1, with_refused):
+        """Random cells and zero-width rows, plus (with_refused) the row whose
+        roots of D coincide at Delta_1 = 0."""
+        pairs = random_cells(scheme, np.random.default_rng(10), 4, rabi_1)
+        pairs += [(_cell(scheme, x, ca.DopplerParams(fwhm=0.0), rabi_1), om)
+                  for x, om in ((-0.5, 30.0), (0.5, 2000.0))]
+        if with_refused:
+            cell = _cell(scheme, -1.1162, ca.DopplerParams(fwhm=500.0), rabi_1)
+            pairs.append((cell, coincident_roots_drive(cell.scheme, cell.drive,
+                                                       cell.dopp).rabi_2))
+        return pairs
+
+    @pytest.mark.parametrize("msum", [False, True])
+    @pytest.mark.parametrize("engine", doppler.ENGINES)
+    def test_i3_even_in_probe_detuning(self, case_b, engine, msum):
+        scheme, drive, _ = case_b
+        wts = weights(scheme.j2, scheme.j3) if msum else None
+        rng = np.random.default_rng(11)
+        # weak probe and case b's strong probe
+        pairs = (random_cells(scheme, rng, 3, 1.0)
+                 + random_cells(scheme, rng, 2, drive.rabi_1))
+        delta1 = np.exp(rng.uniform(np.log(0.5), np.log(400.0), 4))
+        for cell, om in pairs:
+            f = self.i3(engine, cell, om, np.concatenate((delta1, -delta1)), wts)
+            plus, minus = f[:4], f[4:]
+            if engine == "analytic":
+                assert np.array_equal(plus, minus)
+            else:
+                np.testing.assert_allclose(minus, plus, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("msum", [False, True])
+    @pytest.mark.parametrize("engine", doppler.ENGINES)
+    def test_half_stencil_matches_full_stencil(self, case_b, engine, msum):
+        scheme = case_b[0]
+        wts = weights(scheme.j2, scheme.j3) if msum else None
+        pairs = self.rows(scheme, 1.0, with_refused=engine == "analytic")
+        cells, omegas = [c for c, _ in pairs], np.array([om for _, om in pairs])
+        got = _curvature_rows(engine, scheme, ca.DriveParams(rabi_1=1.0, rabi_2=0.0),
+                              cells, omegas, wts)
+        coef = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
+        for (cell, om), val in zip(pairs, got):
+            h = max(0.5, om / 200.0)
+            f = self.i3(engine, cell, om, h * _STENCIL, wts)
+            ref = _second_derivative(f, h)
+            if engine == "analytic":
+                assert val == ref
+            else:
+                scale = np.sum(np.abs(coef * f)) / (12 * h * h)
+                assert abs(val - ref) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("msum", [False, True])
+    def test_three_detunings_per_row_and_weight(self, case_b, monkeypatch, msum):
+        scheme = case_b[0]
+        wts = weights(scheme.j2, scheme.j3) if msum else None
+        n_weights = len(wts.folded()) if msum else 1
+        pairs = random_cells(scheme, np.random.default_rng(12), 3, 1.0)
+        grids = []
+        average = doppler._row_average
+
+        def recording(engine, observable, sch, drv, grid, *args, **kwargs):
+            grids.append(np.broadcast_shapes(np.shape(grid), *map(np.shape, args[:3])))
+            return average(engine, observable, sch, drv, grid, *args, **kwargs)
+
+        monkeypatch.setattr(threshold, "_row_average", recording)
+        monkeypatch.setattr(doppler, "_row_average", recording)
+        _curvature_rows("analytic", scheme, ca.DriveParams(rabi_1=1.0, rabi_2=0.0),
+                        [c for c, _ in pairs], np.array([om for _, om in pairs]), wts)
+        assert grids == [(len(pairs), n_weights, 3)]
+        grids.clear()
+        cell, om = pairs[0]
+        curvature_at_zero("analytic", cell.scheme, replace(cell.drive, rabi_2=om),
+                          cell.dopp, msum=wts)
+        assert grids == [(3,)] * n_weights
 
 
 class TestSweepErrors:
