@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
 """How the magnetic-sublevel sum reshapes the upper-level spectrum.
 
-Writes a CSV comparing the single-component and M-summed case-b spectra at
-several coupling strengths; run from the repository root.
+Writes out/msum_effect.csv under the current directory, comparing the
+single-component and M-summed case-b spectra at several coupling strengths.
+Runs without an install: the repository's src/ goes first on the path.
 """
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import cascade_at as ca
 from cascade_at.msublevel import m_summed, weights
@@ -26,6 +31,7 @@ for om2 in (300.0, 530.0, 900.0):
     header += [f"plain_{om2:.0f}", f"msum_{om2:.0f}"]
 
 data = np.column_stack(rows)
+Path("out").mkdir(exist_ok=True)
 np.savetxt("out/msum_effect.csv", data, delimiter=",",
            header=",".join(header), comments="")
 print("wrote out/msum_effect.csv")

@@ -158,8 +158,11 @@ def _grid(scan: dict, prefix: str) -> np.ndarray:
         raise ConfigError(f"{prefix}_step must be > 0")
     if stop < start:
         raise ConfigError(f"{prefix}_stop must be >= {prefix}_start")
-    n = int(math.floor((stop - start) / step + 0.5)) + 1
-    return start + step * np.arange(n)
+    span = (stop - start) / step
+    n = round(span)
+    if abs(span - n) > 1e-9 * max(n, 1):      # not a whole number of steps
+        n = math.floor(span)
+    return start + step * np.arange(n + 1)
 
 
 def _fingerprint(sc: Scenario, args_repr: str) -> str:

@@ -25,14 +25,18 @@ stencil a row.  Each grid point takes one of three routes:
   or, where velocity-space poles lie too close to the real axis for its
   nodes (the natural widths gamma/(k v_p) fall below the node spacing), a
   pole-refined composite Gauss-Legendre rule with the same Gaussian weight
-  and equivalent base resolution.
+  and equivalent base resolution.  The refinement sits on the model's own
+  poles at that point: the roots of D for ``perturbative``, p = -1/lam of
+  the velocity pencil for ``full``.
 
-:func:`average` is that numeric sum over a whole grid, for either model.
-It never touches the Faddeeva function or partial fractions, so it is an
-independent cross-check of both exact routes; on the bundled presets they
-agree to ~1e-9 relative.  :func:`average_analytic_I3`,
-:func:`average_analytic_I2` and :func:`average_full_exact` return the row
-average of one grid as a :class:`Spectrum`.
+:func:`average` is that numeric sum over a whole grid, for either model,
+and shares its stage (:func:`_numeric_stage`) with the row average.  Its
+values come from the model evaluated on the nodes, never from the Faddeeva
+function or partial fractions, so it is an independent cross-check of both
+exact routes; on the bundled presets they agree to ~1e-9 relative.
+:func:`average_analytic_I3`, :func:`average_analytic_I2` and
+:func:`average_full_exact` return the row average of one grid as a
+:class:`Spectrum`.
 """
 from __future__ import annotations
 
@@ -143,24 +147,19 @@ def pole_decomposition(scheme: LevelScheme, drive: DriveParams, dopp: DopplerPar
     return PoleDecomposition(z1=z1, z2=z2, region_two=(-1.0 < x < 0.0))
 
 
-def _refined_rule(roots, base_order: int,
-                  extra_windows=()) -> tuple[np.ndarray, np.ndarray]:
+def _refined_rule(poles, base_order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule with geometric refinement around every
-    velocity-space structure narrower than the base panels.
+    velocity-space pole narrower than the base panels.
 
-    ``roots`` are the roots of D at the grid point; ``extra_windows`` are
-    (center, halfwidth_scale) pairs for structures they do not capture
-    (used by the full engine).  Deterministic pure function of its
-    arguments.
+    ``poles`` are the integrand's poles at the grid point.  Deterministic
+    pure function of its arguments.
     """
     n_panels = max(4, base_order // _PANEL_DEGREE)
     width0 = 2 * _U_MAX / n_panels
     edges = set(np.linspace(-_U_MAX, _U_MAX, n_panels + 1).tolist())
 
-    windows = [(p.real, abs(p.imag)) for p in roots]
-    windows.extend(extra_windows)
-
-    for center, scale in windows:
+    for p in poles:
+        center, scale = p.real, abs(p.imag)
         if abs(center) > _U_MAX + 1.0 or scale >= width0:
             continue
         scale = max(scale, 1e-7)
@@ -187,23 +186,6 @@ def _refined_rule(roots, base_order: int,
     return nodes, wts * np.exp(-nodes * nodes)
 
 
-def _full_engine_windows(scheme: LevelScheme, drive: DriveParams, delta1: float,
-                         alpha: float, beta: float):
-    """Velocity classes with structure the weak-probe denominator roots do
-    not flag: the coupling-resonant class feeding the stepwise channel at
-    small Omega_2, and the saturation-dressed one-photon class when the
-    probe is strong.  The bare one- and two-photon classes are always roots
-    of D, so they need no extra windows."""
-    rp = rates(scheme)
-    out = []
-    if drive.rabi_1 > rp.gamma_12:
-        # probe dressing spreads the one-photon class over ~Om1
-        out.append((-delta1 / alpha, drive.rabi_1 / abs(alpha)))
-    if beta != 0 and drive.rabi_2 < 10 * rp.gamma_23:
-        out.append((-drive.detuning_2 / beta, rp.gamma_23 / abs(beta)))
-    return out
-
-
 def _engine_batch(model: str, scheme: LevelScheme, drive: DriveParams,
                   d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(I2, I3) raw intensities of the ``full`` or ``perturbative`` model at
@@ -225,24 +207,44 @@ def _numeric_point(model: str, scheme: LevelScheme, drive: DriveParams, delta1,
                    alpha: float, beta: float, rule: QuadratureRule) -> tuple[float, float]:
     """(I2, I3) of the ``full`` or ``perturbative`` model at one probe
     detuning by the numeric velocity sum: ``rule``, or a pole-refined rule
-    of the same base order where a root of D (or, for the full model, an
-    extra window) is narrower than its nodes can resolve."""
-    narrow_cut = 4.0 * rule.spacing
-    roots = denominator_coefficients(scheme, delta1, drive.detuning_2, drive.rabi_2,
-                                     alpha, beta).roots()
-    narrow = any(abs(p.imag) < narrow_cut and abs(p.real) < _U_MAX + 1.0 for p in roots)
+    of the same base order where a pole of the integrand is narrower than
+    its nodes can resolve.  The poles are the model's own: the roots of D
+    for the perturbative model, p = -1/lam of the velocity pencil
+    (:func:`cascade_at.liouville.velocity_poles`) for the full one.  They
+    only place the nodes; the values are the model's, summed on them."""
     if model == "full":
-        extra = _full_engine_windows(scheme, drive, delta1, alpha, beta)
-        narrow = narrow or any(s < narrow_cut and abs(c) < _U_MAX + 1.0 for c, s in extra)
+        lam = velocity_poles(scheme, drive.rabi_1, delta1, drive.detuning_2,
+                             drive.rabi_2, alpha, beta)[0]
+        poles = -1.0 / lam[np.abs(lam) > _ZERO_EIGENVALUE]
     else:
-        extra = ()
-    if narrow:
-        t, wts = _refined_rule(roots, rule.order, extra)
+        poles = denominator_coefficients(scheme, delta1, drive.detuning_2, drive.rabi_2,
+                                         alpha, beta).roots()
+    narrow_cut = 4.0 * rule.spacing
+    if any(abs(p.imag) < narrow_cut and abs(p.real) < _U_MAX + 1.0 for p in poles):
+        t, wts = _refined_rule(poles, rule.order)
     else:
         t, wts = rule.nodes, rule.weights
     v2, v3 = _engine_batch(model, scheme, drive, delta1 + alpha * t,
                            drive.detuning_2 + beta * t)
     return float(np.dot(wts, v2)) / _SQRTPI, float(np.dot(wts, v3)) / _SQRTPI
+
+
+def _numeric_stage(model: str, scheme: LevelScheme, drive: DriveParams, grid, alpha,
+                   beta, rabi_2, numeric, rule: QuadratureRule | None, vals) -> None:
+    """Fill the columns (I2, I3) of ``vals`` at every zero-width point
+    (alpha = 0) with the model at u = 0, one batch per distinct Omega_2, and
+    at every other point flagged in ``numeric`` with :func:`_numeric_point`
+    on ``rule``.  ``grid``, ``alpha``, ``beta``, ``rabi_2`` and ``numeric``
+    are flat per-point arrays."""
+    zero = alpha == 0.0
+    for om in np.unique(rabi_2[zero]):
+        at = np.flatnonzero(zero & (rabi_2 == om))
+        vals[:, at] = _engine_batch(model, scheme, replace(drive, rabi_2=float(om)),
+                                    grid[at] + 0.0, np.full(len(at), drive.detuning_2, float))
+    for k in np.flatnonzero(numeric & ~zero):
+        drv = replace(drive, rabi_2=float(rabi_2[k]))
+        vals[:, k] = _numeric_point(model, scheme, drv, grid[k], float(alpha[k]),
+                                    float(beta[k]), rule)
 
 
 def average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParams,
@@ -262,15 +264,13 @@ def average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParam
     if rule.order < MIN_QUAD_ORDER:
         raise ConfigError(f"quadrature order must be >= {MIN_QUAD_ORDER}")
     grid = np.asarray(delta1_grid, dtype=float)
-
-    if dopp.fwhm_mhz(scheme) == 0.0:
-        i2, i3 = _engine_batch(engine, scheme, drive,
-                               grid + 0.0, np.full_like(grid, drive.detuning_2))
-    else:
-        alpha, beta = doppler_slopes(scheme, drive, dopp)
-        sums = [_numeric_point(engine, scheme, drive, delta1, alpha, beta, rule)
-                for delta1 in grid]
-        i2, i3 = np.array(sums, dtype=float).reshape(len(grid), 2).T
+    flat = grid.ravel()
+    alpha, beta = doppler_slopes(scheme, drive, dopp)
+    vals = np.full((2, flat.size), np.nan)
+    _numeric_stage(engine, scheme, drive, flat, np.full(flat.size, alpha),
+                   np.full(flat.size, beta), np.full(flat.size, drive.rabi_2),
+                   np.ones(flat.size, bool), rule, vals)
+    i2, i3 = vals.reshape((2,) + grid.shape)
 
     i2 = _validated_intensity(i2) if observable in ("I2", "both") else None
     i3 = _validated_intensity(i3) if observable in ("I3", "both") else None
@@ -379,10 +379,9 @@ def _row_average(engine: str, observable: str, scheme: LevelScheme, drive: Drive
     grid, alpha, beta, rabi_2 = (np.asarray(a, dtype=float).ravel() for a in arrays)
 
     vals = np.full((2, grid.size), np.nan)
-    zero = alpha == 0.0
-    numeric = ~zero
+    numeric = alpha != 0.0
     if builder is not None:
-        points = np.flatnonzero(~zero)
+        points = np.flatnonzero(numeric)
         for part in (points[i:i + block] for i in range(0, len(points), block)):
             ok, accepted = builder(observable, scheme, drive, grid[part], alpha[part],
                                    beta[part], rabi_2[part])
@@ -390,16 +389,9 @@ def _row_average(engine: str, observable: str, scheme: LevelScheme, drive: Drive
                 if name in accepted:
                     vals[k, part[ok]] = accepted[name]
             numeric[part[ok]] = False
-    for om in np.unique(rabi_2[zero]):
-        at = np.flatnonzero(zero & (rabi_2 == om))
-        vals[:, at] = _engine_batch(model, scheme, replace(drive, rabi_2=float(om)),
-                                    grid[at] + 0.0, np.full(len(at), drive.detuning_2, float))
-    if numeric.any():
-        rule = QuadratureRule.gauss_hermite(quad_order if builder is None else 200)
-        for k in np.flatnonzero(numeric):
-            drv = replace(drive, rabi_2=float(rabi_2[k]))
-            vals[:, k] = _numeric_point(model, scheme, drv, grid[k], float(alpha[k]),
-                                        float(beta[k]), rule)
+    rule = (QuadratureRule.gauss_hermite(quad_order if builder is None else 200)
+            if numeric.any() else None)
+    _numeric_stage(model, scheme, drive, grid, alpha, beta, rabi_2, numeric, rule, vals)
     rows = [k for k, name in enumerate(("I2", "I3")) if observable in (name, "both")]
     return np.stack([_validated_intensity(vals[k].reshape(shape)) for k in rows])
 

@@ -7,7 +7,7 @@ import pytest
 
 import cascade_at as ca
 from cascade_at import doppler
-from cascade_at.cli import _compute_spectrum, _preset_scenario, run
+from cascade_at.cli import _compute_spectrum, _grid, _preset_scenario, run
 from cascade_at.msublevel import m_summed, weights
 from conftest import subprocess_env
 
@@ -171,6 +171,40 @@ class TestByteIdentity:
         assert run([command, "--preset", "case-a", "--engine", "analytic",
                     "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.EXPECTED[command]
+
+    # SHA-256 of the perturbative engine's numeric route, I2 and I3 on the
+    # reduced case-a grid of small_scan with the M sum on and off, measured
+    # with the same numpy and scipy
+    PERTURBATIVE = {
+        "on": "1faca426d2cd917a822159358ffdbef970a470ce97c4439832b613f5225867d6",
+        "off": "f41a011a733118bdbd5e9eb3794aff9d420a16bc5e54701f38444fd8d2ab2b21",
+    }
+
+    @pytest.mark.parametrize("msum", ["on", "off"])
+    def test_perturbative_small_scan_sha256(self, tmp_path, msum):
+        scen = small_scan("a.ini", tmp_path)
+        out = tmp_path / "pert.csv"
+        assert run(["spectrum", "--scenario", scen, "--engine", "perturbative",
+                    "--observable", "both", "--msum", msum, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PERTURBATIVE[msum]
+
+
+class TestGrid:
+    @staticmethod
+    def grid(start, stop, step):
+        return _grid({"d_start": start, "d_stop": stop, "d_step": step}, "d")
+
+    def test_never_passes_stop(self):
+        # a fractional step count of 0.5 or more adds no point beyond stop
+        np.testing.assert_allclose(self.grid(0.0, 1.0, 0.4), [0.0, 0.4, 0.8])
+        np.testing.assert_allclose(self.grid(0.0, 1.0, 0.3), [0.0, 0.3, 0.6, 0.9])
+
+    def test_whole_step_count_keeps_stop(self):
+        # (1.2 - 0) / 0.4 = 2.9999999999999996 is three steps
+        np.testing.assert_allclose(self.grid(0.0, 1.2, 0.4), [0.0, 0.4, 0.8, 1.2])
+        assert np.array_equal(self.grid(2.0, 2.0, 1.0), [2.0])
+        sc = _preset_scenario("case-a")
+        assert [len(_grid(sc.scan, p)) for p in ("delta1", "x", "dnu")] == [601, 40, 13]
 
 
 class TestThresholdCommands:

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 import cascade_at as ca
 from cascade_at import doppler
-from cascade_at.doppler import _refined_rule, _full_engine_windows
 from cascade_at.errors import ConfigError, DegenerateRootError
 from cascade_at.lineshape import doppler_slopes
 from cascade_at.liouville import populations_batch, velocity_poles
@@ -24,8 +23,10 @@ def quad_oracle(engine, observable, scheme, drive, dopp, delta1):
     den = ca.denominator_coefficients(scheme, delta1, drive.detuning_2, drive.rabi_2,
                                       alpha, beta)
     pts = [p.real for p in den.roots() if abs(p.real) < 11]
-    pts += [c for c, _ in _full_engine_windows(scheme, drive, delta1, alpha, beta)
-            if abs(c) < 11]
+    if engine == "full":
+        lam = velocity_poles(scheme, drive.rabi_1, delta1, drive.detuning_2,
+                             drive.rabi_2, alpha, beta)[0]
+        pts += [p.real for p in -1.0 / lam[np.abs(lam) > 1e-8] if abs(p.real) < 11]
     rp = rates(scheme)
     idx = 0 if observable == "I2" else 1
     gam = rp.Gamma_2 if observable == "I2" else rp.Gamma_3
@@ -236,9 +237,9 @@ class TestFullExact:
     def test_dense_quadrature_stress_point(self):
         from cascade_at.threshold import _geometry_for_x
         points = [
-            # x = 0.05 with a saturating probe and a weak coupling: two-photon
-            # poles 6e-4 from the real axis, which the refined numeric rule
-            # misses by percents in I3 at this detuning
+            # x = 0.05 with a saturating probe and a weak coupling: the strong
+            # probe splits the two-photon class into poles 6e-4 from the real
+            # axis, near u = -0.0104 and +0.0118
             (0.05, 300.0, 1.0, 1100.0, -20.0, 1e-8),
             # x = -0.05 with a weak probe, a very strong coupling and a wide
             # Doppler profile, far out on the probe wing
@@ -253,6 +254,21 @@ class TestFullExact:
                                               np.array([delta1]))
             got = np.array([spec.I2[0], spec.I3[0]])
             assert np.all(np.abs(got - dense) < tol * dense), (x, got, dense)
+
+    def test_numeric_oracle_at_stress_point(self, gh200):
+        # the oracle itself at the first stress point: its refinement
+        # windows must land on the split two-photon poles, which no root of D
+        # marks
+        from cascade_at.threshold import _geometry_for_x
+        scheme, drive = _geometry_for_x(ca.preset("case_a")[0], 0.05, 300.0)
+        drive = replace(drive, rabi_2=1.0)
+        dopp = ca.DopplerParams(fwhm=1100.0)
+        grid = np.array([-31.0, -20.0, 0.0, 20.0, 31.0])
+        spec = ca.average("full", "both", scheme, drive, dopp, gh200, grid)
+        for k, delta1 in enumerate(grid):
+            dense = self.dense_average(scheme, drive, dopp, delta1)
+            got = np.array([spec.I2[k], spec.I3[k]])
+            assert np.all(np.abs(got - dense) < 1e-6 * dense), (delta1, got, dense)
 
     @pytest.mark.parametrize("x,rabi_2", [(-1.02, 400.0), (-0.9219, 0.0)])
     def test_near_singular_geometry_and_no_coupling(self, case_a, gh200, x, rabi_2):
