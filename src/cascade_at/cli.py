@@ -343,6 +343,14 @@ def _cmd_selftest(args) -> int:
                               doppler.QuadratureRule.gauss_hermite(200), grid).I3
     checks.append(("full-engine pole expansion vs numeric average",
                    np.max(np.abs(exact - numeric)) < 1e-6 * numeric.max()))
+    close = []
+    for om in (5.0, 50.0, 500.0):
+        drv = replace(weak, rabi_2=om, detuning_2=0.0)
+        h = max(0.5, om / 200.0)
+        f = doppler.intensities("analytic", "I3", sa, drv, pa, h * threshold._STENCIL)[0]
+        exact = threshold.curvature_at_zero("analytic", sa, drv, pa)
+        close.append(abs(exact - threshold._second_derivative(f, h)) <= 1e-4 * f[2] / h ** 2)
+    checks.append(("exact analytic curvature vs 5-point stencil", all(close)))
     alpha, beta = doppler.doppler_slopes(sa, da, pa)
     u = np.arange(-3.0, 4.0)
     lam, res, _ = liouville.velocity_poles(sa, da.rabi_1, 100.0, da.detuning_2,

@@ -1,23 +1,28 @@
 """Gaussian velocity averaging of the fixed-velocity lineshapes.
 
-Every Doppler-averaged value of the package comes from one row average,
+Every Doppler-averaged value of the package, apart from the analytic
+engine's exact threshold curvature, comes from one row average,
 :func:`_row_average`: rows of probe detunings with per-row Doppler slopes
 alpha, beta and coupling Rabi frequency Omega_2.  A spectrum is one row
 (:func:`intensities`); an M-summed spectrum makes the folded M weights one
 more row axis; a threshold search makes every (cell, Omega_2, M weight)
-stencil a row.  Each grid point takes one of three routes:
+stencil it needs a row.  Each grid point takes one of three routes:
 
 * zero-width rows (alpha = 0) evaluate the model at u = 0;
 
-* engines ``analytic`` and ``full`` sum velocity poles exactly, one
-  Faddeeva value per pole via ``Integral e^{-t^2}/(t - z) dt = i pi w(z)``
-  for Im z > 0 (the lower half-plane reached by conjugation symmetry).
-  For ``analytic``, the weak-probe 1/|D(u)|^2 has four simple poles, the
-  roots of D and their conjugates; for ``full``, the Liouvillian is affine
-  in velocity with a diagonal slope, so each population is rational in u
-  with at most six finite poles (:func:`cascade_at.liouville.velocity_poles`).
-  The pole builders run in blocks of a fixed number of grid points, which
-  bounds their temporaries at any grid size;
+* engines ``analytic`` and ``full`` sum velocity poles exactly via
+  ``Integral e^{-t^2}/(t - z) dt = i pi w(z)`` for Im z > 0 (the lower
+  half-plane reached by conjugation symmetry).  For ``analytic``, the
+  weak-probe 1/|D(u)|^2 has four simple poles, the roots of D and their
+  conjugates, whose integrals are the conjugates of the roots' ones: one
+  Faddeeva value per root.  For ``full``, the Liouvillian is affine in
+  velocity with a diagonal slope, so each population is rational in u with
+  at most six finite poles (:func:`cascade_at.liouville.velocity_poles`),
+  one Faddeeva value each.  The pole builders run in blocks of a fixed
+  number of grid points, which bounds their temporaries at any grid size.
+  The same four poles give the analytic I3's exact curvature at
+  Delta_1 = 0 (:func:`_weak_probe_curvature`), which the threshold search
+  uses;
 
 * every point of the ``perturbative`` engine, and every point a pole
   builder refuses (coincident roots of D, an ill-conditioned eigenbasis),
@@ -286,14 +291,22 @@ def _pole_integrals(poles):
     return sign * 1j * math.pi * faddeeva_w(sign * poles)
 
 
+def _root_faddeeva(z):
+    """Sign s = sign Im z and w(s z) for the roots z of D, one Faddeeva call.
+    The conjugate poles need no call of their own: their integral is the
+    conjugate one, since w(-conj zeta) = conj w(zeta)."""
+    sign = np.where(z.imag > 0, 1.0, -1.0)
+    return sign, faddeeva_w(sign * z)
+
+
 def _weak_probe_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
     """Perturbative I2 and/or I3 by partial fractions: 1/(D(u) conj(D)(u))
     has four simple poles, the roots of D and their conjugates.  I2's
     quadratic numerator |gamma_13 + i(d1+d2)|^2 is continued off the real
     axis to the poles; both observables share the roots, the pole products
-    and one Faddeeva call.  ``alpha``, ``beta`` and ``rabi_2`` are given per
-    grid point.  Refuses grid points whose poles come closer than 1e-9
-    relative."""
+    and one Faddeeva call on the roots of D (:func:`_root_faddeeva`).
+    ``alpha``, ``beta`` and ``rabi_2`` are given per grid point.  Refuses
+    grid points whose poles come closer than 1e-9 relative."""
     rp = rates(scheme)
     den = denominator_coefficients(scheme, grid, drive.detuning_2, rabi_2, alpha, beta)
     z1, z2 = den.roots()
@@ -311,7 +324,9 @@ def _weak_probe_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
     scale = np.maximum(np.maximum(np.abs(z1), np.abs(z2)), 1e-30)
     ok = ~(sep < _DEGENERATE_SEP * scale)
     p = poles[ok]
-    integrals = _pole_integrals(p)
+    sign, w = _root_faddeeva(p[:, :2])
+    integrals = np.concatenate((sign * 1j * math.pi * w,
+                                -sign * 1j * math.pi * np.conj(w)), axis=-1)
     den_prod = np.square(np.abs(den.a[ok]))[:, None] * prod[ok]
     out = {}
     if observable in ("I2", "both"):
@@ -324,6 +339,52 @@ def _weak_probe_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
         residues = 1.0 / den_prod
         out["I3"] = prefactor * (residues * integrals).sum(axis=-1).real / _SQRTPI
     return ok, out
+
+
+def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
+    """Exact second derivative of the analytic I3 in Delta_1 at Delta_1 = 0,
+    from the four poles of 1/|D|^2 (``docs/model.md``, "Splitting
+    threshold").  ``alpha`` (nonzero), ``beta`` and ``rabi_2`` are given per
+    point; each point takes one root solve and one Faddeeva call on the roots
+    of D.  Implicit differentiation of D = a u^2 + b u + c gives the pole
+    derivatives, log-derivatives of the residues give theirs, and the
+    conjugate poles contribute the conjugate terms.  Returns the mask of
+    accepted points and their curvatures; like :func:`_weak_probe_poles` it
+    refuses points whose poles come closer than 1e-9 relative."""
+    rp = rates(scheme)
+    den = denominator_coefficients(scheme, 0.0, drive.detuning_2, rabi_2, alpha, beta)
+    z = np.stack(den.roots(), axis=-1)                   # (point, root)
+
+    def differences(v):
+        """v_k - v_j for k a root of D and j each of the four poles (roots
+        first, then their conjugates): zero at j = k."""
+        return v[:, :, None] - np.concatenate((v, np.conj(v)), axis=-1)[:, None, :]
+
+    self_pair = np.eye(2, 4, dtype=bool)
+    q = np.where(self_pair, 1.0, differences(z))
+    sep = np.where(self_pair, np.inf, np.abs(q)).min(axis=(1, 2))
+    scale = np.maximum(np.abs(z).max(axis=-1), 1e-30)
+    ok = ~(sep < _DEGENERATE_SEP * scale)
+    z, q, a, b = z[ok], q[ok], den.a[ok, None], den.b[ok, None]
+    db = -(2 * alpha[ok] + beta[ok])[:, None]            # b', with c' below and c'' = -2
+    dc = 1j * (rp.gamma_12 + rp.gamma_13) - drive.detuning_2
+    slope = 2 * a * z + b
+    dz = -(db * z + dc) / slope
+    d2z = -(2 * a * dz * dz + 2 * db * dz - 2) / slope
+    dq, d2q = differences(dz), differences(d2z)
+    residue = 1.0 / (np.square(np.abs(a)) * np.prod(q, axis=-1))
+    t1, t2 = dq / q, d2q / q
+    dlog = -t1.sum(axis=-1)                              # R'/R
+    d2log = -(t2 - t1 * t1).sum(axis=-1)
+    sign, w = _root_faddeeva(z)
+    zeta = sign * z
+    w1 = -2 * zeta * w + 2j / _SQRTPI
+    w2 = (4 * zeta * zeta - 2) * w - 4j * zeta / _SQRTPI
+    j0, j1, j2 = sign * 1j * math.pi * w, 1j * math.pi * w1, sign * 1j * math.pi * w2
+    terms = residue * ((d2log + dlog * dlog) * j0 + 2 * dlog * j1 * dz
+                       + j2 * dz * dz + j1 * d2z)
+    prefactor = rp.Gamma_3 * K_RHO33 * np.square(drive.rabi_1 * rabi_2[ok] / 4)
+    return ok, prefactor * 2 * terms.sum(axis=-1).real / _SQRTPI
 
 
 def _full_engine_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):

@@ -11,20 +11,29 @@ cell of a curve or surface at once, in three phases:
    kept where the curvature is negative at its bottom and positive at its top;
 2. pre-scan: 20 log-spaced Omega_2 over each cell's bracket find the first
    negative-to-positive crossing and flag multiple sign changes;
-3. bisection: every cell with a crossing halves its own bracket at the
-   geometric midpoint until b/a <= 1 + 1e-3.
+3. Illinois steps: every cell with a crossing moves one end of its bracket
+   [a, b] to the secant point of the two end curvatures on log Omega_2,
+   halving the value of an end kept twice in a row and taking the
+   geometric midpoint when the secant point is not strictly inside, until
+   b/a <= 1 + 1e-3; the threshold is sqrt(ab).
 
 Each phase evaluates the curvature of all its (cell, Omega_2) rows in one
 row-batched call, so the cells share their numpy calls; a cell's arithmetic
 is the same as that of a search run on it alone.  ``threshold_rabi`` is the
 one-cell case.
 
-The curvature is a 5-point central stencil, evaluated at Delta_1 = 0, h, 2h
-only: at resonant coupling I3 is even in Delta_1 for every engine.  In the
-analytic and perturbative engines D(-u, -Delta_1) = conj D(u, Delta_1) and
-the Gaussian weight is even; in the full engine P = diag(1, -1, 1) gives
+The analytic engine's curvature is exact: the second derivative of the
+partial-fraction average at Delta_1 = 0, from the four poles of 1/|D|^2 and
+their derivatives (:func:`cascade_at.doppler._weak_probe_curvature`).  The
+other engines, and the analytic points the exact form refuses (poles closer
+than 1e-9 relative, zero Doppler width), take a 5-point central stencil of
+step h = max(0.5 MHz, Omega_2/200), evaluated at Delta_1 = 0, h, 2h only: at
+resonant coupling I3 is even in Delta_1 for every engine.  In the analytic
+and perturbative engines D(-u, -Delta_1) = conj D(u, Delta_1) and the
+Gaussian weight is even; in the full engine P = diag(1, -1, 1) gives
 P H(d1, d2) P = -H(-d1, -d2) with real diagonal relaxation, so P rho* P is
-the steady state at the negated detunings, with the same populations.
+the steady state at the negated detunings, with the same populations.  An
+M sum adds the curvatures of its components.
 
 The search runs at the probe ``rabi_1`` it is given (default the weak probe
 Gamma_2/20) and at resonant coupling; the CLI commands pass neither the
@@ -37,11 +46,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .doppler import ENGINES, _row_average, intensities
+from .doppler import ENGINES, _WEAK_PROBE_BLOCK, _row_average, _weak_probe_curvature
 from .errors import ConfigError, NumericalError
 from .lineshape import doppler_slopes
 from .model import DopplerParams, DriveParams, LevelScheme, rates
-from .msublevel import MSublevelWeights, folded_sum, m_summed
+# m_summed stays bound here: perfbench/tracer.py patches it in every module
+# that binds it, and perfbench/selftests.py checks the patch on this module
+from .msublevel import MSublevelWeights, folded_sum, m_summed  # noqa: F401
 
 SINGULAR_BAND = 0.02          # excluded neighbourhoods of x = 0 and x = -1
 _BRACKET = (1.0, 50000.0)     # MHz
@@ -117,47 +128,56 @@ def _second_derivative(f, h):
 def curvature_at_zero(engine: str, scheme: LevelScheme, drive: DriveParams,
                       dopp: DopplerParams,
                       msum: MSublevelWeights | None = None) -> float:
-    """Second derivative of the Doppler-averaged I3 at zero probe detuning
-    (5-point central stencil, step h = max(0.5 MHz, Om2/200)).  Positive
-    means a local minimum, i.e. resolved splitting.  Requires resonant
-    coupling, where I3 is even in Delta_1 (module docstring): the stencil is
-    evaluated at 0, h and 2h and mirrored.
+    """Second derivative of the Doppler-averaged I3 at zero probe detuning.
+    Positive means a local minimum, i.e. resolved splitting.  Requires
+    resonant coupling.  The one-row case of the threshold search's
+    curvatures (module docstring), with the same bits.
     """
     _validate_engine(engine)
     if drive.detuning_2 != 0.0:
         raise ConfigError("curvature condition is defined at resonant coupling")
-    h = max(0.5, drive.rabi_2 / 200.0)
-    grid = h * _HALF_STENCIL
-
-    def i3(drv):
-        return intensities(engine, "I3", scheme, drv, dopp, grid)[0]
-
-    f = i3(drive) if msum is None else m_summed(i3, msum, drive)
-    return float(_second_derivative(f[..., _MIRROR], h))
+    alpha, beta = doppler_slopes(scheme, drive, dopp)
+    return float(_curvature_rows(engine, scheme, drive, np.array([alpha]),
+                                 np.array([beta]), np.array([drive.rabi_2]), msum)[0])
 
 
 def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
-                    cells: list[_Cell], rabi_2: np.ndarray,
+                    alpha: np.ndarray, beta: np.ndarray, rabi_2: np.ndarray,
                     msum: MSublevelWeights | None) -> np.ndarray:
-    """``curvature_at_zero`` of every row: cell ``cells[r]`` at coupling
-    ``rabi_2[r]``, with the same bits.
+    """I3 curvature at Delta_1 = 0 of every row: Doppler slopes ``alpha[r]``,
+    ``beta[r]`` at coupling ``rabi_2[r]``.  ``scheme`` and ``drive`` carry
+    what all rows share (decay rates, the probe, resonant coupling).
 
-    The half stencils (0, h, 2h) of all rows, times the folded M weights,
-    are the rows of one :func:`cascade_at.doppler._row_average` call;
-    ``folded_sum`` then sums the M axis.  ``scheme`` and ``drive`` carry what all rows
-    share (decay rates, the probe, resonant coupling); each cell's geometry
-    enters through its Doppler slopes.  Raises NumericalError if any row
-    fails.
+    Every (row, folded M weight) pair is one point.  Analytic points take
+    the exact curvature (:func:`cascade_at.doppler._weak_probe_curvature`),
+    in blocks of ``_WEAK_PROBE_BLOCK``; the points it refuses, zero-width
+    points (alpha = 0) and every point of the other engines take the even
+    half stencil, all in one :func:`cascade_at.doppler._row_average` call.
+    ``folded_sum`` then sums the M axis.  Raises NumericalError if any row
+    fails or gives a non-finite curvature.
     """
     rabi_2 = np.asarray(rabi_2, dtype=float)
     weights = np.array([1.0] if msum is None else [w for w, _ in msum.folded()])
-    h = np.maximum(0.5, rabi_2 / 200.0)
-    slopes = np.array([(cell.alpha, cell.beta) for cell in cells]).reshape(-1, 2, 1, 1)
-    grid = (h[:, None] * _HALF_STENCIL)[:, None, :]       # (row, M weight, point)
-    i3 = _row_average(engine, "I3", scheme, drive, grid, slopes[:, 0], slopes[:, 1],
-                      (rabi_2[:, None] * weights)[..., None])[0]
-    f = i3[:, 0] if msum is None else folded_sum(i3.swapaxes(0, 1), msum)
-    return _second_derivative(f[..., _MIRROR], h)
+    om = (rabi_2[:, None] * weights).ravel()              # (row, M weight), flat
+    h = np.repeat(np.maximum(0.5, rabi_2 / 200.0), len(weights))
+    alpha, beta = (np.repeat(np.asarray(s, dtype=float), len(weights)) for s in (alpha, beta))
+    curv = np.full(om.size, np.nan)
+    stencil = np.ones(om.size, dtype=bool)
+    if engine == "analytic":
+        exact = np.flatnonzero(alpha != 0.0)
+        for part in (exact[i:i + _WEAK_PROBE_BLOCK]
+                     for i in range(0, len(exact), _WEAK_PROBE_BLOCK)):
+            ok, vals = _weak_probe_curvature(scheme, drive, alpha[part], beta[part], om[part])
+            curv[part[ok]] = vals
+            stencil[part[ok]] = False
+        if not np.all(np.isfinite(curv[~stencil])):
+            raise NumericalError("non-finite exact curvature")
+    if stencil.any():
+        i3 = _row_average(engine, "I3", scheme, drive, h[stencil, None] * _HALF_STENCIL,
+                          alpha[stencil, None], beta[stencil, None], om[stencil, None])[0]
+        curv[stencil] = _second_derivative(i3[:, _MIRROR], h[stencil])
+    curv = curv.reshape(len(rabi_2), len(weights))
+    return curv[:, 0] if msum is None else folded_sum(curv.T, msum)
 
 
 def region_two_estimate(scheme: LevelScheme, x: float) -> float | None:
@@ -186,23 +206,25 @@ def _search(engine: str, scheme: LevelScheme, tasks, msum: MSublevelWeights | No
     if rabi_1 is None:
         rabi_1 = rates(scheme).Gamma_2 / 20.0
     cells = [_cell(scheme, x, dopp, rabi_1) for x, dopp in tasks]
+    alpha = np.array([cell.alpha for cell in cells])
+    beta = np.array([cell.beta for cell in cells])
     drive = DriveParams(rabi_1=rabi_1, rabi_2=0.0)
 
     def curvatures(idx, rabi_2):
         """Curvatures of the rows (cells[idx[r]], rabi_2[r]) and the mask of
         rows that raise NumericalError (nan).  A failed batch is retried row
         by row, each row being one call of a search run on its cell alone."""
-        rows = [cells[i] for i in idx]
         try:
-            return (_curvature_rows(engine, scheme, drive, rows, rabi_2, msum),
-                    np.zeros(len(rows), dtype=bool))
+            return (_curvature_rows(engine, scheme, drive, alpha[idx], beta[idx], rabi_2,
+                                    msum),
+                    np.zeros(len(idx), dtype=bool))
         except NumericalError:
             pass
-        curv, bad = np.full(len(rows), np.nan), np.zeros(len(rows), dtype=bool)
-        for r, cell in enumerate(rows):
+        curv, bad = np.full(len(idx), np.nan), np.zeros(len(idx), dtype=bool)
+        for r, i in enumerate(idx):
             try:
-                curv[r] = _curvature_rows(engine, scheme, drive, [cell],
-                                          rabi_2[r:r + 1], msum)[0]
+                curv[r] = _curvature_rows(engine, scheme, drive, alpha[i:i + 1],
+                                          beta[i:i + 1], rabi_2[r:r + 1], msum)[0]
             except NumericalError:
                 bad[r] = True
         return curv, bad
@@ -229,7 +251,8 @@ def _search(engine: str, scheme: LevelScheme, tasks, msum: MSublevelWeights | No
     scans = np.geomspace(lo[live], hi[live], _PRESCAN_POINTS, axis=1)
     curv, bad = curvatures(np.repeat(live, _PRESCAN_POINTS), scans.ravel())
     bad = bad.reshape(scans.shape).any(axis=1)
-    signs = curv.reshape(scans.shape) > 0
+    curv = curv.reshape(scans.shape)
+    signs = curv > 0
     rising = ~signs[:, :-1] & signs[:, 1:]
     found = rising.any(axis=1) & ~bad
     # a positive sign before the first crossing (strong-probe dressing can
@@ -239,26 +262,36 @@ def _search(engine: str, scheme: LevelScheme, tasks, msum: MSublevelWeights | No
     non_monotonic = np.zeros(n, dtype=bool)
     non_monotonic[live[found]] = ((rising.sum(axis=1) > 1) | signs[:, 0])[found]
     first = rising.argmax(axis=1)[found]
-    bisected = live[found]
-    a = scans[found, first]
-    b = scans[found, first + 1]
+    stepped = live[found]
+    a, b = scans[found, first], scans[found, first + 1]
+    fa, fb = curv[found, first], curv[found, first + 1]
 
-    # 3. bisection, each cell on its own bracket
-    active = np.ones(len(bisected), dtype=bool)
+    # 3. Illinois steps on log Omega_2, each cell on its own bracket
+    la, lb = np.log(a), np.log(b)
+    kept = np.zeros(len(stepped), dtype=int)      # end kept last round: -1 a, 1 b
+    active = np.ones(len(stepped), dtype=bool)
     while True:
         step = np.flatnonzero(active & (b / a > 1.0 + _REL_TOL))
         if not len(step):
             break
-        mid = np.sqrt(a[step] * b[step])
-        curv, bad = curvatures(bisected[step], mid)
-        up, down = curv > 0, ~(curv > 0) & ~bad
-        b[step[up]], a[step[down]] = mid[up], mid[down]
+        new = lb[step] - fb[step] * (lb[step] - la[step]) / (fb[step] - fa[step])
+        inside = (la[step] < new) & (new < lb[step])
+        new = np.where(inside, new, 0.5 * (la[step] + lb[step]))
+        om = np.exp(new)
+        curv, bad = curvatures(stepped[step], om)
+        pos, neg = curv > 0, ~(curv > 0) & ~bad
+        up, down = step[pos], step[neg]
+        # an end kept a second time in a row has its value halved
+        fa[up[kept[up] == -1]] /= 2
+        fb[down[kept[down] == 1]] /= 2
+        b[up], lb[up], fb[up], kept[up] = om[pos], new[pos], curv[pos], -1
+        a[down], la[down], fa[down], kept[down] = om[neg], new[neg], curv[neg], 1
         active[step[bad]] = False
 
     omega = np.full(n, np.nan)
-    omega[bisected[active]] = np.sqrt(a[active] * b[active])
+    omega[stepped[active]] = np.sqrt(a[active] * b[active])
     converged = np.zeros(n, dtype=bool)
-    converged[bisected[active]] = True
+    converged[stepped[active]] = True
     return omega, converged, non_monotonic & converged
 
 
@@ -268,7 +301,7 @@ def threshold_rabi(engine: str, scheme: LevelScheme, x: float, dopp: DopplerPara
     """Smallest coupling Rabi frequency with resolved splitting at ratio x:
     the one-cell case of the lockstep search (module docstring).  The
     pre-scan reports multiple sign changes via ``non_monotonic``; the
-    bisection stops at 1e-3 relative.  A numerical failure gives an
+    Illinois steps stop at 1e-3 relative.  A numerical failure gives an
     unconverged nan result.
     """
     _validate_engine(engine)

@@ -161,8 +161,8 @@ class TestByteIdentity:
     # with numpy 2.4.6 and scipy 1.17.1.  Any change of arithmetic that moves
     # a printed digit of a threshold changes them.
     EXPECTED = {
-        "threshold": "a6df8dea4e80a2752cc0256571396e6b245158d08b5761ba17ee788de8399ad8",
-        "surface": "0037ad865c699f4b3ee4e08d63c53ac0a36e704b5f766cd0f41c0b7ff51d8426",
+        "threshold": "b8e136b19fdf0e5720a6984f028fda3ba509b4ddd259d5946db275a228a68fa1",
+        "surface": "cf5e90763acb6cc6b0bf6b6f0e78e3370dbbe13d19811c5ba5121664afdd8faf",
     }
 
     @pytest.mark.parametrize("command", ["threshold", "surface"])
@@ -179,6 +179,21 @@ class TestByteIdentity:
         "on": "1faca426d2cd917a822159358ffdbef970a470ce97c4439832b613f5225867d6",
         "off": "f41a011a733118bdbd5e9eb3794aff9d420a16bc5e54701f38444fd8d2ab2b21",
     }
+
+    # SHA-256 of the analytic engine's partial fractions, I2 and I3 of the
+    # case-a preset with the M sum on and off, measured with the same numpy
+    # and scipy
+    ANALYTIC = {
+        "on": "c97f8eaa9a20db16910e252f9e720da14f5f7d3c3311f14502eb8d680a3ec5dd",
+        "off": "6dce5636e15759bfe5110acd8fc28abe5d936b52048dc639c63345aacd3e3bde",
+    }
+
+    @pytest.mark.parametrize("msum", ["on", "off"])
+    def test_analytic_spectrum_sha256(self, tmp_path, msum):
+        out = tmp_path / "analytic.csv"
+        assert run(["spectrum", "--preset", "case-a", "--engine", "analytic",
+                    "--observable", "both", "--msum", msum, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.ANALYTIC[msum]
 
     @pytest.mark.parametrize("msum", ["on", "off"])
     def test_perturbative_small_scan_sha256(self, tmp_path, msum):
@@ -333,6 +348,7 @@ class TestSelftest:
         assert "selftest: OK" in res.stdout
         assert "max relative error" in res.stdout
         assert "PASS  full-engine velocity poles vs steady state" in res.stdout
+        assert "PASS  exact analytic curvature vs 5-point stencil" in res.stdout
 
 
 class TestStartup:

@@ -20,9 +20,9 @@ DOP = ca.DopplerParams(fwhm=1100.0)
 
 def scalar_search(engine, scheme, x, dopp, msum=None, rabi_1=None):
     """Slow oracle for the lockstep search: one cell, one curvature_at_zero
-    call per evaluation, seed check, pre-scan and bisection in plain
-    Python.  Also returns whether the region-II seed bracket was taken
-    (None outside region II)."""
+    call per evaluation, seed check, pre-scan and Illinois steps on
+    log Omega_2 in plain Python.  Also returns whether the region-II seed
+    bracket was taken (None outside region II)."""
     if rabi_1 is None:
         rabi_1 = ca.rates(scheme).Gamma_2 / 20.0
     scheme_x, drive0 = _geometry_for_x(scheme, x, rabi_1)
@@ -40,18 +40,32 @@ def scalar_search(engine, scheme, x, dopp, msum=None, rabi_1=None):
         if taken:
             lo, hi = lo_s, hi_s
     scan = np.geomspace(lo, hi, 20)
-    signs = np.array([curv(om) > 0 for om in scan])
+    vals = [curv(om) for om in scan]
+    signs = np.array(vals) > 0
     crossings = np.nonzero(~signs[:-1] & signs[1:])[0]
     if len(crossings) == 0:
         return ThresholdResult(omega_t=float("nan"), converged=False), taken
     non_monotonic = len(crossings) > 1 or bool(signs[0])
-    a, b = float(scan[crossings[0]]), float(scan[crossings[0] + 1])
+    k = crossings[0]
+    a, b, fa, fb = float(scan[k]), float(scan[k + 1]), vals[k], vals[k + 1]
+    # np.log and np.exp, as in the lockstep search: math.log can differ in
+    # the last bit
+    la, lb = np.log(a), np.log(b)
+    kept = None
     while b / a > 1.0 + 1e-3:
-        mid = math.sqrt(a * b)
-        if curv(mid) > 0:
-            b = mid
+        new = lb - fb * (lb - la) / (fb - fa)
+        if not la < new < lb:
+            new = 0.5 * (la + lb)
+        om = float(np.exp(new))
+        f = curv(om)
+        if f > 0:
+            if kept == "a":
+                fa /= 2
+            b, lb, fb, kept = om, new, f, "a"
         else:
-            a = mid
+            if kept == "b":
+                fb /= 2
+            a, la, fa, kept = om, new, f, "b"
     return ThresholdResult(math.sqrt(a * b), True, non_monotonic), taken
 
 
@@ -259,7 +273,7 @@ class TestCurvatureRows:
         drive = ca.DriveParams(rabi_1=rabi_1, rabi_2=0.0)
         row_cells = [cell for cell in cells for _ in omegas]
         rabi_2 = np.tile(omegas, len(cells))
-        got = _curvature_rows(engine, scheme, drive, row_cells, rabi_2, msum)
+        got = _curvature_rows(engine, scheme, drive, *slopes(row_cells), rabi_2, msum)
         for cell, om, val in zip(row_cells, rabi_2, got):
             ref = curvature_at_zero(engine, cell.scheme,
                                     replace(cell.drive, rabi_2=float(om)), cell.dopp,
@@ -283,9 +297,10 @@ class TestCurvatureRows:
         self.check("full", scheme, cells, self.OMEGAS[::2], msum=wts, rabi_1=36.0)
 
     def test_refused_row(self, case_b, monkeypatch):
-        # at this Omega_2 the roots of D coincide at Delta_1 = 0, the middle
-        # stencil point: that one point takes the per-point numeric sum
-        # inside the batch, and its row keeps the oracle's bits
+        # at this Omega_2 the roots of D coincide at Delta_1 = 0: the exact
+        # curvature refuses the row, which takes the half stencil, and of
+        # that only the middle point takes the per-point numeric sum; the
+        # row keeps the oracle's bits
         scheme = case_b[0]
         cell = _cell(scheme, -1.1162, ca.DopplerParams(fwhm=500.0), 1.0)
         om = coincident_roots_drive(cell.scheme, cell.drive, cell.dopp).rabi_2
@@ -300,9 +315,14 @@ class TestCurvatureRows:
         with monkeypatch.context() as patch:
             patch.setattr(doppler, "_numeric_point", recording)
             _curvature_rows("analytic", scheme, ca.DriveParams(rabi_1=1.0, rabi_2=0.0),
-                            [cell] * 3, omegas, None)
+                            *slopes([cell] * 3), omegas, None)
         assert numeric == [(om, 0.0)]
         self.check("analytic", scheme, [cell], omegas)
+
+
+def slopes(cells):
+    """Per-row Doppler slopes (alpha, beta) of ``_curvature_rows``."""
+    return np.array([c.alpha for c in cells]), np.array([c.beta for c in cells])
 
 
 def random_cells(scheme, rng, n, rabi_1):
@@ -321,7 +341,9 @@ def random_cells(scheme, rng, n, rabi_1):
 
 class TestEvenStencil:
     """At resonant coupling I3 is even in Delta_1 for every engine, so the
-    curvature stencil is evaluated at 0, h and 2h only and mirrored."""
+    curvature stencil (engines perturbative and full, and the analytic rows
+    the exact curvature refuses) is evaluated at 0, h and 2h only and
+    mirrored."""
 
     @staticmethod
     def i3(engine, cell, rabi_2, grid, msum):
@@ -333,16 +355,18 @@ class TestEvenStencil:
         return op(drive) if msum is None else m_summed(op, msum, drive)
 
     @staticmethod
-    def rows(scheme, rabi_1, with_refused):
-        """Random cells and zero-width rows, plus (with_refused) the row whose
-        roots of D coincide at Delta_1 = 0."""
-        pairs = random_cells(scheme, np.random.default_rng(10), 4, rabi_1)
-        pairs += [(_cell(scheme, x, ca.DopplerParams(fwhm=0.0), rabi_1), om)
-                  for x, om in ((-0.5, 30.0), (0.5, 2000.0))]
-        if with_refused:
+    def rows(scheme, rabi_1, engine):
+        """Rows that take the half stencil: zero-width rows, plus random cells
+        for the engines without an exact curvature, or for ``analytic`` the
+        row whose roots of D coincide at Delta_1 = 0."""
+        pairs = [(_cell(scheme, x, ca.DopplerParams(fwhm=0.0), rabi_1), om)
+                 for x, om in ((-0.5, 30.0), (0.5, 2000.0))]
+        if engine == "analytic":
             cell = _cell(scheme, -1.1162, ca.DopplerParams(fwhm=500.0), rabi_1)
             pairs.append((cell, coincident_roots_drive(cell.scheme, cell.drive,
                                                        cell.dopp).rabi_2))
+        else:
+            pairs += random_cells(scheme, np.random.default_rng(10), 4, rabi_1)
         return pairs
 
     @pytest.mark.parametrize("msum", [False, True])
@@ -366,21 +390,33 @@ class TestEvenStencil:
     @pytest.mark.parametrize("msum", [False, True])
     @pytest.mark.parametrize("engine", doppler.ENGINES)
     def test_half_stencil_matches_full_stencil(self, case_b, engine, msum):
+        # the curvature of an M sum is the multiplicity-weighted sum of the
+        # components' curvatures, in folded_sum's order
         scheme = case_b[0]
         wts = weights(scheme.j2, scheme.j3) if msum else None
-        pairs = self.rows(scheme, 1.0, with_refused=engine == "analytic")
+        pairs = self.rows(scheme, 1.0, engine)
+        if engine == "analytic" and msum:
+            # the M components of the refused row other than the refused one
+            # take the exact curvature (TestExactCurvature)
+            pairs = pairs[:-1]
         cells, omegas = [c for c, _ in pairs], np.array([om for _, om in pairs])
         got = _curvature_rows(engine, scheme, ca.DriveParams(rabi_1=1.0, rabi_2=0.0),
-                              cells, omegas, wts)
+                              *slopes(cells), omegas, wts)
         coef = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
         for (cell, om), val in zip(pairs, got):
             h = max(0.5, om / 200.0)
-            f = self.i3(engine, cell, om, h * _STENCIL, wts)
-            ref = _second_derivative(f, h)
+
+            def stencil(drv):
+                f = doppler.intensities(engine, "I3", cell.scheme, drv, cell.dopp,
+                                        h * _STENCIL)[0]
+                return np.array([_second_derivative(f, h),
+                                 np.sum(np.abs(coef * f)) / (12 * h * h)])
+
+            drive = replace(cell.drive, rabi_2=om)
+            ref, scale = stencil(drive) if wts is None else m_summed(stencil, wts, drive)
             if engine == "analytic":
                 assert val == ref
             else:
-                scale = np.sum(np.abs(coef * f)) / (12 * h * h)
                 assert abs(val - ref) <= 1e-9 * scale
 
     @pytest.mark.parametrize("msum", [False, True])
@@ -389,6 +425,8 @@ class TestEvenStencil:
         wts = weights(scheme.j2, scheme.j3) if msum else None
         n_weights = len(wts.folded()) if msum else 1
         pairs = random_cells(scheme, np.random.default_rng(12), 3, 1.0)
+        rows = (ca.DriveParams(rabi_1=1.0, rabi_2=0.0), *slopes([c for c, _ in pairs]),
+                np.array([om for _, om in pairs]), wts)
         grids = []
         average = doppler._row_average
 
@@ -398,14 +436,80 @@ class TestEvenStencil:
 
         monkeypatch.setattr(threshold, "_row_average", recording)
         monkeypatch.setattr(doppler, "_row_average", recording)
-        _curvature_rows("analytic", scheme, ca.DriveParams(rabi_1=1.0, rabi_2=0.0),
-                        [c for c, _ in pairs], np.array([om for _, om in pairs]), wts)
-        assert grids == [(len(pairs), n_weights, 3)]
+        _curvature_rows("perturbative", scheme, *rows)
+        assert grids == [(len(pairs) * n_weights, 3)]
         grids.clear()
         cell, om = pairs[0]
-        curvature_at_zero("analytic", cell.scheme, replace(cell.drive, rabi_2=om),
+        curvature_at_zero("perturbative", cell.scheme, replace(cell.drive, rabi_2=om),
                           cell.dopp, msum=wts)
-        assert grids == [(3,)] * n_weights
+        assert grids == [(n_weights, 3)]
+        grids.clear()
+        # analytic rows the exact curvature accepts take no stencil point
+        _curvature_rows("analytic", scheme, *rows)
+        assert grids == []
+
+
+class TestExactCurvature:
+    """The exact analytic curvature against 5-point stencils over two
+    averages: the analytic engine's partial fractions, and the numeric sum
+    of ``average("perturbative")``, which uses neither partial fractions nor
+    the Faddeeva function.  The tolerance, fixed before measuring, is 1e-4
+    of f(0)/h^2, the stencil's own scale."""
+
+    TOL = 1e-4
+    # (x, Doppler FWHM, Omega_2): region II, |x| > 1, co-propagating cells,
+    # both sides of the singular bands, Omega_2 at the 0.5 MHz step floor
+    # (Omega_2 <= 100 MHz) and above it
+    CASES = [(-0.5, 1100.0, 15.0), (-0.9219, 1100.0, 60.0), (-0.05, 200.0, 30000.0),
+             (-1.5, 500.0, 300.0), (-1.9, 3000.0, 2000.0), (0.5, 1100.0, 2500.0),
+             (1.9, 200.0, 1.0), (0.05, 20000.0, 40.0)]
+
+    @staticmethod
+    def analytic(cell, drive, grid):
+        return doppler.intensities("analytic", "I3", cell.scheme, drive, cell.dopp,
+                                   grid)[0]
+
+    @staticmethod
+    def numeric(cell, drive, grid):
+        return doppler.average("perturbative", "I3", cell.scheme, drive, cell.dopp,
+                               ca.QuadratureRule.gauss_hermite(200), grid).I3
+
+    def check(self, scheme, pairs, msum, average):
+        got = _curvature_rows("analytic", scheme, ca.DriveParams(rabi_1=1.0, rabi_2=0.0),
+                              *slopes([c for c, _ in pairs]),
+                              np.array([om for _, om in pairs]), msum)
+        for (cell, om), val in zip(pairs, got):
+            h = max(0.5, om / 200.0)
+            drive = replace(cell.drive, rabi_2=om)
+
+            def op(drv):
+                return average(cell, drv, h * _STENCIL)
+
+            f = op(drive) if msum is None else m_summed(op, msum, drive)
+            assert abs(val - _second_derivative(f, h)) <= self.TOL * f[2] / h ** 2
+
+    def pairs(self, scheme):
+        return [(_cell(scheme, x, ca.DopplerParams(fwhm=dnu), 1.0), om)
+                for x, dnu, om in self.CASES]
+
+    # "q-line": J = 3 -> 3, whose M = 0 component has zero weight
+    @pytest.mark.parametrize("msum", ["off", "q-line"])
+    def test_against_analytic_stencil(self, case_a, msum):
+        scheme = case_a[0]
+        wts = weights(3, 3) if msum == "q-line" else None
+        pairs = self.pairs(scheme) + random_cells(scheme, np.random.default_rng(13), 40, 1.0)
+        # the row whose roots of D coincide at Delta_1 = 0 for the strongest
+        # M component: that component takes the stencil, the others are exact
+        cell = _cell(scheme, -1.5, ca.DopplerParams(fwhm=500.0), 1.0)
+        pairs.append((cell, coincident_roots_drive(cell.scheme, cell.drive,
+                                                   cell.dopp).rabi_2))
+        self.check(scheme, pairs, wts, self.analytic)
+
+    @pytest.mark.parametrize("msum", ["off", "q-line"])
+    def test_against_numeric_stencil(self, case_a, msum):
+        scheme = case_a[0]
+        wts = weights(3, 3) if msum == "q-line" else None
+        self.check(scheme, self.pairs(scheme), wts, self.numeric)
 
 
 class TestSweepErrors:
@@ -424,10 +528,10 @@ class TestSweepErrors:
         plain = threshold_curve("analytic", case_a[0], self.GRID, DOP)
         rows = threshold._curvature_rows
 
-        def failing(engine, scheme, drive, cells, rabi_2, msum):
-            if any(cell.x == 0.5 for cell in cells):
+        def failing(engine, scheme, drive, alpha, beta, rabi_2, msum):
+            if np.any(beta > 0):                  # the co-propagating cell x = 0.5
                 raise NumericalError("solver failed")
-            return rows(engine, scheme, drive, cells, rabi_2, msum)
+            return rows(engine, scheme, drive, alpha, beta, rabi_2, msum)
 
         monkeypatch.setattr(threshold, "_curvature_rows", failing)
         tmap = threshold_curve("analytic", case_a[0], self.GRID, DOP)
@@ -435,3 +539,21 @@ class TestSweepErrors:
         assert tmap.omega_t[0, 0] == plain.omega_t[0, 0]
         assert tmap.converged[0, 0] and plain.converged.all()
         assert not threshold_rabi("analytic", case_a[0], 0.5, DOP).converged
+
+    def test_non_finite_exact_curvature_marks_cell_unconverged(self, case_a, monkeypatch):
+        plain = threshold_curve("analytic", case_a[0], self.GRID, DOP)
+        exact = threshold._weak_probe_curvature
+
+        def overflowing(scheme, drive, alpha, beta, rabi_2):
+            ok, vals = exact(scheme, drive, alpha, beta, rabi_2)
+            # inf at the co-propagating cell x = 0.5
+            return ok, np.where(beta[ok] > 0, np.inf, vals)
+
+        monkeypatch.setattr(threshold, "_weak_probe_curvature", overflowing)
+        cell = _cell(case_a[0], 0.5, DOP, 1.0)
+        with pytest.raises(NumericalError):
+            _curvature_rows("analytic", case_a[0], cell.drive, *slopes([cell]),
+                            np.array([100.0]), None)
+        tmap = threshold_curve("analytic", case_a[0], self.GRID, DOP)
+        assert np.isnan(tmap.omega_t[1, 0]) and not tmap.converged[1, 0]
+        assert tmap.omega_t[0, 0] == plain.omega_t[0, 0] and tmap.converged[0, 0]
