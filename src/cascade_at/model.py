@@ -15,7 +15,7 @@ Angular factors of 2*pi appear only inside the Bloch-equation assembly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -25,6 +25,14 @@ KB = 1.380649e-23               # Boltzmann constant, J/K
 AMU = 1.66053906892e-27         # atomic mass unit, kg
 
 _LN2 = math.log(2.0)
+
+
+def _require_finite(params) -> None:
+    """Reject nan and inf in the numeric fields of a parameter dataclass."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +59,7 @@ class LevelScheme:
     mass: float = 45.98         # amu
 
     def __post_init__(self):
+        _require_finite(self)
         if self.wavenumber_21 <= 0 or self.wavenumber_32 <= 0:
             raise ConfigError("transition wavenumbers must be positive")
         if self.lifetime_2 <= 0 or self.lifetime_3 <= 0:
@@ -101,6 +110,7 @@ class DriveParams:
     dir_2: int = -1
 
     def __post_init__(self):
+        _require_finite(self)
         if self.rabi_1 < 0 or self.rabi_2 < 0:
             raise ConfigError("Rabi frequencies must be >= 0")
         if self.dir_1 not in (-1, 1) or self.dir_2 not in (-1, 1):
@@ -117,6 +127,7 @@ class DopplerParams:
     fwhm: float | None = None
 
     def __post_init__(self):
+        _require_finite(self)
         if (self.temperature is None) == (self.fwhm is None):
             raise ConfigError("give exactly one of temperature or fwhm")
         if self.temperature is not None and self.temperature <= 0:

@@ -4,7 +4,11 @@ The splitting counts as resolved when the Doppler-averaged upper-level
 intensity develops a local minimum at zero probe detuning, i.e. when its
 curvature there changes sign.  The threshold is the smallest coupling Rabi
 frequency with positive curvature.  One lockstep search finds it for every
-cell of a curve or surface at once, in three phases:
+cell of a curve or surface at once.  The cells are the product of a 1-D
+grid of wavenumber ratios x and a 1-D grid of Doppler widths; the geometry
+realizing x is built once per x, and a cell enters the search only through
+its two Doppler slopes and, in region II, the seed of its x.  The search
+runs in three phases:
 
 1. seed check: in the counter-propagating region -1 < x < 0 the analytic
    estimate ``Gam / sqrt(-x (1+x))`` proposes the bracket [seed/30, seed*30],
@@ -20,7 +24,7 @@ cell of a curve or surface at once, in three phases:
 Each phase evaluates the curvature of all its (cell, Omega_2) rows in one
 row-batched call, so the cells share their numpy calls; a cell's arithmetic
 is the same as that of a search run on it alone.  ``threshold_rabi`` is the
-one-cell case.
+1 x 1 case and ``threshold_curve`` the one-width case.
 
 The analytic engine's curvature is exact: the second derivative of the
 partial-fraction average at Delta_1 = 0, from the four poles of 1/|D|^2 and
@@ -87,20 +91,6 @@ class ThresholdMap:
     non_monotonic: np.ndarray
     engine: str
     region_two: np.ndarray
-
-
-@dataclass(frozen=True)
-class _Cell:
-    """One (x, Doppler width) cell of a search: the geometry realizing x,
-    its Doppler slopes and the region-II bracket seed (None outside)."""
-
-    x: float
-    dopp: DopplerParams
-    scheme: LevelScheme
-    drive: DriveParams        # rabi_2 = 0; each row sets its own
-    alpha: float
-    beta: float
-    seed: float | None
 
 
 def _validate_engine(engine: str) -> None:
@@ -189,29 +179,40 @@ def region_two_estimate(scheme: LevelScheme, x: float) -> float | None:
     return gam / math.sqrt(-x * (1 + x))
 
 
-def _cell(scheme: LevelScheme, x: float, dopp: DopplerParams, rabi_1: float) -> _Cell:
-    if abs(x) < SINGULAR_BAND or abs(x + 1.0) < SINGULAR_BAND:
-        raise ConfigError(f"x = {x} inside a singular band of the threshold map")
-    scheme_x, drive_x = _geometry_for_x(scheme, x, rabi_1)
-    alpha, beta = doppler_slopes(scheme_x, drive_x, dopp)
-    return _Cell(x=x, dopp=dopp, scheme=scheme_x, drive=drive_x, alpha=alpha,
-                 beta=beta, seed=region_two_estimate(scheme_x, x))
-
-
-def _search(engine: str, scheme: LevelScheme, tasks, msum: MSublevelWeights | None,
-            rabi_1: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Threshold, converged and non-monotonic flags of every (x, dopp) task
-    by one lockstep search (module docstring).  A numerical failure in any
-    curvature a cell needs leaves that cell nan and unconverged."""
+def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
+            msum: MSublevelWeights | None, rabi_1: float | None) -> ThresholdMap:
+    """Threshold map over the product of the 1-D grids ``x_grid`` and
+    ``dnu_grid`` (Doppler FWHM, MHz) by one lockstep search (module
+    docstring).  A numerical failure in any curvature a cell needs leaves
+    that cell nan and unconverged."""
+    _validate_engine(engine)
+    x_grid, dnu_grid = np.asarray(x_grid, dtype=float), np.asarray(dnu_grid, dtype=float)
+    if x_grid.ndim != 1 or dnu_grid.ndim != 1:
+        raise ConfigError("threshold x and Doppler width grids must be 1-D")
+    if not (np.all(np.isfinite(x_grid)) and np.all(np.isfinite(dnu_grid))):
+        raise ConfigError("threshold x and Doppler width grids must be finite")
+    bad = (np.abs(x_grid) < SINGULAR_BAND) | (np.abs(x_grid + 1.0) < SINGULAR_BAND)
+    if np.any(bad):
+        raise ConfigError(
+            f"x grid enters the singular bands |x| < {SINGULAR_BAND} or "
+            f"|x+1| < {SINGULAR_BAND}: {x_grid[bad]}")
     if rabi_1 is None:
         rabi_1 = rates(scheme).Gamma_2 / 20.0
-    cells = [_cell(scheme, x, dopp, rabi_1) for x, dopp in tasks]
-    alpha = np.array([cell.alpha for cell in cells])
-    beta = np.array([cell.beta for cell in cells])
+    # cells are the x-major product: the geometry is built once per x, the
+    # Doppler parameters once per width
+    dopps = [DopplerParams(fwhm=float(w)) for w in dnu_grid]
+    slopes = []
+    for x in x_grid:
+        scheme_x, drive_x = _geometry_for_x(scheme, float(x), rabi_1)
+        slopes += [doppler_slopes(scheme_x, drive_x, dopp) for dopp in dopps]
+    alpha, beta = np.array(slopes, dtype=float).reshape(-1, 2).T
+    # region-II seeds depend on x only (nan outside region II)
+    seed = np.repeat(np.array([region_two_estimate(scheme, float(x)) for x in x_grid],
+                              dtype=float), len(dnu_grid))
     drive = DriveParams(rabi_1=rabi_1, rabi_2=0.0)
 
     def curvatures(idx, rabi_2):
-        """Curvatures of the rows (cells[idx[r]], rabi_2[r]) and the mask of
+        """Curvatures of the rows (cell idx[r], rabi_2[r]) and the mask of
         rows that raise NumericalError (nan).  A failed batch is retried row
         by row, each row being one call of a search run on its cell alone."""
         try:
@@ -229,14 +230,14 @@ def _search(engine: str, scheme: LevelScheme, tasks, msum: MSublevelWeights | No
                 bad[r] = True
         return curv, bad
 
-    n = len(cells)
+    n = len(seed)
     lo, hi = np.full(n, _BRACKET[0]), np.full(n, _BRACKET[1])
     failed = np.zeros(n, dtype=bool)
 
     # 1. seed check, as `curv(lo_s) < 0 < curv(hi_s)`: the top counts only
     # where the bottom is negative
-    seeded = np.array([i for i, c in enumerate(cells) if c.seed is not None], dtype=int)
-    seeds = np.array([cells[i].seed for i in seeded])
+    seeded = np.flatnonzero(~np.isnan(seed))
+    seeds = seed[seeded]
     lo_s = np.maximum(_BRACKET[0], seeds / 30)
     hi_s = np.minimum(_BRACKET[1], seeds * 30)
     curv, bad = curvatures(np.concatenate((seeded, seeded)), np.concatenate((lo_s, hi_s)))
@@ -292,7 +293,12 @@ def _search(engine: str, scheme: LevelScheme, tasks, msum: MSublevelWeights | No
     omega[stepped[active]] = np.sqrt(a[active] * b[active])
     converged = np.zeros(n, dtype=bool)
     converged[stepped[active]] = True
-    return omega, converged, non_monotonic & converged
+    shape = (len(x_grid), len(dnu_grid))
+    return ThresholdMap(
+        x_grid=x_grid, dnu_grid=dnu_grid, omega_t=omega.reshape(shape),
+        converged=converged.reshape(shape),
+        non_monotonic=(non_monotonic & converged).reshape(shape), engine=engine,
+        region_two=(x_grid > -1.0) & (x_grid < 0.0))
 
 
 def threshold_rabi(engine: str, scheme: LevelScheme, x: float, dopp: DopplerParams,
@@ -304,52 +310,23 @@ def threshold_rabi(engine: str, scheme: LevelScheme, x: float, dopp: DopplerPara
     Illinois steps stop at 1e-3 relative.  A numerical failure gives an
     unconverged nan result.
     """
-    _validate_engine(engine)
-    omega, converged, non_monotonic = _search(engine, scheme, [(x, dopp)], msum, rabi_1)
-    return ThresholdResult(omega_t=float(omega[0]), converged=bool(converged[0]),
-                           non_monotonic=bool(non_monotonic[0]))
-
-
-def _validate_x_grid(x_grid: np.ndarray) -> np.ndarray:
-    x_grid = np.asarray(x_grid, dtype=float)
-    bad = (np.abs(x_grid) < SINGULAR_BAND) | (np.abs(x_grid + 1.0) < SINGULAR_BAND)
-    if np.any(bad):
-        raise ConfigError(
-            f"x grid enters the singular bands |x| < {SINGULAR_BAND} or "
-            f"|x+1| < {SINGULAR_BAND}: {x_grid[bad]}")
-    return x_grid
+    tmap = _search(engine, scheme, [x], [dopp.fwhm_mhz(scheme)], msum, rabi_1)
+    return ThresholdResult(omega_t=float(tmap.omega_t[0, 0]),
+                           converged=bool(tmap.converged[0, 0]),
+                           non_monotonic=bool(tmap.non_monotonic[0, 0]))
 
 
 def threshold_curve(engine: str, scheme: LevelScheme, x_grid, dopp: DopplerParams,
                     msum: MSublevelWeights | None = None,
                     rabi_1: float | None = None) -> ThresholdMap:
     """Threshold vs wavenumber ratio at a fixed Doppler width."""
-    _validate_engine(engine)
-    x_grid = _validate_x_grid(x_grid)
-    tasks = [(float(x), dopp) for x in x_grid]
-    omega, conv, nonmono = (arr.reshape(len(x_grid), 1)
-                            for arr in _search(engine, scheme, tasks, msum, rabi_1))
-    sch = scheme  # Doppler width resolved against the probe transition
-    return ThresholdMap(
-        x_grid=x_grid, dnu_grid=np.array([dopp.fwhm_mhz(sch)]),
-        omega_t=omega, converged=conv, non_monotonic=nonmono, engine=engine,
-        region_two=(x_grid > -1.0) & (x_grid < 0.0))
+    return _search(engine, scheme, x_grid, [dopp.fwhm_mhz(scheme)], msum, rabi_1)
 
 
 def threshold_surface(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
                       msum: MSublevelWeights | None = None,
                       rabi_1: float | None = None) -> ThresholdMap:
     """Threshold over the (x, Doppler width) plane."""
-    _validate_engine(engine)
-    x_grid = _validate_x_grid(x_grid)
-    dnu_grid = np.asarray(dnu_grid, dtype=float)
-    if np.any(dnu_grid <= 0):
+    if np.any(np.asarray(dnu_grid, dtype=float) <= 0):
         raise ConfigError("Doppler widths in the surface grid must be > 0")
-    tasks = [(float(x), DopplerParams(fwhm=float(dnu)))
-             for x in x_grid for dnu in dnu_grid]
-    omega, conv, nonmono = (arr.reshape(len(x_grid), len(dnu_grid))
-                            for arr in _search(engine, scheme, tasks, msum, rabi_1))
-    return ThresholdMap(
-        x_grid=x_grid, dnu_grid=dnu_grid, omega_t=omega, converged=conv,
-        non_monotonic=nonmono, engine=engine,
-        region_two=(x_grid > -1.0) & (x_grid < 0.0))
+    return _search(engine, scheme, x_grid, dnu_grid, msum, rabi_1)

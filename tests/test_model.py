@@ -131,6 +131,26 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ca.DriveParams(rabi_1=-1.0, rabi_2=100.0)
 
+    VALID = {
+        ca.LevelScheme: dict(wavenumber_21=1e4, wavenumber_32=1e4, lifetime_2=10.0,
+                             lifetime_3=10.0),
+        ca.DriveParams: dict(rabi_1=1.0, rabi_2=100.0),
+        ca.DopplerParams: {},        # the field under test is its one width
+    }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("cls, field", [
+        (ca.LevelScheme, name) for name in (
+            "wavenumber_21", "wavenumber_32", "lifetime_2", "lifetime_3",
+            "branch_2_to_1", "branch_3_to_2", "transit_rate", "mass")
+    ] + [(ca.DriveParams, name) for name in (
+        "rabi_1", "rabi_2", "detuning_1", "detuning_2")
+    ] + [(ca.DopplerParams, "temperature"), (ca.DopplerParams, "fwhm")])
+    def test_non_finite_field(self, cls, field, value):
+        cls(**{**self.VALID[cls], field: 1.0})
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            cls(**{**self.VALID[cls], field: value})
+
 
 def test_most_probable_speed_consistency(case_a):
     scheme, _, dopp = case_a

@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 import cascade_at as ca
 from cascade_at import doppler, threshold
 from cascade_at.errors import ConfigError, NumericalError
+from cascade_at.lineshape import doppler_slopes
 from cascade_at.msublevel import m_summed, weights
-from cascade_at.threshold import (_STENCIL, ThresholdResult, _cell, _curvature_rows,
+from cascade_at.threshold import (_STENCIL, ThresholdResult, _curvature_rows,
                                   _geometry_for_x, _second_derivative,
                                   curvature_at_zero,
                                   region_two_estimate, threshold_curve,
@@ -16,6 +18,15 @@ from cascade_at.threshold import (_STENCIL, ThresholdResult, _cell, _curvature_r
 from conftest import coincident_roots_drive
 
 DOP = ca.DopplerParams(fwhm=1100.0)
+
+Cell = namedtuple("Cell", "scheme drive dopp alpha beta")
+
+
+def make_cell(scheme, x, dopp, rabi_1):
+    """One (x, Doppler width) cell of the search: the geometry realizing x
+    (coupling off) and its Doppler slopes."""
+    scheme_x, drive_x = _geometry_for_x(scheme, x, rabi_1)
+    return Cell(scheme_x, drive_x, dopp, *doppler_slopes(scheme_x, drive_x, dopp))
 
 
 def scalar_search(engine, scheme, x, dopp, msum=None, rabi_1=None):
@@ -232,6 +243,34 @@ class TestThresholdSurface:
             threshold_surface("analytic", scheme, np.array([-0.5]),
                               np.array([-100.0]))
 
+    @pytest.mark.parametrize("x_grid, dnu_grid", [
+        ([math.nan, -0.5], [1100.0]), ([math.inf], [1100.0]), ([-math.inf], [1100.0]),
+        ([-0.5], [math.nan, 1100.0]), ([-0.5], [math.inf]),
+        ([[-0.5, 0.5]], [1100.0]), ([-0.5], [[1100.0]]), (-0.5, [1100.0])],
+        ids=["nan-x", "inf-x", "minus-inf-x", "nan-width", "inf-width", "2d-x",
+             "2d-width", "scalar-x"])
+    def test_bad_grids_rejected(self, case_a, x_grid, dnu_grid):
+        scheme = case_a[0]
+        with pytest.raises(ConfigError):
+            threshold_surface("analytic", scheme, x_grid, dnu_grid)
+        if np.ndim(dnu_grid) == 1 and np.all(np.isfinite(dnu_grid)):
+            with pytest.raises(ConfigError):
+                threshold_curve("analytic", scheme, x_grid, DOP)
+
+    def test_geometry_built_once_per_x(self, case_a, monkeypatch):
+        calls = []
+        geometry = threshold._geometry_for_x
+
+        def counting(scheme, x, rabi_1):
+            calls.append(x)
+            return geometry(scheme, x, rabi_1)
+
+        monkeypatch.setattr(threshold, "_geometry_for_x", counting)
+        tmap = threshold_surface("analytic", case_a[0], np.array([-1.9, -0.5, 0.5]),
+                                 np.array([200.0, 1100.0, 3000.0, 5000.0]))
+        assert tmap.omega_t.shape == (3, 4)
+        assert calls == [-1.9, -0.5, 0.5]
+
 
 class TestLockstepSearch:
     @pytest.mark.parametrize("msum", [False, True])
@@ -283,7 +322,7 @@ class TestCurvatureRows:
     @pytest.mark.parametrize("msum", [False, True])
     def test_analytic(self, case_a, msum):
         scheme = case_a[0]
-        cells = [_cell(scheme, x, ca.DopplerParams(fwhm=dnu), 1.0)
+        cells = [make_cell(scheme, x, ca.DopplerParams(fwhm=dnu), 1.0)
                  for x, dnu in ((-1.9, 200.0), (-0.5, 1100.0), (0.05, 20000.0),
                                 (0.5, 0.0))]          # zero width: u = 0
         wts = weights(scheme.j2, scheme.j3) if msum else None
@@ -292,7 +331,7 @@ class TestCurvatureRows:
     @pytest.mark.parametrize("msum", [False, True])
     def test_full(self, case_b, msum):
         scheme = case_b[0]
-        cells = [_cell(scheme, x, DOP, 36.0) for x in (-1.1162, -0.5, 0.5)]
+        cells = [make_cell(scheme, x, DOP, 36.0) for x in (-1.1162, -0.5, 0.5)]
         wts = weights(scheme.j2, scheme.j3) if msum else None
         self.check("full", scheme, cells, self.OMEGAS[::2], msum=wts, rabi_1=36.0)
 
@@ -302,7 +341,7 @@ class TestCurvatureRows:
         # that only the middle point takes the per-point numeric sum; the
         # row keeps the oracle's bits
         scheme = case_b[0]
-        cell = _cell(scheme, -1.1162, ca.DopplerParams(fwhm=500.0), 1.0)
+        cell = make_cell(scheme, -1.1162, ca.DopplerParams(fwhm=500.0), 1.0)
         om = coincident_roots_drive(cell.scheme, cell.drive, cell.dopp).rabi_2
         omegas = np.array([om / 2, om, 2 * om])
         numeric = []
@@ -335,7 +374,7 @@ def random_cells(scheme, rng, n, rabi_1):
             continue
         dopp = ca.DopplerParams(fwhm=rng.uniform(100.0, 5000.0))
         om = float(np.exp(rng.uniform(np.log(0.7), np.log(40000.0))))
-        pairs.append((_cell(scheme, x, dopp, rabi_1), om))
+        pairs.append((make_cell(scheme, x, dopp, rabi_1), om))
     return pairs
 
 
@@ -359,10 +398,10 @@ class TestEvenStencil:
         """Rows that take the half stencil: zero-width rows, plus random cells
         for the engines without an exact curvature, or for ``analytic`` the
         row whose roots of D coincide at Delta_1 = 0."""
-        pairs = [(_cell(scheme, x, ca.DopplerParams(fwhm=0.0), rabi_1), om)
+        pairs = [(make_cell(scheme, x, ca.DopplerParams(fwhm=0.0), rabi_1), om)
                  for x, om in ((-0.5, 30.0), (0.5, 2000.0))]
         if engine == "analytic":
-            cell = _cell(scheme, -1.1162, ca.DopplerParams(fwhm=500.0), rabi_1)
+            cell = make_cell(scheme, -1.1162, ca.DopplerParams(fwhm=500.0), rabi_1)
             pairs.append((cell, coincident_roots_drive(cell.scheme, cell.drive,
                                                        cell.dopp).rabi_2))
         else:
@@ -489,7 +528,7 @@ class TestExactCurvature:
             assert abs(val - _second_derivative(f, h)) <= self.TOL * f[2] / h ** 2
 
     def pairs(self, scheme):
-        return [(_cell(scheme, x, ca.DopplerParams(fwhm=dnu), 1.0), om)
+        return [(make_cell(scheme, x, ca.DopplerParams(fwhm=dnu), 1.0), om)
                 for x, dnu, om in self.CASES]
 
     # "q-line": J = 3 -> 3, whose M = 0 component has zero weight
@@ -500,7 +539,7 @@ class TestExactCurvature:
         pairs = self.pairs(scheme) + random_cells(scheme, np.random.default_rng(13), 40, 1.0)
         # the row whose roots of D coincide at Delta_1 = 0 for the strongest
         # M component: that component takes the stencil, the others are exact
-        cell = _cell(scheme, -1.5, ca.DopplerParams(fwhm=500.0), 1.0)
+        cell = make_cell(scheme, -1.5, ca.DopplerParams(fwhm=500.0), 1.0)
         pairs.append((cell, coincident_roots_drive(cell.scheme, cell.drive,
                                                    cell.dopp).rabi_2))
         self.check(scheme, pairs, wts, self.analytic)
@@ -550,7 +589,7 @@ class TestSweepErrors:
             return ok, np.where(beta[ok] > 0, np.inf, vals)
 
         monkeypatch.setattr(threshold, "_weak_probe_curvature", overflowing)
-        cell = _cell(case_a[0], 0.5, DOP, 1.0)
+        cell = make_cell(case_a[0], 0.5, DOP, 1.0)
         with pytest.raises(NumericalError):
             _curvature_rows("analytic", case_a[0], cell.drive, *slopes([cell]),
                             np.array([100.0]), None)
