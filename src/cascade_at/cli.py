@@ -6,16 +6,19 @@ conformance and smoke checks) and ``preset`` (dump a bundled scenario
 file).  Output is deterministic CSV: identical inputs and flags produce
 byte-identical files.
 
+The argument parser is built once per process, so repeated in-process
+:func:`run` calls only parse.  Scenario files are INI without
+interpolation: a ``%`` in a value is a literal character.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
-import io
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -60,37 +63,40 @@ class Scenario:
 
 
 def _parse_scenario(path: str) -> Scenario:
-    if not os.path.exists(path):
-        raise ConfigError(f"scenario file not found: {path}")
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"scenario file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read scenario {path}: {exc}")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse scenario {path}: {exc}")
 
-    for section in cp.sections():
+    raw = {section: dict(cp[section]) for section in cp.sections()}
+    for section, values in raw.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown scenario section [{section}]")
-        for key in cp[section]:
+        for key in values:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
     def grab(section, key, default=None):
-        if section in cp and key in cp[section]:
-            conv = _SCHEMA[section][key]
-            raw = cp[section][key]
-            try:
-                val = conv(raw)
-            except ValueError:
-                raise ConfigError(f"bad value for {section}.{key}: {raw!r}")
-            if conv is float and not math.isfinite(val):
-                raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
-            return val
-        return default
+        text = raw.get(section, {}).get(key)
+        if text is None:
+            return default
+        conv = _SCHEMA[section][key]
+        try:
+            val = conv(text)
+        except ValueError:
+            raise ConfigError(f"bad value for {section}.{key}: {text!r}")
+        if conv is float and not math.isfinite(val):
+            raise ConfigError(f"{section}.{key} must be finite, got {text!r}")
+        return val
 
     for section in ("levels", "fields", "doppler"):
-        if section not in cp:
+        if section not in raw:
             raise ConfigError(f"scenario is missing section [{section}]")
 
     try:
@@ -115,9 +121,8 @@ def _parse_scenario(path: str) -> Scenario:
         raise ConfigError(f"scenario is missing a required key: {exc}")
 
     scan = dict(_DEFAULT_SCAN)
-    if "scan" in cp:
-        for key in cp["scan"]:
-            scan[key] = grab("scan", key)
+    for key in raw.get("scan", {}):
+        scan[key] = grab("scan", key)
     return Scenario(scheme=scheme, drive=drive, dopp=dopp, scan=scan)
 
 
@@ -170,17 +175,6 @@ def _fingerprint(sc: Scenario, args_repr: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _fmt(val) -> str:
-    if isinstance(val, (bool, np.bool_)):
-        return "1" if val else "0"
-    if isinstance(val, (int, np.integer)):
-        return str(int(val))
-    v = float(val)
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.9g}"
-
-
 def _write(text: str, out: str | None) -> None:
     """Write ``text`` to the file ``out``, or to stdout when None.  A path
     that cannot be written is a configuration error."""
@@ -194,13 +188,18 @@ def _write(text: str, out: str | None) -> None:
         raise ConfigError(f"cannot write output file {out}: {exc}")
 
 
-def _emit_csv(header_cols, rows, subcommand: str, fingerprint: str, out: str | None) -> None:
-    buf = io.StringIO()
-    buf.write(f"# cascade-at v1 {subcommand} {fingerprint}\n")
-    buf.write(",".join(header_cols) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    _write(buf.getvalue(), out)
+def _emit_csv(header_cols, columns, subcommand: str, fingerprint: str, out: str | None) -> None:
+    """Write equal-length ``columns`` as CSV under a comment line and the
+    header: booleans as 1/0, everything else with 9 significant digits."""
+    texts = []
+    for col in map(np.asarray, columns):
+        if col.dtype == bool:
+            texts.append(["1" if v else "0" for v in col.tolist()])
+        else:
+            texts.append([f"{v:.9g}" for v in col.tolist()])
+    lines = [f"# cascade-at v1 {subcommand} {fingerprint}", ",".join(header_cols)]
+    lines += map(",".join, zip(*texts))
+    _write("\n".join(lines) + "\n", out)
 
 
 def _load_inputs(args) -> Scenario:
@@ -257,9 +256,7 @@ def _cmd_spectrum(args) -> int:
                 cols[key] = arr / peak
     fp = _fingerprint(sc, repr(("spectrum", engine, args.observable, quad_order,
                                 wts is not None, args.normalize)))
-    header = ["delta1_mhz"] + list(cols)
-    rows = [(grid[i], *(cols[k][i] for k in cols)) for i in range(len(grid))]
-    _emit_csv(header, rows, "spectrum", fp, args.out)
+    _emit_csv(["delta1_mhz", *cols], [grid, *cols.values()], "spectrum", fp, args.out)
     return 0
 
 
@@ -269,10 +266,8 @@ def _cmd_threshold(args) -> int:
     x_grid = _grid(sc.scan, "x")
     tmap = threshold.threshold_curve(engine, sc.scheme, x_grid, sc.dopp, msum=wts)
     fp = _fingerprint(sc, repr(("threshold", engine, wts is not None)))
-    rows = [(tmap.x_grid[i], tmap.omega_t[i, 0], tmap.converged[i, 0],
-             tmap.region_two[i])
-            for i in range(len(tmap.x_grid))]
-    _emit_csv(["x", "omega2_t_mhz", "converged", "region_two"], rows,
+    _emit_csv(["x", "omega2_t_mhz", "converged", "region_two"],
+              [tmap.x_grid, tmap.omega_t[:, 0], tmap.converged[:, 0], tmap.region_two],
               "threshold", fp, args.out)
     return 0
 
@@ -284,12 +279,9 @@ def _cmd_surface(args) -> int:
     dnu_grid = _grid(sc.scan, "dnu")
     tmap = threshold.threshold_surface(engine, sc.scheme, x_grid, dnu_grid, msum=wts)
     fp = _fingerprint(sc, repr(("surface", engine, wts is not None)))
-    rows = []
-    for i in range(len(x_grid)):
-        for j in range(len(dnu_grid)):
-            rows.append((x_grid[i], dnu_grid[j], tmap.omega_t[i, j],
-                         tmap.converged[i, j]))
-    _emit_csv(["x", "dnu_mhz", "omega2_t_mhz", "converged"], rows,
+    _emit_csv(["x", "dnu_mhz", "omega2_t_mhz", "converged"],
+              [np.repeat(x_grid, len(dnu_grid)), np.tile(dnu_grid, len(x_grid)),
+               tmap.omega_t.ravel(), tmap.converged.ravel()],
               "surface", fp, args.out)
     return 0
 
@@ -367,7 +359,10 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing reads it and
+    returns a fresh namespace each time."""
     p = argparse.ArgumentParser(
         prog="cascade-at",
         description="Doppler-broadened cascade fluorescence spectra and "

@@ -348,34 +348,39 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     point; each point takes one root solve and one Faddeeva call on the roots
     of D.  Implicit differentiation of D = a u^2 + b u + c gives the pole
     derivatives, log-derivatives of the residues give theirs, and the
-    conjugate poles contribute the conjugate terms.  Returns the mask of
-    accepted points and their curvatures; like :func:`_weak_probe_poles` it
-    refuses points whose poles come closer than 1e-9 relative."""
+    conjugate poles contribute the conjugate terms.  Each root's products
+    and sums over the other three poles are written out term by term, from
+    three (point, root) difference arrays.  Returns the mask of accepted
+    points and their curvatures; like :func:`_weak_probe_poles` it refuses
+    points whose poles come closer than 1e-9 relative."""
     rp = rates(scheme)
     den = denominator_coefficients(scheme, 0.0, drive.detuning_2, rabi_2, alpha, beta)
     z = np.stack(den.roots(), axis=-1)                   # (point, root)
 
     def differences(v):
-        """v_k - v_j for k a root of D and j each of the four poles (roots
-        first, then their conjugates): zero at j = k."""
-        return v[:, :, None] - np.concatenate((v, np.conj(v)), axis=-1)[:, None, :]
+        """v_k minus each other pole, for k a root of D, in pole order: the
+        other root, then the conjugates of roots 0 and 1."""
+        c = np.conj(v)
+        return v - v[:, ::-1], v - c[:, :1], v - c[:, 1:]
 
-    self_pair = np.eye(2, 4, dtype=bool)
-    q = np.where(self_pair, 1.0, differences(z))
-    sep = np.where(self_pair, np.inf, np.abs(q)).min(axis=(1, 2))
+    q = differences(z)
+    sep = np.minimum.reduce([np.abs(d) for d in q]).min(axis=-1)
     scale = np.maximum(np.abs(z).max(axis=-1), 1e-30)
     ok = ~(sep < _DEGENERATE_SEP * scale)
-    z, q, a, b = z[ok], q[ok], den.a[ok, None], den.b[ok, None]
+    z, a, b = z[ok], den.a[ok, None], den.b[ok, None]
+    q = [d[ok] for d in q]
     db = -(2 * alpha[ok] + beta[ok])[:, None]            # b', with c' below and c'' = -2
     dc = 1j * (rp.gamma_12 + rp.gamma_13) - drive.detuning_2
     slope = 2 * a * z + b
     dz = -(db * z + dc) / slope
     d2z = -(2 * a * dz * dz + 2 * db * dz - 2) / slope
-    dq, d2q = differences(dz), differences(d2z)
-    residue = 1.0 / (np.square(np.abs(a)) * np.prod(q, axis=-1))
-    t1, t2 = dq / q, d2q / q
-    dlog = -t1.sum(axis=-1)                              # R'/R
-    d2log = -(t2 - t1 * t1).sum(axis=-1)
+    residue = 1.0 / (np.square(np.abs(a)) * (q[0] * q[1] * q[2]))
+    t1 = [d / p for d, p in zip(differences(dz), q)]
+    t2 = [d / p for d, p in zip(differences(d2z), q)]
+    # adding the conjugate-pole terms first rounds like np.sum over four poles
+    dlog = -(t1[0] + (t1[1] + t1[2]))                    # R'/R
+    d2log = -((t2[0] - t1[0] * t1[0])
+              + ((t2[1] - t1[1] * t1[1]) + (t2[2] - t1[2] * t1[2])))
     sign, w = _root_faddeeva(z)
     zeta = sign * z
     w1 = -2 * zeta * w + 2j / _SQRTPI

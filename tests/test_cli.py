@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import subprocess
 import sys
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 import cascade_at as ca
-from cascade_at import doppler
-from cascade_at.cli import _compute_spectrum, _grid, _preset_scenario, run
+from cascade_at import cli, doppler
+from cascade_at.cli import _compute_spectrum, _emit_csv, _grid, _preset_scenario, run
 from cascade_at.msublevel import m_summed, weights
 from conftest import subprocess_env
 
@@ -339,6 +340,61 @@ class TestErrorPaths:
     def test_run_callable_matches_subprocess(self, capsys):
         # the in-process entry point returns the same exit codes
         assert run(["spectrum", "--scenario", "/nonexistent.ini"]) == 2
+
+    @pytest.mark.parametrize("line,message", [
+        ("rabi_2 = 400%", "bad value for fields.rabi_2"),
+        ("engine = %(x)s", "engine must be one of"),
+    ], ids=["rabi_2-percent", "engine-interpolation"])
+    def test_percent_is_literal(self, tmp_path, capsys, line, message):
+        # a scenario has no interpolation: '%' is an ordinary character
+        scen = small_scan("a.ini", tmp_path, [line])     # replaces rabi_2
+        if line not in open(scen).read().splitlines():
+            with open(scen, "a") as fh:                  # [scan] is the last section
+                fh.write(line + "\n")
+        assert run(["threshold", "--scenario", scen]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_directory_scenario_exits_2(self, tmp_path, capsys):
+        assert run(["spectrum", "--scenario", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read scenario {tmp_path}")
+
+
+class TestParser:
+    def test_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._build_parser.cache_clear()
+        out = tmp_path / "a.ini"
+        assert run(["preset", "case-a", "--out", str(out)]) == 0
+        assert run(["preset", "case-b", "--out", str(out)]) == 0
+        assert len(built) == 6               # the parser and its five subcommands
+        # the shared parser carries nothing from one parse to the next
+        assert run(["spectrum", "--preset", "case-a", "--engine", "magic"]) == 2
+        parser = cli._build_parser()
+        assert parser.parse_args(["threshold", "--preset", "case-a",
+                                  "--engine", "full"]).engine == "full"
+        assert parser.parse_args(["threshold", "--preset", "case-a"]).engine is None
+        assert run(["preset", "case-a", "--out", str(out)]) == 0
+        assert len(built) == 6
+
+
+class TestCsvFormat:
+    def test_edge_values(self, tmp_path):
+        out = tmp_path / "edge.csv"
+        vals = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 123456789.5, 0.1])
+        flags = np.array([True, False, True, False, True, False, True])
+        _emit_csv(["v", "flag", "list"], [vals, flags, list(flags)], "test", "abc", str(out))
+        assert out.read_text().splitlines() == [
+            "# cascade-at v1 test abc", "v,flag,list",
+            "nan,1,1", "inf,0,0", "-inf,1,1", "-0,0,0",
+            "4.94065646e-324,1,1", "123456790,0,0", "0.1,1,1"]
 
 
 class TestSelftest:
