@@ -63,7 +63,10 @@ class Scenario:
 
 
 def _parse_scenario(path: str) -> Scenario:
-    cp = configparser.ConfigParser(interpolation=None)
+    # no header can name the empty section, so [DEFAULT] is read as an
+    # ordinary section and rejected by name below, instead of its keys
+    # turning up in every other section
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
@@ -352,6 +355,22 @@ def _cmd_selftest(args) -> int:
         sa, da, 100.0 + alpha * u, da.detuning_2 + beta * u))
     checks.append(("full-engine velocity poles vs steady state at 7 velocities",
                    np.max(np.abs(poles - steady)) <= 1e-10 * np.max(steady)))
+    # every finite pole on its own, the lower member of each conjugate pair too
+    ones = np.ones_like(grid)
+    lam, res, _ = liouville.velocity_poles(sa, da.rabi_1, grid, da.detuning_2,
+                                           da.rabi_2, alpha, beta)
+    full = []
+    for lam_k, res_k in zip(lam, res):
+        finite = np.abs(lam_k) > doppler._ZERO_EIGENVALUE
+        terms = res_k[:, finite] / lam_k[finite] * doppler._pole_integrals(-1.0 / lam_k[finite])
+        full.append((res_k[:, ~finite].sum(axis=-1)
+                     + terms.sum(axis=-1) / math.sqrt(math.pi)).real)
+    full = np.array(full).T * [[rp.Gamma_2], [rp.Gamma_3]]
+    accepted, pair = doppler._full_engine_poles("both", sa, da, grid, alpha * ones,
+                                                beta * ones, da.rabi_2 * ones)
+    checks.append(("full-engine pair sum vs full pole sum",
+                   accepted.all() and np.all(np.abs([pair["I2"], pair["I3"]] - full)
+                                             <= 1e-12 * np.abs(full))))
     for name, passed in checks:
         print(f"  {'PASS' if passed else 'FAIL'}  {name}")
         ok = ok and passed

@@ -17,9 +17,11 @@ stencil it needs a row.  Each grid point takes one of three routes:
   conjugates, whose integrals are the conjugates of the roots' ones: one
   Faddeeva value per root.  For ``full``, the Liouvillian is affine in
   velocity with a diagonal slope, so each population is rational in u with
-  at most six finite poles (:func:`cascade_at.liouville.velocity_poles`),
-  one Faddeeva value each.  The pole builders run in blocks of a fixed
-  number of grid points, which bounds their temporaries at any grid size.
+  at most six finite poles (:func:`cascade_at.liouville.velocity_poles`).
+  They come in conjugate pairs with conjugate terms, so each pair takes one
+  Faddeeva value, at its upper member, and each real pole one.  The pole
+  builders run in blocks of a fixed number of grid points (1024 analytic,
+  256 full-engine), which bounds their temporaries at any grid size.
   The same four poles give the analytic I3's exact curvature at
   Delta_1 = 0 (:func:`_weak_probe_curvature`), which the threshold search
   uses;
@@ -65,9 +67,10 @@ _DEGENERATE_SEP = 1e-9     # relative pole separation refused by partial fractio
 _ZERO_EIGENVALUE = 1e-8    # |lam| counted as zero; keeps |p| = 1/|lam| within w's domain
 _COND_LIMIT = 1e8          # eigenbasis 1-norm condition number refused by the pole expansion
 # grid points per pole-builder call: bounds the temporaries at any grid size
-# (a velocity_poles point holds ~4 kB of real 9x9, 6x6 and 6x7 and complex 6x6 stacks)
+# (a full-engine point peaks at ~2 kB of real 6x6 and 6x7 and complex 6x6 stacks,
+# about 0.5 MB at 256 points)
 _WEAK_PROBE_BLOCK = 1024
-_FULL_ENGINE_BLOCK = 64
+_FULL_ENGINE_BLOCK = 256
 _PANEL_NODES, _PANEL_WEIGHTS = leggauss(_PANEL_DEGREE)
 
 ENGINES = ("full", "perturbative", "analytic")
@@ -394,7 +397,11 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
 
 def _full_engine_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
     """Full steady state by its velocity poles: 1/(1 + u lam) =
-    (1/lam)/(u - p) with p = -1/lam.  Eigenvalues with |lam| <= 1e-8 (the
+    (1/lam)/(u - p) with p = -1/lam.  The eigenvalues of the real pencil
+    come in exact conjugate pairs whose terms are conjugate, so a pair
+    counts as twice the real part of its upper member's term (Im lam > 0,
+    and so Im p > 0): one Faddeeva value per pair and one per real lam.
+    Eigenvalues with |lam| <= 1e-8 (the lam = 0 column that carries the
     population constant, and the two-photon coherences as x -> -1) count as
     a constant residue, an error below lam^2.  ``alpha``, ``beta`` and
     ``rabi_2`` are given per grid point.  Returns both observables.
@@ -402,14 +409,15 @@ def _full_engine_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
     lam, res, cond = velocity_poles(scheme, drive.rabi_1, grid, drive.detuning_2,
                                     rabi_2, alpha, beta)
     ok = cond <= _COND_LIMIT
-    lam, res = lam[ok, None, :], res[ok]
+    lam, res = lam[ok], res[ok]
     finite = np.abs(lam) > _ZERO_EIGENVALUE
-    safe = np.where(finite, lam, 1.0)
-    # zero eigenvalues get a placeholder pole with zero weight
-    poles = np.where(finite, -1.0 / safe, 1j)
-    pops = (np.where(finite, 0.0, res).sum(axis=-1)
-            + (np.where(finite, res / safe, 0.0) * _pole_integrals(poles)).sum(axis=-1)
-            / _SQRTPI)
+    upper = finite & (lam.imag >= 0)
+    pole_lam = lam[upper]
+    kernel = np.zeros(lam.shape, dtype=complex)
+    kernel[upper] = (np.where(pole_lam.imag > 0, 2.0, 1.0) / pole_lam
+                     * _pole_integrals(-1.0 / pole_lam))
+    pops = (np.where(finite[:, None, :], 0.0, res).sum(axis=-1)
+            + (res * kernel[:, None, :]).sum(axis=-1) / _SQRTPI)
     rp = rates(scheme)
     return ok, {"I2": rp.Gamma_2 * pops[:, 0].real, "I3": rp.Gamma_3 * pops[:, 1].real}
 

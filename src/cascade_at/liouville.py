@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,14 +72,6 @@ def _liouvillian_parts(scheme: LevelScheme, rabi_1: float):
             _comm_superoperator(hd2), source)
 
 
-def _generator(parts, rabi_2):
-    """A0 + w2 C at coupling Rabi frequency ``rabi_2`` (scalar, or an array
-    giving one 9x9 matrix per element), in the basis of ``parts``."""
-    a0, coupling = parts[:2]
-    w2 = _TWO_PI * np.asarray(rabi_2, dtype=float) / 2
-    return a0 + w2[..., None, None] * coupling
-
-
 def _real_basis():
     """T and T^{-1} for vec(rho) = T r, r = [r11, r22, r33, Re r12, Im r12,
     Re r13, Im r13, Re r23, Im r23]: the populations, then the coherences.
@@ -94,18 +87,46 @@ def _real_basis():
 _T, _T_INV = _real_basis()
 
 
+class _PencilParts(NamedTuple):
+    """The real 6x6 coherence pencil as polynomials in w2 = pi Omega_2
+    (:func:`velocity_poles`): S(w2) = s0 + w2 s1 + w2^2 s2, q(w2) = q0 + w2 q1
+    and the rho22, rho33 rows of pop(w2) = p0 + w2 p1, with the coherence
+    blocks ad1, ad2 of the detuning parts and the population constant
+    rho_p0 = -A_pp^{-1} s_p."""
+
+    s0: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    q0: np.ndarray
+    q1: np.ndarray
+    p0: np.ndarray
+    p1: np.ndarray
+    ad1: np.ndarray
+    ad2: np.ndarray
+    rho_p0: np.ndarray
+
+
 @lru_cache(maxsize=256)
-def _pencil_parts(scheme: LevelScheme, rabi_1: float):
-    """The generator's parts in the real basis, where the equations of motion
-    of a Hermitian rho are real: A0 and the coupling pattern C (9x9), the
-    coherence blocks of Ad1 and Ad2 (6x6), the population source, and the
-    inverse of the population block A_pp of A0, which holds only decay and
-    transit (C and Ad1, Ad2 are zero there)."""
+def _pencil_parts(scheme: LevelScheme, rabi_1: float) -> _PencilParts:
+    """The generator in the real basis, where the equations of motion of a
+    Hermitian rho are real, with the populations eliminated.  There
+    A = A0 + w2 C, the coupling pattern C and the detuning parts are zero on
+    the population block A_pp, and A_pp holds only decay and transit, so
+    pop = -A_pp^{-1} A_pc is linear in w2, q = -A_cp rho_p0 linear and the
+    Schur complement S = A_cc + A_cp pop quadratic."""
     a0, coupling, ad1, ad2, source = _liouvillian_parts(scheme, rabi_1)
     real = lambda m: (_T_INV @ m @ _T).real
-    a0 = real(a0)
-    return (a0, real(coupling), real(ad1)[3:, 3:], real(ad2)[3:, 3:],
-            (_T_INV @ source).real[:3], np.linalg.inv(a0[:3, :3]))
+    a0, c = real(a0), real(coupling)
+    app_inv = np.linalg.inv(a0[:3, :3])
+    p0, p1 = -app_inv @ a0[:3, 3:], -app_inv @ c[:3, 3:]
+    rho_p0 = -app_inv @ (_T_INV @ source).real[:3]
+    return _PencilParts(
+        s0=a0[3:, 3:] + a0[3:, :3] @ p0,
+        s1=c[3:, 3:] + a0[3:, :3] @ p1 + c[3:, :3] @ p0,
+        s2=c[3:, :3] @ p1,
+        q0=-a0[3:, :3] @ rho_p0, q1=-c[3:, :3] @ rho_p0,
+        p0=p0[1:], p1=p1[1:], ad1=real(ad1)[3:, 3:], ad2=real(ad2)[3:, 3:],
+        rho_p0=rho_p0)
 
 
 def steady_state_batch(scheme: LevelScheme, drive: DriveParams,
@@ -119,9 +140,8 @@ def steady_state_batch(scheme: LevelScheme, drive: DriveParams,
         raise SingularSystemError("steady state needs transit_rate > 0")
     d1 = np.atleast_1d(np.asarray(d1, dtype=float))
     d2 = np.atleast_1d(np.asarray(d2, dtype=float))
-    parts = _liouvillian_parts(scheme, drive.rabi_1)
-    ad1, ad2, source = parts[2:]
-    a = (_generator(parts, drive.rabi_2)[None, :, :]
+    a0, coupling, ad1, ad2, source = _liouvillian_parts(scheme, drive.rabi_1)
+    a = ((a0 + math.pi * drive.rabi_2 * coupling)[None, :, :]
          + d1[:, None, None] * ad1[None, :, :]
          + d2[:, None, None] * ad2[None, :, :])
     rhs = np.broadcast_to(-source, (len(d1), 9))[..., None]
@@ -158,43 +178,53 @@ def velocity_poles(scheme: LevelScheme, rabi_1: float, delta1, detuning_2,
         rho_ii(u) = c_i + sum_k r_ik / (1 + u lam_k),
 
     r_ik = (-A_pp^{-1} A_pc V)[i, k] (V^{-1} S^{-1} q)_k, where the constant
-    c_i = (-A_pp^{-1} s_p)_i is carried as one more residue at lam = 0.
+    c_i = (-A_pp^{-1} s_p)_i is carried as one more residue at lam = 0.  S, q
+    and the population rows come from the polynomials in w2 = pi Omega_2 of
+    :func:`_pencil_parts`, elementwise at every point.
 
     ``rabi_2``, ``alpha`` and ``beta`` may be per-row arrays that broadcast
     against ``delta1``, e.g. (rows, 1) against a (rows, points) grid.
-    Returns ``(lam, res, cond)``: the (..., 7) eigenvalues, the (..., 2, 7)
-    residues of rho22 and rho33, and ||V||_1 ||V^{-1}||_1, over the broadcast
-    grid shape.  For a 6x6 V this lies within a factor of 6 of the 2-norm
-    condition number.
+    Returns ``(lam, res, cond)``: the (..., 7) complex eigenvalues, the
+    (..., 2, 7) residues of rho22 and rho33, and ||V||_1 ||V^{-1}||_1, over
+    the broadcast grid shape.  The eigenvalues of the real M come as exact
+    conjugate pairs, each with exactly conjugate eigenvectors.  For a 6x6 V
+    the 1-norm product lies within a factor of 6 of the 2-norm condition
+    number.
     """
     if scheme.transit_rate <= 0:
         raise SingularSystemError("steady state needs transit_rate > 0")
     d1 = np.asarray(delta1, dtype=float)
     alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-    parts = _pencil_parts(scheme, rabi_1)
-    ad1, ad2, source, app_inv = parts[2:]
-    shape = np.broadcast_shapes(d1.shape, alpha.shape, beta.shape, np.shape(rabi_2))
-    a = _generator(parts, rabi_2)
-    pop = -app_inv @ a[..., :3, 3:]          # rho_p = rho_p0 + pop rho_c
-    rho_p0 = -app_inv @ source
-    schur = (a[..., 3:, 3:] + a[..., 3:, :3] @ pop
-             + d1[..., None, None] * ad1 + detuning_2 * ad2)
-    slope = alpha[..., None, None] * ad1 + beta[..., None, None] * ad2
-    q = -a[..., 3:, :3] @ rho_p0
-    rhs = np.concatenate((np.broadcast_to(q[..., None], shape + (6, 1)),
-                          np.broadcast_to(slope, shape + (6, 6))), axis=-1)
+    w2 = math.pi * np.asarray(rabi_2, dtype=float)
+    shape = np.broadcast_shapes(d1.shape, alpha.shape, beta.shape, w2.shape)
+    pp = _pencil_parts(scheme, rabi_1)
     try:
-        sol = np.linalg.solve(np.broadcast_to(schur, shape + (6, 6)), rhs)
+        sol = np.linalg.solve(*_pencil(pp, d1, detuning_2, w2, alpha, beta, shape))
         lam, vecs = np.linalg.eig(sol[..., 1:])
         inv = np.linalg.inv(vecs)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"velocity pole expansion failed: {exc}") from exc
     coef = (inv @ sol[..., :1])[..., 0]
-    res = (pop[..., 1:, :] @ vecs) * coef[..., None, :]
     cond = _norm_1(vecs) * _norm_1(inv)
-    lam = np.concatenate((lam, np.zeros(shape + (1,))), axis=-1)
-    res = np.concatenate((res, np.broadcast_to(rho_p0[1:, None], shape + (2, 1))), axis=-1)
-    return lam, res, cond
+    lam7 = np.zeros(shape + (7,), dtype=complex)
+    lam7[..., :6] = lam
+    res = np.empty(shape + (2, 7), dtype=complex)
+    np.multiply((pp.p0 + w2[..., None, None] * pp.p1) @ vecs, coef[..., None, :],
+                out=res[..., :6])
+    res[..., 6] = pp.rho_p0[1:]
+    return lam7, res, cond
+
+
+def _pencil(pp: _PencilParts, d1, detuning_2, w2, alpha, beta, shape):
+    """S and [q | B_c] over the grid ``shape``, elementwise from the
+    polynomial parts ``pp`` at w2 = pi Omega_2 (:func:`velocity_poles`)."""
+    w2m = w2[..., None, None]
+    schur = ((pp.s0 + detuning_2 * pp.ad2) + w2m * (pp.s1 + w2m * pp.s2)
+             + d1[..., None, None] * pp.ad1)
+    rhs = np.empty(shape + (6, 7))
+    rhs[..., 0] = pp.q0 + w2[..., None] * pp.q1
+    rhs[..., 1:] = alpha[..., None, None] * pp.ad1 + beta[..., None, None] * pp.ad2
+    return np.broadcast_to(schur, shape + (6, 6)), rhs
 
 
 def _norm_1(m):

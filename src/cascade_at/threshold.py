@@ -53,7 +53,8 @@ import numpy as np
 from .doppler import ENGINES, _WEAK_PROBE_BLOCK, _row_average, _weak_probe_curvature
 from .errors import ConfigError, NumericalError
 from .lineshape import doppler_slopes
-from .model import DopplerParams, DriveParams, LevelScheme, rates
+from .model import (C_M_PER_S, DopplerParams, DriveParams, LevelScheme,
+                    most_probable_speed, rates)
 # m_summed stays bound here: perfbench/tracer.py patches it in every module
 # that binds it, and perfbench/selftests.py checks the patch on this module
 from .msublevel import MSublevelWeights, folded_sum, m_summed  # noqa: F401
@@ -179,6 +180,22 @@ def region_two_estimate(scheme: LevelScheme, x: float) -> float | None:
     return gam / math.sqrt(-x * (1 + x))
 
 
+def _cell_slopes(scheme: LevelScheme, x_grid: np.ndarray, dnu_grid: np.ndarray,
+                 rabi_1: float) -> tuple[np.ndarray, np.ndarray]:
+    """Doppler slopes (alpha, beta) of the x-major cells of the product of
+    ``x_grid`` and ``dnu_grid``, with the bits of :func:`doppler_slopes` per
+    cell.  The probe transition is the same for every x, so v_p and alpha
+    depend on the width only; beta is sign(x) nu_32(x) times v_p(width),
+    over c.  The geometry is built once per x, v_p once per width."""
+    v_p = np.array([most_probable_speed(scheme, DopplerParams(fwhm=float(w)))
+                    for w in dnu_grid])
+    geometries = [_geometry_for_x(scheme, float(x), rabi_1) for x in x_grid]
+    sign_nu32 = np.array([drive.dir_2 * scheme_x.nu_32 for scheme_x, drive in geometries])
+    # every geometry has dir_1 = 1
+    alpha = np.tile(scheme.nu_21 * v_p / C_M_PER_S, len(x_grid))
+    return alpha, (sign_nu32[:, None] * v_p / C_M_PER_S).ravel()
+
+
 def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
             msum: MSublevelWeights | None, rabi_1: float | None) -> ThresholdMap:
     """Threshold map over the product of the 1-D grids ``x_grid`` and
@@ -198,14 +215,7 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
             f"|x+1| < {SINGULAR_BAND}: {x_grid[bad]}")
     if rabi_1 is None:
         rabi_1 = rates(scheme).Gamma_2 / 20.0
-    # cells are the x-major product: the geometry is built once per x, the
-    # Doppler parameters once per width
-    dopps = [DopplerParams(fwhm=float(w)) for w in dnu_grid]
-    slopes = []
-    for x in x_grid:
-        scheme_x, drive_x = _geometry_for_x(scheme, float(x), rabi_1)
-        slopes += [doppler_slopes(scheme_x, drive_x, dopp) for dopp in dopps]
-    alpha, beta = np.array(slopes, dtype=float).reshape(-1, 2).T
+    alpha, beta = _cell_slopes(scheme, x_grid, dnu_grid, rabi_1)
     # region-II seeds depend on x only (nan outside region II)
     seed = np.repeat(np.array([region_two_estimate(scheme, float(x)) for x in x_grid],
                               dtype=float), len(dnu_grid))

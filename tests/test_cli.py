@@ -273,6 +273,16 @@ class TestErrorPaths:
         res = run_cli(["spectrum", "--scenario", scen])
         assert res.returncode == 2
 
+    def test_default_section_rejected_by_name(self, tmp_path):
+        # configparser would copy [DEFAULT]'s keys into every section, so
+        # the error named a section the file never gave the key in
+        scen = small_scan("a.ini", tmp_path)
+        text = open(scen).read()
+        open(scen, "w").write("[DEFAULT]\nj2 = 1\n\n" + text)
+        res = run_cli(["spectrum", "--scenario", scen])
+        assert res.returncode == 2
+        assert res.stderr.strip() == "error: unknown scenario section [DEFAULT]"
+
     def test_no_input_exits_2(self):
         res = run_cli(["spectrum"])
         assert res.returncode == 2
@@ -405,6 +415,7 @@ class TestSelftest:
         assert "max relative error" in res.stdout
         assert "PASS  full-engine velocity poles vs steady state" in res.stdout
         assert "PASS  exact analytic curvature vs 5-point stencil" in res.stdout
+        assert "PASS  full-engine pair sum vs full pole sum" in res.stdout
 
 
 class TestStartup:

@@ -455,3 +455,77 @@ class TestEitDipAveraged:
         maxima = (i3[1:-1] > i3[:-2]) & (i3[1:-1] > i3[2:])
         peaks = grid[1:-1][maxima]
         assert (peaks < 0).any() and (peaks > 0).any()
+
+
+def seven_pole_sum(scheme, drive, grid, alpha, beta, rabi_2):
+    """(I2, I3) by the term of every column of ``velocity_poles``: both
+    members of each conjugate pair, and the lam = 0 column as a zero-weight
+    placeholder pole at 1j.  The oracle of the pair sum.  Also returns the
+    sum of the terms' moduli, the scale at which rounding enters a sum whose
+    terms cancel."""
+    lam, res, _ = velocity_poles(scheme, drive.rabi_1, grid, drive.detuning_2,
+                                 rabi_2, alpha, beta)
+    lam = lam[:, None, :]
+    finite = np.abs(lam) > doppler._ZERO_EIGENVALUE
+    safe = np.where(finite, lam, 1.0)
+    poles = np.where(finite, -1.0 / safe, 1j)
+    terms = np.where(finite, res / safe, 0.0) * doppler._pole_integrals(poles) / SQRTPI
+    pops = np.where(finite, 0.0, res).sum(axis=-1) + terms.sum(axis=-1)
+    scale = np.abs(np.where(finite, terms, res)).sum(axis=-1)
+    gamma = np.array([[rates(scheme).Gamma_2], [rates(scheme).Gamma_3]])
+    return gamma * pops.real.T, gamma * scale.T
+
+
+class TestConjugatePairs:
+    """The full engine sums each conjugate pair of velocity poles as twice
+    the real part of its upper member's term."""
+
+    GRID = np.linspace(-1500.0, 1500.0, 61)
+
+    @staticmethod
+    def setting(case, x, changes):
+        scheme, drive, dopp = ca.preset(case)
+        if x is not None:
+            from cascade_at.threshold import _geometry_for_x
+            scheme, geometry = _geometry_for_x(scheme, x, drive.rabi_1)
+            drive = replace(geometry, rabi_2=drive.rabi_2)
+        drive = replace(drive, **changes)
+        return scheme, drive, doppler_slopes(scheme, drive, dopp)
+
+    CASES = [("case_a", None, {}), ("case_b", None, {}), ("case_a", -1.03, {}),
+             ("case_a", None, {"rabi_1": 300.0}), ("case_a", None, {"rabi_2": 5e4})]
+
+    @pytest.mark.parametrize("case,x,changes", CASES)
+    def test_pair_sum_matches_seven_pole_sum(self, case, x, changes):
+        scheme, drive, (alpha, beta) = self.setting(case, x, changes)
+        ones = np.ones_like(self.GRID)
+        ok, got = doppler._full_engine_poles("both", scheme, drive, self.GRID, alpha * ones,
+                                             beta * ones, drive.rabi_2 * ones)
+        assert ok.all()
+        ref, scale = seven_pole_sum(scheme, drive, self.GRID, alpha, beta, drive.rabi_2)
+        # relative to the terms' moduli: at Omega_2 = 50 GHz the pole terms
+        # cancel ~2000-fold, and I3 itself carries ~3e-13 relative rounding
+        diff = np.abs([got["I2"], got["I3"]] - ref)
+        assert np.all(diff <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("case,x,changes", CASES)
+    def test_every_lower_pole_has_its_exact_conjugate(self, case, x, changes):
+        scheme, drive, (alpha, beta) = self.setting(case, x, changes)
+        lam = velocity_poles(scheme, drive.rabi_1, self.GRID, drive.detuning_2,
+                             drive.rabi_2, alpha, beta)[0]
+        assert np.all(lam.imag[..., 6] == 0) and np.any(lam.imag < 0)
+        for row in lam:
+            for value in row[row.imag < 0]:
+                assert np.sum(row == np.conj(value)) == np.sum(row == value)
+
+    @pytest.mark.parametrize("case", ["case_a", "case_b"])
+    def test_bits_do_not_depend_on_block_size(self, case, monkeypatch):
+        # M-summed rows as the CLI builds them: blocks of 7 straddle the rows
+        scheme, drive, dopp = ca.preset(case)
+        alpha, beta = doppler_slopes(scheme, drive, dopp)
+        folded = np.array([w for w, _ in weights(scheme.j2, scheme.j3).folded()])
+        args = ("full", "both", scheme, drive, self.GRID, alpha, beta,
+                drive.rabi_2 * folded[:, None])
+        ref = doppler._row_average(*args)
+        monkeypatch.setattr(doppler, "_FULL_ENGINE_BLOCK", 7)
+        assert np.array_equal(doppler._row_average(*args), ref)

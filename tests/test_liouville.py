@@ -8,7 +8,8 @@ import cascade_at as ca
 from cascade_at.doppler import _engine_batch
 from cascade_at.errors import SingularSystemError
 from cascade_at.lineshape import doppler_slopes
-from cascade_at.liouville import populations_batch, steady_state_batch, velocity_poles
+from cascade_at.liouville import (_T, _T_INV, _liouvillian_parts, _pencil_parts,
+                                  populations_batch, steady_state_batch, velocity_poles)
 from cascade_at.threshold import _geometry_for_x
 
 
@@ -214,3 +215,26 @@ class TestVelocityPoles:
         for k, row in enumerate(ref):
             row = row.reshape(d1.shape)
             assert np.all(np.abs(got[..., k] - row) <= 1e-10 * np.abs(row).max())
+
+
+class TestPencilParts:
+    """The polynomials in w2 = pi Omega_2 of _pencil_parts against the Schur
+    complement of the real-basis generator built at each Omega_2 from
+    _liouvillian_parts."""
+
+    @pytest.mark.parametrize("case", ["case_a", "case_b"])
+    @pytest.mark.parametrize("rabi_2", [0.0, 1.0, 400.0, 5e4])
+    def test_polynomials_match_schur_complement(self, case, rabi_2):
+        scheme, drive, _ = ca.preset(case)
+        a0, coupling, _, _, source = _liouvillian_parts(scheme, drive.rabi_1)
+        w2 = math.pi * rabi_2
+        a = (_T_INV @ (a0 + w2 * coupling) @ _T).real
+        s_p = (_T_INV @ source).real[:3]
+        app, apc, acp, acc = a[:3, :3], a[:3, 3:], a[3:, :3], a[3:, 3:]
+        pop = -np.linalg.solve(app, apc)
+        ref = {"S": acc + acp @ pop, "q": acp @ np.linalg.solve(app, s_p), "pop": pop[1:]}
+        pp = _pencil_parts(scheme, drive.rabi_1)
+        got = {"S": pp.s0 + w2 * pp.s1 + w2 ** 2 * pp.s2, "q": pp.q0 + w2 * pp.q1,
+               "pop": pp.p0 + w2 * pp.p1}
+        for name, val in ref.items():
+            assert np.max(np.abs(got[name] - val)) <= 1e-12 * np.max(np.abs(val)), name

@@ -271,6 +271,24 @@ class TestThresholdSurface:
         assert tmap.omega_t.shape == (3, 4)
         assert calls == [-1.9, -0.5, 0.5]
 
+    def test_cell_slopes_equal_doppler_slopes(self, case_a, monkeypatch):
+        # v_p once per width, the geometry once per x, and each cell's
+        # (alpha, beta) with the bits of doppler_slopes on its geometry
+        scheme = case_a[0]
+        x_grid = np.array([-1.95, -1.116, -0.5, 0.3, 1.95])
+        dnu_grid = 200.0 + 400.0 * np.arange(13)
+        calls = []
+        speed = threshold.most_probable_speed
+        monkeypatch.setattr(threshold, "most_probable_speed",
+                            lambda sch, dopp: calls.append(dopp.fwhm) or speed(sch, dopp))
+        alpha, beta = threshold._cell_slopes(scheme, x_grid, dnu_grid, 0.65)
+        assert calls == dnu_grid.tolist()
+        ref = [doppler_slopes(*threshold._geometry_for_x(scheme, float(x), 0.65),
+                              ca.DopplerParams(fwhm=float(w)))
+               for x in x_grid for w in dnu_grid]
+        assert alpha.tolist() == [a for a, _ in ref]
+        assert beta.tolist() == [b for _, b in ref]
+
 
 class TestLockstepSearch:
     @pytest.mark.parametrize("msum", [False, True])
