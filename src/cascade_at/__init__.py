@@ -1,9 +1,8 @@
 """Doppler-averaged fluorescence lineshapes and Autler-Townes splitting
 thresholds for an open three-level molecular cascade."""
 
-from .doppler import (PoleDecomposition, QuadratureRule, Spectrum, average,
-                      average_analytic_I2, average_analytic_I3, average_full_exact,
-                      pole_decomposition, root_difference_closed_form)
+from .doppler import (QuadratureRule, Spectrum, average, average_analytic_I2,
+                      average_analytic_I3, root_difference_closed_form)
 from .errors import (CascadeError, ConfigError, DegenerateRootError, DomainError,
                      NumericalError, SelectionRuleError, SingularSystemError,
                      SolverFailure)
@@ -21,12 +20,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CascadeDenominator", "CascadeError", "ConfigError", "DegenerateRootError",
     "DomainError", "DopplerParams", "DriveParams", "LevelScheme",
-    "MSublevelWeights", "NumericalError", "PoleDecomposition", "QuadratureRule",
-    "RateParams", "SelectionRuleError", "SingularSystemError", "SolverFailure",
-    "Spectrum", "ThresholdMap", "ThresholdResult", "average",
-    "average_analytic_I2", "average_analytic_I3", "average_full_exact",
-    "curvature_at_zero", "denominator_coefficients", "doppler_fwhm", "m_summed",
-    "most_probable_speed", "pole_decomposition", "preset", "rates",
+    "MSublevelWeights", "NumericalError", "QuadratureRule", "RateParams",
+    "SelectionRuleError", "SingularSystemError", "SolverFailure", "Spectrum",
+    "ThresholdMap", "ThresholdResult", "average", "average_analytic_I2",
+    "average_analytic_I3", "curvature_at_zero", "denominator_coefficients",
+    "doppler_fwhm", "m_summed", "most_probable_speed", "preset", "rates",
     "root_difference_closed_form", "threshold_curve", "threshold_rabi",
     "threshold_surface", "w", "w_reference", "wavenumber_ratio", "weights",
 ]

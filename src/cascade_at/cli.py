@@ -43,7 +43,7 @@ _SCHEMA = {
         "delta1_start": float, "delta1_stop": float, "delta1_step": float,
         "x_start": float, "x_stop": float, "x_step": float,
         "dnu_start": float, "dnu_stop": float, "dnu_step": float,
-        "engine": str, "msum": str, "quad_order": int,
+        "engine": str, "msum": str,
     },
 }
 
@@ -52,6 +52,10 @@ _DEFAULT_SCAN = {
     "x_start": -1.95, "x_stop": 1.95, "x_step": 0.1,
     "dnu_start": 200.0, "dnu_stop": 5000.0, "dnu_step": 400.0,
 }
+
+# the library's "perturbative" engine is the numeric oracle of "analytic",
+# the same weak-probe average at ten times the cost; it is not a command choice
+_ENGINES = ("full", "analytic")
 
 
 @dataclass
@@ -220,8 +224,8 @@ def _settings(args, sc: Scenario, default_engine: str):
     given, else from the scenario's [scan] section, else the default."""
     engine = args.engine if args.engine is not None \
         else sc.scan.get("engine", default_engine)
-    if engine not in doppler.ENGINES:
-        raise ConfigError(f"engine must be one of {doppler.ENGINES}, got {engine!r}")
+    if engine not in _ENGINES:
+        raise ConfigError(f"engine must be one of {_ENGINES}, got {engine!r}")
     msum = args.msum if args.msum is not None else sc.scan.get("msum", "off")
     if msum not in ("on", "off"):
         raise ConfigError(f"msum must be on or off, got {msum!r}")
@@ -229,7 +233,7 @@ def _settings(args, sc: Scenario, default_engine: str):
     return engine, wts
 
 
-def _compute_spectrum(sc: Scenario, engine, observable, quad_order, wts):
+def _compute_spectrum(sc: Scenario, engine, observable, wts):
     """Spectrum columns by name.  With M weights on, the folded weights'
     coupling Rabi frequencies are rows of the one row average, summed by
     ``folded_sum``."""
@@ -237,7 +241,7 @@ def _compute_spectrum(sc: Scenario, engine, observable, quad_order, wts):
     weights = np.array([1.0] if wts is None else [w for w, _ in wts.folded()])
     alpha, beta = doppler.doppler_slopes(sc.scheme, sc.drive, sc.dopp)
     rows = doppler._row_average(engine, observable, sc.scheme, sc.drive, grid, alpha,
-                                beta, sc.drive.rabi_2 * weights[:, None], quad_order)
+                                beta, sc.drive.rabi_2 * weights[:, None])
     stacked = (rows[:, 0] if wts is None
                else msublevel.folded_sum(rows.swapaxes(0, 1), wts))
     names = [name for name in ("I2", "I3") if observable in (name, "both")]
@@ -247,17 +251,14 @@ def _compute_spectrum(sc: Scenario, engine, observable, quad_order, wts):
 def _cmd_spectrum(args) -> int:
     sc = _load_inputs(args)
     engine, wts = _settings(args, sc, "full")
-    quad_order = args.quad_order if args.quad_order is not None \
-        else sc.scan.get("quad_order", 200)
-    if quad_order < doppler.MIN_QUAD_ORDER:
-        raise ConfigError(f"quadrature order must be >= {doppler.MIN_QUAD_ORDER}")
-    grid, cols = _compute_spectrum(sc, engine, args.observable, quad_order, wts)
+    grid, cols = _compute_spectrum(sc, engine, args.observable, wts)
     if args.normalize == "peak":
         for key, arr in cols.items():
             peak = arr.max()
             if peak > 0:
                 cols[key] = arr / peak
-    fp = _fingerprint(sc, repr(("spectrum", engine, args.observable, quad_order,
+    # 200: the Gauss-Hermite order of the numeric fallback (doppler._row_average)
+    fp = _fingerprint(sc, repr(("spectrum", engine, args.observable, 200,
                                 wts is not None, args.normalize)))
     _emit_csv(["delta1_mhz", *cols], [grid, *cols.values()], "spectrum", fp, args.out)
     return 0
@@ -325,15 +326,15 @@ def _cmd_selftest(args) -> int:
     rp = model.rates(sa)
     checks.append(("Gamma_2 = 13.05 MHz", abs(rp.Gamma_2 - 13.045) < 0.01))
     cf = doppler.root_difference_closed_form(sa, da, 100.0)
-    den = doppler.pole_decomposition(sa, da, model.DopplerParams(fwhm=1100.0),
-                                     delta1=100.0)
-    _, beta = doppler.doppler_slopes(sa, da, model.DopplerParams(fwhm=1100.0))
-    quad_mod = 1.0 / abs((den.z1 - den.z2) * beta / 2)
+    alpha, beta = doppler.doppler_slopes(sa, da, model.DopplerParams(fwhm=1100.0))
+    z1, z2 = doppler.denominator_coefficients(sa, 100.0, da.detuning_2, da.rabi_2,
+                                              alpha, beta).roots()
+    quad_mod = 1.0 / abs((z1 - z2) * beta / 2)
     checks.append(("closed-form root difference vs quadratic roots",
                    abs(abs(cf) - quad_mod) / quad_mod < 1e-6))
     weak = replace(da, rabi_1=rp.Gamma_2 / 20)
     grid = np.array([-600.0, -200.0, 0.0, 200.0, 600.0])
-    exact = doppler.average_full_exact("I3", sa, weak, pa, grid).I3
+    exact = doppler.intensities("full", "I3", sa, weak, pa, grid)[0]
     numeric = doppler.average("full", "I3", sa, weak, pa,
                               doppler.QuadratureRule.gauss_hermite(200), grid).I3
     checks.append(("full-engine pole expansion vs numeric average",
@@ -362,7 +363,8 @@ def _cmd_selftest(args) -> int:
     full = []
     for lam_k, res_k in zip(lam, res):
         finite = np.abs(lam_k) > doppler._ZERO_EIGENVALUE
-        terms = res_k[:, finite] / lam_k[finite] * doppler._pole_integrals(-1.0 / lam_k[finite])
+        sign, w = doppler._signed_faddeeva(-1.0 / lam_k[finite])
+        terms = res_k[:, finite] / lam_k[finite] * (sign * 1j * math.pi * w)
         full.append((res_k[:, ~finite].sum(axis=-1)
                      + terms.sum(axis=-1) / math.sqrt(math.pi)).real)
     full = np.array(full).T * [[rp.Gamma_2], [rp.Gamma_3]]
@@ -392,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--scenario", help="scenario file (INI)")
         sp.add_argument("--preset", choices=("case-a", "case-b"),
                         help="use a bundled parameter set")
-        sp.add_argument("--engine", choices=doppler.ENGINES, default=None,
+        sp.add_argument("--engine", choices=_ENGINES, default=None,
                         help=f"computation engine (default {default_engine})")
         sp.add_argument("--msum", choices=("on", "off"), default=None,
                         help="sum over magnetic sublevels (default off)")
@@ -401,9 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="probe-detuning scan of I2/I3")
     add_common(sp, "full")
     sp.add_argument("--observable", choices=("I2", "I3", "both"), default="both")
-    sp.add_argument("--quad-order", type=int, default=None,
-                    help="velocity quadrature order of the perturbative "
-                         "engine (default 200)")
     sp.add_argument("--normalize", choices=("peak", "none"), default="none")
     sp.set_defaults(func=_cmd_spectrum)
 

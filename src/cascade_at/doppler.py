@@ -14,17 +14,18 @@ stencil it needs a row.  Each grid point takes one of three routes:
   ``Integral e^{-t^2}/(t - z) dt = i pi w(z)`` for Im z > 0 (the lower
   half-plane reached by conjugation symmetry).  For ``analytic``, the
   weak-probe 1/|D(u)|^2 has four simple poles, the roots of D and their
-  conjugates, whose integrals are the conjugates of the roots' ones: one
-  Faddeeva value per root.  For ``full``, the Liouvillian is affine in
+  conjugates, whose terms are the conjugates of the roots' ones: one
+  kernel (:func:`_weak_probe_roots`) solves D, guards the pole separation,
+  forms the residues and takes one Faddeeva value per root, and the sum is
+  2 Re of the two roots' terms.  For ``full``, the Liouvillian is affine in
   velocity with a diagonal slope, so each population is rational in u with
   at most six finite poles (:func:`cascade_at.liouville.velocity_poles`).
   They come in conjugate pairs with conjugate terms, so each pair takes one
   Faddeeva value, at its upper member, and each real pole one.  The pole
   builders run in blocks of a fixed number of grid points (1024 analytic,
   256 full-engine), which bounds their temporaries at any grid size.
-  The same four poles give the analytic I3's exact curvature at
-  Delta_1 = 0 (:func:`_weak_probe_curvature`), which the threshold search
-  uses;
+  The same kernel gives the analytic I3's exact curvature at Delta_1 = 0
+  (:func:`_weak_probe_curvature`), which the threshold search uses;
 
 * every point of the ``perturbative`` engine, and every point a pole
   builder refuses (coincident roots of D, an ill-conditioned eigenbasis),
@@ -41,8 +42,8 @@ and shares its stage (:func:`_numeric_stage`) with the row average.  Its
 values come from the model evaluated on the nodes, never from the Faddeeva
 function or partial fractions, so it is an independent cross-check of both
 exact routes; on the bundled presets they agree to ~1e-9 relative.
-:func:`average_analytic_I3`, :func:`average_analytic_I2` and
-:func:`average_full_exact` return the row average of one grid as a
+:func:`intensities` is the row average of one grid;
+:func:`average_analytic_I3` and :func:`average_analytic_I2` return it as a
 :class:`Spectrum`.
 """
 from __future__ import annotations
@@ -107,18 +108,6 @@ class QuadratureRule:
         return math.pi / math.sqrt(2.0 * self.order)
 
 
-@dataclass(frozen=True)
-class PoleDecomposition:
-    """Roots of D(u); the other two poles of 1/|D|^2 are their complex
-    conjugates.  ``region_two`` marks -1 < x < 0, the counter-propagating
-    geometry whose splitting is Doppler-insensitive.
-    """
-
-    z1: complex
-    z2: complex
-    region_two: bool
-
-
 @dataclass
 class Spectrum:
     """Doppler-averaged intensity arrays over a probe-detuning grid."""
@@ -140,19 +129,6 @@ def _validated_intensity(vals: np.ndarray) -> np.ndarray:
         if np.any(vals < -1e-9 * np.maximum(peak, 1e-300)):
             raise NumericalError("significantly negative intensity in Doppler average")
     return np.maximum(vals, 0.0)
-
-
-def pole_decomposition(scheme: LevelScheme, drive: DriveParams, dopp: DopplerParams,
-                       delta1: float | None = None) -> PoleDecomposition:
-    """Roots of D at one probe detuning."""
-    d1 = drive.detuning_1 if delta1 is None else delta1
-    den = denominator_coefficients(scheme, d1, drive.detuning_2, drive.rabi_2,
-                                   *doppler_slopes(scheme, drive, dopp))
-    z1, z2 = den.roots()
-    if abs(z1 - z2) < _DEGENERATE_SEP * max(abs(z1), abs(z2)):
-        raise DegenerateRootError("denominator roots are degenerate")
-    x = wavenumber_ratio(scheme, drive)
-    return PoleDecomposition(z1=z1, z2=z2, region_two=(-1.0 < x < 0.0))
 
 
 def _refined_rule(poles, base_order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -286,105 +262,90 @@ def average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParam
                     quad_order=rule.order)
 
 
-def _pole_integrals(poles):
-    """Integral e^{-u^2}/(u - p) du for every pole p, one Faddeeva value each:
-    +-i pi w(+-p), signed so that the Faddeeva argument lies in the upper
-    half-plane."""
+def _signed_faddeeva(poles):
+    """Sign s = sign Im p and w(s p) for every pole p, in one Faddeeva call:
+    the Gaussian integral of 1/(u - p) is s i pi w(s p), with the Faddeeva
+    argument in the upper half-plane."""
     sign = np.where(poles.imag > 0, 1.0, -1.0)
-    return sign * 1j * math.pi * faddeeva_w(sign * poles)
+    return sign, faddeeva_w(sign * poles)
 
 
-def _root_faddeeva(z):
-    """Sign s = sign Im z and w(s z) for the roots z of D, one Faddeeva call.
-    The conjugate poles need no call of their own: their integral is the
-    conjugate one, since w(-conj zeta) = conj w(zeta)."""
-    sign = np.where(z.imag > 0, 1.0, -1.0)
-    return sign, faddeeva_w(sign * z)
+def _root_differences(v):
+    """v_k minus each other pole of 1/|D|^2, for k a root of D, in pole
+    order: the other root, then the conjugates of roots 0 and 1."""
+    c = np.conj(v)
+    return v - v[:, ::-1], v - c[:, :1], v - c[:, 1:]
+
+
+def _weak_probe_roots(scheme, drive, delta1, alpha, beta, rabi_2):
+    """The analytic engine's pole kernel over 1/|D(u)|^2, whose four simple
+    poles are the roots z of D and their conjugates.  Solves D at probe
+    detuning ``delta1`` (an array, or 0.0; ``alpha``, ``beta`` and
+    ``rabi_2`` per point) and refuses points whose poles come closer than
+    1e-9 relative.  Returns the mask of accepted points, D's coefficients,
+    and at the accepted points the (point, root) roots, their differences
+    (:func:`_root_differences`), the residues 1/(|a|^2 q0 q1 q2) and the
+    sign and Faddeeva value of the roots (:func:`_signed_faddeeva`).  Each
+    conjugate pole's term is the conjugate of its root's, as
+    w(-conj zeta) = conj w(zeta), so a sum over the four poles is 2 Re of
+    the sum over the two roots."""
+    den = denominator_coefficients(scheme, delta1, drive.detuning_2, rabi_2, alpha, beta)
+    z = np.stack(den.roots(), axis=-1)                   # (point, root)
+    q = _root_differences(z)
+    sep = np.minimum.reduce([np.abs(d) for d in q]).min(axis=-1)
+    scale = np.maximum(np.abs(z).max(axis=-1), 1e-30)
+    ok = ~(sep < _DEGENERATE_SEP * scale)
+    z, q = z[ok], [d[ok] for d in q]
+    residue = 1.0 / (np.square(np.abs(den.a[ok, None])) * (q[0] * q[1] * q[2]))
+    return ok, den, z, q, residue, *_signed_faddeeva(z)
 
 
 def _weak_probe_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
-    """Perturbative I2 and/or I3 by partial fractions: 1/(D(u) conj(D)(u))
-    has four simple poles, the roots of D and their conjugates.  I2's
-    quadratic numerator |gamma_13 + i(d1+d2)|^2 is continued off the real
-    axis to the poles; both observables share the roots, the pole products
-    and one Faddeeva call on the roots of D (:func:`_root_faddeeva`).
-    ``alpha``, ``beta`` and ``rabi_2`` are given per grid point.  Refuses
-    grid points whose poles come closer than 1e-9 relative."""
+    """Perturbative I2 and/or I3 by partial fractions over the poles of
+    :func:`_weak_probe_roots`.  I2's quadratic numerator
+    gamma_13^2 + (d1 + d2)^2 has real coefficients and is continued off the
+    real axis to the roots, so its conjugate-pole terms are conjugates too.
+    Both observables share one kernel call.  ``alpha``, ``beta`` and
+    ``rabi_2`` are given per grid point."""
     rp = rates(scheme)
-    den = denominator_coefficients(scheme, grid, drive.detuning_2, rabi_2, alpha, beta)
-    z1, z2 = den.roots()
-    poles = np.stack((z1, z2, np.conj(z1), np.conj(z2)), axis=-1)
-    # residue k needs prod_{j != k} (p_k - p_j): one product reduction per
-    # pole over its four differences (1 at j = k), with no (..., 4, 4) tensor
-    one = np.ones(grid.shape, dtype=complex)
-    prod = np.empty_like(poles)
-    sep = np.full(grid.shape, np.inf)
-    for k in range(4):
-        diffs = [poles[..., k] - poles[..., j] if j != k else one for j in range(4)]
-        prod[..., k] = np.prod(np.stack(diffs, axis=-1), axis=-1)
-        for d in diffs[k + 1:]:
-            sep = np.minimum(sep, np.abs(d))
-    scale = np.maximum(np.maximum(np.abs(z1), np.abs(z2)), 1e-30)
-    ok = ~(sep < _DEGENERATE_SEP * scale)
-    p = poles[ok]
-    sign, w = _root_faddeeva(p[:, :2])
-    integrals = np.concatenate((sign * 1j * math.pi * w,
-                                -sign * 1j * math.pi * np.conj(w)), axis=-1)
-    den_prod = np.square(np.abs(den.a[ok]))[:, None] * prod[ok]
+    ok, _, z, _, residue, sign, w = _weak_probe_roots(scheme, drive, grid, alpha, beta,
+                                                      rabi_2)
+    terms = residue * (sign * 1j * math.pi * w)
     out = {}
     if observable in ("I2", "both"):
         prefactor = rp.Gamma_2 * K_RHO22 * (drive.rabi_1 / 2) ** 2
-        d2ph = grid[ok, None] + drive.detuning_2 + (alpha[ok] + beta[ok])[:, None] * p
-        residues = (rp.gamma_13 ** 2 + d2ph * d2ph) / den_prod
-        out["I2"] = prefactor * (residues * integrals).sum(axis=-1).real / _SQRTPI
+        d2ph = grid[ok, None] + drive.detuning_2 + (alpha[ok] + beta[ok])[:, None] * z
+        numerator = rp.gamma_13 ** 2 + d2ph * d2ph
+        out["I2"] = prefactor * 2 * (numerator * terms).sum(axis=-1).real / _SQRTPI
     if observable in ("I3", "both"):
         prefactor = rp.Gamma_3 * K_RHO33 * np.square(drive.rabi_1 * rabi_2[ok] / 4)
-        residues = 1.0 / den_prod
-        out["I3"] = prefactor * (residues * integrals).sum(axis=-1).real / _SQRTPI
+        out["I3"] = prefactor * 2 * terms.sum(axis=-1).real / _SQRTPI
     return ok, out
 
 
 def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     """Exact second derivative of the analytic I3 in Delta_1 at Delta_1 = 0,
-    from the four poles of 1/|D|^2 (``docs/model.md``, "Splitting
-    threshold").  ``alpha`` (nonzero), ``beta`` and ``rabi_2`` are given per
-    point; each point takes one root solve and one Faddeeva call on the roots
-    of D.  Implicit differentiation of D = a u^2 + b u + c gives the pole
-    derivatives, log-derivatives of the residues give theirs, and the
-    conjugate poles contribute the conjugate terms.  Each root's products
-    and sums over the other three poles are written out term by term, from
-    three (point, root) difference arrays.  Returns the mask of accepted
-    points and their curvatures; like :func:`_weak_probe_poles` it refuses
-    points whose poles come closer than 1e-9 relative."""
+    over the poles of :func:`_weak_probe_roots` (``docs/model.md``,
+    "Splitting threshold").  ``alpha`` (nonzero), ``beta`` and ``rabi_2``
+    are given per point.  Implicit differentiation of D = a u^2 + b u + c
+    gives the pole derivatives, log-derivatives of the residues give theirs,
+    each written out term by term over the three difference arrays.
+    Returns the mask of accepted points and their curvatures."""
     rp = rates(scheme)
-    den = denominator_coefficients(scheme, 0.0, drive.detuning_2, rabi_2, alpha, beta)
-    z = np.stack(den.roots(), axis=-1)                   # (point, root)
-
-    def differences(v):
-        """v_k minus each other pole, for k a root of D, in pole order: the
-        other root, then the conjugates of roots 0 and 1."""
-        c = np.conj(v)
-        return v - v[:, ::-1], v - c[:, :1], v - c[:, 1:]
-
-    q = differences(z)
-    sep = np.minimum.reduce([np.abs(d) for d in q]).min(axis=-1)
-    scale = np.maximum(np.abs(z).max(axis=-1), 1e-30)
-    ok = ~(sep < _DEGENERATE_SEP * scale)
-    z, a, b = z[ok], den.a[ok, None], den.b[ok, None]
-    q = [d[ok] for d in q]
+    ok, den, z, q, residue, sign, w = _weak_probe_roots(scheme, drive, 0.0, alpha, beta,
+                                                        rabi_2)
+    a, b = den.a[ok, None], den.b[ok, None]
     db = -(2 * alpha[ok] + beta[ok])[:, None]            # b', with c' below and c'' = -2
     dc = 1j * (rp.gamma_12 + rp.gamma_13) - drive.detuning_2
     slope = 2 * a * z + b
     dz = -(db * z + dc) / slope
     d2z = -(2 * a * dz * dz + 2 * db * dz - 2) / slope
-    residue = 1.0 / (np.square(np.abs(a)) * (q[0] * q[1] * q[2]))
-    t1 = [d / p for d, p in zip(differences(dz), q)]
-    t2 = [d / p for d, p in zip(differences(d2z), q)]
+    t1 = [d / p for d, p in zip(_root_differences(dz), q)]
+    t2 = [d / p for d, p in zip(_root_differences(d2z), q)]
     # adding the conjugate-pole terms first rounds like np.sum over four poles
     dlog = -(t1[0] + (t1[1] + t1[2]))                    # R'/R
     d2log = -((t2[0] - t1[0] * t1[0])
               + ((t2[1] - t1[1] * t1[1]) + (t2[2] - t1[2] * t1[2])))
-    sign, w = _root_faddeeva(z)
     zeta = sign * z
     w1 = -2 * zeta * w + 2j / _SQRTPI
     w2 = (4 * zeta * zeta - 2) * w - 4j * zeta / _SQRTPI
@@ -414,8 +375,9 @@ def _full_engine_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
     upper = finite & (lam.imag >= 0)
     pole_lam = lam[upper]
     kernel = np.zeros(lam.shape, dtype=complex)
+    sign, w = _signed_faddeeva(-1.0 / pole_lam)
     kernel[upper] = (np.where(pole_lam.imag > 0, 2.0, 1.0) / pole_lam
-                     * _pole_integrals(-1.0 / pole_lam))
+                     * (sign * 1j * math.pi * w))
     pops = (np.where(finite[:, None, :], 0.0, res).sum(axis=-1)
             + (res * kernel[:, None, :]).sum(axis=-1) / _SQRTPI)
     rp = rates(scheme)
@@ -423,7 +385,7 @@ def _full_engine_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
 
 
 def _row_average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParams,
-                 grid, alpha, beta, rabi_2, quad_order: int = 200) -> np.ndarray:
+                 grid, alpha, beta, rabi_2) -> np.ndarray:
     """Doppler-averaged I2 and/or I3 of ``engine`` over rows of probe
     detunings, the last axis of ``grid``: one leading axis per observable
     (I2 first) before the broadcast shape of the arguments.
@@ -434,10 +396,10 @@ def _row_average(engine: str, observable: str, scheme: LevelScheme, drive: Drive
     rows (alpha = 0) evaluate the model at u = 0.  Engines "analytic" and
     "full" sum velocity poles, ``_WEAK_PROBE_BLOCK`` or
     ``_FULL_ENGINE_BLOCK`` grid points per pole-builder call.  Every point
-    a pole builder refuses takes the numeric sum of :func:`average`, with
-    its row's alpha, beta and Omega_2, on the Gauss-Hermite rule of order
-    200; every point of engine "perturbative" takes it on the rule of order
-    ``quad_order``.  Each row is validated on its own.
+    a pole builder refuses, and every point of engine "perturbative", takes
+    the numeric sum of :func:`average`, with its row's alpha, beta and
+    Omega_2, on the Gauss-Hermite rule of order 200.  Each row is validated
+    on its own.
     """
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -445,8 +407,6 @@ def _row_average(engine: str, observable: str, scheme: LevelScheme, drive: Drive
     pole_routes = {"analytic": (_weak_probe_poles, _WEAK_PROBE_BLOCK),
                    "full": (_full_engine_poles, _FULL_ENGINE_BLOCK)}
     builder, block = pole_routes.get(engine, (None, 0))
-    if builder is None and quad_order < MIN_QUAD_ORDER:
-        raise ConfigError(f"quadrature order must be >= {MIN_QUAD_ORDER}")
     model = "full" if engine == "full" else "perturbative"
     arrays = np.broadcast_arrays(np.asarray(grid, dtype=float), alpha, beta, rabi_2)
     shape = arrays[0].shape
@@ -463,8 +423,7 @@ def _row_average(engine: str, observable: str, scheme: LevelScheme, drive: Drive
                 if name in accepted:
                     vals[k, part[ok]] = accepted[name]
             numeric[part[ok]] = False
-    rule = (QuadratureRule.gauss_hermite(quad_order if builder is None else 200)
-            if numeric.any() else None)
+    rule = QuadratureRule.gauss_hermite(200) if numeric.any() else None
     _numeric_stage(model, scheme, drive, grid, alpha, beta, rabi_2, numeric, rule, vals)
     rows = [k for k, name in enumerate(("I2", "I3")) if observable in (name, "both")]
     return np.stack([_validated_intensity(vals[k].reshape(shape)) for k in rows])
@@ -491,23 +450,15 @@ def average_analytic_I2(scheme: LevelScheme, drive: DriveParams, dopp: DopplerPa
     return _spectrum("analytic", "I2", scheme, drive, dopp, delta1_grid)
 
 
-def average_full_exact(observable: str, scheme: LevelScheme, drive: DriveParams,
-                       dopp: DopplerParams, delta1_grid: np.ndarray) -> Spectrum:
-    """Exact Doppler average of the full steady state over a probe-detuning
-    grid, to all orders in both fields (:func:`cascade_at.liouville.velocity_poles`)."""
-    return _spectrum("full", observable, scheme, drive, dopp, delta1_grid)
-
-
 def intensities(engine: str, observable: str, scheme: LevelScheme,
-                drive: DriveParams, dopp: DopplerParams, delta1_grid: np.ndarray,
-                quad_order: int = 200) -> np.ndarray:
+                drive: DriveParams, dopp: DopplerParams,
+                delta1_grid: np.ndarray) -> np.ndarray:
     """Doppler-averaged I2 and/or I3 over a probe-detuning grid, one row per
     observable (I2 first): the row average (:func:`_row_average`) of the
-    grid at the drive's coupling Rabi frequency.  ``quad_order`` is the
-    Gauss-Hermite order of engine "perturbative"."""
+    grid at the drive's coupling Rabi frequency."""
     alpha, beta = doppler_slopes(scheme, drive, dopp)
     return _row_average(engine, observable, scheme, drive, delta1_grid, alpha, beta,
-                        drive.rabi_2, quad_order)
+                        drive.rabi_2)
 
 
 def root_difference_closed_form(scheme: LevelScheme, drive: DriveParams,

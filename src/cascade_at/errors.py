@@ -13,8 +13,9 @@ class NumericalError(CascadeError):
     """A computation failed or produced non-finite results."""
 
 
-class SingularSystemError(NumericalError):
-    """The steady-state problem has no unique solution (w_t = 0)."""
+class SingularSystemError(ConfigError):
+    """The steady-state problem has no unique solution (w_t = 0): the
+    configured system is closed, which is bad input, not a solver failure."""
 
 
 class SolverFailure(NumericalError):

@@ -41,7 +41,7 @@ class TestSpectrumCommand:
     def test_csv_structure(self, tmp_path):
         scen = small_scan("a.ini", tmp_path)
         out = tmp_path / "spec.csv"
-        res = run_cli(["spectrum", "--scenario", scen, "--engine", "perturbative",
+        res = run_cli(["spectrum", "--scenario", scen, "--engine", "analytic",
                        "--observable", "both", "--out", str(out)])
         assert res.returncode == 0, res.stderr
         lines = out.read_text().splitlines()
@@ -55,7 +55,7 @@ class TestSpectrumCommand:
     def test_normalize_peak(self, tmp_path):
         scen = small_scan("a.ini", tmp_path)
         out = tmp_path / "n.csv"
-        res = run_cli(["spectrum", "--scenario", scen, "--engine", "perturbative",
+        res = run_cli(["spectrum", "--scenario", scen, "--engine", "analytic",
                        "--observable", "I3", "--normalize", "peak",
                        "--out", str(out)])
         assert res.returncode == 0, res.stderr
@@ -75,7 +75,7 @@ class TestSpectrumCommand:
         o1, o2 = tmp_path / "off.csv", tmp_path / "on.csv"
         for out, flag in ((o1, "off"), (o2, "on")):
             res = run_cli(["spectrum", "--scenario", scen, "--engine",
-                           "perturbative", "--observable", "I3",
+                           "analytic", "--observable", "I3",
                            "--msum", flag, "--out", str(out)])
             assert res.returncode == 0, res.stderr
         off = np.loadtxt(str(o1), delimiter=",", skiprows=2)
@@ -107,7 +107,7 @@ class TestSpectrumCommand:
         sc = _preset_scenario("case-b")
         sc.scan.update(delta1_start=-600.0, delta1_stop=600.0, delta1_step=40.0)
         wts = weights(sc.scheme.j2, sc.scheme.j3)
-        grid, cols = _compute_spectrum(sc, engine, "both", 200, wts)
+        grid, cols = _compute_spectrum(sc, engine, "both", wts)
         ref = m_summed(lambda drv: doppler.intensities(engine, "both", sc.scheme, drv,
                                                        sc.dopp, grid), wts, sc.drive)
         assert np.array_equal(np.array([cols["I2"], cols["I3"]]), ref)
@@ -173,14 +173,6 @@ class TestByteIdentity:
                     "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.EXPECTED[command]
 
-    # SHA-256 of the perturbative engine's numeric route, I2 and I3 on the
-    # reduced case-a grid of small_scan with the M sum on and off, measured
-    # with the same numpy and scipy
-    PERTURBATIVE = {
-        "on": "1faca426d2cd917a822159358ffdbef970a470ce97c4439832b613f5225867d6",
-        "off": "f41a011a733118bdbd5e9eb3794aff9d420a16bc5e54701f38444fd8d2ab2b21",
-    }
-
     # SHA-256 of the analytic engine's partial fractions, I2 and I3 of the
     # case-a preset with the M sum on and off, measured with the same numpy
     # and scipy
@@ -195,14 +187,6 @@ class TestByteIdentity:
         assert run(["spectrum", "--preset", "case-a", "--engine", "analytic",
                     "--observable", "both", "--msum", msum, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.ANALYTIC[msum]
-
-    @pytest.mark.parametrize("msum", ["on", "off"])
-    def test_perturbative_small_scan_sha256(self, tmp_path, msum):
-        scen = small_scan("a.ini", tmp_path)
-        out = tmp_path / "pert.csv"
-        assert run(["spectrum", "--scenario", scen, "--engine", "perturbative",
-                    "--observable", "both", "--msum", msum, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PERTURBATIVE[msum]
 
 
 class TestGrid:
@@ -291,10 +275,32 @@ class TestErrorPaths:
         res = run_cli(["spectrum", "--preset", "case-a", "--engine", "magic"])
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("args", [
+        "spectrum --engine perturbative",
+        "threshold --engine perturbative",
+        "surface --engine perturbative",
+        "spectrum --quad-order 200",
+    ])
+    def test_numeric_engine_and_order_are_not_flags(self, capsys, args):
+        # the numeric weak-probe average is a library oracle only
+        assert run(args.split() + ["--preset", "case-a"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["spectrum", "threshold", "surface"])
+    def test_closed_system_exits_2(self, tmp_path, command):
+        # no transit and no decay out of the cascade: no unique steady state
+        scen = small_scan("a.ini", tmp_path, ["transit_rate = 0.0", "branch_2_to_1 = 1.0",
+                                              "branch_3_to_2 = 1.0"])
+        res = run_cli([command, "--scenario", scen, "--engine", "full"])
+        assert res.returncode == 2, res.stdout[:200] + res.stderr
+        assert res.stderr == "error: steady state needs transit_rate > 0\n"
+
     @pytest.mark.parametrize("command,line", [
         ("threshold", "engine = bogus"),
         ("surface", "engine = bogus"),
         ("spectrum", "msum = yes"),
+        ("spectrum", "engine = perturbative"),
+        ("spectrum", "quad_order = 200"),
         ("spectrum", "quad_order = 0"),
         ("spectrum --engine analytic", "quad_order = 0"),
         ("spectrum --engine full", "quad_order = 0"),
