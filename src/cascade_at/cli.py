@@ -53,6 +53,10 @@ _DEFAULT_SCAN = {
     "dnu_start": 200.0, "dnu_stop": 5000.0, "dnu_step": 400.0,
 }
 
+# most points of one scan grid, and most cells of one surface: far above any
+# scan the model needs, and checked before a grid is allocated
+_MAX_GRID_POINTS = 1_000_000
+
 # the library's "perturbative" engine is the numeric oracle of "analytic",
 # the same weak-probe average at ten times the cost; it is not a command choice
 _ENGINES = ("full", "analytic")
@@ -81,7 +85,9 @@ def _parse_scenario(path: str) -> Scenario:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse scenario {path}: {exc}")
 
-    raw = {section: dict(cp[section]) for section in cp.sections()}
+    # raw items skip the section proxies' per-key interpolation and
+    # default-section lookups; the values are the same strings
+    raw = {section: dict(cp.items(section, raw=True)) for section in cp.sections()}
     for section, values in raw.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown scenario section [{section}]")
@@ -171,6 +177,10 @@ def _grid(scan: dict, prefix: str) -> np.ndarray:
     if stop < start:
         raise ConfigError(f"{prefix}_stop must be >= {prefix}_start")
     span = (stop - start) / step
+    # also refuses an infinite span, which round() cannot take
+    if not span + 1 <= _MAX_GRID_POINTS:
+        raise ConfigError(f"{prefix} grid has {span + 1:.7g} points, above the limit of "
+                          f"{_MAX_GRID_POINTS}")
     n = round(span)
     if abs(span - n) > 1e-9 * max(n, 1):      # not a whole number of steps
         n = math.floor(span)
@@ -281,6 +291,9 @@ def _cmd_surface(args) -> int:
     engine, wts = _settings(args, sc, "analytic")
     x_grid = _grid(sc.scan, "x")
     dnu_grid = _grid(sc.scan, "dnu")
+    cells = len(x_grid) * len(dnu_grid)
+    if cells > _MAX_GRID_POINTS:
+        raise ConfigError(f"surface has {cells} cells, above the limit of {_MAX_GRID_POINTS}")
     tmap = threshold.threshold_surface(engine, sc.scheme, x_grid, dnu_grid, msum=wts)
     fp = _fingerprint(sc, repr(("surface", engine, wts is not None)))
     _emit_csv(["x", "dnu_mhz", "omega2_t_mhz", "converged"],

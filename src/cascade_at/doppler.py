@@ -24,8 +24,11 @@ stencil it needs a row.  Each grid point takes one of three routes:
   Faddeeva value, at its upper member, and each real pole one.  The pole
   builders run in blocks of a fixed number of grid points (1024 analytic,
   256 full-engine), which bounds their temporaries at any grid size.
-  The same kernel gives the analytic I3's exact curvature at Delta_1 = 0
-  (:func:`_weak_probe_curvature`), which the threshold search uses;
+  The threshold search takes the analytic I3's exact curvature from a
+  kernel of its own (:func:`_weak_probe_curvature`): at the resonant point
+  Delta_1 = Delta_2 = 0, D(iv) is a real quadratic in v, whose roots give
+  the poles, their derivatives and residues in closed form, 4096 points per
+  call;
 
 * every point of the ``perturbative`` engine, and every point a pole
   builder refuses (coincident roots of D, an ill-conditioned eigenbasis),
@@ -69,9 +72,11 @@ _ZERO_EIGENVALUE = 1e-8    # |lam| counted as zero; keeps |p| = 1/|lam| within w
 _COND_LIMIT = 1e8          # eigenbasis 1-norm condition number refused by the pole expansion
 # grid points per pole-builder call: bounds the temporaries at any grid size
 # (a full-engine point peaks at ~2 kB of real 6x6 and 6x7 and complex 6x6 stacks,
-# about 0.5 MB at 256 points)
+# about 0.5 MB at 256 points; a resonant-curvature point at ~0.6 kB, 2.5 MB at
+# 4096 points, which holds a 5 x 13 threshold pre-scan in one call)
 _WEAK_PROBE_BLOCK = 1024
 _FULL_ENGINE_BLOCK = 256
+_RESONANT_BLOCK = 4096
 _PANEL_NODES, _PANEL_WEIGHTS = leggauss(_PANEL_DEGREE)
 
 ENGINES = ("full", "perturbative", "analytic")
@@ -270,34 +275,28 @@ def _signed_faddeeva(poles):
     return sign, faddeeva_w(sign * poles)
 
 
-def _root_differences(v):
-    """v_k minus each other pole of 1/|D|^2, for k a root of D, in pole
-    order: the other root, then the conjugates of roots 0 and 1."""
-    c = np.conj(v)
-    return v - v[:, ::-1], v - c[:, :1], v - c[:, 1:]
-
-
 def _weak_probe_roots(scheme, drive, delta1, alpha, beta, rabi_2):
     """The analytic engine's pole kernel over 1/|D(u)|^2, whose four simple
-    poles are the roots z of D and their conjugates.  Solves D at probe
-    detuning ``delta1`` (an array, or 0.0; ``alpha``, ``beta`` and
-    ``rabi_2`` per point) and refuses points whose poles come closer than
-    1e-9 relative.  Returns the mask of accepted points, D's coefficients,
-    and at the accepted points the (point, root) roots, their differences
-    (:func:`_root_differences`), the residues 1/(|a|^2 q0 q1 q2) and the
-    sign and Faddeeva value of the roots (:func:`_signed_faddeeva`).  Each
-    conjugate pole's term is the conjugate of its root's, as
-    w(-conj zeta) = conj w(zeta), so a sum over the four poles is 2 Re of
-    the sum over the two roots."""
+    poles are the roots z of D and their conjugates.  Solves D at the probe
+    detunings ``delta1`` (``alpha``, ``beta`` and ``rabi_2`` per point) and
+    refuses points whose poles come closer than 1e-9 relative.  Returns the
+    mask of accepted points, and at the accepted points the (point, root)
+    roots, the residues 1/(|a|^2 q0 q1 q2) over each root's differences to
+    the other three poles, and the sign and Faddeeva value of the roots
+    (:func:`_signed_faddeeva`).  Each conjugate pole's term is the
+    conjugate of its root's, as w(-conj zeta) = conj w(zeta), so a sum over
+    the four poles is 2 Re of the sum over the two roots."""
     den = denominator_coefficients(scheme, delta1, drive.detuning_2, rabi_2, alpha, beta)
     z = np.stack(den.roots(), axis=-1)                   # (point, root)
-    q = _root_differences(z)
+    # to the other root, then to the conjugates of roots 0 and 1
+    zc = np.conj(z)
+    q = (z - z[:, ::-1], z - zc[:, :1], z - zc[:, 1:])
     sep = np.minimum.reduce([np.abs(d) for d in q]).min(axis=-1)
     scale = np.maximum(np.abs(z).max(axis=-1), 1e-30)
     ok = ~(sep < _DEGENERATE_SEP * scale)
     z, q = z[ok], [d[ok] for d in q]
     residue = 1.0 / (np.square(np.abs(den.a[ok, None])) * (q[0] * q[1] * q[2]))
-    return ok, den, z, q, residue, *_signed_faddeeva(z)
+    return ok, z, residue, *_signed_faddeeva(z)
 
 
 def _weak_probe_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
@@ -308,8 +307,7 @@ def _weak_probe_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
     Both observables share one kernel call.  ``alpha``, ``beta`` and
     ``rabi_2`` are given per grid point."""
     rp = rates(scheme)
-    ok, _, z, _, residue, sign, w = _weak_probe_roots(scheme, drive, grid, alpha, beta,
-                                                      rabi_2)
+    ok, z, residue, sign, w = _weak_probe_roots(scheme, drive, grid, alpha, beta, rabi_2)
     terms = residue * (sign * 1j * math.pi * w)
     out = {}
     if observable in ("I2", "both"):
@@ -324,36 +322,75 @@ def _weak_probe_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
 
 
 def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
-    """Exact second derivative of the analytic I3 in Delta_1 at Delta_1 = 0,
-    over the poles of :func:`_weak_probe_roots` (``docs/model.md``,
-    "Splitting threshold").  ``alpha`` (nonzero), ``beta`` and ``rabi_2``
-    are given per point.  Implicit differentiation of D = a u^2 + b u + c
-    gives the pole derivatives, log-derivatives of the residues give theirs,
-    each written out term by term over the three difference arrays.
-    Returns the mask of accepted points and their curvatures."""
+    """Exact second derivative of the analytic I3 in Delta_1 at the resonant
+    point Delta_1 = Delta_2 = 0 (``docs/model.md``, "Splitting threshold").
+    ``alpha`` (nonzero), ``beta`` and ``rabi_2`` are given per point.
+    Returns the mask of accepted points and their curvatures.
+
+    There D = a u^2 + i b u + c with real a = -alpha sigma (sigma =
+    alpha + beta), b = alpha gamma_13 + sigma gamma_12 and
+    c = gamma_12 gamma_13 + Omega_2^2/4, so D(iv) = -(a v^2 + b v - c) is
+    a real quadratic: the roots z = iv of D lie on the imaginary axis or
+    form a mirror pair z_1 = -conj z_0, and the poles of 1/|D|^2 are
+    +-z_0, +-z_1.  The roots' derivatives in Delta_1, and those of the log
+    of their residues i/(2 b v t), t = -(2 a v + b) = +-sqrt(b^2 + 4ac),
+    are linear in v, 1/v or t with real coefficients per point.  One
+    Faddeeva call takes both roots of every point.  Refuses points whose
+    four poles come closer than 1e-9 relative; raises DegenerateRootError
+    where a = 0."""
+    if drive.detuning_2 != 0.0:
+        raise ConfigError("the exact curvature is defined at resonant coupling")
     rp = rates(scheme)
-    ok, den, z, q, residue, sign, w = _weak_probe_roots(scheme, drive, 0.0, alpha, beta,
-                                                        rabi_2)
-    a, b = den.a[ok, None], den.b[ok, None]
-    db = -(2 * alpha[ok] + beta[ok])[:, None]            # b', with c' below and c'' = -2
-    dc = 1j * (rp.gamma_12 + rp.gamma_13) - drive.detuning_2
-    slope = 2 * a * z + b
-    dz = -(db * z + dc) / slope
-    d2z = -(2 * a * dz * dz + 2 * db * dz - 2) / slope
-    t1 = [d / p for d, p in zip(_root_differences(dz), q)]
-    t2 = [d / p for d, p in zip(_root_differences(d2z), q)]
-    # adding the conjugate-pole terms first rounds like np.sum over four poles
-    dlog = -(t1[0] + (t1[1] + t1[2]))                    # R'/R
-    d2log = -((t2[0] - t1[0] * t1[0])
-              + ((t2[1] - t1[1] * t1[1]) + (t2[2] - t1[2] * t1[2])))
-    zeta = sign * z
+    sigma = alpha + beta
+    a = -(alpha * sigma)
+    if (a == 0).any():
+        raise DegenerateRootError(
+            "denominator is not quadratic in u (zero wavenumber or zero Doppler width)")
+    quarter = np.square(rabi_2 / 2)                      # Omega_2^2 / 4
+    b = alpha * rp.gamma_13 + sigma * rp.gamma_12
+    c = rp.gamma_12 * rp.gamma_13 + quarter
+    g = alpha * rp.gamma_13 - sigma * rp.gamma_12
+    # D's discriminant rounds as in the spectra's kernel, so the guard below
+    # refuses the same points
+    disc = b * b + 4 * a * c
+    sq = np.copysign(1.0, b) * np.sqrt(disc + 0j)
+    q = -(b + sq) / 2                                   # a v0 = q, v0 v1 = -c/a
+    # the poles' distances times |a|: |v0 - v1| = |sq|, |v0 + v1| = |b|,
+    # 2|v0| and 2|v1|, against the larger of |v0| and |v1|
+    r0 = np.abs(q)
+    r1 = c * np.abs(a) / r0
+    sep = np.minimum(np.minimum(np.abs(sq), np.abs(b)), 2 * np.minimum(r0, r1))
+    ok = ~(sep < _DEGENERATE_SEP * np.maximum(r0, r1))
+    if not ok.all():
+        alpha, beta, rabi_2, a, b, c, g, quarter, disc, sq, q = (
+            x[ok] for x in (alpha, beta, rabi_2, a, b, c, g, quarter, disc, sq, q))
+    # z' = e1 + f1 v, z'' = i eps t, L' = i lam v and L'' = kappa + eps b / v,
+    # with L the log of the root's residue
+    f1 = beta * g / disc
+    e1 = (quarter * (4 * alpha + 2 * beta) + (rp.gamma_12 - rp.gamma_13) * g) / disc
+    lam = -2 * a * f1 / b
+    eps = 2 * quarter * np.square(beta / disc)
+    kappa = 4 * a * eps - f1 * f1 * (1 + disc / (b * b))
+    v = np.array((q / a, -c / q))                        # (root, point)
+    t = np.multiply.outer([1.0, -1.0], sq)              # -(2 a v + b)
+    dz = e1 + f1 * v
+    dlog = (1j * lam) * v
+    d2z = (1j * eps) * t
+    d2log = kappa + (eps * b) / v
+    residue = 0.5j / (b * t * v)
+    # Im z = Re v; with s = sign Im z and zeta = s z, the Gaussian integral
+    # of 1/(u - z) is s i pi w(zeta), and its z-derivatives are i pi w'(zeta)
+    # and s i pi w''(zeta)
+    sign = np.sign(v.real)
+    zeta = (1j * sign) * v
+    w = faddeeva_w(zeta)
     w1 = -2 * zeta * w + 2j / _SQRTPI
     w2 = (4 * zeta * zeta - 2) * w - 4j * zeta / _SQRTPI
-    j0, j1, j2 = sign * 1j * math.pi * w, 1j * math.pi * w1, sign * 1j * math.pi * w2
-    terms = residue * ((d2log + dlog * dlog) * j0 + 2 * dlog * j1 * dz
-                       + j2 * dz * dz + j1 * d2z)
-    prefactor = rp.Gamma_3 * K_RHO33 * np.square(drive.rabi_1 * rabi_2[ok] / 4)
-    return ok, prefactor * 2 * terms.sum(axis=-1).real / _SQRTPI
+    terms = residue * (sign * ((d2log + dlog * dlog) * w + w2 * dz * dz)
+                       + w1 * (2 * dlog * dz + d2z))
+    # the four poles' sum is 2 Re of i pi times the two roots' terms
+    prefactor = rp.Gamma_3 * K_RHO33 * np.square(drive.rabi_1 * rabi_2 / 4)
+    return ok, (-2 * _SQRTPI) * prefactor * (terms[0] + terms[1]).imag
 
 
 def _full_engine_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):

@@ -34,10 +34,11 @@ def w(z):
     from scipy.special import wofz
 
     arr = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("w(z) requires finite z")
     modulus = np.abs(arr)
-    if np.any(modulus > _MAX_ABS):
+    # one comparison in the common case: nan and inf fail it too
+    if not (modulus <= _MAX_ABS).all():
+        if not np.isfinite(arr).all():
+            raise DomainError("w(z) requires finite z")
         raise DomainError(
             f"|z| = {modulus.max():.3g} outside supported domain (<= {_MAX_ABS:.0e})")
     val = wofz(arr)

@@ -23,13 +23,17 @@ runs in three phases:
 
 Each phase evaluates the curvature of all its (cell, Omega_2) rows in one
 row-batched call, so the cells share their numpy calls; a cell's arithmetic
-is the same as that of a search run on it alone.  ``threshold_rabi`` is the
-1 x 1 case and ``threshold_curve`` the one-width case.
+is the same as that of a search run on it alone.  A phase without rows
+makes no call, and the analytic rows of a phase take one kernel call up to
+4096 (row, M weight) points.  ``threshold_rabi`` is the 1 x 1 case and
+``threshold_curve`` the one-width case.
 
 The analytic engine's curvature is exact: the second derivative of the
 partial-fraction average at Delta_1 = 0, from the four poles of 1/|D|^2 and
-their derivatives (:func:`cascade_at.doppler._weak_probe_curvature`).  The
-other engines, and the analytic points the exact form refuses (poles closer
+their derivatives (:func:`cascade_at.doppler._weak_probe_curvature`).  At
+resonant coupling these poles are +-z_0, +-z_1 for the roots z = iv of the
+real quadratic D(iv), which also makes I3 even in Delta_1.  The other
+engines, and the analytic points the exact form refuses (poles closer
 than 1e-9 relative, zero Doppler width), take a 5-point central stencil of
 step h = max(0.5 MHz, Omega_2/200), evaluated at Delta_1 = 0, h, 2h only: at
 resonant coupling I3 is even in Delta_1 for every engine.  In the analytic
@@ -50,7 +54,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .doppler import ENGINES, _WEAK_PROBE_BLOCK, _row_average, _weak_probe_curvature
+from .doppler import ENGINES, _RESONANT_BLOCK, _row_average, _weak_probe_curvature
 from .errors import ConfigError, NumericalError
 from .lineshape import doppler_slopes
 from .model import (C_M_PER_S, DopplerParams, DriveParams, LevelScheme,
@@ -141,7 +145,7 @@ def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
 
     Every (row, folded M weight) pair is one point.  Analytic points take
     the exact curvature (:func:`cascade_at.doppler._weak_probe_curvature`),
-    in blocks of ``_WEAK_PROBE_BLOCK``; the points it refuses, zero-width
+    in blocks of ``_RESONANT_BLOCK``; the points it refuses, zero-width
     points (alpha = 0) and every point of the other engines take the even
     half stencil, all in one :func:`cascade_at.doppler._row_average` call.
     ``folded_sum`` then sums the M axis.  Raises NumericalError if any row
@@ -150,23 +154,24 @@ def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
     rabi_2 = np.asarray(rabi_2, dtype=float)
     weights = np.array([1.0] if msum is None else [w for w, _ in msum.folded()])
     om = (rabi_2[:, None] * weights).ravel()              # (row, M weight), flat
-    h = np.repeat(np.maximum(0.5, rabi_2 / 200.0), len(weights))
     alpha, beta = (np.repeat(np.asarray(s, dtype=float), len(weights)) for s in (alpha, beta))
     curv = np.full(om.size, np.nan)
     stencil = np.ones(om.size, dtype=bool)
     if engine == "analytic":
         exact = np.flatnonzero(alpha != 0.0)
-        for part in (exact[i:i + _WEAK_PROBE_BLOCK]
-                     for i in range(0, len(exact), _WEAK_PROBE_BLOCK)):
+        for part in (exact[i:i + _RESONANT_BLOCK]
+                     for i in range(0, len(exact), _RESONANT_BLOCK)):
             ok, vals = _weak_probe_curvature(scheme, drive, alpha[part], beta[part], om[part])
             curv[part[ok]] = vals
             stencil[part[ok]] = False
         if not np.all(np.isfinite(curv[~stencil])):
             raise NumericalError("non-finite exact curvature")
     if stencil.any():
-        i3 = _row_average(engine, "I3", scheme, drive, h[stencil, None] * _HALF_STENCIL,
+        # each row's step, from its own coupling, shared by its M weights
+        h = np.repeat(np.maximum(0.5, rabi_2 / 200.0), len(weights))[stencil]
+        i3 = _row_average(engine, "I3", scheme, drive, h[:, None] * _HALF_STENCIL,
                           alpha[stencil, None], beta[stencil, None], om[stencil, None])[0]
-        curv[stencil] = _second_derivative(i3[:, _MIRROR], h[stencil])
+        curv[stencil] = _second_derivative(i3[:, _MIRROR], h)
     curv = curv.reshape(len(rabi_2), len(weights))
     return curv[:, 0] if msum is None else folded_sum(curv.T, msum)
 
@@ -224,7 +229,10 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
     def curvatures(idx, rabi_2):
         """Curvatures of the rows (cell idx[r], rabi_2[r]) and the mask of
         rows that raise NumericalError (nan).  A failed batch is retried row
-        by row, each row being one call of a search run on its cell alone."""
+        by row, each row being one call of a search run on its cell alone.
+        A phase with no rows makes no call."""
+        if not len(idx):
+            return np.empty(0), np.zeros(0, dtype=bool)
         try:
             return (_curvature_rows(engine, scheme, drive, alpha[idx], beta[idx], rabi_2,
                                     msum),

@@ -173,6 +173,26 @@ class TestByteIdentity:
                     "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.EXPECTED[command]
 
+    # SHA-256 of the other analytic thresholds whose exact curvature a
+    # change of the weak-probe kernel could move: case b, and case a with
+    # the M sum on, measured with the same numpy and scipy
+    THRESHOLDS = {
+        "threshold --preset case-b":
+            "4ec2c73e7a44675a27a41bf894803eafc4ff11c91606f76176300b0e8faae05e",
+        "surface --preset case-b":
+            "980924129c62385683a8047e768cfe972e625d48a0216bdea33725093eb2e51f",
+        "threshold --preset case-a --msum on":
+            "d75a73bae66785ae731b52df3cc069a4e21385bb6df06242a1c6bd6d0c3f17b9",
+        "surface --preset case-a --msum on":
+            "97ac91c7ae11ba6c76d371fc384e5948d2f073690c3785a45f618264844d047e",
+    }
+
+    @pytest.mark.parametrize("command", list(THRESHOLDS))
+    def test_analytic_threshold_sha256(self, tmp_path, command):
+        out = tmp_path / "threshold.csv"
+        assert run(command.split() + ["--engine", "analytic", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.THRESHOLDS[command]
+
     # SHA-256 of the analytic engine's partial fractions, I2 and I3 of the
     # case-a preset with the M sum on and off, measured with the same numpy
     # and scipy
@@ -312,6 +332,20 @@ class TestErrorPaths:
         res = run_cli(command.split() + ["--scenario", scen])
         assert res.returncode == 2, res.stdout[:200] + res.stderr
         assert res.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("command,lines,message", [
+        ("spectrum", ["delta1_step = 1e-09"], "delta1 grid has 6e+11 points"),
+        ("threshold", ["x_step = 1e-09"], "x grid has 3.9e+09 points"),
+        ("surface", ["x_step = 0.001", "dnu_step = 0.01"], "surface has 1872483901 cells"),
+    ], ids=["spectrum", "threshold", "surface"])
+    def test_oversized_grid_exits_2(self, tmp_path, capsys, command, lines, message):
+        # refused before the grid is allocated: with the spectrum's step a
+        # numpy allocation of terabytes failed with a traceback
+        scen = small_scan("a.ini", tmp_path, lines)
+        assert run([command, "--scenario", scen]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "above the limit of 1000000" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command,old,new", [
         ("threshold", "x_start = ", "x_start = nan"),

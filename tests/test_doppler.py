@@ -567,3 +567,109 @@ class TestRootPairs:
         grid = np.array([-5.0, -0.01, 0.0, 1e-4, 5.0])
         ok = self.compare(scheme, drv, *doppler_slopes(scheme, drv, dopp), grid)
         assert list(ok) == [True, True, False, True, True]
+
+
+def pole_difference_curvature(scheme, drive, alpha, beta, rabi_2):
+    """The analytic I3's curvature at Delta_1 = 0 by the general pole
+    derivatives: D's roots from the complex quadratic formula, implicit
+    differentiation of D = a u^2 + b(Delta_1) u + c(Delta_1) for their
+    derivatives, and log-derivatives of each residue over its differences
+    to the other root and to both conjugates.  The oracle of the
+    resonant-point kernel.  Returns the mask of points with poles at least
+    1e-9 relative apart, their curvatures, and the sum of the moduli of
+    every product term, w' and w'' split into their w and constant parts:
+    the scale at which rounding enters a sum whose terms cancel."""
+    rp = rates(scheme)
+    den = ca.denominator_coefficients(scheme, 0.0, drive.detuning_2, rabi_2, alpha, beta)
+    z = np.stack(den.roots(), axis=-1)                   # (point, root)
+
+    def differences(v):
+        return v - v[:, ::-1], v - np.conj(v[:, :1]), v - np.conj(v[:, 1:])
+
+    q = differences(z)
+    sep = np.minimum.reduce([np.abs(d) for d in q]).min(axis=-1)
+    ok = ~(sep < 1e-9 * np.abs(z).max(axis=-1))
+    z, q = z[ok], [d[ok] for d in q]
+    a, b = den.a[ok, None], den.b[ok, None]
+    residue = 1.0 / (np.abs(a) ** 2 * q[0] * q[1] * q[2])
+    db = -(2 * alpha[ok] + beta[ok])[:, None]
+    dc = 1j * (rp.gamma_12 + rp.gamma_13) - drive.detuning_2
+    slope = 2 * a * z + b
+    dz = -(db * z + dc) / slope
+    d2z = -(2 * a * dz * dz + 2 * db * dz - 2) / slope
+    t1 = [d / p for d, p in zip(differences(dz), q)]
+    t2 = [d / p for d, p in zip(differences(d2z), q)]
+    dlog = -(t1[0] + t1[1] + t1[2])
+    d2log = -sum(b2 - b1 * b1 for b1, b2 in zip(t1, t2))
+    sign = np.where(z.imag > 0, 1.0, -1.0)
+    zeta = sign * z
+    w = ca.w(zeta)
+    ipi = 1j * math.pi
+    parts = [residue * (d2log + dlog * dlog) * sign * ipi * w]
+    for j1 in (ipi * -2 * zeta * w, ipi * 2j / SQRTPI):          # i pi w'
+        parts += [residue * 2 * dlog * j1 * dz, residue * j1 * d2z]
+    for j2 in (ipi * (4 * zeta * zeta - 2) * w, ipi * -4j * zeta / SQRTPI):
+        parts.append(residue * sign * j2 * dz * dz)              # s i pi w''
+    prefactor = 2 * rp.Gamma_3 * K_RHO33 * np.square(drive.rabi_1 * rabi_2[ok] / 4) / SQRTPI
+    return (ok, prefactor * sum(parts).sum(axis=-1).real,
+            prefactor * sum(np.abs(p) for p in parts).sum(axis=-1))
+
+
+class TestResonantCurvature:
+    """The threshold search's exact curvature: the resonant-point kernel
+    against the general pole-derivative sum it replaced."""
+
+    @staticmethod
+    def rows(scheme, cells, omegas):
+        """(alpha, beta, Omega_2) of every (cell, Omega_2) pair; a cell is an
+        (x, Doppler FWHM) pair realized with the probe kept fixed."""
+        from cascade_at.threshold import _geometry_for_x
+        slopes = [doppler_slopes(*_geometry_for_x(scheme, x, 1.0), ca.DopplerParams(fwhm=f))
+                  for x, f in cells]
+        alpha, beta = np.repeat(np.array(slopes).T, len(omegas), axis=1)
+        return alpha, beta, np.tile(np.asarray(omegas, dtype=float), len(cells))
+
+    @staticmethod
+    def compare(scheme, alpha, beta, rabi_2):
+        drive = ca.DriveParams(rabi_1=1.0, rabi_2=0.0)
+        ok, got = doppler._weak_probe_curvature(scheme, drive, alpha, beta, rabi_2)
+        ref_ok, ref, scale = pole_difference_curvature(scheme, drive, alpha, beta, rabi_2)
+        assert np.array_equal(ok, ref_ok)
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+        return ok
+
+    # both signs of x, either side of x = -1 and of x = 0, Doppler widths
+    # 200-5000 MHz and Omega_2 from the bracket's bottom to its top
+    CELLS = [(x, f) for x in (-1.95, -1.5, -1.1162, -0.9219, -0.5, -0.05, 0.05, 0.5, 1.95)
+             for f in (200.0, 1100.0, 5000.0)]
+    OMEGAS = np.geomspace(1.0, 5e4, 13)
+
+    @pytest.mark.parametrize("case", ["case_a", "case_b"])
+    def test_matches_pole_difference_sum(self, case):
+        scheme = ca.preset(case)[0]
+        assert self.compare(scheme, *self.rows(scheme, self.CELLS, self.OMEGAS)).all()
+
+    def test_q_line_weights_and_coincident_row(self, case_b):
+        # the Q-line's folded weights 0, 1/3, 2/3, 1 (J = 3 -> 3) times the
+        # coupling where D's roots coincide at Delta_1 = 0: both refuse
+        # exactly the weight-1 point
+        scheme = case_b[0]
+        cell = (-1.1162, 500.0)
+        from cascade_at.threshold import _geometry_for_x
+        scheme_x, drive_x = _geometry_for_x(scheme, cell[0], 1.0)
+        om = coincident_roots_drive(scheme_x, drive_x, ca.DopplerParams(fwhm=cell[1])).rabi_2
+        folded = [w for w, _ in weights(3, 3).folded()]
+        assert folded[0] == 0.0 and folded[-1] == 1.0
+        ok = self.compare(scheme, *self.rows(scheme, [cell], om * np.array(folded)))
+        assert list(ok) == [True, True, True, False]
+
+    def test_resonant_coupling_and_quadratic_denominator_required(self, case_a):
+        scheme = case_a[0]
+        alpha, beta, rabi_2 = self.rows(scheme, [(-0.5, 1100.0)], [100.0])
+        with pytest.raises(ConfigError):
+            doppler._weak_probe_curvature(
+                scheme, ca.DriveParams(rabi_1=1.0, rabi_2=0.0, detuning_2=1.0),
+                alpha, beta, rabi_2)
+        with pytest.raises(DegenerateRootError):        # x = -1: a = -alpha (alpha + beta) = 0
+            doppler._weak_probe_curvature(scheme, ca.DriveParams(rabi_1=1.0, rabi_2=0.0),
+                                          alpha, -alpha, rabi_2)

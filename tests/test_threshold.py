@@ -323,6 +323,46 @@ class TestLockstepSearch:
         assert all(r.converged for r, _ in seen)
 
 
+class TestPhaseCalls:
+    """What each lockstep phase asks of the curvature layers."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Rows per ``_curvature_rows`` call and points per exact-curvature
+        kernel call, in call order."""
+        calls = {"rows": [], "kernel": []}
+        rows, kernel = threshold._curvature_rows, threshold._weak_probe_curvature
+
+        def counting_rows(engine, scheme, drive, alpha, beta, rabi_2, msum):
+            calls["rows"].append(len(rabi_2))
+            return rows(engine, scheme, drive, alpha, beta, rabi_2, msum)
+
+        def counting_kernel(scheme, drive, alpha, beta, rabi_2):
+            calls["kernel"].append(len(rabi_2))
+            return kernel(scheme, drive, alpha, beta, rabi_2)
+
+        monkeypatch.setattr(threshold, "_curvature_rows", counting_rows)
+        monkeypatch.setattr(threshold, "_weak_probe_curvature", counting_kernel)
+        return calls
+
+    def test_no_call_without_rows(self, case_a, monkeypatch):
+        # outside region II no cell has a seed to check
+        calls = self.record(monkeypatch)
+        tmap = threshold_curve("analytic", case_a[0], [-1.5, 0.5, 1.5], DOP)
+        assert tmap.converged.all()
+        assert calls["rows"][0] == 3 * 20 and min(calls["rows"]) > 0
+
+    def test_one_kernel_call_per_phase(self, case_a, monkeypatch):
+        # a 5 x 13 surface as one CLI block computes it, region II seeded:
+        # seed check, pre-scan (5 x 13 cells x 20 couplings) and every
+        # Illinois step take one kernel call each
+        calls = self.record(monkeypatch)
+        x_grid = np.array([-0.95, -0.85, -0.75, -0.65, -0.55])
+        threshold_surface("analytic", case_a[0], x_grid, 200.0 + 400.0 * np.arange(13))
+        assert calls["kernel"] == calls["rows"]
+        assert calls["rows"][:2] == [2 * 65, 65 * 20]
+
+
 class TestCurvatureRows:
     OMEGAS = np.geomspace(0.7, 40000.0, 9)
 
@@ -567,6 +607,18 @@ class TestExactCurvature:
         scheme = case_a[0]
         wts = weights(3, 3) if msum == "q-line" else None
         self.check(scheme, self.pairs(scheme), wts, self.numeric)
+
+    # the top of the search's bracket, where the partial fractions cancel
+    # most: Omega_2 of 20 and 50 GHz at both ends of the Doppler widths
+    BRACKET_TOP = [(x, dnu, om) for x in (-1.95, -0.5, 0.5, 1.95) for dnu in (200.0, 5000.0)
+                   for om in (2e4, 5e4)]
+
+    @pytest.mark.parametrize("case", ["case_a", "case_b"])
+    def test_bracket_top_against_numeric_stencil(self, case):
+        scheme = ca.preset(case)[0]
+        pairs = [(make_cell(scheme, x, ca.DopplerParams(fwhm=dnu), 1.0), om)
+                 for x, dnu, om in self.BRACKET_TOP]
+        self.check(scheme, pairs, None, self.numeric)
 
 
 class TestSweepErrors:
