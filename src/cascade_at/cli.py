@@ -7,8 +7,18 @@ file).  Output is deterministic CSV: identical inputs and flags produce
 byte-identical files.
 
 The argument parser is built once per process, so repeated in-process
-:func:`run` calls only parse.  Scenario files are INI without
-interpolation: a ``%`` in a value is a literal character.
+:func:`run` calls only parse.  Each command takes exactly one of
+``--scenario`` and ``--preset``; the engine and the M sum are set by
+``--engine`` and ``--msum`` only.
+
+A scenario file is INI without interpolation (a ``%`` in a value is a
+literal character).  Its sections ``[levels]``, ``[fields]`` and
+``[doppler]`` hold the fields of :class:`~cascade_at.model.LevelScheme`,
+:class:`~cascade_at.model.DriveParams` and
+:class:`~cascade_at.model.DopplerParams`: the keys, their int or float type
+and the defaults of the keys that may be left out all come from the
+dataclasses.  ``[scan]`` holds the grids of ``_DEFAULT_SCAN``.  ``preset``
+writes every field that is set, in the same layout.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -20,32 +30,12 @@ import functools
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import doppler, faddeeva, liouville, model, msublevel, threshold
 from .errors import CascadeError, ConfigError
-
-_SCHEMA = {
-    "levels": {
-        "wavenumber_21": float, "wavenumber_32": float,
-        "lifetime_2": float, "lifetime_3": float,
-        "branch_2_to_1": float, "branch_3_to_2": float,
-        "transit_rate": float, "j1": int, "j2": int, "j3": int, "mass": float,
-    },
-    "fields": {
-        "rabi_1": float, "rabi_2": float,
-        "detuning_1": float, "detuning_2": float, "dir_1": int, "dir_2": int,
-    },
-    "doppler": {"temperature": float, "fwhm": float},
-    "scan": {
-        "delta1_start": float, "delta1_stop": float, "delta1_step": float,
-        "x_start": float, "x_stop": float, "x_step": float,
-        "dnu_start": float, "dnu_stop": float, "dnu_step": float,
-        "engine": str, "msum": str,
-    },
-}
 
 _DEFAULT_SCAN = {
     "delta1_start": -1500.0, "delta1_stop": 1500.0, "delta1_step": 5.0,
@@ -70,7 +60,22 @@ class Scenario:
     scan: dict
 
 
+# scenario section -> the Scenario attribute and model dataclass it holds;
+# [scan] holds the grids of _DEFAULT_SCAN
+_SECTIONS = {"levels": ("scheme", model.LevelScheme),
+             "fields": ("drive", model.DriveParams),
+             "doppler": ("dopp", model.DopplerParams)}
+
+# section -> key -> type: a field annotated int is read as int, every other
+# key as float
+_KEY_TYPES = {section: {f.name: int if f.type in (int, "int") else float for f in fields(cls)}
+              for section, (_, cls) in _SECTIONS.items()}
+_KEY_TYPES["scan"] = dict.fromkeys(_DEFAULT_SCAN, float)
+
+
 def _parse_scenario(path: str) -> Scenario:
+    """The scenario of an INI file: each model section's keys are the fields
+    of its dataclass, and a field with a default may be left out."""
     # no header can name the empty section, so [DEFAULT] is read as an
     # ordinary section and rejected by name below, instead of its keys
     # turning up in every other section
@@ -89,54 +94,32 @@ def _parse_scenario(path: str) -> Scenario:
     # default-section lookups; the values are the same strings
     raw = {section: dict(cp.items(section, raw=True)) for section in cp.sections()}
     for section, values in raw.items():
-        if section not in _SCHEMA:
+        if section not in _KEY_TYPES:
             raise ConfigError(f"unknown scenario section [{section}]")
         for key in values:
-            if key not in _SCHEMA[section]:
+            if key not in _KEY_TYPES[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    def grab(section, key, default=None):
-        text = raw.get(section, {}).get(key)
-        if text is None:
-            return default
-        conv = _SCHEMA[section][key]
-        try:
-            val = conv(text)
-        except ValueError:
-            raise ConfigError(f"bad value for {section}.{key}: {text!r}")
-        if conv is float and not math.isfinite(val):
-            raise ConfigError(f"{section}.{key} must be finite, got {text!r}")
-        return val
+    def read(section):
+        out = {}
+        for key, text in raw.get(section, {}).items():
+            try:
+                out[key] = _KEY_TYPES[section][key](text)
+            except ValueError:
+                raise ConfigError(f"bad value for {section}.{key}: {text!r}")
+            if not math.isfinite(out[key]):
+                raise ConfigError(f"{section}.{key} must be finite, got {text!r}")
+        return out
 
-    for section in ("levels", "fields", "doppler"):
+    parts = {}
+    for section, (attr, cls) in _SECTIONS.items():
         if section not in raw:
             raise ConfigError(f"scenario is missing section [{section}]")
-
-    try:
-        scheme = model.LevelScheme(
-            wavenumber_21=grab("levels", "wavenumber_21"),
-            wavenumber_32=grab("levels", "wavenumber_32"),
-            lifetime_2=grab("levels", "lifetime_2"),
-            lifetime_3=grab("levels", "lifetime_3"),
-            branch_2_to_1=grab("levels", "branch_2_to_1", 0.3),
-            branch_3_to_2=grab("levels", "branch_3_to_2", 0.3),
-            transit_rate=grab("levels", "transit_rate", 1.0),
-            j1=grab("levels", "j1", 0), j2=grab("levels", "j2", 0),
-            j3=grab("levels", "j3", 0), mass=grab("levels", "mass", 45.98))
-        drive = model.DriveParams(
-            rabi_1=grab("fields", "rabi_1"), rabi_2=grab("fields", "rabi_2"),
-            detuning_1=grab("fields", "detuning_1", 0.0),
-            detuning_2=grab("fields", "detuning_2", 0.0),
-            dir_1=grab("fields", "dir_1", 1), dir_2=grab("fields", "dir_2", -1))
-        dopp = model.DopplerParams(temperature=grab("doppler", "temperature"),
-                                   fwhm=grab("doppler", "fwhm"))
-    except TypeError as exc:
-        raise ConfigError(f"scenario is missing a required key: {exc}")
-
-    scan = dict(_DEFAULT_SCAN)
-    for key in raw.get("scan", {}):
-        scan[key] = grab("scan", key)
-    return Scenario(scheme=scheme, drive=drive, dopp=dopp, scan=scan)
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in raw[section]:
+                raise ConfigError(f"scenario is missing a required key: [{section}] {f.name}")
+        parts[attr] = cls(**read(section))
+    return Scenario(**parts, scan=_DEFAULT_SCAN | read("scan"))
 
 
 def _preset_scenario(case: str) -> Scenario:
@@ -145,26 +128,15 @@ def _preset_scenario(case: str) -> Scenario:
 
 
 def _dump_scenario(sc: Scenario) -> str:
-    lines = ["[levels]"]
-    s = sc.scheme
-    for key in _SCHEMA["levels"]:
-        lines.append(f"{key} = {getattr(s, key)!r}")
-    lines.append("")
-    lines.append("[fields]")
-    d = sc.drive
-    for key in _SCHEMA["fields"]:
-        lines.append(f"{key} = {getattr(d, key)!r}")
-    lines.append("")
-    lines.append("[doppler]")
-    if sc.dopp.temperature is not None:
-        lines.append(f"temperature = {sc.dopp.temperature!r}")
-    else:
-        lines.append(f"fwhm = {sc.dopp.fwhm!r}")
-    lines.append("")
-    lines.append("[scan]")
-    for key, val in sc.scan.items():
-        lines.append(f"{key} = {val!r}")
-    lines.append("")
+    """The scenario file of ``sc``: every field that is set, in dataclass
+    order, and the scan grids."""
+    sections = {section: asdict(getattr(sc, attr)) for section, (attr, _) in _SECTIONS.items()}
+    sections["scan"] = sc.scan
+    lines = []
+    for section, values in sections.items():
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {val!r}" for key, val in values.items() if val is not None]
+        lines.append("")
     return "\n".join(lines)
 
 
@@ -219,28 +191,12 @@ def _emit_csv(header_cols, columns, subcommand: str, fingerprint: str, out: str 
     _write("\n".join(lines) + "\n", out)
 
 
-def _load_inputs(args) -> Scenario:
-    if args.scenario and args.preset:
-        raise ConfigError("give either --scenario or --preset, not both")
-    if args.scenario:
-        return _parse_scenario(args.scenario)
-    if args.preset:
-        return _preset_scenario(args.preset)
-    raise ConfigError("one of --scenario or --preset is required")
-
-
-def _settings(args, sc: Scenario, default_engine: str):
-    """Engine and M-sublevel weights (None when off), each from its flag if
-    given, else from the scenario's [scan] section, else the default."""
-    engine = args.engine if args.engine is not None \
-        else sc.scan.get("engine", default_engine)
-    if engine not in _ENGINES:
-        raise ConfigError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    msum = args.msum if args.msum is not None else sc.scan.get("msum", "off")
-    if msum not in ("on", "off"):
-        raise ConfigError(f"msum must be on or off, got {msum!r}")
-    wts = msublevel.weights(sc.scheme.j2, sc.scheme.j3) if msum == "on" else None
-    return engine, wts
+def _inputs(args):
+    """The scenario of ``--scenario`` or ``--preset``, and the M-sublevel
+    weights of ``--msum`` (None when off)."""
+    sc = _parse_scenario(args.scenario) if args.scenario else _preset_scenario(args.preset)
+    wts = msublevel.weights(sc.scheme.j2, sc.scheme.j3) if args.msum == "on" else None
+    return sc, wts
 
 
 def _compute_spectrum(sc: Scenario, engine, observable, wts):
@@ -259,27 +215,25 @@ def _compute_spectrum(sc: Scenario, engine, observable, wts):
 
 
 def _cmd_spectrum(args) -> int:
-    sc = _load_inputs(args)
-    engine, wts = _settings(args, sc, "full")
-    grid, cols = _compute_spectrum(sc, engine, args.observable, wts)
+    sc, wts = _inputs(args)
+    grid, cols = _compute_spectrum(sc, args.engine, args.observable, wts)
     if args.normalize == "peak":
         for key, arr in cols.items():
             peak = arr.max()
             if peak > 0:
                 cols[key] = arr / peak
-    # 200: the Gauss-Hermite order of the numeric fallback (doppler._row_average)
-    fp = _fingerprint(sc, repr(("spectrum", engine, args.observable, 200,
-                                wts is not None, args.normalize)))
+    fp = _fingerprint(sc, repr(("spectrum", args.engine, args.observable,
+                                doppler.FALLBACK_QUAD_ORDER, wts is not None,
+                                args.normalize)))
     _emit_csv(["delta1_mhz", *cols], [grid, *cols.values()], "spectrum", fp, args.out)
     return 0
 
 
 def _cmd_threshold(args) -> int:
-    sc = _load_inputs(args)
-    engine, wts = _settings(args, sc, "analytic")
+    sc, wts = _inputs(args)
     x_grid = _grid(sc.scan, "x")
-    tmap = threshold.threshold_curve(engine, sc.scheme, x_grid, sc.dopp, msum=wts)
-    fp = _fingerprint(sc, repr(("threshold", engine, wts is not None)))
+    tmap = threshold.threshold_curve(args.engine, sc.scheme, x_grid, sc.dopp, msum=wts)
+    fp = _fingerprint(sc, repr(("threshold", args.engine, wts is not None)))
     _emit_csv(["x", "omega2_t_mhz", "converged", "region_two"],
               [tmap.x_grid, tmap.omega_t[:, 0], tmap.converged[:, 0], tmap.region_two],
               "threshold", fp, args.out)
@@ -287,15 +241,14 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_surface(args) -> int:
-    sc = _load_inputs(args)
-    engine, wts = _settings(args, sc, "analytic")
+    sc, wts = _inputs(args)
     x_grid = _grid(sc.scan, "x")
     dnu_grid = _grid(sc.scan, "dnu")
     cells = len(x_grid) * len(dnu_grid)
     if cells > _MAX_GRID_POINTS:
         raise ConfigError(f"surface has {cells} cells, above the limit of {_MAX_GRID_POINTS}")
-    tmap = threshold.threshold_surface(engine, sc.scheme, x_grid, dnu_grid, msum=wts)
-    fp = _fingerprint(sc, repr(("surface", engine, wts is not None)))
+    tmap = threshold.threshold_surface(args.engine, sc.scheme, x_grid, dnu_grid, msum=wts)
+    fp = _fingerprint(sc, repr(("surface", args.engine, wts is not None)))
     _emit_csv(["x", "dnu_mhz", "omega2_t_mhz", "converged"],
               [np.repeat(x_grid, len(dnu_grid)), np.tile(dnu_grid, len(x_grid)),
                tmap.omega_t.ravel(), tmap.converged.ravel()],
@@ -404,13 +357,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp, default_engine):
-        sp.add_argument("--scenario", help="scenario file (INI)")
-        sp.add_argument("--preset", choices=("case-a", "case-b"),
-                        help="use a bundled parameter set")
-        sp.add_argument("--engine", choices=_ENGINES, default=None,
-                        help=f"computation engine (default {default_engine})")
-        sp.add_argument("--msum", choices=("on", "off"), default=None,
-                        help="sum over magnetic sublevels (default off)")
+        source = sp.add_mutually_exclusive_group(required=True)
+        source.add_argument("--scenario", help="scenario file (INI)")
+        source.add_argument("--preset", choices=("case-a", "case-b"),
+                            help="use a bundled parameter set")
+        sp.add_argument("--engine", choices=_ENGINES, default=default_engine,
+                        help="computation engine (default %(default)s)")
+        sp.add_argument("--msum", choices=("on", "off"), default="off",
+                        help="sum over magnetic sublevels (default %(default)s)")
         sp.add_argument("--out", help="output CSV path (default stdout)")
 
     sp = sub.add_parser("spectrum", help="probe-detuning scan of I2/I3")

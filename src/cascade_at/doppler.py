@@ -31,7 +31,8 @@ stencil it needs a row.  Each grid point takes one of three routes:
   call;
 
 * every point of the ``perturbative`` engine, and every point a pole
-  builder refuses (coincident roots of D, an ill-conditioned eigenbasis),
+  builder refuses (coincident roots of D, roots beyond the Faddeeva
+  function's domain, an ill-conditioned eigenbasis),
   takes the numeric sum of :func:`average`: the nominal Gauss-Hermite rule,
   or, where velocity-space poles lie too close to the real axis for its
   nodes (the natural widths gamma/(k v_p) fall below the node spacing), a
@@ -58,6 +59,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, DegenerateRootError, NumericalError
+from .faddeeva import _MAX_ABS as _FADDEEVA_MAX_ABS
 from .faddeeva import w as faddeeva_w
 from .lineshape import (K_RHO22, K_RHO33, denominator_coefficients, doppler_slopes,
                         rho_weak_batch)
@@ -70,6 +72,9 @@ _PANEL_DEGREE = 12
 _DEGENERATE_SEP = 1e-9     # relative pole separation refused by partial fractions
 _ZERO_EIGENVALUE = 1e-8    # |lam| counted as zero; keeps |p| = 1/|lam| within w's domain
 _COND_LIMIT = 1e8          # eigenbasis 1-norm condition number refused by the pole expansion
+# largest |zeta| the resonant curvature accepts: its w' and w'' recurrences
+# lose about |zeta|^4 eps relative, which leaves 1e-3 at ~1.46e3
+_RESONANT_MAX_ZETA = (1e-3 / np.finfo(float).eps) ** 0.25
 # grid points per pole-builder call: bounds the temporaries at any grid size
 # (a full-engine point peaks at ~2 kB of real 6x6 and 6x7 and complex 6x6 stacks,
 # about 0.5 MB at 256 points; a resonant-curvature point at ~0.6 kB, 2.5 MB at
@@ -81,6 +86,9 @@ _PANEL_NODES, _PANEL_WEIGHTS = leggauss(_PANEL_DEGREE)
 
 ENGINES = ("full", "perturbative", "analytic")
 MIN_QUAD_ORDER = 16
+# Gauss-Hermite order of the row average's numeric sum; the CLI's spectrum
+# fingerprint records it
+FALLBACK_QUAD_ORDER = 200
 
 
 @dataclass(frozen=True)
@@ -279,10 +287,12 @@ def _weak_probe_roots(scheme, drive, delta1, alpha, beta, rabi_2):
     """The analytic engine's pole kernel over 1/|D(u)|^2, whose four simple
     poles are the roots z of D and their conjugates.  Solves D at the probe
     detunings ``delta1`` (``alpha``, ``beta`` and ``rabi_2`` per point) and
-    refuses points whose poles come closer than 1e-9 relative.  Returns the
-    mask of accepted points, and at the accepted points the (point, root)
-    roots, the residues 1/(|a|^2 q0 q1 q2) over each root's differences to
-    the other three poles, and the sign and Faddeeva value of the roots
+    refuses points whose poles come closer than 1e-9 relative or lie beyond
+    the Faddeeva function's domain |z| <= 1e8 (a Doppler width far below
+    the natural widths).  Returns the mask of accepted points, and at the
+    accepted points the (point, root) roots, the residues
+    1/(|a|^2 q0 q1 q2) over each root's differences to the other three
+    poles, and the sign and Faddeeva value of the roots
     (:func:`_signed_faddeeva`).  Each conjugate pole's term is the
     conjugate of its root's, as w(-conj zeta) = conj w(zeta), so a sum over
     the four poles is 2 Re of the sum over the two roots."""
@@ -293,7 +303,7 @@ def _weak_probe_roots(scheme, drive, delta1, alpha, beta, rabi_2):
     q = (z - z[:, ::-1], z - zc[:, :1], z - zc[:, 1:])
     sep = np.minimum.reduce([np.abs(d) for d in q]).min(axis=-1)
     scale = np.maximum(np.abs(z).max(axis=-1), 1e-30)
-    ok = ~(sep < _DEGENERATE_SEP * scale)
+    ok = ~((sep < _DEGENERATE_SEP * scale) | (scale > _FADDEEVA_MAX_ABS))
     z, q = z[ok], [d[ok] for d in q]
     residue = 1.0 / (np.square(np.abs(den.a[ok, None])) * (q[0] * q[1] * q[2]))
     return ok, z, residue, *_signed_faddeeva(z)
@@ -336,8 +346,10 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     of their residues i/(2 b v t), t = -(2 a v + b) = +-sqrt(b^2 + 4ac),
     are linear in v, 1/v or t with real coefficients per point.  One
     Faddeeva call takes both roots of every point.  Refuses points whose
-    four poles come closer than 1e-9 relative; raises DegenerateRootError
-    where a = 0."""
+    four poles come closer than 1e-9 relative, and points with a root
+    beyond |zeta| = ``_RESONANT_MAX_ZETA`` (narrow Doppler widths), where
+    w'' from its recurrence has lost all but 1e-3; raises
+    DegenerateRootError where a = 0."""
     if drive.detuning_2 != 0.0:
         raise ConfigError("the exact curvature is defined at resonant coupling")
     rp = rates(scheme)
@@ -360,7 +372,8 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     r0 = np.abs(q)
     r1 = c * np.abs(a) / r0
     sep = np.minimum(np.minimum(np.abs(sq), np.abs(b)), 2 * np.minimum(r0, r1))
-    ok = ~(sep < _DEGENERATE_SEP * np.maximum(r0, r1))
+    r_max = np.maximum(r0, r1)                           # |a| max |zeta|
+    ok = ~((sep < _DEGENERATE_SEP * r_max) | (r_max > _RESONANT_MAX_ZETA * np.abs(a)))
     if not ok.all():
         alpha, beta, rabi_2, a, b, c, g, quarter, disc, sq, q = (
             x[ok] for x in (alpha, beta, rabi_2, a, b, c, g, quarter, disc, sq, q))
@@ -435,8 +448,8 @@ def _row_average(engine: str, observable: str, scheme: LevelScheme, drive: Drive
     ``_FULL_ENGINE_BLOCK`` grid points per pole-builder call.  Every point
     a pole builder refuses, and every point of engine "perturbative", takes
     the numeric sum of :func:`average`, with its row's alpha, beta and
-    Omega_2, on the Gauss-Hermite rule of order 200.  Each row is validated
-    on its own.
+    Omega_2, on the Gauss-Hermite rule of order ``FALLBACK_QUAD_ORDER``.
+    Each row is validated on its own.
     """
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -460,7 +473,7 @@ def _row_average(engine: str, observable: str, scheme: LevelScheme, drive: Drive
                 if name in accepted:
                     vals[k, part[ok]] = accepted[name]
             numeric[part[ok]] = False
-    rule = QuadratureRule.gauss_hermite(200) if numeric.any() else None
+    rule = QuadratureRule.gauss_hermite(FALLBACK_QUAD_ORDER) if numeric.any() else None
     _numeric_stage(model, scheme, drive, grid, alpha, beta, rabi_2, numeric, rule, vals)
     rows = [k for k, name in enumerate(("I2", "I3")) if observable in (name, "both")]
     return np.stack([_validated_intensity(vals[k].reshape(shape)) for k in rows])

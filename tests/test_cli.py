@@ -255,6 +255,23 @@ class TestThresholdCommands:
         assert len(vals) == 3
         assert max(vals) / min(vals) - 1 < 0.02      # region II flatness
 
+    def test_narrow_doppler_width_matches_zero_width(self, tmp_path):
+        # roots of D beyond the Faddeeva function's domain and resonant
+        # curvatures beyond its derivatives' accuracy take the numeric sum
+        # and the stencil: a width of 0.001 MHz gives the zero-width curve
+        dump = run_cli(["preset", "case-a"]).stdout
+        curves = []
+        for fwhm in ("0.001", "0.0"):
+            scen = tmp_path / f"w{fwhm}.ini"
+            scen.write_text(dump.replace("temperature = 625.0", f"fwhm = {fwhm}"))
+            out = tmp_path / f"w{fwhm}.csv"
+            assert run(["threshold", "--scenario", str(scen), "--out", str(out)]) == 0
+            curves.append(np.loadtxt(str(out), delimiter=",", skiprows=2))
+        narrow, zero = curves
+        assert np.array_equal(narrow[:, [0, 2, 3]], zero[:, [0, 2, 3]])
+        assert zero[:, 2].all()
+        np.testing.assert_allclose(narrow[:, 1], zero[:, 1], rtol=1e-6)
+
 
 class TestErrorPaths:
     def test_missing_scenario_exits_2(self, tmp_path):
@@ -291,6 +308,24 @@ class TestErrorPaths:
         res = run_cli(["spectrum"])
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("command", ["spectrum", "threshold", "surface"])
+    def test_scenario_and_preset_exit_2(self, tmp_path, capsys, command):
+        scen = small_scan("a.ini", tmp_path)
+        assert run([command, "--scenario", scen, "--preset", "case-a"]) == 2
+        assert "not allowed with argument --scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key", [
+        ("levels", "lifetime_2"), ("levels", "wavenumber_21"), ("fields", "rabi_1"),
+    ])
+    def test_missing_required_key_named(self, tmp_path, capsys, section, key):
+        scen = small_scan("a.ini", tmp_path)
+        lines = open(scen).read().splitlines()
+        open(scen, "w").write("\n".join(line for line in lines
+                                        if not line.startswith(key + " ")))
+        assert run(["spectrum", "--scenario", scen]) == 2
+        assert capsys.readouterr().err == (
+            f"error: scenario is missing a required key: [{section}] {key}\n")
+
     def test_bad_flag_exits_2(self):
         res = run_cli(["spectrum", "--preset", "case-a", "--engine", "magic"])
         assert res.returncode == 2
@@ -324,14 +359,19 @@ class TestErrorPaths:
         ("spectrum", "quad_order = 0"),
         ("spectrum --engine analytic", "quad_order = 0"),
         ("spectrum --engine full", "quad_order = 0"),
+        ("spectrum", "engine = full"),
+        ("spectrum", "msum = on"),
     ])
     def test_bad_scan_setting_exits_2(self, tmp_path, command, line):
+        # the engine and the M sum are flags only, and the numeric order is
+        # fixed: none of them is a [scan] key
         scen = small_scan("a.ini", tmp_path)
         with open(scen, "a") as fh:          # [scan] is the last section
             fh.write(line + "\n")
         res = run_cli(command.split() + ["--scenario", scen])
         assert res.returncode == 2, res.stdout[:200] + res.stderr
-        assert res.stderr.startswith("error: ")
+        key = line.split()[0]
+        assert res.stderr == f"error: unknown key {key!r} in section [scan]\n"
 
     @pytest.mark.parametrize("command,lines,message", [
         ("spectrum", ["delta1_step = 1e-09"], "delta1 grid has 6e+11 points"),
@@ -393,14 +433,12 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("line,message", [
         ("rabi_2 = 400%", "bad value for fields.rabi_2"),
-        ("engine = %(x)s", "engine must be one of"),
-    ], ids=["rabi_2-percent", "engine-interpolation"])
+        ("x_step = %(x)s", "bad value for scan.x_step"),
+    ], ids=["rabi_2-percent", "x_step-interpolation"])
     def test_percent_is_literal(self, tmp_path, capsys, line, message):
         # a scenario has no interpolation: '%' is an ordinary character
-        scen = small_scan("a.ini", tmp_path, [line])     # replaces rabi_2
-        if line not in open(scen).read().splitlines():
-            with open(scen, "a") as fh:                  # [scan] is the last section
-                fh.write(line + "\n")
+        scen = small_scan("a.ini", tmp_path, [line])     # replaces the key's line
+        assert line in open(scen).read().splitlines()
         assert run(["threshold", "--scenario", scen]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
@@ -430,9 +468,33 @@ class TestParser:
         parser = cli._build_parser()
         assert parser.parse_args(["threshold", "--preset", "case-a",
                                   "--engine", "full"]).engine == "full"
-        assert parser.parse_args(["threshold", "--preset", "case-a"]).engine is None
+        assert parser.parse_args(["threshold", "--preset", "case-a"]).engine == "analytic"
         assert run(["preset", "case-a", "--out", str(out)]) == 0
         assert len(built) == 6
+
+
+class TestPresetDump:
+    # SHA-256 of `cascade-at preset <case>`: the scenario file every CSV
+    # fingerprint hashes, written from the model dataclasses' fields
+    EXPECTED = {
+        "case-a": "02c7ecd9376bd6ebccbb94f211f5e9ad0196d3a18df302cbd7db291e8a10e77e",
+        "case-b": "af2d53e3971d0405a4421e78aeddf6320e16e2899ed3e026282f8e507d17daa9",
+    }
+
+    @pytest.mark.parametrize("case", list(EXPECTED))
+    def test_preset_sha256(self, tmp_path, case):
+        out = tmp_path / "preset.ini"
+        assert run(["preset", case, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.EXPECTED[case]
+
+    def test_dump_parses_back(self, tmp_path):
+        # every dataclass field is written, and reading it back gives the
+        # same scenario
+        for case in self.EXPECTED:
+            sc = _preset_scenario(case)
+            path = tmp_path / f"{case}.ini"
+            path.write_text(cli._dump_scenario(sc))
+            assert cli._parse_scenario(str(path)) == sc
 
 
 class TestCsvFormat:

@@ -673,3 +673,40 @@ class TestResonantCurvature:
         with pytest.raises(DegenerateRootError):        # x = -1: a = -alpha (alpha + beta) = 0
             doppler._weak_probe_curvature(scheme, ca.DriveParams(rabi_1=1.0, rabi_2=0.0),
                                           alpha, -alpha, rabi_2)
+
+    def test_narrow_widths_take_the_stencil(self, case_a, monkeypatch):
+        # w' and w'' from their recurrences lose about |zeta|^4 eps, so the
+        # kernel refuses roots beyond _RESONANT_MAX_ZETA and the threshold's
+        # stencil takes those points.  Beyond it the kernel's value had the
+        # wrong sign at x = -1.95, 0.1 MHz, Omega_2 = 1000 MHz.  Widths from
+        # 0.01 to 30 MHz put |zeta| on both sides of the bound.  Region II
+        # is left out: there the root terms cancel and magnify the loss below
+        # the bound too (docs/model.md, "Splitting threshold")
+        from cascade_at.threshold import _curvature_rows
+        scheme = case_a[0]
+        cells = [(x, f) for x in (-1.95, 0.5, 1.95) for f in np.geomspace(0.01, 30.0, 9)]
+        alpha, beta, rabi_2 = self.rows(scheme, cells, [100.0, 1000.0, 1e4])
+        drive = ca.DriveParams(rabi_1=1.0, rabi_2=0.0)
+        zetas, w = [], doppler.faddeeva_w
+        monkeypatch.setattr(doppler, "faddeeva_w", lambda z: zetas.append(z) or w(z))
+        ok, _ = doppler._weak_probe_curvature(scheme, drive, alpha, beta, rabi_2)
+        assert 0 < ok.sum() < ok.size
+        assert np.abs(np.concatenate(zetas, axis=None)).max() <= doppler._RESONANT_MAX_ZETA
+        monkeypatch.undo()
+        exact = _curvature_rows("analytic", scheme, drive, alpha, beta, rabi_2, None)
+        numeric = _curvature_rows("perturbative", scheme, drive, alpha, beta, rabi_2, None)
+        np.testing.assert_allclose(exact, numeric, rtol=1e-3)
+
+
+class TestNarrowWidth:
+    @pytest.mark.parametrize("fwhm", [1e-3, 1e-4, 1e-6])
+    def test_spectra_tend_to_zero_width(self, case_a, fwhm):
+        # below ~1e-4 MHz the roots of D leave the Faddeeva function's domain
+        # |z| <= 1e8; those points take the numeric sum instead of raising
+        scheme, drive, _ = case_a
+        grid = np.linspace(-600.0, 600.0, 61)
+        zero = doppler.intensities("analytic", "both", scheme, drive,
+                                   ca.DopplerParams(fwhm=0.0), grid)
+        narrow = doppler.intensities("analytic", "both", scheme, drive,
+                                     ca.DopplerParams(fwhm=fwhm), grid)
+        np.testing.assert_allclose(narrow, zero, rtol=1e-8)
