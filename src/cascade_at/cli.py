@@ -314,14 +314,20 @@ def _cmd_selftest(args) -> int:
         close.append(abs(exact - threshold._second_derivative(f, h)) <= 1e-4 * f[2] / h ** 2)
     checks.append(("exact analytic curvature vs 5-point stencil", all(close)))
     alpha, beta = doppler.doppler_slopes(sa, da, pa)
+    # at x = -1, alpha + beta = 0 and velocity_poles keeps M = S^-1 B_c
+    s_free, g_free = threshold._geometry_for_x(sa, -1.0, da.rabi_1)
     u = np.arange(-3.0, 4.0)
-    lam, res, _ = liouville.velocity_poles(sa, da.rabi_1, 100.0, da.detuning_2,
-                                           da.rabi_2, alpha, beta)
-    poles = (res / (1 + u[:, None, None] * lam)).sum(axis=-1).real
-    steady = np.transpose(liouville.populations_batch(
-        sa, da, 100.0 + alpha * u, da.detuning_2 + beta * u))
-    checks.append(("full-engine velocity poles vs steady state at 7 velocities",
-                   np.max(np.abs(poles - steady)) <= 1e-10 * np.max(steady)))
+    for where, sch, drv in (("", sa, da),
+                            (" at x = -1 (Doppler-free)", s_free,
+                             replace(g_free, rabi_2=da.rabi_2))):
+        a, b = doppler.doppler_slopes(sch, drv, pa)
+        lam, res, _ = liouville.velocity_poles(sch, drv.rabi_1, 100.0, drv.detuning_2,
+                                               drv.rabi_2, a, b)
+        poles = (res / (1 + u[:, None, None] * lam)).sum(axis=-1).real
+        steady = np.transpose(liouville.populations_batch(
+            sch, drv, 100.0 + a * u, drv.detuning_2 + b * u))
+        checks.append((f"full-engine velocity poles{where} vs steady state at 7 velocities",
+                       np.max(np.abs(poles - steady)) <= 1e-10 * np.max(steady)))
     # every finite pole on its own, the lower member of each conjugate pair too
     ones = np.ones_like(grid)
     lam, res, _ = liouville.velocity_poles(sa, da.rabi_1, grid, da.detuning_2,

@@ -86,23 +86,33 @@ def _real_basis():
 
 _T, _T_INV = _real_basis()
 
+# On the coherences [Re r12, Im r12, Re r13, Im r13, Re r23, Im r23] the
+# detuning parts are ad1 = J_hat diag(_D1) and ad2 = J_hat diag(_D2), with
+# J_hat = 2 pi blockdiag(J, J, J) and J = [[0, 1], [-1, 0]]: a detuning
+# rotates the coherences it enters.  J^{-1} = -J.
+_J_HAT_INV = np.kron(np.eye(3), [[0.0, -1.0], [1.0, 0.0]]) / _TWO_PI
+_D1 = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+_D2 = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+
+# velocity_poles diagonalizes B_c^{-1} S only while the smallest slope
+# |alpha|, |alpha + beta|, |beta| exceeds this fraction of the largest
+_SLOPE_RATIO = 1e-3
+
 
 class _PencilParts(NamedTuple):
     """The real 6x6 coherence pencil as polynomials in w2 = pi Omega_2
-    (:func:`velocity_poles`): S(w2) = s0 + w2 s1 + w2^2 s2, q(w2) = q0 + w2 q1
-    and the rho22, rho33 rows of pop(w2) = p0 + w2 p1, with the coherence
-    blocks ad1, ad2 of the detuning parts and the population constant
-    rho_p0 = -A_pp^{-1} s_p."""
+    (:func:`velocity_poles`), rotated by J_hat^{-1} (:data:`_J_HAT_INV`):
+    R(w2) = J_hat^{-1} S(w2) = r0 + w2 r1 + w2^2 r2 and
+    J_hat^{-1} q(w2) = jq0 + w2 jq1, with the rho22, rho33 rows of
+    pop(w2) = p0 + w2 p1 and the population constant rho_p0 = -A_pp^{-1} s_p."""
 
-    s0: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-    q0: np.ndarray
-    q1: np.ndarray
+    r0: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    jq0: np.ndarray
+    jq1: np.ndarray
     p0: np.ndarray
     p1: np.ndarray
-    ad1: np.ndarray
-    ad2: np.ndarray
     rho_p0: np.ndarray
 
 
@@ -113,20 +123,22 @@ def _pencil_parts(scheme: LevelScheme, rabi_1: float) -> _PencilParts:
     A = A0 + w2 C, the coupling pattern C and the detuning parts are zero on
     the population block A_pp, and A_pp holds only decay and transit, so
     pop = -A_pp^{-1} A_pc is linear in w2, q = -A_cp rho_p0 linear and the
-    Schur complement S = A_cc + A_cp pop quadratic."""
-    a0, coupling, ad1, ad2, source = _liouvillian_parts(scheme, rabi_1)
+    Schur complement S = A_cc + A_cp pop quadratic.  S and q are stored
+    rotated by J_hat^{-1}, where the detunings and the Doppler slopes enter
+    on the diagonal alone (:func:`velocity_poles`)."""
+    a0, coupling, _, _, source = _liouvillian_parts(scheme, rabi_1)
     real = lambda m: (_T_INV @ m @ _T).real
     a0, c = real(a0), real(coupling)
     app_inv = np.linalg.inv(a0[:3, :3])
     p0, p1 = -app_inv @ a0[:3, 3:], -app_inv @ c[:3, 3:]
     rho_p0 = -app_inv @ (_T_INV @ source).real[:3]
+    rot = lambda m: _J_HAT_INV @ m
     return _PencilParts(
-        s0=a0[3:, 3:] + a0[3:, :3] @ p0,
-        s1=c[3:, 3:] + a0[3:, :3] @ p1 + c[3:, :3] @ p0,
-        s2=c[3:, :3] @ p1,
-        q0=-a0[3:, :3] @ rho_p0, q1=-c[3:, :3] @ rho_p0,
-        p0=p0[1:], p1=p1[1:], ad1=real(ad1)[3:, 3:], ad2=real(ad2)[3:, 3:],
-        rho_p0=rho_p0)
+        r0=rot(a0[3:, 3:] + a0[3:, :3] @ p0),
+        r1=rot(c[3:, 3:] + a0[3:, :3] @ p1 + c[3:, :3] @ p0),
+        r2=rot(c[3:, :3] @ p1),
+        jq0=rot(-a0[3:, :3] @ rho_p0), jq1=rot(-c[3:, :3] @ rho_p0),
+        p0=p0[1:], p1=p1[1:], rho_p0=rho_p0)
 
 
 def steady_state_batch(scheme: LevelScheme, drive: DriveParams,
@@ -171,25 +183,36 @@ def velocity_poles(scheme: LevelScheme, rabi_1: float, delta1, detuning_2,
         (S + u B_c) rho_c = q,   S = A_cc - A_cp A_pp^{-1} A_pc,
         q = A_cp A_pp^{-1} s_p,
 
-    with rho_p(u) = -A_pp^{-1} s_p - A_pp^{-1} A_pc rho_c(u).  One real solve
-    gives S^{-1} [q | B_c], and diagonalizing M = S^{-1} B_c =
-    V diag(lam) V^{-1} gives
+    with rho_p(u) = -A_pp^{-1} s_p - A_pp^{-1} A_pc rho_c(u).  A detuning
+    rotates the coherences it enters, so B_c = J_hat Sigma with the constant
+    J_hat of :data:`_J_HAT_INV` and the slopes
+    Sigma = diag(alpha, alpha, alpha + beta, alpha + beta, beta, beta), and
+    S = J_hat (R + D) with R = J_hat^{-1} S(w2) from :func:`_pencil_parts`
+    and D = diag(d1, d1, d1 + d2, d1 + d2, d2, d2) at u = 0.  Then
 
-        rho_ii(u) = c_i + sum_k r_ik / (1 + u lam_k),
+        N = B_c^{-1} S = Sigma^{-1} (R + D)
 
-    r_ik = (-A_pp^{-1} A_pc V)[i, k] (V^{-1} S^{-1} q)_k, where the constant
-    c_i = (-A_pp^{-1} s_p)_i is carried as one more residue at lam = 0.  S, q
-    and the population rows come from the polynomials in w2 = pi Omega_2 of
-    :func:`_pencil_parts`, elementwise at every point.
+    is a row scaling, and diagonalizing N = V diag(mu) V^{-1} gives
+
+        rho_ii(u) = c_i + sum_k r_ik / (1 + u lam_k),   lam_k = 1 / mu_k,
+
+    r_ik = (-A_pp^{-1} A_pc V)[i, k] (V^{-1} Sigma^{-1} J_hat^{-1} q)_k / mu_k,
+    where the constant c_i = (-A_pp^{-1} s_p)_i is carried as one more
+    residue at lam = 0.  Where the smallest slope is at most
+    ``_SLOPE_RATIO`` of the largest at any point of the call (x near -1,
+    where alpha + beta -> 0, or nu_32 << nu_21), Sigma^{-1} would amplify
+    rounding or divide by zero, and the call diagonalizes
+    M = S^{-1} B_c = (R + D)^{-1} Sigma instead, with coefficients
+    V^{-1} S^{-1} q: the same eigenvectors, the same lam.
 
     ``rabi_2``, ``alpha`` and ``beta`` may be per-row arrays that broadcast
     against ``delta1``, e.g. (rows, 1) against a (rows, points) grid.
     Returns ``(lam, res, cond)``: the (..., 7) complex eigenvalues, the
     (..., 2, 7) residues of rho22 and rho33, and ||V||_1 ||V^{-1}||_1, over
-    the broadcast grid shape.  The eigenvalues of the real M come as exact
-    conjugate pairs, each with exactly conjugate eigenvectors.  For a 6x6 V
-    the 1-norm product lies within a factor of 6 of the 2-norm condition
-    number.
+    the broadcast grid shape.  The eigenvalues of the real N or M come as
+    exact conjugate pairs, each with exactly conjugate eigenvectors.  For a
+    6x6 V the 1-norm product lies within a factor of 6 of the 2-norm
+    condition number.
     """
     if scheme.transit_rate <= 0:
         raise SingularSystemError("steady state needs transit_rate > 0")
@@ -198,33 +221,54 @@ def velocity_poles(scheme: LevelScheme, rabi_1: float, delta1, detuning_2,
     w2 = math.pi * np.asarray(rabi_2, dtype=float)
     shape = np.broadcast_shapes(d1.shape, alpha.shape, beta.shape, w2.shape)
     pp = _pencil_parts(scheme, rabi_1)
+    w2m = w2[..., None, None]
+    shifted = np.empty(shape + (6, 6))
+    shifted[...] = pp.r0 + w2m * (pp.r1 + w2m * pp.r2)
+    shifted.reshape(shape + (36,))[..., ::7] += d1[..., None] * _D1 + detuning_2 * _D2
+    jq = pp.jq0 + w2[..., None] * pp.jq1
+    sigma = alpha[..., None] * _D1 + beta[..., None] * _D2
+    slopes = np.abs(sigma[..., ::2])        # |alpha|, |alpha + beta|, |beta|
+    solve_free = np.all(slopes.min(axis=-1) > _SLOPE_RATIO * slopes.max(axis=-1))
+    eigenbasis = _slope_eigenbasis if solve_free else _schur_eigenbasis
     try:
-        sol = np.linalg.solve(*_pencil(pp, d1, detuning_2, w2, alpha, beta, shape))
-        lam, vecs = np.linalg.eig(sol[..., 1:])
-        inv = np.linalg.inv(vecs)
+        lam, vecs, inv, coef = eigenbasis(shifted, jq, sigma)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"velocity pole expansion failed: {exc}") from exc
-    coef = (inv @ sol[..., :1])[..., 0]
     cond = _norm_1(vecs) * _norm_1(inv)
     lam7 = np.zeros(shape + (7,), dtype=complex)
     lam7[..., :6] = lam
     res = np.empty(shape + (2, 7), dtype=complex)
-    np.multiply((pp.p0 + w2[..., None, None] * pp.p1) @ vecs, coef[..., None, :],
-                out=res[..., :6])
+    np.multiply((pp.p0 + w2m * pp.p1) @ vecs, coef[..., None, :], out=res[..., :6])
     res[..., 6] = pp.rho_p0[1:]
     return lam7, res, cond
 
 
-def _pencil(pp: _PencilParts, d1, detuning_2, w2, alpha, beta, shape):
-    """S and [q | B_c] over the grid ``shape``, elementwise from the
-    polynomial parts ``pp`` at w2 = pi Omega_2 (:func:`velocity_poles`)."""
-    w2m = w2[..., None, None]
-    schur = ((pp.s0 + detuning_2 * pp.ad2) + w2m * (pp.s1 + w2m * pp.s2)
-             + d1[..., None, None] * pp.ad1)
-    rhs = np.empty(shape + (6, 7))
-    rhs[..., 0] = pp.q0 + w2[..., None] * pp.q1
-    rhs[..., 1:] = alpha[..., None, None] * pp.ad1 + beta[..., None, None] * pp.ad2
-    return np.broadcast_to(schur, shape + (6, 6)), rhs
+def _slope_eigenbasis(shifted, jq, sigma):
+    """(lam, V, V^{-1}, coefficients) from N = Sigma^{-1} (R + D) =
+    V diag(mu) V^{-1}: lam = 1/mu, coefficients V^{-1} Sigma^{-1} jq / mu
+    (:func:`velocity_poles`).  Overwrites ``shifted``.  A zero mu is a
+    singular S."""
+    mu, vecs = np.linalg.eig(np.divide(shifted, sigma[..., None], out=shifted))
+    if np.any(mu == 0):
+        raise SolverFailure("velocity pole expansion failed: singular pencil")
+    inv = np.linalg.inv(vecs)
+    coef = (inv @ (jq / sigma)[..., None])[..., 0] / mu
+    return 1.0 / mu, vecs, inv, coef
+
+
+def _schur_eigenbasis(shifted, jq, sigma):
+    """(lam, V, V^{-1}, coefficients) from M = S^{-1} B_c =
+    (R + D)^{-1} Sigma = V diag(lam) V^{-1}, coefficients V^{-1} S^{-1} q =
+    V^{-1} (R + D)^{-1} jq, by one solve for (R + D)^{-1} [jq | Sigma]
+    (:func:`velocity_poles`): the form for slopes of very different size,
+    and for a zero one."""
+    rhs = np.empty(shifted.shape[:-1] + (7,))
+    rhs[..., 0] = jq
+    rhs[..., 1:] = sigma[..., None, :] * np.eye(6)
+    sol = np.linalg.solve(shifted, rhs)
+    lam, vecs = np.linalg.eig(sol[..., 1:])
+    inv = np.linalg.inv(vecs)
+    return lam, vecs, inv, (inv @ sol[..., :1])[..., 0]
 
 
 def _norm_1(m):

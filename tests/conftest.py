@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import cascade_at as ca
+from cascade_at import doppler
 from cascade_at.lineshape import doppler_slopes
+from cascade_at.liouville import velocity_poles
 from cascade_at.model import rates
 
 
@@ -70,3 +72,23 @@ def coincident_roots_drive(scheme, drive, dopp):
     best = min(candidates, key=separation)
     assert separation(best) < 1e-12
     return best
+
+
+def seven_pole_sum(scheme, drive, grid, alpha, beta, rabi_2):
+    """(I2, I3) by the term of every column of ``velocity_poles``: both
+    members of each conjugate pair, and the lam = 0 column as a zero-weight
+    placeholder pole at 1j.  The oracle of the pair sum.  Also returns the
+    sum of the terms' moduli, the scale at which rounding enters a sum whose
+    terms cancel."""
+    lam, res, _ = velocity_poles(scheme, drive.rabi_1, grid, drive.detuning_2,
+                                 rabi_2, alpha, beta)
+    lam = lam[:, None, :]
+    finite = np.abs(lam) > doppler._ZERO_EIGENVALUE
+    safe = np.where(finite, lam, 1.0)
+    poles = np.where(finite, -1.0 / safe, 1j)
+    sign, w = doppler._signed_faddeeva(poles)
+    terms = np.where(finite, res / safe, 0.0) * (sign * 1j * math.pi * w) / math.sqrt(math.pi)
+    pops = np.where(finite, 0.0, res).sum(axis=-1) + terms.sum(axis=-1)
+    scale = np.abs(np.where(finite, terms, res)).sum(axis=-1)
+    gamma = np.array([[rates(scheme).Gamma_2], [rates(scheme).Gamma_3]])
+    return gamma * pops.real.T, gamma * scale.T

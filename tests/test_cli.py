@@ -516,6 +516,8 @@ class TestSelftest:
         assert "selftest: OK" in res.stdout
         assert "max relative error" in res.stdout
         assert "PASS  full-engine velocity poles vs steady state" in res.stdout
+        assert ("PASS  full-engine velocity poles at x = -1 (Doppler-free) vs steady state"
+                " at 7 velocities") in res.stdout
         assert "PASS  exact analytic curvature vs 5-point stencil" in res.stdout
         assert "PASS  full-engine pair sum vs full pole sum" in res.stdout
 

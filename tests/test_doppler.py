@@ -9,10 +9,11 @@ import cascade_at as ca
 from cascade_at import doppler
 from cascade_at.errors import ConfigError, DegenerateRootError
 from cascade_at.lineshape import K_RHO22, K_RHO33, doppler_slopes
-from cascade_at.liouville import populations_batch, velocity_poles
+from cascade_at.liouville import (_D1, _D2, _pencil_parts, populations_batch,
+                                  velocity_poles)
 from cascade_at.model import rates
 from cascade_at.msublevel import m_summed, weights
-from conftest import coincident_roots_drive
+from conftest import coincident_roots_drive, seven_pole_sum
 
 SQRTPI = math.sqrt(math.pi)
 
@@ -439,26 +440,6 @@ class TestEitDipAveraged:
         assert (peaks < 0).any() and (peaks > 0).any()
 
 
-def seven_pole_sum(scheme, drive, grid, alpha, beta, rabi_2):
-    """(I2, I3) by the term of every column of ``velocity_poles``: both
-    members of each conjugate pair, and the lam = 0 column as a zero-weight
-    placeholder pole at 1j.  The oracle of the pair sum.  Also returns the
-    sum of the terms' moduli, the scale at which rounding enters a sum whose
-    terms cancel."""
-    lam, res, _ = velocity_poles(scheme, drive.rabi_1, grid, drive.detuning_2,
-                                 rabi_2, alpha, beta)
-    lam = lam[:, None, :]
-    finite = np.abs(lam) > doppler._ZERO_EIGENVALUE
-    safe = np.where(finite, lam, 1.0)
-    poles = np.where(finite, -1.0 / safe, 1j)
-    sign, w = doppler._signed_faddeeva(poles)
-    terms = np.where(finite, res / safe, 0.0) * (sign * 1j * math.pi * w) / SQRTPI
-    pops = np.where(finite, 0.0, res).sum(axis=-1) + terms.sum(axis=-1)
-    scale = np.abs(np.where(finite, terms, res)).sum(axis=-1)
-    gamma = np.array([[rates(scheme).Gamma_2], [rates(scheme).Gamma_3]])
-    return gamma * pops.real.T, gamma * scale.T
-
-
 class TestConjugatePairs:
     """The full engine sums each conjugate pair of velocity poles as twice
     the real part of its upper member's term."""
@@ -512,6 +493,56 @@ class TestConjugatePairs:
         ref = doppler._row_average(*args)
         monkeypatch.setattr(doppler, "_FULL_ENGINE_BLOCK", 7)
         assert np.array_equal(doppler._row_average(*args), ref)
+
+
+def mp_pole_sum(mp, scheme, drive, alpha, beta, delta1):
+    """(I2, I3) of the full engine at one probe detuning by the velocity pole
+    sum in 40-digit arithmetic: M = S^{-1} B_c = (R + D)^{-1} Sigma and
+    y = S^{-1} q built from the float pencil parts, then mp.eig, the
+    residues and w(z) = exp(-z^2) erfc(-iz) at every pole."""
+    pp = _pencil_parts(scheme, drive.rabi_1)
+    mat = lambda a: mp.matrix(a.tolist())
+    with mp.workdps(40):
+        w2 = mp.mpf(math.pi * drive.rabi_2)
+        shifted = mat(pp.r0) + w2 * mat(pp.r1) + w2 ** 2 * mat(pp.r2)
+        for k in range(6):
+            shifted[k, k] += mp.mpf(delta1) * _D1[k] + mp.mpf(drive.detuning_2) * _D2[k]
+        sigma = mp.diag([mp.mpf(alpha) * _D1[k] + mp.mpf(beta) * _D2[k] for k in range(6)])
+        inverse = mp.inverse(shifted)
+        lam, vecs = mp.eig(inverse * sigma)
+        coef = mp.inverse(vecs) * inverse * (mat(pp.jq0[:, None]) + w2 * mat(pp.jq1[:, None]))
+        rows = (mat(pp.p0) + w2 * mat(pp.p1)) * vecs
+        pops = []
+        for i in range(2):
+            total = mp.mpf(pp.rho_p0[1 + i])
+            for k in range(6):
+                # <1/(u - p)> = i sqrt(pi) w(p) above the real axis
+                p = -1 / lam[k]
+                sign = 1 if mp.im(p) > 0 else -1
+                avg = sign * 1j * mp.sqrt(mp.pi) * mp.exp(-p ** 2) * mp.erfc(-1j * sign * p)
+                total += rows[i, k] * coef[k] / lam[k] * avg
+            pops.append(float(mp.re(total)))
+    rp = rates(scheme)
+    return rp.Gamma_2 * pops[0], rp.Gamma_3 * pops[1]
+
+
+class TestHighPrecisionOracle:
+    """The full-engine pole sum against the same pole sum in 40-digit
+    arithmetic, from the same float pencil parts."""
+
+    GRID = np.array([-1500.0, -1450.0, -600.0, -100.0, 0.0, 100.0, 600.0, 1450.0, 1500.0])
+
+    @pytest.mark.parametrize("case", ["case_a", "case_b"])
+    def test_pole_sum_to_1e12(self, case):
+        mp = pytest.importorskip("mpmath")
+        scheme, drive, dopp = ca.preset(case)
+        alpha, beta = doppler_slopes(scheme, drive, dopp)
+        ones = np.ones_like(self.GRID)
+        ok, got = doppler._full_engine_poles("both", scheme, drive, self.GRID, alpha * ones,
+                                             beta * ones, drive.rabi_2 * ones)
+        assert ok.all()
+        ref = np.array([mp_pole_sum(mp, scheme, drive, alpha, beta, d) for d in self.GRID]).T
+        assert np.all(np.abs([got["I2"], got["I3"]] - ref) <= 1e-12 * np.abs(ref))
 
 
 def four_pole_sum(scheme, drive, grid, alpha, beta, rabi_2):

@@ -5,12 +5,18 @@ import numpy as np
 import pytest
 
 import cascade_at as ca
+from cascade_at import doppler, liouville
 from cascade_at.doppler import _engine_batch
-from cascade_at.errors import SingularSystemError
+from cascade_at.errors import SingularSystemError, SolverFailure
 from cascade_at.lineshape import doppler_slopes
-from cascade_at.liouville import (_T, _T_INV, _liouvillian_parts, _pencil_parts,
+from cascade_at.liouville import (_D1, _D2, _T, _T_INV, _liouvillian_parts, _pencil_parts,
                                   populations_batch, steady_state_batch, velocity_poles)
 from cascade_at.threshold import _geometry_for_x
+from conftest import seven_pole_sum
+
+
+# 2 pi blockdiag(J, J, J), J = [[0, 1], [-1, 0]]
+_J_HAT = 2 * math.pi * np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 def density_matrix(scheme, drive, d1, d2):
@@ -189,21 +195,15 @@ class TestVelocityPoles:
     U = np.arange(-3.0, 4.0)
     GRID = np.linspace(-1500.0, 1500.0, 13)
 
-    @pytest.mark.parametrize("case,x,changes", [
-        ("case_a", None, {}),
-        ("case_b", None, {}),
-        ("case_a", None, {"rabi_1": 300.0}),
-        ("case_a", None, {"rabi_2": 0.0}),
-        ("case_a", None, {"rabi_2": 5e4}),
-        # alpha + beta -> 0: the two-photon eigenvalues approach zero
-        ("case_a", -1.03, {}),
-    ])
-    def test_pole_sum_reconstructs_populations(self, case, x, changes):
+    @staticmethod
+    def setting(case, x, changes):
         scheme, drive, dopp = ca.preset(case)
         if x is not None:
             scheme, geometry = _geometry_for_x(scheme, x, drive.rabi_1)
             drive = replace(geometry, rabi_2=drive.rabi_2)
-        drive = replace(drive, **changes)
+        return scheme, replace(drive, **changes), dopp
+
+    def check_against_steady_state(self, scheme, drive, dopp):
         alpha, beta = doppler_slopes(scheme, drive, dopp)
         lam, res, _ = velocity_poles(scheme, drive.rabi_1, self.GRID, drive.detuning_2,
                                      drive.rabi_2, alpha, beta)
@@ -215,6 +215,75 @@ class TestVelocityPoles:
         for k, row in enumerate(ref):
             row = row.reshape(d1.shape)
             assert np.all(np.abs(got[..., k] - row) <= 1e-10 * np.abs(row).max())
+
+    @pytest.fixture
+    def forms(self, monkeypatch):
+        """The eigenbasis form each velocity_poles call takes, in order."""
+        ran = []
+        for form in ("slope", "schur"):
+            name = f"_{form}_eigenbasis"
+            original = getattr(liouville, name)
+
+            def spy(*args, _form=form, _original=original):
+                ran.append(_form)
+                return _original(*args)
+
+            monkeypatch.setattr(liouville, name, spy)
+        return ran
+
+    @pytest.mark.parametrize("case,x,changes", [
+        ("case_a", None, {}),
+        ("case_b", None, {}),
+        ("case_a", None, {"rabi_1": 300.0}),
+        ("case_a", None, {"rabi_2": 0.0}),
+        ("case_a", None, {"rabi_2": 5e4}),
+        # alpha + beta -> 0: the two-photon eigenvalues approach zero
+        ("case_a", -1.03, {}),
+    ])
+    def test_pole_sum_reconstructs_populations(self, case, x, changes):
+        self.check_against_steady_state(*self.setting(case, x, changes))
+
+    @pytest.mark.parametrize("x,form", [
+        # |alpha + beta| = 1e-4 |alpha|, and exactly 0 (nu_32 = nu_21)
+        (-1.0001, "schur"), (-1.0, "schur"),
+        # |beta| = 1e-4 |alpha|: nu_32 = 1e-4 nu_21
+        (-1e4, "schur"),
+        (-1.01, "slope"),
+    ])
+    def test_slope_rule_picks_the_form(self, x, form, forms):
+        self.check_against_steady_state(*self.setting("case_a", x, {}))
+        assert forms == [form]
+
+    @pytest.mark.parametrize("case,x", [("case_a", None), ("case_b", None),
+                                        ("case_a", -1.01), ("case_a", -1.03)])
+    def test_both_forms_agree(self, case, x, forms, monkeypatch):
+        # the Doppler-averaged pole sums, to 1e-12 of the sum of the moduli of
+        # their terms
+        scheme, drive, dopp = self.setting(case, x, {})
+        args = (scheme, drive, self.GRID, *doppler_slopes(scheme, drive, dopp), drive.rabi_2)
+        monkeypatch.setattr(liouville, "_SLOPE_RATIO", 0.0)
+        slope, scale = seven_pole_sum(*args)
+        monkeypatch.setattr(liouville, "_SLOPE_RATIO", math.inf)
+        schur = seven_pole_sum(*args)[0]
+        assert forms == ["slope", "schur"]
+        assert np.all(np.abs(slope - schur) <= 1e-12 * scale)
+
+    def test_zero_mu_is_a_singular_pencil(self):
+        # N = Sigma^{-1} (R + D) with a zero eigenvalue: S is singular, and
+        # the slope form refuses it as a singular solve would
+        shifted = np.diag([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        with pytest.raises(SolverFailure):
+            liouville._slope_eigenbasis(shifted, np.ones(6), np.ones(6))
+
+    def test_doppler_free_geometry(self, gh200):
+        # x = -1: alpha + beta = 0 exactly, the two-photon coherences have
+        # lam = 0, and the Schur form carries them as constants
+        scheme, drive, dopp = self.setting("case_a", -1.0, {})
+        exact = doppler.intensities("full", "both", scheme, drive, dopp, self.GRID)
+        numeric = ca.average("full", "both", scheme, drive, dopp, gh200, self.GRID)
+        assert np.all(np.isfinite(exact))
+        for got, ref in zip(exact, (numeric.I2, numeric.I3)):
+            assert np.all(np.abs(got - ref) <= 1e-6 * ref.max())
 
 
 class TestPencilParts:
@@ -234,7 +303,18 @@ class TestPencilParts:
         pop = -np.linalg.solve(app, apc)
         ref = {"S": acc + acp @ pop, "q": acp @ np.linalg.solve(app, s_p), "pop": pop[1:]}
         pp = _pencil_parts(scheme, drive.rabi_1)
-        got = {"S": pp.s0 + w2 * pp.s1 + w2 ** 2 * pp.s2, "q": pp.q0 + w2 * pp.q1,
-               "pop": pp.p0 + w2 * pp.p1}
+        got = {"S": _J_HAT @ (pp.r0 + w2 * pp.r1 + w2 ** 2 * pp.r2),
+               "q": _J_HAT @ (pp.jq0 + w2 * pp.jq1), "pop": pp.p0 + w2 * pp.p1}
         for name, val in ref.items():
             assert np.max(np.abs(got[name] - val)) <= 1e-12 * np.max(np.abs(val)), name
+
+    @pytest.mark.parametrize("case", ["case_a", "case_b"])
+    def test_detunings_rotate_their_coherences(self, case):
+        # ad1 = J_hat diag(_D1), ad2 = J_hat diag(_D2) on the coherences, and
+        # neither touches the populations: B_c = J_hat Sigma
+        scheme, drive, _ = ca.preset(case)
+        _, _, ad1, ad2, _ = _liouvillian_parts(scheme, drive.rabi_1)
+        for part, pattern in ((ad1, _D1), (ad2, _D2)):
+            real = (_T_INV @ part @ _T).real
+            assert np.allclose(real[3:, 3:], _J_HAT * pattern, rtol=1e-15, atol=0)
+            assert not real[:3].any() and not real[:, :3].any()
