@@ -14,19 +14,18 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import cascade_at as ca
-from cascade_at.msublevel import m_summed, weights
+from cascade_at.doppler import intensities
 
 scheme, drive, dopp = ca.preset("case_b")
-wts = weights(scheme.j2, scheme.j3)
+wts = ca.weights(scheme.j2, scheme.j3)
 grid = np.linspace(-1200.0, 1200.0, 241)
 
 rows = [grid]
 header = ["delta1_mhz"]
 for om2 in (300.0, 530.0, 900.0):
     drv = replace(drive, rabi_2=om2)
-    plain = ca.average_analytic_I3(scheme, drv, dopp, grid).I3
-    summed = m_summed(
-        lambda d: ca.average_analytic_I3(scheme, d, dopp, grid).I3, wts, drv)
+    plain, summed = (intensities("analytic", "I3", scheme, drv, dopp, grid, msum=m)[0]
+                     for m in (None, wts))
     rows += [plain / plain.max(), summed / summed.max()]
     header += [f"plain_{om2:.0f}", f"msum_{om2:.0f}"]
 

@@ -200,18 +200,13 @@ def _inputs(args):
 
 
 def _compute_spectrum(sc: Scenario, engine, observable, wts):
-    """Spectrum columns by name.  With M weights on, the folded weights'
-    coupling Rabi frequencies are rows of the one row average, summed by
-    ``folded_sum``."""
+    """Spectrum columns by name, summed over the M weights ``wts`` (none
+    when None) by :func:`cascade_at.doppler.intensities`."""
     grid = _grid(sc.scan, "delta1")
-    weights = np.array([1.0] if wts is None else [w for w, _ in wts.folded()])
-    alpha, beta = doppler.doppler_slopes(sc.scheme, sc.drive, sc.dopp)
-    rows = doppler._row_average(engine, observable, sc.scheme, sc.drive, grid, alpha,
-                                beta, sc.drive.rabi_2 * weights[:, None])
-    stacked = (rows[:, 0] if wts is None
-               else msublevel.folded_sum(rows.swapaxes(0, 1), wts))
+    rows = doppler.intensities(engine, observable, sc.scheme, sc.drive, sc.dopp, grid,
+                               msum=wts)
     names = [name for name in ("I2", "I3") if observable in (name, "both")]
-    return grid, dict(zip(names, stacked))
+    return grid, dict(zip(names, rows))
 
 
 def _cmd_spectrum(args) -> int:

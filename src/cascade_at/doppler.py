@@ -46,9 +46,9 @@ and shares its stage (:func:`_numeric_stage`) with the row average.  Its
 values come from the model evaluated on the nodes, never from the Faddeeva
 function or partial fractions, so it is an independent cross-check of both
 exact routes; on the bundled presets they agree to ~1e-9 relative.
-:func:`intensities` is the row average of one grid;
-:func:`average_analytic_I3` and :func:`average_analytic_I2` return it as a
-:class:`Spectrum`.
+:func:`intensities` is the row average of one grid, with the folded M
+weights as rows when an M sum is asked for; :func:`average_analytic_I3`
+and :func:`average_analytic_I2` return it as a :class:`Spectrum`.
 """
 from __future__ import annotations
 
@@ -65,6 +65,7 @@ from .lineshape import (K_RHO22, K_RHO33, denominator_coefficients, doppler_slop
                         rho_weak_batch)
 from .liouville import populations_batch, velocity_poles
 from .model import DopplerParams, DriveParams, LevelScheme, rates, wavenumber_ratio
+from .msublevel import MSublevelWeights, folded_sum, folded_weights
 
 _SQRTPI = math.sqrt(math.pi)
 _U_MAX = 6.5               # Gaussian support cutoff: exp(-6.5^2) ~ 5e-19
@@ -72,9 +73,13 @@ _PANEL_DEGREE = 12
 _DEGENERATE_SEP = 1e-9     # relative pole separation refused by partial fractions
 _ZERO_EIGENVALUE = 1e-8    # |lam| counted as zero; keeps |p| = 1/|lam| within w's domain
 _COND_LIMIT = 1e8          # eigenbasis 1-norm condition number refused by the pole expansion
-# largest |zeta| the resonant curvature accepts: its w' and w'' recurrences
-# lose about |zeta|^4 eps relative, which leaves 1e-3 at ~1.46e3
-_RESONANT_MAX_ZETA = (1e-3 / np.finfo(float).eps) ** 0.25
+# largest estimated relative error of an exact resonant curvature: w' and w''
+# from their recurrences lose about |zeta|^4 eps relative, and the two roots'
+# terms t0, t1 magnify that by (|t0| + |t1|) / |t0 + t1|
+_RESONANT_MAX_ERROR = 1e-3
+_EPS = np.finfo(float).eps
+# largest |zeta| the resonant curvature takes to the Faddeeva function (~1.46e3)
+_RESONANT_MAX_ZETA = (_RESONANT_MAX_ERROR / _EPS) ** 0.25
 # grid points per pole-builder call: bounds the temporaries at any grid size
 # (a full-engine point peaks at ~2 kB of real 6x6 and 6x7 and complex 6x6 stacks,
 # about 0.5 MB at 256 points; a resonant-curvature point at ~0.6 kB, 2.5 MB at
@@ -101,18 +106,15 @@ class QuadratureRule:
 
     @classmethod
     def gauss_hermite(cls, order: int) -> "QuadratureRule":
+        """The rule of ``scipy.special.roots_hermite``: exactly symmetric
+        nodes and weights at every order (numpy's recurrence-based
+        ``hermgauss`` overflows above order ~385)."""
         if order < 1:
             raise ConfigError("quadrature order must be >= 1")
         # imported here so that commands which build no rule do not pay for
         # loading scipy
-        from scipy.linalg import eigh_tridiagonal
-        # Golub-Welsch on the Jacobi matrix; numpy's recurrence-based
-        # hermgauss overflows for order >~ 385.
-        k = np.arange(1, order)
-        nodes, vecs = eigh_tridiagonal(np.zeros(order), np.sqrt(k / 2))
-        weights = _SQRTPI * vecs[0] ** 2
-        nodes = (nodes - nodes[::-1]) / 2          # enforce exact symmetry
-        weights = (weights + weights[::-1]) / 2
+        from scipy.special import roots_hermite
+        nodes, weights = roots_hermite(order)
         return cls(order=order, nodes=nodes, weights=weights)
 
     @property
@@ -125,11 +127,8 @@ class QuadratureRule:
 class Spectrum:
     """Doppler-averaged intensity arrays over a probe-detuning grid."""
 
-    delta1: np.ndarray
     I2: np.ndarray | None
     I3: np.ndarray | None
-    engine: str
-    quad_order: int | None
 
 
 def _validated_intensity(vals: np.ndarray) -> np.ndarray:
@@ -271,8 +270,7 @@ def average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParam
 
     i2 = _validated_intensity(i2) if observable in ("I2", "both") else None
     i3 = _validated_intensity(i3) if observable in ("I3", "both") else None
-    return Spectrum(delta1=grid.copy(), I2=i2, I3=i3, engine=engine,
-                    quad_order=rule.order)
+    return Spectrum(I2=i2, I3=i3)
 
 
 def _signed_faddeeva(poles):
@@ -346,10 +344,14 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     of their residues i/(2 b v t), t = -(2 a v + b) = +-sqrt(b^2 + 4ac),
     are linear in v, 1/v or t with real coefficients per point.  One
     Faddeeva call takes both roots of every point.  Refuses points whose
-    four poles come closer than 1e-9 relative, and points with a root
-    beyond |zeta| = ``_RESONANT_MAX_ZETA`` (narrow Doppler widths), where
-    w'' from its recurrence has lost all but 1e-3; raises
-    DegenerateRootError where a = 0."""
+    four poles come closer than 1e-9 relative, points with a root beyond
+    |zeta| = ``_RESONANT_MAX_ZETA`` (narrow Doppler widths), where w'' from
+    its recurrence has lost all but 1e-3, and points whose rounding
+    estimate eps (1 + max |zeta|^4) (|t0| + |t1|) exceeds
+    ``_RESONANT_MAX_ERROR`` |t0 + t1|, with t0, t1 the imaginary parts of
+    the two roots' terms: there the terms cancel and magnify the loss of
+    w' and w'' (x near -1 at strong coupling, region II at narrow widths).
+    Raises DegenerateRootError where a = 0."""
     if drive.detuning_2 != 0.0:
         raise ConfigError("the exact curvature is defined at resonant coupling")
     rp = rates(scheme)
@@ -375,8 +377,8 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     r_max = np.maximum(r0, r1)                           # |a| max |zeta|
     ok = ~((sep < _DEGENERATE_SEP * r_max) | (r_max > _RESONANT_MAX_ZETA * np.abs(a)))
     if not ok.all():
-        alpha, beta, rabi_2, a, b, c, g, quarter, disc, sq, q = (
-            x[ok] for x in (alpha, beta, rabi_2, a, b, c, g, quarter, disc, sq, q))
+        alpha, beta, rabi_2, a, b, c, g, quarter, disc, sq, q, r_max = (
+            x[ok] for x in (alpha, beta, rabi_2, a, b, c, g, quarter, disc, sq, q, r_max))
     # z' = e1 + f1 v, z'' = i eps t, L' = i lam v and L'' = kappa + eps b / v,
     # with L the log of the root's residue
     f1 = beta * g / disc
@@ -402,8 +404,15 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     terms = residue * (sign * ((d2log + dlog * dlog) * w + w2 * dz * dz)
                        + w1 * (2 * dlog * dz + d2z))
     # the four poles' sum is 2 Re of i pi times the two roots' terms
+    t0, t1 = terms.imag
+    total = t0 + t1
     prefactor = rp.Gamma_3 * K_RHO33 * np.square(drive.rabi_1 * rabi_2 / 4)
-    return ok, (-2 * _SQRTPI) * prefactor * (terms[0] + terms[1]).imag
+    # the rounding guard, with max |zeta| = r_max / |a| (a != 0), compares
+    # products, so a zero sum of the terms cannot make it warn
+    loss = _EPS * (1 + np.square(np.square(r_max / np.abs(a))))
+    kept = ~(loss * (np.abs(t0) + np.abs(t1)) > _RESONANT_MAX_ERROR * np.abs(total))
+    ok[ok] = kept
+    return ok, ((-2 * _SQRTPI) * prefactor * total)[kept]
 
 
 def _full_engine_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
@@ -481,11 +490,9 @@ def _row_average(engine: str, observable: str, scheme: LevelScheme, drive: Drive
 
 def _spectrum(engine: str, observable: str, scheme: LevelScheme, drive: DriveParams,
               dopp: DopplerParams, delta1_grid: np.ndarray) -> Spectrum:
-    grid = np.asarray(delta1_grid, dtype=float)
     names = [name for name in ("I2", "I3") if observable in (name, "both")]
-    cols = dict(zip(names, intensities(engine, observable, scheme, drive, dopp, grid)))
-    return Spectrum(delta1=grid.copy(), I2=cols.get("I2"), I3=cols.get("I3"),
-                    engine=engine, quad_order=None)
+    cols = dict(zip(names, intensities(engine, observable, scheme, drive, dopp, delta1_grid)))
+    return Spectrum(I2=cols.get("I2"), I3=cols.get("I3"))
 
 
 def average_analytic_I3(scheme: LevelScheme, drive: DriveParams, dopp: DopplerParams,
@@ -501,14 +508,20 @@ def average_analytic_I2(scheme: LevelScheme, drive: DriveParams, dopp: DopplerPa
 
 
 def intensities(engine: str, observable: str, scheme: LevelScheme,
-                drive: DriveParams, dopp: DopplerParams,
-                delta1_grid: np.ndarray) -> np.ndarray:
+                drive: DriveParams, dopp: DopplerParams, delta1_grid: np.ndarray,
+                msum: MSublevelWeights | None = None) -> np.ndarray:
     """Doppler-averaged I2 and/or I3 over a probe-detuning grid, one row per
-    observable (I2 first): the row average (:func:`_row_average`) of the
-    grid at the drive's coupling Rabi frequency."""
+    observable (I2 first), summed over the M sublevels of ``msum``.
+
+    The one owner of a spectrum's M axis: the drive's coupling Rabi
+    frequency times each folded weight (:func:`folded_weights`; the single
+    weight 1.0 when ``msum`` is None) is one row of a single
+    :func:`_row_average` call, and :func:`folded_sum` sums those rows."""
+    grid = np.asarray(delta1_grid, dtype=float)
+    rabi_2 = drive.rabi_2 * folded_weights(msum).reshape((-1,) + (1,) * grid.ndim)
     alpha, beta = doppler_slopes(scheme, drive, dopp)
-    return _row_average(engine, observable, scheme, drive, delta1_grid, alpha, beta,
-                        drive.rabi_2)
+    rows = _row_average(engine, observable, scheme, drive, grid, alpha, beta, rabi_2)
+    return folded_sum(rows.swapaxes(0, 1), msum)
 
 
 def root_difference_closed_form(scheme: LevelScheme, drive: DriveParams,

@@ -21,6 +21,8 @@ from .errors import DomainError, NumericalError
 _SQRTPI = math.sqrt(math.pi)
 
 _MAX_ABS = 1e8
+# relative tolerance of w_reference's quadratures
+_REFERENCE_RTOL = 1e-11
 
 
 def w(z):
@@ -45,11 +47,12 @@ def w(z):
     return complex(val) if val.ndim == 0 else val
 
 
-def w_reference(z: complex, rtol: float = 1e-11) -> complex:
+def w_reference(z: complex) -> complex:
     """Brute-force oracle: adaptive quadrature of
-    ``w(z) = (i/pi) * Integral e^{-t^2}/(z - t) dt`` for Im z > 0, the
-    reflection identity below the axis, and a direct Dawson-integral
-    construction on the real axis.  Slow; test use only."""
+    ``w(z) = (i/pi) * Integral e^{-t^2}/(z - t) dt`` for Im z > 0, to
+    ``_REFERENCE_RTOL`` relative, the reflection identity below the axis,
+    and a direct Dawson-integral construction on the real axis.  Slow; test
+    use only."""
     import warnings
 
     from scipy.integrate import IntegrationWarning, quad
@@ -58,7 +61,7 @@ def w_reference(z: complex, rtol: float = 1e-11) -> complex:
     if abs(z) > 50:
         raise DomainError("w_reference supports |z| <= 50")
     if z.imag < 0.0:
-        return 2.0 * cmath.exp(-z * z) - w_reference(-z, rtol)
+        return 2.0 * cmath.exp(-z * z) - w_reference(-z)
     if z.imag == 0.0:
         x = z.real
         # w(x) = exp(-x^2) + (2i/sqrt(pi)) * exp(-x^2) * int_0^x exp(t^2) dt
@@ -77,7 +80,7 @@ def w_reference(z: complex, rtol: float = 1e-11) -> complex:
     # t = x0 + y s, which removes the near-axis spike exactly; the smooth
     # Lorentzian tails outside are integrated over the Gaussian support.
     x0, y = z.real, z.imag
-    acc = dict(epsabs=1e-300, epsrel=rtol, limit=500)
+    acc = dict(epsabs=1e-300, epsrel=_REFERENCE_RTOL, limit=500)
 
     def gauss(t):
         return math.exp(-min(t * t, 745.0))
@@ -119,7 +122,7 @@ def w_reference(z: complex, rtol: float = 1e-11) -> complex:
             im_val += v
             im_err += e
     val = complex(re_val / math.pi, im_val / math.pi)
-    tol = max(rtol * abs(val) * 100, 1e-200)
+    tol = max(_REFERENCE_RTOL * abs(val) * 100, 1e-200)
     if re_err + im_err > tol:
         raise NumericalError("Faddeeva reference quadrature did not converge")
     return val

@@ -39,9 +39,6 @@ class CascadeDenominator:
     b: complex | np.ndarray
     c: complex | np.ndarray
 
-    def value(self, u):
-        return (self.a * u + self.b) * u + self.c
-
     def roots(self):
         """Roots by the numerically stable quadratic formula, elementwise
         when ``b`` and ``c`` are arrays over a detuning grid."""

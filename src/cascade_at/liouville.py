@@ -234,7 +234,7 @@ def velocity_poles(scheme: LevelScheme, rabi_1: float, delta1, detuning_2,
         lam, vecs, inv, coef = eigenbasis(shifted, jq, sigma)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"velocity pole expansion failed: {exc}") from exc
-    cond = _norm_1(vecs) * _norm_1(inv)
+    cond = np.linalg.norm(vecs, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
     lam7 = np.zeros(shape + (7,), dtype=complex)
     lam7[..., :6] = lam
     res = np.empty(shape + (2, 7), dtype=complex)
@@ -269,11 +269,6 @@ def _schur_eigenbasis(shifted, jq, sigma):
     lam, vecs = np.linalg.eig(sol[..., 1:])
     inv = np.linalg.inv(vecs)
     return lam, vecs, inv, (inv @ sol[..., :1])[..., 0]
-
-
-def _norm_1(m):
-    """Largest column sum of |m| over a stack of matrices."""
-    return np.abs(m).sum(axis=-2).max(axis=-1)
 
 
 def populations_batch(scheme: LevelScheme, drive: DriveParams,

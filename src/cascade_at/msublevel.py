@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, SelectionRuleError
+from .errors import SelectionRuleError
 from .model import DriveParams
 
 
@@ -34,11 +34,11 @@ class MSublevelWeights:
         return len(self.entries)
 
 
-def weights(j2: int, j3: int, polarization: str = "linear_parallel") -> MSublevelWeights:
-    """Coupling-field weights over M in [-J_min, J_min]."""
-    if polarization != "linear_parallel":
-        raise ConfigError(f"unsupported polarization {polarization!r}; "
-                          "only linear_parallel is modeled")
+def weights(j2: int, j3: int) -> MSublevelWeights:
+    """Coupling-field weights over M in [-J_min, J_min] for linearly
+    polarized, parallel fields, the only polarization modeled.  Raises
+    SelectionRuleError for J = 0 -> 0 and |j3 - j2| > 1; every other pair
+    has a component of weight 1."""
     if j2 < 0 or j3 < 0:
         raise SelectionRuleError("rotational quantum numbers must be >= 0")
     if abs(j3 - j2) > 1:
@@ -51,10 +51,7 @@ def weights(j2: int, j3: int, polarization: str = "linear_parallel") -> MSubleve
         vals = np.abs(ms).astype(float)
     else:
         vals = np.sqrt(float(j_max) ** 2 - ms.astype(float) ** 2)
-    peak = vals.max()
-    if peak == 0:
-        raise SelectionRuleError("all sublevel components vanish")
-    vals = vals / peak
+    vals = vals / vals.max()
     return MSublevelWeights(entries=tuple((int(m), float(v)) for m, v in zip(ms, vals)))
 
 
@@ -68,11 +65,19 @@ def m_summed(engine_op, wts: MSublevelWeights, drive: DriveParams, *args, **kwar
                        for weight, _ in wts.folded()), wts)
 
 
-def folded_sum(terms, wts: MSublevelWeights):
-    """Sum per-component values given in ``wts.folded()`` order, each times
-    its multiplicity: the one summation order of every M sum."""
+def folded_weights(wts: MSublevelWeights | None) -> np.ndarray:
+    """The weights of ``wts.folded()`` in order, or the single weight 1.0
+    when ``wts`` is None (no M sum)."""
+    return np.array([1.0] if wts is None else [w for w, _ in wts.folded()])
+
+
+def folded_sum(terms, wts: MSublevelWeights | None):
+    """Sum per-component values given in :func:`folded_weights` order, each
+    times its multiplicity: the one summation order of every M sum.  With
+    ``wts`` None the one term is returned as it is."""
+    counts = [1] if wts is None else [count for _, count in wts.folded()]
     total = None
-    for (_, count), val in zip(wts.folded(), terms):
+    for count, val in zip(counts, terms):
         term = count * val if count > 1 else val
         total = term if total is None else total + term
     return total

@@ -34,11 +34,12 @@ their derivatives (:func:`cascade_at.doppler._weak_probe_curvature`).  At
 resonant coupling these poles are +-z_0, +-z_1 for the roots z = iv of the
 real quadratic D(iv), which also makes I3 even in Delta_1.  The other
 engines, and the analytic points the exact form refuses (poles closer
-than 1e-9 relative, zero Doppler width), take a 5-point central stencil of
-step h = max(0.5 MHz, Omega_2/200), evaluated at Delta_1 = 0, h, 2h only: at
-resonant coupling I3 is even in Delta_1 for every engine.  In the analytic
-and perturbative engines D(-u, -Delta_1) = conj D(u, Delta_1) and the
-Gaussian weight is even; in the full engine P = diag(1, -1, 1) gives
+than 1e-9 relative, rounding over its guard, zero Doppler width), take a
+5-point central stencil of step h = max(0.5 MHz, Omega_2/200), evaluated
+at Delta_1 = 0, h, 2h only: at resonant coupling I3 is even in Delta_1
+for every engine.  In the analytic and perturbative engines
+D(-u, -Delta_1) = conj D(u, Delta_1) and the Gaussian weight is even; in
+the full engine P = diag(1, -1, 1) gives
 P H(d1, d2) P = -H(-d1, -d2) with real diagonal relaxation, so P rho* P is
 the steady state at the negated detunings, with the same populations.  An
 M sum adds the curvatures of its components.
@@ -61,7 +62,7 @@ from .model import (C_M_PER_S, DopplerParams, DriveParams, LevelScheme,
                     most_probable_speed, rates)
 # m_summed stays bound here: perfbench/tracer.py patches it in every module
 # that binds it, and perfbench/selftests.py checks the patch on this module
-from .msublevel import MSublevelWeights, folded_sum, m_summed  # noqa: F401
+from .msublevel import MSublevelWeights, folded_sum, folded_weights, m_summed  # noqa: F401
 
 SINGULAR_BAND = 0.02          # excluded neighbourhoods of x = 0 and x = -1
 _BRACKET = (1.0, 50000.0)     # MHz
@@ -94,7 +95,6 @@ class ThresholdMap:
     omega_t: np.ndarray
     converged: np.ndarray
     non_monotonic: np.ndarray
-    engine: str
     region_two: np.ndarray
 
 
@@ -152,7 +152,7 @@ def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
     fails or gives a non-finite curvature.
     """
     rabi_2 = np.asarray(rabi_2, dtype=float)
-    weights = np.array([1.0] if msum is None else [w for w, _ in msum.folded()])
+    weights = folded_weights(msum)
     om = (rabi_2[:, None] * weights).ravel()              # (row, M weight), flat
     alpha, beta = (np.repeat(np.asarray(s, dtype=float), len(weights)) for s in (alpha, beta))
     curv = np.full(om.size, np.nan)
@@ -173,7 +173,7 @@ def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
                           alpha[stencil, None], beta[stencil, None], om[stencil, None])[0]
         curv[stencil] = _second_derivative(i3[:, _MIRROR], h)
     curv = curv.reshape(len(rabi_2), len(weights))
-    return curv[:, 0] if msum is None else folded_sum(curv.T, msum)
+    return folded_sum(curv.T, msum)
 
 
 def region_two_estimate(scheme: LevelScheme, x: float) -> float | None:
@@ -315,7 +315,7 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
     return ThresholdMap(
         x_grid=x_grid, dnu_grid=dnu_grid, omega_t=omega.reshape(shape),
         converged=converged.reshape(shape),
-        non_monotonic=(non_monotonic & converged).reshape(shape), engine=engine,
+        non_monotonic=(non_monotonic & converged).reshape(shape),
         region_two=(x_grid > -1.0) & (x_grid < 0.0))
 
 

@@ -427,6 +427,21 @@ class TestErrorPaths:
         assert run(command.split() + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot write output file")
 
+    @pytest.mark.parametrize("command, module, name", [
+        ("spectrum", doppler, "intensities"),
+        ("threshold", cli.threshold, "threshold_curve"),
+        ("surface", cli.threshold, "threshold_surface"),
+    ])
+    def test_numerical_failure_exits_3(self, capsys, monkeypatch, command, module, name):
+        def failing(*args, **kwargs):
+            raise ca.NumericalError("solver failed")
+
+        monkeypatch.setattr(module, name, failing)
+        assert run([command, "--preset", "case-a"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: solver failed\n"
+        assert captured.out == ""
+
     def test_run_callable_matches_subprocess(self, capsys):
         # the in-process entry point returns the same exit codes
         assert run(["spectrum", "--scenario", "/nonexistent.ini"]) == 2

@@ -81,7 +81,7 @@ class TestDenominator:
                                           *doppler_slopes(scheme, drive, dopp))
         for z in den.roots():
             scale = max(abs(den.a * z * z), abs(den.b * z), abs(den.c))
-            assert abs(den.value(z)) <= 1e-10 * scale
+            assert abs((den.a * z + den.b) * z + den.c) <= 1e-10 * scale
 
     def test_case_a_roots_off_axis(self, case_a):
         scheme, drive, dopp = case_a

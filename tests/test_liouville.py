@@ -19,6 +19,10 @@ from conftest import seven_pole_sum
 _J_HAT = 2 * math.pi * np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
 
 
+def failing_lapack(*args, **kwargs):
+    raise np.linalg.LinAlgError("mocked LAPACK failure")
+
+
 def density_matrix(scheme, drive, d1, d2):
     """Steady-state 3x3 density matrix at one pair of effective detunings."""
     return steady_state_batch(scheme, drive, [d1], [d2])[0].reshape(3, 3)
@@ -58,6 +62,13 @@ class TestEffectiveDetunings:
 
 
 class TestSteadyState:
+    def test_lapack_failure_is_a_solver_failure(self, case_a, monkeypatch):
+        scheme, drive, _ = case_a
+        monkeypatch.setattr(np.linalg, "solve", failing_lapack)
+        with pytest.raises(SolverFailure, match="steady-state solve failed") as err:
+            steady_state_batch(scheme, drive, [30.0, 40.0], [-12.0, 0.0])
+        assert err.value.condition_number > 1.0
+
     def test_no_probe_all_ground(self, case_a):
         scheme, drive, _ = case_a
         dark = replace(drive, rabi_1=0.0)
@@ -267,6 +278,20 @@ class TestVelocityPoles:
         schur = seven_pole_sum(*args)[0]
         assert forms == ["slope", "schur"]
         assert np.all(np.abs(slope - schur) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("slope_ratio, routine", [(0.0, "eig"), (math.inf, "eig"),
+                                                      (math.inf, "solve")])
+    def test_lapack_failure_is_a_solver_failure(self, case_a, monkeypatch, slope_ratio,
+                                                routine):
+        # either eigenbasis form (_SLOPE_RATIO 0 takes the slope form, inf
+        # the Schur form's solve)
+        scheme, drive, dopp = case_a
+        alpha, beta = doppler_slopes(scheme, drive, dopp)
+        monkeypatch.setattr(liouville, "_SLOPE_RATIO", slope_ratio)
+        monkeypatch.setattr(np.linalg, routine, failing_lapack)
+        with pytest.raises(SolverFailure, match="velocity pole expansion failed"):
+            velocity_poles(scheme, drive.rabi_1, self.GRID, drive.detuning_2, drive.rabi_2,
+                           alpha, beta)
 
     def test_zero_mu_is_a_singular_pencil(self):
         # N = Sigma^{-1} (R + D) with a zero eigenvalue: S is singular, and

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cascade_at as ca
-from cascade_at.errors import ConfigError, SelectionRuleError
+from cascade_at.errors import SelectionRuleError
 from cascade_at.msublevel import m_summed, weights
 
 
@@ -41,10 +41,6 @@ class TestWeights:
     def test_q_zero_forbidden(self):
         with pytest.raises(SelectionRuleError):
             weights(0, 0)
-
-    def test_polarization_gate(self):
-        with pytest.raises(ConfigError):
-            weights(2, 1, polarization="circular")
 
     @given(st.integers(1, 40), st.integers(-1, 1))
     @settings(max_examples=60, deadline=None)

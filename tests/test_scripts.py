@@ -18,9 +18,12 @@ def test_scan_msum_effect_runs_without_install(tmp_path):
                          cwd=str(tmp_path), env=env, capture_output=True, text=True,
                          timeout=300)
     assert res.returncode == 0, res.stderr
-    header = (tmp_path / "out" / "msum_effect.csv").read_text().splitlines()[0]
-    assert header == ("delta1_mhz,plain_300,msum_300,plain_530,msum_530,"
-                      "plain_900,msum_900")
+    csv = tmp_path / "out" / "msum_effect.csv"
+    assert csv.read_text().splitlines()[0] == ("delta1_mhz,plain_300,msum_300,plain_530,"
+                                               "msum_530,plain_900,msum_900")
+    # the same bits as when it summed one analytic spectrum per M weight
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+        "b5ccf1c4f606c5a601f1404153fcbf6daf46f916e837bb65eebe2da97a877f3c")
 
 
 def test_reproduce_figures_runs_without_install(tmp_path):

@@ -213,6 +213,10 @@ class TestThresholdCurve:
         with pytest.raises(ConfigError):
             threshold_curve("analytic", scheme, np.array([-0.5, 0.0]), DOP)
 
+    def test_unknown_engine(self, case_a):
+        with pytest.raises(ConfigError, match="engine must be one of"):
+            threshold_curve("exact", case_a[0], np.array([-0.5]), DOP)
+
 
 class TestThresholdSurface:
     def test_1x1_reduces_to_threshold_rabi(self, case_a):
