@@ -24,7 +24,7 @@ rows = [grid]
 header = ["delta1_mhz"]
 for om2 in (300.0, 530.0, 900.0):
     drv = replace(drive, rabi_2=om2)
-    plain, summed = (intensities("analytic", "I3", scheme, drv, dopp, grid, msum=m)[0]
+    plain, summed = (intensities("analytic", scheme, drv, dopp, grid, msum=m)[1]
                      for m in (None, wts))
     rows += [plain / plain.max(), summed / summed.max()]
     header += [f"plain_{om2:.0f}", f"msum_{om2:.0f}"]

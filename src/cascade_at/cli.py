@@ -119,6 +119,10 @@ def _parse_scenario(path: str) -> Scenario:
             if f.default is MISSING and f.name not in raw[section]:
                 raise ConfigError(f"scenario is missing a required key: [{section}] {f.name}")
         parts[attr] = cls(**read(section))
+    # no command reads the probe detuning: a value other than 0 would be ignored
+    if parts["drive"].detuning_1 != 0.0:
+        raise ConfigError("[fields] detuning_1 must be 0: spectrum scans Delta_1 over "
+                          "[scan] delta1_start, delta1_stop and delta1_step")
     return Scenario(**parts, scan=_DEFAULT_SCAN | read("scan"))
 
 
@@ -200,13 +204,12 @@ def _inputs(args):
 
 
 def _compute_spectrum(sc: Scenario, engine, observable, wts):
-    """Spectrum columns by name, summed over the M weights ``wts`` (none
-    when None) by :func:`cascade_at.doppler.intensities`."""
+    """The columns of ``observable`` by name, summed over the M weights
+    ``wts`` (none when None) by :func:`cascade_at.doppler.intensities`."""
     grid = _grid(sc.scan, "delta1")
-    rows = doppler.intensities(engine, observable, sc.scheme, sc.drive, sc.dopp, grid,
-                               msum=wts)
-    names = [name for name in ("I2", "I3") if observable in (name, "both")]
-    return grid, dict(zip(names, rows))
+    rows = doppler.intensities(engine, sc.scheme, sc.drive, sc.dopp, grid, msum=wts)
+    return grid, {name: row for name, row in zip(("I2", "I3"), rows)
+                  if observable in (name, "both")}
 
 
 def _cmd_spectrum(args) -> int:
@@ -295,8 +298,8 @@ def _cmd_selftest(args) -> int:
                    abs(abs(cf) - quad_mod) / quad_mod < 1e-6))
     weak = replace(da, rabi_1=rp.Gamma_2 / 20)
     grid = np.array([-600.0, -200.0, 0.0, 200.0, 600.0])
-    exact = doppler.intensities("full", "I3", sa, weak, pa, grid)[0]
-    numeric = doppler.average("full", "I3", sa, weak, pa,
+    exact = doppler.intensities("full", sa, weak, pa, grid)[1]
+    numeric = doppler.average("full", sa, weak, pa,
                               doppler.QuadratureRule.gauss_hermite(200), grid).I3
     checks.append(("full-engine pole expansion vs numeric average",
                    np.max(np.abs(exact - numeric)) < 1e-6 * numeric.max()))
@@ -304,7 +307,7 @@ def _cmd_selftest(args) -> int:
     for om in (5.0, 50.0, 500.0):
         drv = replace(weak, rabi_2=om, detuning_2=0.0)
         h = max(0.5, om / 200.0)
-        f = doppler.intensities("analytic", "I3", sa, drv, pa, h * threshold._STENCIL)[0]
+        f = doppler.intensities("analytic", sa, drv, pa, h * threshold._STENCIL)[1]
         exact = threshold.curvature_at_zero("analytic", sa, drv, pa)
         close.append(abs(exact - threshold._second_derivative(f, h)) <= 1e-4 * f[2] / h ** 2)
     checks.append(("exact analytic curvature vs 5-point stencil", all(close)))
@@ -335,10 +338,10 @@ def _cmd_selftest(args) -> int:
         full.append((res_k[:, ~finite].sum(axis=-1)
                      + terms.sum(axis=-1) / math.sqrt(math.pi)).real)
     full = np.array(full).T * [[rp.Gamma_2], [rp.Gamma_3]]
-    accepted, pair = doppler._full_engine_poles("both", sa, da, grid, alpha * ones,
-                                                beta * ones, da.rabi_2 * ones)
+    accepted, pair = doppler._full_engine_poles(sa, da, grid, alpha * ones, beta * ones,
+                                                da.rabi_2 * ones)
     checks.append(("full-engine pair sum vs full pole sum",
-                   accepted.all() and np.all(np.abs([pair["I2"], pair["I3"]] - full)
+                   accepted.all() and np.all(np.abs(np.array(pair) - full)
                                              <= 1e-12 * np.abs(full))))
     for name, passed in checks:
         print(f"  {'PASS' if passed else 'FAIL'}  {name}")

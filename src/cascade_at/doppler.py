@@ -47,8 +47,9 @@ values come from the model evaluated on the nodes, never from the Faddeeva
 function or partial fractions, so it is an independent cross-check of both
 exact routes; on the bundled presets they agree to ~1e-9 relative.
 :func:`intensities` is the row average of one grid, with the folded M
-weights as rows when an M sum is asked for; :func:`average_analytic_I3`
-and :func:`average_analytic_I2` return it as a :class:`Spectrum`.
+weights as rows when an M sum is asked for.  Every route yields I2 and I3
+together, I2 first; :func:`average`, :func:`average_analytic_I3` and
+:func:`average_analytic_I2` return the pair as a :class:`Spectrum`.
 """
 from __future__ import annotations
 
@@ -125,10 +126,10 @@ class QuadratureRule:
 
 @dataclass
 class Spectrum:
-    """Doppler-averaged intensity arrays over a probe-detuning grid."""
+    """Doppler-averaged I2 and I3 arrays over a probe-detuning grid."""
 
-    I2: np.ndarray | None
-    I3: np.ndarray | None
+    I2: np.ndarray
+    I3: np.ndarray
 
 
 def _validated_intensity(vals: np.ndarray) -> np.ndarray:
@@ -194,11 +195,6 @@ def _engine_batch(model: str, scheme: LevelScheme, drive: DriveParams,
     return rp.Gamma_2 * r22, rp.Gamma_3 * r33
 
 
-def _check_observable(observable: str) -> None:
-    if observable not in ("I2", "I3", "both"):
-        raise ConfigError(f"observable must be I2, I3 or both, got {observable!r}")
-
-
 def _numeric_point(model: str, scheme: LevelScheme, drive: DriveParams, delta1,
                    alpha: float, beta: float, rule: QuadratureRule) -> tuple[float, float]:
     """(I2, I3) of the ``full`` or ``perturbative`` model at one probe
@@ -243,20 +239,16 @@ def _numeric_stage(model: str, scheme: LevelScheme, drive: DriveParams, grid, al
                                     float(beta[k]), rule)
 
 
-def average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParams,
-            dopp: DopplerParams, rule: QuadratureRule,
-            delta1_grid: np.ndarray) -> Spectrum:
-    """Velocity average of the chosen engine over a probe-detuning grid.
-
-    ``observable`` selects which intensity columns are populated: "I2",
-    "I3" or "both".  ``fwhm = 0`` short-circuits to the v_z = 0 evaluation.
+def average(engine: str, scheme: LevelScheme, drive: DriveParams, dopp: DopplerParams,
+            rule: QuadratureRule, delta1_grid: np.ndarray) -> Spectrum:
+    """Velocity average of the chosen engine over a probe-detuning grid, I2
+    and I3 both.  ``fwhm = 0`` short-circuits to the v_z = 0 evaluation.
     Summation order is fixed (ascending node index) so results are
     bit-reproducible.
     """
     if engine not in ("full", "perturbative"):
         raise ConfigError(f"average integrates the full or perturbative model, "
                           f"got {engine!r}")
-    _check_observable(observable)
     if rule.order < MIN_QUAD_ORDER:
         raise ConfigError(f"quadrature order must be >= {MIN_QUAD_ORDER}")
     grid = np.asarray(delta1_grid, dtype=float)
@@ -266,11 +258,7 @@ def average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParam
     _numeric_stage(engine, scheme, drive, flat, np.full(flat.size, alpha),
                    np.full(flat.size, beta), np.full(flat.size, drive.rabi_2),
                    np.ones(flat.size, bool), rule, vals)
-    i2, i3 = vals.reshape((2,) + grid.shape)
-
-    i2 = _validated_intensity(i2) if observable in ("I2", "both") else None
-    i3 = _validated_intensity(i3) if observable in ("I3", "both") else None
-    return Spectrum(I2=i2, I3=i3)
+    return Spectrum(*_validated_intensity(vals.reshape((2,) + grid.shape)))
 
 
 def _signed_faddeeva(poles):
@@ -307,26 +295,22 @@ def _weak_probe_roots(scheme, drive, delta1, alpha, beta, rabi_2):
     return ok, z, residue, *_signed_faddeeva(z)
 
 
-def _weak_probe_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
-    """Perturbative I2 and/or I3 by partial fractions over the poles of
-    :func:`_weak_probe_roots`.  I2's quadratic numerator
-    gamma_13^2 + (d1 + d2)^2 has real coefficients and is continued off the
-    real axis to the roots, so its conjugate-pole terms are conjugates too.
-    Both observables share one kernel call.  ``alpha``, ``beta`` and
-    ``rabi_2`` are given per grid point."""
+def _weak_probe_poles(scheme, drive, grid, alpha, beta, rabi_2):
+    """Perturbative I2 and I3 by partial fractions over the poles of
+    :func:`_weak_probe_roots`, from one kernel call.  I2's quadratic
+    numerator gamma_13^2 + (d1 + d2)^2 has real coefficients and is
+    continued off the real axis to the roots, so its conjugate-pole terms
+    are conjugates too.  ``alpha``, ``beta`` and ``rabi_2`` are given per
+    grid point.  Returns the mask of accepted points and their (I2, I3)."""
     rp = rates(scheme)
     ok, z, residue, sign, w = _weak_probe_roots(scheme, drive, grid, alpha, beta, rabi_2)
     terms = residue * (sign * 1j * math.pi * w)
-    out = {}
-    if observable in ("I2", "both"):
-        prefactor = rp.Gamma_2 * K_RHO22 * (drive.rabi_1 / 2) ** 2
-        d2ph = grid[ok, None] + drive.detuning_2 + (alpha[ok] + beta[ok])[:, None] * z
-        numerator = rp.gamma_13 ** 2 + d2ph * d2ph
-        out["I2"] = prefactor * 2 * (numerator * terms).sum(axis=-1).real / _SQRTPI
-    if observable in ("I3", "both"):
-        prefactor = rp.Gamma_3 * K_RHO33 * np.square(drive.rabi_1 * rabi_2[ok] / 4)
-        out["I3"] = prefactor * 2 * terms.sum(axis=-1).real / _SQRTPI
-    return ok, out
+    prefactor = rp.Gamma_2 * K_RHO22 * (drive.rabi_1 / 2) ** 2
+    d2ph = grid[ok, None] + drive.detuning_2 + (alpha[ok] + beta[ok])[:, None] * z
+    numerator = rp.gamma_13 ** 2 + d2ph * d2ph
+    i2 = prefactor * 2 * (numerator * terms).sum(axis=-1).real / _SQRTPI
+    prefactor = rp.Gamma_3 * K_RHO33 * np.square(drive.rabi_1 * rabi_2[ok] / 4)
+    return ok, (i2, prefactor * 2 * terms.sum(axis=-1).real / _SQRTPI)
 
 
 def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
@@ -415,7 +399,7 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     return ok, ((-2 * _SQRTPI) * prefactor * total)[kept]
 
 
-def _full_engine_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
+def _full_engine_poles(scheme, drive, grid, alpha, beta, rabi_2):
     """Full steady state by its velocity poles: 1/(1 + u lam) =
     (1/lam)/(u - p) with p = -1/lam.  The eigenvalues of the real pencil
     come in exact conjugate pairs whose terms are conjugate, so a pair
@@ -424,8 +408,9 @@ def _full_engine_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
     Eigenvalues with |lam| <= 1e-8 (the lam = 0 column that carries the
     population constant, and the two-photon coherences as x -> -1) count as
     a constant residue, an error below lam^2.  ``alpha``, ``beta`` and
-    ``rabi_2`` are given per grid point.  Returns both observables.
-    Refuses grid points whose eigenbasis has ||V||_1 ||V^{-1}||_1 > 1e8."""
+    ``rabi_2`` are given per grid point.  Returns the mask of accepted
+    points and their (I2, I3).  Refuses grid points whose eigenbasis has
+    ||V||_1 ||V^{-1}||_1 > 1e8."""
     lam, res, cond = velocity_poles(scheme, drive.rabi_1, grid, drive.detuning_2,
                                     rabi_2, alpha, beta)
     ok = cond <= _COND_LIMIT
@@ -440,14 +425,14 @@ def _full_engine_poles(observable, scheme, drive, grid, alpha, beta, rabi_2):
     pops = (np.where(finite[:, None, :], 0.0, res).sum(axis=-1)
             + (res * kernel[:, None, :]).sum(axis=-1) / _SQRTPI)
     rp = rates(scheme)
-    return ok, {"I2": rp.Gamma_2 * pops[:, 0].real, "I3": rp.Gamma_3 * pops[:, 1].real}
+    return ok, (rp.Gamma_2 * pops[:, 0].real, rp.Gamma_3 * pops[:, 1].real)
 
 
-def _row_average(engine: str, observable: str, scheme: LevelScheme, drive: DriveParams,
+def _row_average(engine: str, scheme: LevelScheme, drive: DriveParams,
                  grid, alpha, beta, rabi_2) -> np.ndarray:
-    """Doppler-averaged I2 and/or I3 of ``engine`` over rows of probe
-    detunings, the last axis of ``grid``: one leading axis per observable
-    (I2 first) before the broadcast shape of the arguments.
+    """Doppler-averaged I2 and I3 of ``engine`` over rows of probe
+    detunings, the last axis of ``grid``: a leading axis of two (I2 first)
+    before the broadcast shape of the arguments.
 
     ``alpha``, ``beta`` and ``rabi_2`` are per-row Doppler slopes and
     coupling Rabi frequencies that broadcast against ``grid``; ``drive``
@@ -462,7 +447,6 @@ def _row_average(engine: str, observable: str, scheme: LevelScheme, drive: Drive
     """
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
-    _check_observable(observable)
     pole_routes = {"analytic": (_weak_probe_poles, _WEAK_PROBE_BLOCK),
                    "full": (_full_engine_poles, _FULL_ENGINE_BLOCK)}
     builder, block = pole_routes.get(engine, (None, 0))
@@ -476,42 +460,35 @@ def _row_average(engine: str, observable: str, scheme: LevelScheme, drive: Drive
     if builder is not None:
         points = np.flatnonzero(numeric)
         for part in (points[i:i + block] for i in range(0, len(points), block)):
-            ok, accepted = builder(observable, scheme, drive, grid[part], alpha[part],
-                                   beta[part], rabi_2[part])
-            for k, name in enumerate(("I2", "I3")):
-                if name in accepted:
-                    vals[k, part[ok]] = accepted[name]
+            ok, accepted = builder(scheme, drive, grid[part], alpha[part], beta[part],
+                                   rabi_2[part])
+            vals[:, part[ok]] = accepted
             numeric[part[ok]] = False
     rule = QuadratureRule.gauss_hermite(FALLBACK_QUAD_ORDER) if numeric.any() else None
     _numeric_stage(model, scheme, drive, grid, alpha, beta, rabi_2, numeric, rule, vals)
-    rows = [k for k, name in enumerate(("I2", "I3")) if observable in (name, "both")]
-    return np.stack([_validated_intensity(vals[k].reshape(shape)) for k in rows])
-
-
-def _spectrum(engine: str, observable: str, scheme: LevelScheme, drive: DriveParams,
-              dopp: DopplerParams, delta1_grid: np.ndarray) -> Spectrum:
-    names = [name for name in ("I2", "I3") if observable in (name, "both")]
-    cols = dict(zip(names, intensities(engine, observable, scheme, drive, dopp, delta1_grid)))
-    return Spectrum(I2=cols.get("I2"), I3=cols.get("I3"))
+    return _validated_intensity(vals.reshape((2,) + shape))
 
 
 def average_analytic_I3(scheme: LevelScheme, drive: DriveParams, dopp: DopplerParams,
                         delta1_grid: np.ndarray) -> Spectrum:
-    """Exact Doppler average of the perturbative upper-level intensity."""
-    return _spectrum("analytic", "I3", scheme, drive, dopp, delta1_grid)
+    """Exact Doppler average of the perturbative intensities, I2 and I3.
+    The same call as :func:`average_analytic_I2`; both names stay because
+    ``perfbench/tracer.py`` wraps each of them."""
+    return Spectrum(*intensities("analytic", scheme, drive, dopp, delta1_grid))
 
 
 def average_analytic_I2(scheme: LevelScheme, drive: DriveParams, dopp: DopplerParams,
                         delta1_grid: np.ndarray) -> Spectrum:
-    """Exact Doppler average of the perturbative intermediate-level intensity."""
-    return _spectrum("analytic", "I2", scheme, drive, dopp, delta1_grid)
+    """Exact Doppler average of the perturbative intensities, I2 and I3.
+    The same call as :func:`average_analytic_I3`; both names stay because
+    ``perfbench/tracer.py`` wraps each of them."""
+    return Spectrum(*intensities("analytic", scheme, drive, dopp, delta1_grid))
 
 
-def intensities(engine: str, observable: str, scheme: LevelScheme,
-                drive: DriveParams, dopp: DopplerParams, delta1_grid: np.ndarray,
-                msum: MSublevelWeights | None = None) -> np.ndarray:
-    """Doppler-averaged I2 and/or I3 over a probe-detuning grid, one row per
-    observable (I2 first), summed over the M sublevels of ``msum``.
+def intensities(engine: str, scheme: LevelScheme, drive: DriveParams, dopp: DopplerParams,
+                delta1_grid: np.ndarray, msum: MSublevelWeights | None = None) -> np.ndarray:
+    """Doppler-averaged I2 and I3 over a probe-detuning grid, two rows (I2
+    first), summed over the M sublevels of ``msum``.
 
     The one owner of a spectrum's M axis: the drive's coupling Rabi
     frequency times each folded weight (:func:`folded_weights`; the single
@@ -520,7 +497,7 @@ def intensities(engine: str, observable: str, scheme: LevelScheme,
     grid = np.asarray(delta1_grid, dtype=float)
     rabi_2 = drive.rabi_2 * folded_weights(msum).reshape((-1,) + (1,) * grid.ndim)
     alpha, beta = doppler_slopes(scheme, drive, dopp)
-    rows = _row_average(engine, observable, scheme, drive, grid, alpha, beta, rabi_2)
+    rows = _row_average(engine, scheme, drive, grid, alpha, beta, rabi_2)
     return folded_sum(rows.swapaxes(0, 1), msum)
 
 

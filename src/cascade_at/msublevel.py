@@ -4,8 +4,11 @@ For linearly polarized, parallel fields the coupling Rabi frequency of each
 M component scales with the direction-cosine matrix element of the
 |2> -> |3> transition: |M| for a Q line (Delta J = 0, M = 0 dark) and
 sqrt(J_max^2 - M^2) for P/R lines.  The spectrum summed over M is a sum of
-lineshapes evaluated at the scaled Rabi frequencies; the probe-transition M
-dependence folds into the overall (weak-probe, scale-free) constant.
+lineshapes evaluated at the scaled Rabi frequencies, with one probe Rabi
+frequency Omega_1 for every component.  That is a simplification, not an
+overall constant: a weak-probe component scales as Omega_1(M)^2, and
+Omega_1(M) follows the same direction-cosine rule.  Weighting it is an
+open correction (ROADMAP item 2; acceptance criterion 4: 799.72 -> 658.19 MHz).
 """
 from __future__ import annotations
 

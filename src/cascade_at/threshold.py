@@ -169,8 +169,8 @@ def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
     if stencil.any():
         # each row's step, from its own coupling, shared by its M weights
         h = np.repeat(np.maximum(0.5, rabi_2 / 200.0), len(weights))[stencil]
-        i3 = _row_average(engine, "I3", scheme, drive, h[:, None] * _HALF_STENCIL,
-                          alpha[stencil, None], beta[stencil, None], om[stencil, None])[0]
+        i3 = _row_average(engine, scheme, drive, h[:, None] * _HALF_STENCIL,
+                          alpha[stencil, None], beta[stencil, None], om[stencil, None])[1]
         curv[stencil] = _second_derivative(i3[:, _MIRROR], h)
     curv = curv.reshape(len(rabi_2), len(weights))
     return folded_sum(curv.T, msum)

@@ -36,7 +36,7 @@ def strict_local_minima(vals):
 def msummed_full_i3(scheme, drive, dopp, grid):
     wts = weights(scheme.j2, scheme.j3)
     return m_summed(
-        lambda d: intensities("full", "I3", scheme, d, dopp, grid)[0], wts, drive)
+        lambda d: intensities("full", scheme, d, dopp, grid)[1], wts, drive)
 
 
 def test_criterion_1_doppler_width_anchor():
@@ -70,7 +70,7 @@ def test_criterion_3_eit_dip_persistence():
     ok = True
     for case in ("case_a", "case_b"):
         scheme, drive, dopp = ca.preset(case)
-        i2 = intensities("full", "I2", scheme, drive, dopp, GRID_601)[0]
+        i2 = intensities("full", scheme, drive, dopp, GRID_601)[0]
         mins = strict_local_minima(i2)
         two_photon = -drive.detuning_2
         near = [GRID_601[k] for k in mins if abs(GRID_601[k] - two_photon) <= 100.0]
@@ -155,7 +155,7 @@ def test_criterion_7_analytic_numeric_equivalence():
     worst = 0.0
     for name, scheme, drive, dopp in configs:
         an = ca.average_analytic_I3(scheme, drive, dopp, grid).I3
-        num = ca.average("perturbative", "I3", scheme, drive, dopp,
+        num = ca.average("perturbative", scheme, drive, dopp,
                          rule400, grid).I3
         worst = max(worst, float(np.max(np.abs(an - num) / num)))
     report(7, "analytic Doppler integral matches order-400 quadrature (1e-4)",
@@ -211,8 +211,8 @@ def test_criterion_10_engine_consistency():
     rp = ca.rates(scheme)
     weak = replace(drive, rabi_1=rp.Gamma_2 / 20)
     grid = np.linspace(-1200.0, 1200.0, 201)
-    full = intensities("full", "I3", scheme, weak, dopp, grid)[0]
-    pert = ca.average("perturbative", "I3", scheme, weak, dopp, GH200, grid).I3
+    full = intensities("full", scheme, weak, dopp, grid)[1]
+    pert = ca.average("perturbative", scheme, weak, dopp, GH200, grid).I3
     shape_dev = float(np.max(np.abs(full / full.max() - pert / pert.max())))
 
     thr_full = threshold_rabi("full", scheme, -0.9219,

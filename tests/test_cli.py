@@ -89,9 +89,9 @@ class TestSpectrumCommand:
         calls = []
         builder = doppler._weak_probe_poles
 
-        def counting(observable, scheme, drive, grid, *args):
+        def counting(scheme, drive, grid, *args):
             calls.append(len(grid))
-            return builder(observable, scheme, drive, grid, *args)
+            return builder(scheme, drive, grid, *args)
 
         monkeypatch.setattr(doppler, "_weak_probe_poles", counting)
         out = tmp_path / "a.csv"
@@ -108,8 +108,8 @@ class TestSpectrumCommand:
         sc.scan.update(delta1_start=-600.0, delta1_stop=600.0, delta1_step=40.0)
         wts = weights(sc.scheme.j2, sc.scheme.j3)
         grid, cols = _compute_spectrum(sc, engine, "both", wts)
-        ref = m_summed(lambda drv: doppler.intensities(engine, "both", sc.scheme, drv,
-                                                       sc.dopp, grid), wts, sc.drive)
+        ref = m_summed(lambda drv: doppler.intensities(engine, sc.scheme, drv, sc.dopp,
+                                                       grid), wts, sc.drive)
         assert np.array_equal(np.array([cols["I2"], cols["I3"]]), ref)
 
 
@@ -207,6 +207,32 @@ class TestByteIdentity:
         assert run(["spectrum", "--preset", "case-a", "--engine", "analytic",
                     "--observable", "both", "--msum", msum, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.ANALYTIC[msum]
+
+    # SHA-256 of full-engine thresholds with the M sum on, measured with the
+    # same numpy and scipy: acceptance criterion 4 (case b at its preset x)
+    # and the case-a surface on a 10 x 4 grid (x_step 0.4, dnu_step 1600).
+    # The single-M full CSVs are not pinned: their last digits are rounding
+    # noise of the stencil curvature.
+    FULL = {
+        "threshold": "0d6cd0b2f1735d958f3833e758145eaeb2b03ce3d157417352efbfe9c3c31409",
+        "surface": "2f6b10b783ad530a63b09ded96caf04acbada1c2cbcfc964096305e66855f60a",
+    }
+
+    @pytest.mark.parametrize("command", list(FULL))
+    def test_full_msum_sha256(self, tmp_path, command):
+        if command == "threshold":
+            source = ["--preset", "case-b"]
+        else:
+            text = cli._dump_scenario(_preset_scenario("case-a"))
+            assert "x_step = 0.1\n" in text and "dnu_step = 400.0\n" in text
+            scen = tmp_path / "a.ini"
+            scen.write_text(text.replace("x_step = 0.1\n", "x_step = 0.4\n")
+                            .replace("dnu_step = 400.0\n", "dnu_step = 1600.0\n"))
+            source = ["--scenario", str(scen)]
+        out = tmp_path / f"{command}.csv"
+        assert run([command, *source, "--engine", "full", "--msum", "on",
+                    "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.FULL[command]
 
 
 class TestGrid:
@@ -329,6 +355,23 @@ class TestErrorPaths:
     def test_bad_flag_exits_2(self):
         res = run_cli(["spectrum", "--preset", "case-a", "--engine", "magic"])
         assert res.returncode == 2
+
+    def test_bad_observable_exits_2(self, capsys):
+        # the library computes I2 and I3 together, so the flag's choices are
+        # the only check of the observable
+        assert run(["spectrum", "--preset", "case-a", "--observable", "I4"]) == 2
+        assert "argument --observable: invalid choice: 'I4'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["spectrum", "threshold", "surface"])
+    def test_probe_detuning_exits_2(self, tmp_path, capsys, command):
+        # no command reads [fields] detuning_1, so a nonzero value would be
+        # ignored without a word; 0.0, as every preset writes it, is accepted
+        scen = small_scan("a.ini", tmp_path, ["detuning_1 = 50.0"])
+        assert "detuning_1 = 50.0" in open(scen).read().splitlines()
+        assert run([command, "--scenario", scen]) == 2
+        assert capsys.readouterr().err == (
+            "error: [fields] detuning_1 must be 0: spectrum scans Delta_1 over "
+            "[scan] delta1_start, delta1_stop and delta1_step\n")
 
     @pytest.mark.parametrize("args", [
         "spectrum --engine perturbative",

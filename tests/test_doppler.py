@@ -67,7 +67,7 @@ class TestAverage:
     def test_zero_width_matches_fixed_velocity(self, case_a, gh200):
         scheme, drive, _ = case_a
         grid = np.linspace(-500, 500, 41)
-        spec = ca.average("full", "both", scheme, drive,
+        spec = ca.average("full", scheme, drive,
                           ca.DopplerParams(fwhm=0.0), gh200, grid)
         rp = rates(scheme)
         for k, d1 in enumerate(grid):
@@ -80,7 +80,7 @@ class TestAverage:
     def test_against_adaptive_quadrature(self, engine, case, gh200):
         scheme, drive, dopp = ca.preset(case)
         for d1 in (0.0, 250.0, 900.0):
-            spec = ca.average(engine, "both", scheme, drive, dopp, gh200,
+            spec = ca.average(engine, scheme, drive, dopp, gh200,
                               np.array([d1]))
             for obs in ("I2", "I3"):
                 truth = quad_oracle(engine, obs, scheme, drive, dopp, d1)
@@ -94,20 +94,20 @@ class TestAverage:
         r200 = ca.QuadratureRule.gauss_hermite(200)
         r400 = ca.QuadratureRule.gauss_hermite(400)
         for engine in ("full", "perturbative"):
-            a = ca.average(engine, "I3", scheme, drive, dopp, r200, grid).I3
-            b = ca.average(engine, "I3", scheme, drive, dopp, r400, grid).I3
+            a = ca.average(engine, scheme, drive, dopp, r200, grid).I3
+            b = ca.average(engine, scheme, drive, dopp, r400, grid).I3
             assert np.max(np.abs(a - b) / b) < 1e-6
 
     def test_rule_order_minimum(self, case_a):
         scheme, drive, dopp = case_a
         rule = ca.QuadratureRule.gauss_hermite(8)
         with pytest.raises(ConfigError):
-            ca.average("full", "I3", scheme, drive, dopp, rule, np.array([0.0]))
+            ca.average("full", scheme, drive, dopp, rule, np.array([0.0]))
 
     def test_unknown_engine(self, case_a, gh200):
         scheme, drive, dopp = case_a
         with pytest.raises(ConfigError):
-            ca.average("exact", "I3", scheme, drive, dopp, gh200, np.array([0.0]))
+            ca.average("exact", scheme, drive, dopp, gh200, np.array([0.0]))
 
 
 class TestAnalytic:
@@ -116,14 +116,14 @@ class TestAnalytic:
         scheme, drive, dopp = ca.preset(case)
         grid = np.linspace(-1400, 1400, 29)
         an = ca.average_analytic_I3(scheme, drive, dopp, grid).I3
-        num = ca.average("perturbative", "I3", scheme, drive, dopp, gh200, grid).I3
+        num = ca.average("perturbative", scheme, drive, dopp, gh200, grid).I3
         assert np.max(np.abs(an - num) / num) < 1e-6
 
     def test_analytic_i2_matches_numeric(self, case_b, gh200):
         scheme, drive, dopp = case_b
         grid = np.linspace(-900, 900, 19)
         an = ca.average_analytic_I2(scheme, drive, dopp, grid).I2
-        num = ca.average("perturbative", "I2", scheme, drive, dopp, gh200, grid).I2
+        num = ca.average("perturbative", scheme, drive, dopp, gh200, grid).I2
         assert np.max(np.abs(an - num) / num) < 1e-6
 
     def test_small_width_recovers_fixed_velocity(self, case_a):
@@ -159,7 +159,7 @@ class TestAnalytic:
             for dnu in (300.0, 1100.0, 3000.0):
                 dopp = ca.DopplerParams(fwhm=dnu)
                 an = ca.average_analytic_I3(sch, drv, dopp, grid).I3
-                num = ca.average("perturbative", "I3", sch, drv, dopp,
+                num = ca.average("perturbative", sch, drv, dopp,
                                  rule, grid).I3
                 assert np.max(np.abs(an - num) / num) < 1e-4
 
@@ -173,8 +173,7 @@ class TestDegeneratePoles:
         scheme, drive, dopp = case_b
         drv = coincident_roots_drive(scheme, drive, dopp)
         grid = np.array([-5.0, 0.0, 5.0])
-        num = getattr(ca.average("perturbative", observable, scheme, drv, dopp,
-                                 gh200, grid), observable)
+        num = getattr(ca.average("perturbative", scheme, drv, dopp, gh200, grid), observable)
 
         fallbacks, w_shapes = [], []
         rule, w = doppler._refined_rule, doppler.faddeeva_w
@@ -205,10 +204,10 @@ class TestFullExact:
         grid = np.linspace(-1500.0, 1500.0, 61)
 
         def exact(drv):
-            return doppler.intensities("full", "both", scheme, drv, dopp, grid)
+            return doppler.intensities("full", scheme, drv, dopp, grid)
 
         def numeric(drv):
-            spec = ca.average("full", "both", scheme, drv, dopp, gh200, grid)
+            spec = ca.average("full", scheme, drv, dopp, gh200, grid)
             return np.array([spec.I2, spec.I3])
 
         got, ref = m_summed(exact, wts, drive), m_summed(numeric, wts, drive)
@@ -250,7 +249,7 @@ class TestFullExact:
             drive = replace(drive, rabi_2=rabi_2)
             dopp = ca.DopplerParams(fwhm=fwhm)
             dense = self.dense_average(scheme, drive, dopp, delta1)
-            got = doppler.intensities("full", "both", scheme, drive, dopp,
+            got = doppler.intensities("full", scheme, drive, dopp,
                                       np.array([delta1]))[:, 0]
             assert np.all(np.abs(got - dense) < tol * dense), (x, got, dense)
 
@@ -263,7 +262,7 @@ class TestFullExact:
         drive = replace(drive, rabi_2=1.0)
         dopp = ca.DopplerParams(fwhm=1100.0)
         grid = np.array([-31.0, -20.0, 0.0, 20.0, 31.0])
-        spec = ca.average("full", "both", scheme, drive, dopp, gh200, grid)
+        spec = ca.average("full", scheme, drive, dopp, gh200, grid)
         for k, delta1 in enumerate(grid):
             dense = self.dense_average(scheme, drive, dopp, delta1)
             got = np.array([spec.I2[k], spec.I3[k]])
@@ -278,8 +277,8 @@ class TestFullExact:
         drive = replace(drive, rabi_2=rabi_2)
         dopp = case_a[2]
         grid = np.array([-400.0, -35.0, 0.0, 120.0])
-        got = doppler.intensities("full", "both", scheme, drive, dopp, grid)
-        ref = ca.average("full", "both", scheme, drive, dopp, gh200, grid)
+        got = doppler.intensities("full", scheme, drive, dopp, grid)
+        ref = ca.average("full", scheme, drive, dopp, gh200, grid)
         for row, name in zip(got, ("I2", "I3")):
             ref_row = getattr(ref, name)
             assert np.all(np.isfinite(row))
@@ -300,14 +299,14 @@ class TestFullExact:
         monkeypatch.setattr(doppler, "_numeric_point",
                             lambda model, sch, drv, delta1, *a:
                             calls.append(delta1) or numeric(model, sch, drv, delta1, *a))
-        got = doppler.intensities("full", "both", scheme, drive, dopp, grid)
+        got = doppler.intensities("full", scheme, drive, dopp, grid)
         monkeypatch.undo()
 
         assert calls == [grid[worst]]
-        point = ca.average("full", "both", scheme, drive, dopp, gh200,
+        point = ca.average("full", scheme, drive, dopp, gh200,
                            grid[worst:worst + 1])
         assert got[0, worst] == point.I2[0] and got[1, worst] == point.I3[0]
-        exact = doppler.intensities("full", "both", scheme, drive, dopp, grid)
+        exact = doppler.intensities("full", scheme, drive, dopp, grid)
         rest = np.arange(len(grid)) != worst
         assert np.array_equal(got[1, rest], exact[1, rest])
         assert abs(got[1, worst] - exact[1, worst]) < 1e-6 * exact[1].max()
@@ -317,47 +316,37 @@ class TestIntensities:
     GRID = np.linspace(-600.0, 600.0, 7)
 
     @pytest.mark.parametrize("engine", ["full", "perturbative", "analytic"])
-    @pytest.mark.parametrize("observable", ["I2", "I3", "both"])
-    def test_rows_match_direct_calls(self, case_a, gh200, engine, observable):
+    def test_rows_match_direct_calls(self, case_a, gh200, engine):
         scheme, drive, dopp = case_a
-        rows = doppler.intensities(engine, observable, scheme, drive, dopp,
-                                   self.GRID)
-        names = [n for n in ("I2", "I3") if observable in (n, "both")]
-        if engine == "analytic":
-            direct = {"I2": ca.average_analytic_I2, "I3": ca.average_analytic_I3}
-            expected = [getattr(direct[n](scheme, drive, dopp, self.GRID), n)
-                        for n in names]
-        elif engine == "full":
-            expected = doppler._row_average("full", observable, scheme, drive, self.GRID,
+        rows = doppler.intensities(engine, scheme, drive, dopp, self.GRID)
+        if engine == "full":
+            expected = doppler._row_average("full", scheme, drive, self.GRID,
                                             *doppler_slopes(scheme, drive, dopp),
                                             drive.rabi_2)
         else:
-            spec = ca.average(engine, observable, scheme, drive, dopp, gh200,
-                              self.GRID)
-            expected = [getattr(spec, n) for n in names]
-        assert rows.shape == (len(names), len(self.GRID))
+            spec = (ca.average_analytic_I2(scheme, drive, dopp, self.GRID)
+                    if engine == "analytic"
+                    else ca.average(engine, scheme, drive, dopp, gh200, self.GRID))
+            expected = [spec.I2, spec.I3]
+        assert rows.shape == (2, len(self.GRID))
         for row, exp in zip(rows, expected):
             assert np.array_equal(row, exp)
 
     def test_analytic_both_in_one_pass(self, case_a, monkeypatch):
-        # I2 and I3 share the roots, the pole products and one Faddeeva call,
-        # on the two roots of D at every point
-        singles = [doppler.intensities("analytic", name, *case_a, self.GRID)[0]
-                   for name in ("I2", "I3")]
+        # an analytic spectrum makes one Faddeeva call of shape (n, 2), on
+        # the two roots of D at every point: I2 and I3 share the roots, the
+        # pole products and that call
         shapes, w = [], doppler.faddeeva_w
         monkeypatch.setattr(doppler, "faddeeva_w",
                             lambda z: shapes.append(np.shape(z)) or w(z))
-        both = doppler.intensities("analytic", "both", *case_a, self.GRID)
-        assert shapes == [(len(self.GRID), 2)]
-        assert np.array_equal(both, singles)
-
-    def test_bad_observable(self, case_a):
-        with pytest.raises(ConfigError):
-            doppler.intensities("analytic", "I4", *case_a, self.GRID)
+        for name in ("I2", "I3"):
+            getattr(ca, f"average_analytic_{name}")(*case_a, self.GRID)
+        doppler.intensities("analytic", *case_a, self.GRID)
+        assert shapes == [(len(self.GRID), 2)] * 3
 
     def test_unknown_engine(self, case_a):
         with pytest.raises(ConfigError, match="engine must be one of"):
-            doppler.intensities("exact", "I3", *case_a, self.GRID)
+            doppler.intensities("exact", *case_a, self.GRID)
 
 
 class TestValidatedIntensity:
@@ -448,7 +437,7 @@ class TestEitDipAveraged:
     def test_i2_dip_survives_averaging(self, case, gh200):
         scheme, drive, dopp = ca.preset(case)
         grid = np.linspace(-400, 400, 161) - drive.detuning_2
-        spec = ca.average("full", "I2", scheme, drive, dopp, gh200, grid)
+        spec = ca.average("full", scheme, drive, dopp, gh200, grid)
         center = int(np.argmin(np.abs(grid + drive.detuning_2)))
         i2 = spec.I2
         assert i2[center] < i2[center - 4] and i2[center] < i2[center + 4]
@@ -458,7 +447,7 @@ class TestEitDipAveraged:
         # the strongest-component case-a spectrum already shows the doublet
         scheme, drive, dopp = case_a
         grid = np.linspace(-1500, 1500, 301)
-        i3 = ca.average("full", "I3", scheme, drive, dopp, gh200, grid).I3
+        i3 = ca.average("full", scheme, drive, dopp, gh200, grid).I3
         center = len(grid) // 2
         assert i3[center] < i3[center - 1] and i3[center] < i3[center + 1]
         maxima = (i3[1:-1] > i3[:-2]) & (i3[1:-1] > i3[2:])
@@ -489,13 +478,13 @@ class TestConjugatePairs:
     def test_pair_sum_matches_seven_pole_sum(self, case, x, changes):
         scheme, drive, (alpha, beta) = self.setting(case, x, changes)
         ones = np.ones_like(self.GRID)
-        ok, got = doppler._full_engine_poles("both", scheme, drive, self.GRID, alpha * ones,
+        ok, got = doppler._full_engine_poles(scheme, drive, self.GRID, alpha * ones,
                                              beta * ones, drive.rabi_2 * ones)
         assert ok.all()
         ref, scale = seven_pole_sum(scheme, drive, self.GRID, alpha, beta, drive.rabi_2)
         # relative to the terms' moduli: at Omega_2 = 50 GHz the pole terms
         # cancel ~2000-fold, and I3 itself carries ~3e-13 relative rounding
-        diff = np.abs([got["I2"], got["I3"]] - ref)
+        diff = np.abs(np.array(got) - ref)
         assert np.all(diff <= 1e-13 * scale)
 
     @pytest.mark.parametrize("case,x,changes", CASES)
@@ -514,7 +503,7 @@ class TestConjugatePairs:
         scheme, drive, dopp = ca.preset(case)
         alpha, beta = doppler_slopes(scheme, drive, dopp)
         folded = np.array([w for w, _ in weights(scheme.j2, scheme.j3).folded()])
-        args = ("full", "both", scheme, drive, self.GRID, alpha, beta,
+        args = ("full", scheme, drive, self.GRID, alpha, beta,
                 drive.rabi_2 * folded[:, None])
         ref = doppler._row_average(*args)
         monkeypatch.setattr(doppler, "_FULL_ENGINE_BLOCK", 7)
@@ -564,11 +553,11 @@ class TestHighPrecisionOracle:
         scheme, drive, dopp = ca.preset(case)
         alpha, beta = doppler_slopes(scheme, drive, dopp)
         ones = np.ones_like(self.GRID)
-        ok, got = doppler._full_engine_poles("both", scheme, drive, self.GRID, alpha * ones,
+        ok, got = doppler._full_engine_poles(scheme, drive, self.GRID, alpha * ones,
                                              beta * ones, drive.rabi_2 * ones)
         assert ok.all()
         ref = np.array([mp_pole_sum(mp, scheme, drive, alpha, beta, d) for d in self.GRID]).T
-        assert np.all(np.abs([got["I2"], got["I3"]] - ref) <= 1e-12 * np.abs(ref))
+        assert np.all(np.abs(np.array(got) - ref) <= 1e-12 * np.abs(ref))
 
 
 def four_pole_sum(scheme, drive, grid, alpha, beta, rabi_2):
@@ -605,9 +594,9 @@ class TestRootPairs:
     def compare(scheme, drive, alpha, beta, grid):
         ones = np.ones_like(grid)
         alpha, beta, rabi_2 = alpha * ones, beta * ones, drive.rabi_2 * ones
-        ok, got = doppler._weak_probe_poles("both", scheme, drive, grid, alpha, beta, rabi_2)
+        ok, got = doppler._weak_probe_poles(scheme, drive, grid, alpha, beta, rabi_2)
         ref, scale = four_pole_sum(scheme, drive, grid, alpha, beta, rabi_2)
-        diff = np.abs([got["I2"], got["I3"]] - ref[:, ok])
+        diff = np.abs(np.array(got) - ref[:, ok])
         assert np.all(diff <= 1e-13 * scale[:, ok])
         return ok
 
@@ -798,8 +787,8 @@ class TestNarrowWidth:
         # |z| <= 1e8; those points take the numeric sum instead of raising
         scheme, drive, _ = case_a
         grid = np.linspace(-600.0, 600.0, 61)
-        zero = doppler.intensities("analytic", "both", scheme, drive,
+        zero = doppler.intensities("analytic", scheme, drive,
                                    ca.DopplerParams(fwhm=0.0), grid)
-        narrow = doppler.intensities("analytic", "both", scheme, drive,
+        narrow = doppler.intensities("analytic", scheme, drive,
                                      ca.DopplerParams(fwhm=fwhm), grid)
         np.testing.assert_allclose(narrow, zero, rtol=1e-8)

@@ -95,13 +95,13 @@ class TestMSum:
         grid = np.array([0.0, 90.0, 333.0])
 
         def spectrum_op(d):
-            return ca.average("perturbative", "I3", scheme, d, dopp, gh200, grid).I3
+            return ca.average("perturbative", scheme, d, dopp, gh200, grid).I3
 
         sum_of_avgs = m_summed(spectrum_op, wts, drive)
         # same thing assembled from scalar evaluations per grid point
         pointwise = np.array([
             m_summed(lambda d, dd1=d1: ca.average(
-                "perturbative", "I3", scheme, d, dopp, gh200,
+                "perturbative", scheme, d, dopp, gh200,
                 np.array([dd1])).I3[0], wts, drive)
             for d1 in grid])
         assert np.max(np.abs(sum_of_avgs - pointwise) / pointwise) < 1e-10

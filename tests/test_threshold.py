@@ -449,8 +449,7 @@ class TestEvenStencil:
     @staticmethod
     def i3(engine, cell, rabi_2, grid, msum):
         def op(drv):
-            return doppler.intensities(engine, "I3", cell.scheme, drv, cell.dopp,
-                                       grid)[0]
+            return doppler.intensities(engine, cell.scheme, drv, cell.dopp, grid)[1]
 
         drive = replace(cell.drive, rabi_2=rabi_2)
         return op(drive) if msum is None else m_summed(op, msum, drive)
@@ -508,8 +507,8 @@ class TestEvenStencil:
             h = max(0.5, om / 200.0)
 
             def stencil(drv):
-                f = doppler.intensities(engine, "I3", cell.scheme, drv, cell.dopp,
-                                        h * _STENCIL)[0]
+                f = doppler.intensities(engine, cell.scheme, drv, cell.dopp,
+                                        h * _STENCIL)[1]
                 return np.array([_second_derivative(f, h),
                                  np.sum(np.abs(coef * f)) / (12 * h * h)])
 
@@ -531,9 +530,9 @@ class TestEvenStencil:
         grids = []
         average = doppler._row_average
 
-        def recording(engine, observable, sch, drv, grid, *args, **kwargs):
+        def recording(engine, sch, drv, grid, *args, **kwargs):
             grids.append(np.broadcast_shapes(np.shape(grid), *map(np.shape, args[:3])))
-            return average(engine, observable, sch, drv, grid, *args, **kwargs)
+            return average(engine, sch, drv, grid, *args, **kwargs)
 
         monkeypatch.setattr(threshold, "_row_average", recording)
         monkeypatch.setattr(doppler, "_row_average", recording)
@@ -567,12 +566,11 @@ class TestExactCurvature:
 
     @staticmethod
     def analytic(cell, drive, grid):
-        return doppler.intensities("analytic", "I3", cell.scheme, drive, cell.dopp,
-                                   grid)[0]
+        return doppler.intensities("analytic", cell.scheme, drive, cell.dopp, grid)[1]
 
     @staticmethod
     def numeric(cell, drive, grid):
-        return doppler.average("perturbative", "I3", cell.scheme, drive, cell.dopp,
+        return doppler.average("perturbative", cell.scheme, drive, cell.dopp,
                                ca.QuadratureRule.gauss_hermite(200), grid).I3
 
     def check(self, scheme, pairs, msum, average):
