@@ -14,7 +14,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import cascade_at as ca
-from cascade_at.doppler import intensities
 
 scheme, drive, dopp = ca.preset("case_b")
 wts = ca.weights(scheme.j2, scheme.j3)
@@ -24,7 +23,7 @@ rows = [grid]
 header = ["delta1_mhz"]
 for om2 in (300.0, 530.0, 900.0):
     drv = replace(drive, rabi_2=om2)
-    plain, summed = (intensities("analytic", scheme, drv, dopp, grid, msum=m)[1]
+    plain, summed = (ca.intensities("analytic", scheme, drv, dopp, grid, msum=m)[1]
                      for m in (None, wts))
     rows += [plain / plain.max(), summed / summed.max()]
     header += [f"plain_{om2:.0f}", f"msum_{om2:.0f}"]

@@ -1,8 +1,7 @@
 """Doppler-averaged fluorescence lineshapes and Autler-Townes splitting
 thresholds for an open three-level molecular cascade."""
 
-from .doppler import (QuadratureRule, Spectrum, average, average_analytic_I2,
-                      average_analytic_I3, root_difference_closed_form)
+from .doppler import QuadratureRule, average, intensities, root_difference_closed_form
 from .errors import (CascadeError, ConfigError, DegenerateRootError, DomainError,
                      NumericalError, SelectionRuleError, SingularSystemError,
                      SolverFailure)
@@ -21,10 +20,9 @@ __all__ = [
     "CascadeDenominator", "CascadeError", "ConfigError", "DegenerateRootError",
     "DomainError", "DopplerParams", "DriveParams", "LevelScheme",
     "MSublevelWeights", "NumericalError", "QuadratureRule", "RateParams",
-    "SelectionRuleError", "SingularSystemError", "SolverFailure", "Spectrum",
-    "ThresholdMap", "ThresholdResult", "average", "average_analytic_I2",
-    "average_analytic_I3", "curvature_at_zero", "denominator_coefficients",
-    "doppler_fwhm", "m_summed", "most_probable_speed", "preset", "rates",
+    "SelectionRuleError", "SingularSystemError", "SolverFailure", "ThresholdMap",
+    "ThresholdResult", "average", "curvature_at_zero", "denominator_coefficients",
+    "doppler_fwhm", "intensities", "m_summed", "most_probable_speed", "preset", "rates",
     "root_difference_closed_form", "threshold_curve", "threshold_rabi",
     "threshold_surface", "w", "w_reference", "wavenumber_ratio", "weights",
 ]

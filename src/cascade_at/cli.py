@@ -300,7 +300,7 @@ def _cmd_selftest(args) -> int:
     grid = np.array([-600.0, -200.0, 0.0, 200.0, 600.0])
     exact = doppler.intensities("full", sa, weak, pa, grid)[1]
     numeric = doppler.average("full", sa, weak, pa,
-                              doppler.QuadratureRule.gauss_hermite(200), grid).I3
+                              doppler.QuadratureRule.gauss_hermite(200), grid)[1]
     checks.append(("full-engine pole expansion vs numeric average",
                    np.max(np.abs(exact - numeric)) < 1e-6 * numeric.max()))
     close = []
@@ -333,8 +333,7 @@ def _cmd_selftest(args) -> int:
     full = []
     for lam_k, res_k in zip(lam, res):
         finite = np.abs(lam_k) > doppler._ZERO_EIGENVALUE
-        sign, w = doppler._signed_faddeeva(-1.0 / lam_k[finite])
-        terms = res_k[:, finite] / lam_k[finite] * (sign * 1j * math.pi * w)
+        terms = res_k[:, finite] / lam_k[finite] * doppler._pole_integral(-1.0 / lam_k[finite])
         full.append((res_k[:, ~finite].sum(axis=-1)
                      + terms.sum(axis=-1) / math.sqrt(math.pi)).real)
     full = np.array(full).T * [[rp.Gamma_2], [rp.Gamma_3]]

@@ -12,12 +12,13 @@ stencil it needs a row.  Each grid point takes one of three routes:
 
 * engines ``analytic`` and ``full`` sum velocity poles exactly via
   ``Integral e^{-t^2}/(t - z) dt = i pi w(z)`` for Im z > 0 (the lower
-  half-plane reached by conjugation symmetry).  For ``analytic``, the
-  weak-probe 1/|D(u)|^2 has four simple poles, the roots of D and their
-  conjugates, whose terms are the conjugates of the roots' ones: one
-  kernel (:func:`_weak_probe_roots`) solves D, guards the pole separation,
-  forms the residues and takes one Faddeeva value per root, and the sum is
-  2 Re of the two roots' terms.  For ``full``, the Liouvillian is affine in
+  half-plane reached by conjugation symmetry), one pole integral
+  (:func:`_pole_integral`) for both.  For ``analytic``, the weak-probe
+  1/|D(u)|^2 has four simple poles, the roots of D and their conjugates,
+  whose terms are the conjugates of the roots' ones:
+  :func:`_weak_probe_poles` solves D, guards the pole separation, forms the
+  residues and takes one Faddeeva value per root, and the sum is 2 Re of
+  the two roots' terms.  For ``full``, the Liouvillian is affine in
   velocity with a diagonal slope, so each population is rational in u with
   at most six finite poles (:func:`cascade_at.liouville.velocity_poles`).
   They come in conjugate pairs with conjugate terms, so each pair takes one
@@ -31,25 +32,26 @@ stencil it needs a row.  Each grid point takes one of three routes:
   call;
 
 * every point of the ``perturbative`` engine, and every point a pole
-  builder refuses (coincident roots of D, roots beyond the Faddeeva
-  function's domain, an ill-conditioned eigenbasis),
+  builder refuses (a D linear in u at x = -1, coincident roots of D, roots
+  beyond the Faddeeva function's domain, an ill-conditioned eigenbasis)
   takes the numeric sum of :func:`average`: the nominal Gauss-Hermite rule,
   or, where velocity-space poles lie too close to the real axis for its
   nodes (the natural widths gamma/(k v_p) fall below the node spacing), a
   pole-refined composite Gauss-Legendre rule with the same Gaussian weight
   and equivalent base resolution.  The refinement sits on the model's own
-  poles at that point: the roots of D for ``perturbative``, p = -1/lam of
-  the velocity pencil for ``full``.
+  poles at that point: the roots of D (its one root -c/b where D is
+  linear) for ``perturbative``, p = -1/lam of the velocity pencil for
+  ``full``.
 
 :func:`average` is that numeric sum over a whole grid, for either model,
 and shares its stage (:func:`_numeric_stage`) with the row average.  Its
 values come from the model evaluated on the nodes, never from the Faddeeva
 function or partial fractions, so it is an independent cross-check of both
 exact routes; on the bundled presets they agree to ~1e-9 relative.
-:func:`intensities` is the row average of one grid, with the folded M
-weights as rows when an M sum is asked for.  Every route yields I2 and I3
-together, I2 first; :func:`average`, :func:`average_analytic_I3` and
-:func:`average_analytic_I2` return the pair as a :class:`Spectrum`.
+:func:`intensities`, the package's entry point to a spectrum, is the row
+average of one grid, with the folded M weights as rows when an M sum is
+asked for.  Every average returns one array: I2 and I3 as a leading axis
+of two, I2 first, before the grid's shape.
 """
 from __future__ import annotations
 
@@ -122,14 +124,6 @@ class QuadratureRule:
     def spacing(self) -> float:
         """Bulk node spacing near u = 0."""
         return math.pi / math.sqrt(2.0 * self.order)
-
-
-@dataclass
-class Spectrum:
-    """Doppler-averaged I2 and I3 arrays over a probe-detuning grid."""
-
-    I2: np.ndarray
-    I3: np.ndarray
 
 
 def _validated_intensity(vals: np.ndarray) -> np.ndarray:
@@ -209,8 +203,10 @@ def _numeric_point(model: str, scheme: LevelScheme, drive: DriveParams, delta1,
                              drive.rabi_2, alpha, beta)[0]
         poles = -1.0 / lam[np.abs(lam) > _ZERO_EIGENVALUE]
     else:
-        poles = denominator_coefficients(scheme, delta1, drive.detuning_2, drive.rabi_2,
-                                         alpha, beta).roots()
+        den = denominator_coefficients(scheme, delta1, drive.detuning_2, drive.rabi_2,
+                                       alpha, beta)
+        # a linear D (a = 0, at x = -1) has the one root -c/b
+        poles = (-den.c / den.b,) if den.a == 0 else den.roots()
     narrow_cut = 4.0 * rule.spacing
     if any(abs(p.imag) < narrow_cut and abs(p.real) < _U_MAX + 1.0 for p in poles):
         t, wts = _refined_rule(poles, rule.order)
@@ -240,9 +236,11 @@ def _numeric_stage(model: str, scheme: LevelScheme, drive: DriveParams, grid, al
 
 
 def average(engine: str, scheme: LevelScheme, drive: DriveParams, dopp: DopplerParams,
-            rule: QuadratureRule, delta1_grid: np.ndarray) -> Spectrum:
-    """Velocity average of the chosen engine over a probe-detuning grid, I2
-    and I3 both.  ``fwhm = 0`` short-circuits to the v_z = 0 evaluation.
+            rule: QuadratureRule, delta1_grid: np.ndarray) -> np.ndarray:
+    """Velocity average of the chosen engine over a probe-detuning grid by
+    the numeric sum on ``rule``: I2 and I3 as a leading axis of two (I2
+    first) before the grid's shape, as :func:`intensities` returns them.
+    ``fwhm = 0`` short-circuits to the v_z = 0 evaluation.
     Summation order is fixed (ascending node index) so results are
     bit-reproducible.
     """
@@ -258,58 +256,52 @@ def average(engine: str, scheme: LevelScheme, drive: DriveParams, dopp: DopplerP
     _numeric_stage(engine, scheme, drive, flat, np.full(flat.size, alpha),
                    np.full(flat.size, beta), np.full(flat.size, drive.rabi_2),
                    np.ones(flat.size, bool), rule, vals)
-    return Spectrum(*_validated_intensity(vals.reshape((2,) + grid.shape)))
+    return _validated_intensity(vals.reshape((2,) + grid.shape))
 
 
-def _signed_faddeeva(poles):
-    """Sign s = sign Im p and w(s p) for every pole p, in one Faddeeva call:
-    the Gaussian integral of 1/(u - p) is s i pi w(s p), with the Faddeeva
-    argument in the upper half-plane."""
+def _pole_integral(poles):
+    """Integral e^{-u^2} / (u - p) du = s i pi w(s p) for every pole p, with
+    s = sign Im p putting the Faddeeva argument in the upper half-plane; one
+    Faddeeva call for all of them."""
     sign = np.where(poles.imag > 0, 1.0, -1.0)
-    return sign, faddeeva_w(sign * poles)
+    return sign * 1j * math.pi * faddeeva_w(sign * poles)
 
 
-def _weak_probe_roots(scheme, drive, delta1, alpha, beta, rabi_2):
-    """The analytic engine's pole kernel over 1/|D(u)|^2, whose four simple
-    poles are the roots z of D and their conjugates.  Solves D at the probe
-    detunings ``delta1`` (``alpha``, ``beta`` and ``rabi_2`` per point) and
-    refuses points whose poles come closer than 1e-9 relative or lie beyond
-    the Faddeeva function's domain |z| <= 1e8 (a Doppler width far below
-    the natural widths).  Returns the mask of accepted points, and at the
-    accepted points the (point, root) roots, the residues
-    1/(|a|^2 q0 q1 q2) over each root's differences to the other three
-    poles, and the sign and Faddeeva value of the roots
-    (:func:`_signed_faddeeva`).  Each conjugate pole's term is the
-    conjugate of its root's, as w(-conj zeta) = conj w(zeta), so a sum over
-    the four poles is 2 Re of the sum over the two roots."""
-    den = denominator_coefficients(scheme, delta1, drive.detuning_2, rabi_2, alpha, beta)
+def _weak_probe_poles(scheme, drive, grid, alpha, beta, rabi_2):
+    """Perturbative I2 and I3 by partial fractions over the four simple
+    poles of 1/|D(u)|^2, the roots z of D and their conjugates.  Solves D at
+    the probe detunings ``grid`` (``alpha``, ``beta`` and ``rabi_2`` per
+    point).  Refuses points where D is linear (a = 0, at x = -1), and
+    points whose poles come closer than 1e-9 relative or lie beyond the
+    Faddeeva function's domain |z| <= 1e8 (a Doppler width far below the
+    natural widths).  The residues are 1/(|a|^2 q0 q1 q2) over each root's
+    differences to the other three poles.  Each conjugate pole's term is
+    the conjugate of its root's, as w(-conj zeta) = conj w(zeta), so a sum
+    over the four poles is 2 Re of the sum over the two roots.  I2's
+    quadratic numerator gamma_13^2 + (d1 + d2)^2 has real coefficients and
+    is continued off the real axis to the roots, so its conjugate-pole terms
+    are conjugates too.  Returns the mask of accepted points and their
+    (I2, I3)."""
+    rp = rates(scheme)
+    ok = alpha * (alpha + beta) != 0
+    grid, alpha, beta, rabi_2 = grid[ok], alpha[ok], beta[ok], rabi_2[ok]
+    den = denominator_coefficients(scheme, grid, drive.detuning_2, rabi_2, alpha, beta)
     z = np.stack(den.roots(), axis=-1)                   # (point, root)
     # to the other root, then to the conjugates of roots 0 and 1
     zc = np.conj(z)
     q = (z - z[:, ::-1], z - zc[:, :1], z - zc[:, 1:])
     sep = np.minimum.reduce([np.abs(d) for d in q]).min(axis=-1)
     scale = np.maximum(np.abs(z).max(axis=-1), 1e-30)
-    ok = ~((sep < _DEGENERATE_SEP * scale) | (scale > _FADDEEVA_MAX_ABS))
-    z, q = z[ok], [d[ok] for d in q]
-    residue = 1.0 / (np.square(np.abs(den.a[ok, None])) * (q[0] * q[1] * q[2]))
-    return ok, z, residue, *_signed_faddeeva(z)
-
-
-def _weak_probe_poles(scheme, drive, grid, alpha, beta, rabi_2):
-    """Perturbative I2 and I3 by partial fractions over the poles of
-    :func:`_weak_probe_roots`, from one kernel call.  I2's quadratic
-    numerator gamma_13^2 + (d1 + d2)^2 has real coefficients and is
-    continued off the real axis to the roots, so its conjugate-pole terms
-    are conjugates too.  ``alpha``, ``beta`` and ``rabi_2`` are given per
-    grid point.  Returns the mask of accepted points and their (I2, I3)."""
-    rp = rates(scheme)
-    ok, z, residue, sign, w = _weak_probe_roots(scheme, drive, grid, alpha, beta, rabi_2)
-    terms = residue * (sign * 1j * math.pi * w)
+    kept = ~((sep < _DEGENERATE_SEP * scale) | (scale > _FADDEEVA_MAX_ABS))
+    ok[ok] = kept
+    z, q = z[kept], [d[kept] for d in q]
+    residue = 1.0 / (np.square(np.abs(den.a[kept, None])) * (q[0] * q[1] * q[2]))
+    terms = residue * _pole_integral(z)
     prefactor = rp.Gamma_2 * K_RHO22 * (drive.rabi_1 / 2) ** 2
-    d2ph = grid[ok, None] + drive.detuning_2 + (alpha[ok] + beta[ok])[:, None] * z
+    d2ph = grid[kept, None] + drive.detuning_2 + (alpha[kept] + beta[kept])[:, None] * z
     numerator = rp.gamma_13 ** 2 + d2ph * d2ph
     i2 = prefactor * 2 * (numerator * terms).sum(axis=-1).real / _SQRTPI
-    prefactor = rp.Gamma_3 * K_RHO33 * np.square(drive.rabi_1 * rabi_2[ok] / 4)
+    prefactor = rp.Gamma_3 * K_RHO33 * np.square(drive.rabi_1 * rabi_2[kept] / 4)
     return ok, (i2, prefactor * 2 * terms.sum(axis=-1).real / _SQRTPI)
 
 
@@ -335,15 +327,12 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     ``_RESONANT_MAX_ERROR`` |t0 + t1|, with t0, t1 the imaginary parts of
     the two roots' terms: there the terms cancel and magnify the loss of
     w' and w'' (x near -1 at strong coupling, region II at narrow widths).
-    Raises DegenerateRootError where a = 0."""
+    Refuses points where D is linear too (a = 0, at x = -1)."""
     if drive.detuning_2 != 0.0:
         raise ConfigError("the exact curvature is defined at resonant coupling")
     rp = rates(scheme)
     sigma = alpha + beta
     a = -(alpha * sigma)
-    if (a == 0).any():
-        raise DegenerateRootError(
-            "denominator is not quadratic in u (zero wavenumber or zero Doppler width)")
     quarter = np.square(rabi_2 / 2)                      # Omega_2^2 / 4
     b = alpha * rp.gamma_13 + sigma * rp.gamma_12
     c = rp.gamma_12 * rp.gamma_13 + quarter
@@ -359,7 +348,8 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     r1 = c * np.abs(a) / r0
     sep = np.minimum(np.minimum(np.abs(sq), np.abs(b)), 2 * np.minimum(r0, r1))
     r_max = np.maximum(r0, r1)                           # |a| max |zeta|
-    ok = ~((sep < _DEGENERATE_SEP * r_max) | (r_max > _RESONANT_MAX_ZETA * np.abs(a)))
+    ok = (a != 0) & ~((sep < _DEGENERATE_SEP * r_max)
+                      | (r_max > _RESONANT_MAX_ZETA * np.abs(a)))
     if not ok.all():
         alpha, beta, rabi_2, a, b, c, g, quarter, disc, sq, q, r_max = (
             x[ok] for x in (alpha, beta, rabi_2, a, b, c, g, quarter, disc, sq, q, r_max))
@@ -419,9 +409,8 @@ def _full_engine_poles(scheme, drive, grid, alpha, beta, rabi_2):
     upper = finite & (lam.imag >= 0)
     pole_lam = lam[upper]
     kernel = np.zeros(lam.shape, dtype=complex)
-    sign, w = _signed_faddeeva(-1.0 / pole_lam)
     kernel[upper] = (np.where(pole_lam.imag > 0, 2.0, 1.0) / pole_lam
-                     * (sign * 1j * math.pi * w))
+                     * _pole_integral(-1.0 / pole_lam))
     pops = (np.where(finite[:, None, :], 0.0, res).sum(axis=-1)
             + (res * kernel[:, None, :]).sum(axis=-1) / _SQRTPI)
     rp = rates(scheme)
@@ -470,19 +459,16 @@ def _row_average(engine: str, scheme: LevelScheme, drive: DriveParams,
 
 
 def average_analytic_I3(scheme: LevelScheme, drive: DriveParams, dopp: DopplerParams,
-                        delta1_grid: np.ndarray) -> Spectrum:
-    """Exact Doppler average of the perturbative intensities, I2 and I3.
-    The same call as :func:`average_analytic_I2`; both names stay because
-    ``perfbench/tracer.py`` wraps each of them."""
-    return Spectrum(*intensities("analytic", scheme, drive, dopp, delta1_grid))
+                        delta1_grid: np.ndarray) -> np.ndarray:
+    """``intensities("analytic", ...)``, I2 and I3; kept under this name and
+    :func:`average_analytic_I2` because ``perfbench/tracer.py`` wraps both."""
+    return intensities("analytic", scheme, drive, dopp, delta1_grid)
 
 
 def average_analytic_I2(scheme: LevelScheme, drive: DriveParams, dopp: DopplerParams,
-                        delta1_grid: np.ndarray) -> Spectrum:
-    """Exact Doppler average of the perturbative intensities, I2 and I3.
-    The same call as :func:`average_analytic_I3`; both names stay because
-    ``perfbench/tracer.py`` wraps each of them."""
-    return Spectrum(*intensities("analytic", scheme, drive, dopp, delta1_grid))
+                        delta1_grid: np.ndarray) -> np.ndarray:
+    """``intensities("analytic", ...)``, I2 and I3; see :func:`average_analytic_I3`."""
+    return intensities("analytic", scheme, drive, dopp, delta1_grid)
 
 
 def intensities(engine: str, scheme: LevelScheme, drive: DriveParams, dopp: DopplerParams,

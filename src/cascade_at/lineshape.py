@@ -41,8 +41,12 @@ class CascadeDenominator:
 
     def roots(self):
         """Roots by the numerically stable quadratic formula, elementwise
-        when ``b`` and ``c`` are arrays over a detuning grid."""
+        when ``b`` and ``c`` are arrays over a detuning grid.  Raises
+        DegenerateRootError where D is linear in u (a = 0); its one root is
+        then -c/b."""
         a, b, c = self.a, self.b, self.c
+        if np.any(a == 0):
+            raise DegenerateRootError("denominator is linear in u (a = 0): no quadratic roots")
         sq = np.sqrt(b * b - 4 * a * c)
         # pick the sign that avoids cancellation in b + sq
         q = -(b + np.where((np.conj(b) * sq).real >= 0, sq, -sq)) / 2
@@ -70,15 +74,12 @@ def denominator_coefficients(scheme: LevelScheme, delta1, detuning_2, rabi_2,
     array; they broadcast elementwise, so per-row parameters of shape
     (rows, 1) go with a (rows, points) detuning grid.
 
-    Degenerate if a = 0, which happens only for a zero wavenumber or zero
-    Doppler width.
+    D is linear in u where a = -alpha (alpha + beta) = 0 at x = -1
+    (alpha + beta = 0), and constant at a zero Doppler width.
     """
     rp = rates(scheme)
     d12 = delta1 + detuning_2
     a = -(alpha * (alpha + beta)) + 0j
-    if np.any(a == 0):
-        raise DegenerateRootError(
-            "denominator is not quadratic in u (zero wavenumber or zero Doppler width)")
     b = 1j * alpha * (rp.gamma_13 + 1j * d12) + 1j * (alpha + beta) * (rp.gamma_12 + 1j * delta1)
     # np.square rounds x*x the same for a scalar and an array; Python's
     # float ** 2 goes through pow() and can differ in the last bit

@@ -86,8 +86,7 @@ def seven_pole_sum(scheme, drive, grid, alpha, beta, rabi_2):
     finite = np.abs(lam) > doppler._ZERO_EIGENVALUE
     safe = np.where(finite, lam, 1.0)
     poles = np.where(finite, -1.0 / safe, 1j)
-    sign, w = doppler._signed_faddeeva(poles)
-    terms = np.where(finite, res / safe, 0.0) * (sign * 1j * math.pi * w) / math.sqrt(math.pi)
+    terms = np.where(finite, res / safe, 0.0) * doppler._pole_integral(poles) / math.sqrt(math.pi)
     pops = np.where(finite, 0.0, res).sum(axis=-1) + terms.sum(axis=-1)
     scale = np.abs(np.where(finite, terms, res)).sum(axis=-1)
     gamma = np.array([[rates(scheme).Gamma_2], [rates(scheme).Gamma_3]])

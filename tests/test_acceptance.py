@@ -125,8 +125,8 @@ def test_criterion_6_outside_region_ii_growth():
         drv = replace(drv, rabi_2=om2)
         dnus = np.array([500.0, 1100.0, 3000.0])
         vals = np.array([
-            ca.average_analytic_I3(sch, drv, ca.DopplerParams(fwhm=d),
-                                   np.array([0.0])).I3[0]
+            ca.intensities("analytic", sch, drv, ca.DopplerParams(fwhm=d),
+                           np.array([0.0]))[1][0]
             for d in dnus])
         t = 1.0 / dnus ** 2
         y = np.log(vals * dnus)
@@ -154,9 +154,9 @@ def test_criterion_7_analytic_numeric_equivalence():
         configs.append((f"x={x}", sch, drv, ca.DopplerParams(fwhm=1100.0)))
     worst = 0.0
     for name, scheme, drive, dopp in configs:
-        an = ca.average_analytic_I3(scheme, drive, dopp, grid).I3
+        an = ca.intensities("analytic", scheme, drive, dopp, grid)[1]
         num = ca.average("perturbative", scheme, drive, dopp,
-                         rule400, grid).I3
+                         rule400, grid)[1]
         worst = max(worst, float(np.max(np.abs(an - num) / num)))
     report(7, "analytic Doppler integral matches order-400 quadrature (1e-4)",
            worst < 1e-4, f"worst relative deviation {worst:.2e}")
@@ -212,7 +212,7 @@ def test_criterion_10_engine_consistency():
     weak = replace(drive, rabi_1=rp.Gamma_2 / 20)
     grid = np.linspace(-1200.0, 1200.0, 201)
     full = intensities("full", scheme, weak, dopp, grid)[1]
-    pert = ca.average("perturbative", scheme, weak, dopp, GH200, grid).I3
+    pert = ca.average("perturbative", scheme, weak, dopp, GH200, grid)[1]
     shape_dev = float(np.max(np.abs(full / full.max() - pert / pert.max())))
 
     thr_full = threshold_rabi("full", scheme, -0.9219,

@@ -62,6 +62,18 @@ class TestSpectrumCommand:
         rows = np.loadtxt(str(out), delimiter=",", skiprows=2)
         assert rows[:, 1].max() == pytest.approx(1.0, abs=1e-9)
 
+    def test_doppler_free_geometry(self, tmp_path):
+        # equal wavenumbers, counter-propagating (x = -1) make D linear in
+        # u; the analytic engine averages it numerically instead of exiting 3
+        k21 = ca.preset("case_a")[0].wavenumber_21
+        scen = small_scan("free.ini", tmp_path, (f"wavenumber_32 = {k21!r}",))
+        out = tmp_path / "free.csv"
+        res = run_cli(["spectrum", "--scenario", scen, "--engine", "analytic",
+                       "--observable", "both", "--out", str(out)])
+        assert res.returncode == 0, res.stderr
+        rows = np.loadtxt(str(out), delimiter=",", skiprows=2)
+        assert rows.shape == (31, 3) and np.all(rows[:, 1:] > 0)
+
     def test_preset_flag_runs(self, tmp_path):
         out = tmp_path / "b.csv"
         res = run_cli(["spectrum", "--preset", "case-b", "--engine", "analytic",
@@ -233,6 +245,29 @@ class TestByteIdentity:
         assert run([command, *source, "--engine", "full", "--msum", "on",
                     "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.FULL[command]
+
+    # omega_T of `threshold --preset case-a --engine full`, as printed with
+    # numpy 2.4.6 and scipy 1.17.1.  Their digits below about 7e-7 relative
+    # are rounding noise of the stencil curvature, so the CSV is not pinned
+    # by SHA-256; rtol 1e-5 still sees any change of the full-engine averages
+    FULL_THRESHOLD = [
+        765.588937, 747.291968, 725.443364, 698.872076, 665.8443, 623.69065,
+        568.092062, 491.568571, 379.694537, 197.064826, 13.9185077, 10.8471097,
+        9.97772089, 9.69344848, 9.71545329, 9.97225909, 10.4780872, 11.3412306,
+        12.9206757, 17.1994368, 2553.86015, 2055.09944, 1839.55545, 1701.01442,
+        1600.79378, 1525.40603, 1465.62905, 1417.34447, 1377.58041, 1344.31574,
+        1315.5934, 1291.54476, 1271.04136, 1252.75908, 1236.67317, 1222.42079,
+        1209.71341, 1198.31888, 1188.04851, 1178.72533,
+    ]
+
+    def test_full_single_m_threshold(self, tmp_path):
+        out = tmp_path / "threshold.csv"
+        assert run(["threshold", "--preset", "case-a", "--engine", "full",
+                    "--out", str(out)]) == 0
+        rows = np.loadtxt(str(out), delimiter=",", skiprows=2)
+        np.testing.assert_array_equal(rows[:, 0], np.round(np.arange(-1.95, 2.0, 0.1), 2))
+        np.testing.assert_allclose(rows[:, 1], self.FULL_THRESHOLD, rtol=1e-5)
+        assert np.all(rows[:, 2] == 1)
 
 
 class TestGrid:

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 import cascade_at as ca
 from cascade_at import doppler
-from cascade_at.errors import ConfigError, DegenerateRootError, NumericalError
+from cascade_at.errors import ConfigError, NumericalError
 from cascade_at.lineshape import K_RHO22, K_RHO33, doppler_slopes
 from cascade_at.liouville import (_D1, _D2, _pencil_parts, populations_batch,
                                   velocity_poles)
@@ -72,8 +72,8 @@ class TestAverage:
         rp = rates(scheme)
         for k, d1 in enumerate(grid):
             r22, r33 = populations_batch(scheme, drive, [d1], [0.0])
-            assert spec.I3[k] == pytest.approx(rp.Gamma_3 * r33[0], rel=1e-12)
-            assert spec.I2[k] == pytest.approx(rp.Gamma_2 * r22[0], rel=1e-12)
+            assert spec[1][k] == pytest.approx(rp.Gamma_3 * r33[0], rel=1e-12)
+            assert spec[0][k] == pytest.approx(rp.Gamma_2 * r22[0], rel=1e-12)
 
     @pytest.mark.parametrize("engine", ["full", "perturbative"])
     @pytest.mark.parametrize("case", ["case_a", "case_b"])
@@ -82,9 +82,9 @@ class TestAverage:
         for d1 in (0.0, 250.0, 900.0):
             spec = ca.average(engine, scheme, drive, dopp, gh200,
                               np.array([d1]))
-            for obs in ("I2", "I3"):
+            for row, obs in enumerate(("I2", "I3")):
                 truth = quad_oracle(engine, obs, scheme, drive, dopp, d1)
-                got = getattr(spec, obs)[0]
+                got = spec[row, 0]
                 assert got == pytest.approx(truth, rel=1e-7)
 
     def test_order_convergence(self, case_a):
@@ -94,8 +94,8 @@ class TestAverage:
         r200 = ca.QuadratureRule.gauss_hermite(200)
         r400 = ca.QuadratureRule.gauss_hermite(400)
         for engine in ("full", "perturbative"):
-            a = ca.average(engine, scheme, drive, dopp, r200, grid).I3
-            b = ca.average(engine, scheme, drive, dopp, r400, grid).I3
+            a = ca.average(engine, scheme, drive, dopp, r200, grid)[1]
+            b = ca.average(engine, scheme, drive, dopp, r400, grid)[1]
             assert np.max(np.abs(a - b) / b) < 1e-6
 
     def test_rule_order_minimum(self, case_a):
@@ -115,37 +115,37 @@ class TestAnalytic:
     def test_matches_numeric_average(self, case, gh200):
         scheme, drive, dopp = ca.preset(case)
         grid = np.linspace(-1400, 1400, 29)
-        an = ca.average_analytic_I3(scheme, drive, dopp, grid).I3
-        num = ca.average("perturbative", scheme, drive, dopp, gh200, grid).I3
+        an = ca.intensities("analytic", scheme, drive, dopp, grid)[1]
+        num = ca.average("perturbative", scheme, drive, dopp, gh200, grid)[1]
         assert np.max(np.abs(an - num) / num) < 1e-6
 
     def test_analytic_i2_matches_numeric(self, case_b, gh200):
         scheme, drive, dopp = case_b
         grid = np.linspace(-900, 900, 19)
-        an = ca.average_analytic_I2(scheme, drive, dopp, grid).I2
-        num = ca.average("perturbative", scheme, drive, dopp, gh200, grid).I2
+        an = ca.intensities("analytic", scheme, drive, dopp, grid)[0]
+        num = ca.average("perturbative", scheme, drive, dopp, gh200, grid)[0]
         assert np.max(np.abs(an - num) / num) < 1e-6
 
     def test_small_width_recovers_fixed_velocity(self, case_a):
         scheme, drive, _ = case_a
         tiny = ca.DopplerParams(fwhm=1e-3)
         grid = np.array([0.0, 120.0, 360.0])
-        an = ca.average_analytic_I3(scheme, drive, tiny, grid).I3
-        fixed = ca.average_analytic_I3(scheme, drive, ca.DopplerParams(fwhm=0.0), grid).I3
+        an = ca.intensities("analytic", scheme, drive, tiny, grid)[1]
+        fixed = ca.intensities("analytic", scheme, drive, ca.DopplerParams(fwhm=0.0), grid)[1]
         assert np.max(np.abs(an - fixed) / fixed) < 1e-3
 
     def test_symmetry_resonant_coupling(self, case_a):
         scheme, drive, dopp = case_a
         grid = np.linspace(5.0, 1205.0, 25)
-        plus = ca.average_analytic_I3(scheme, drive, dopp, grid).I3
-        minus = ca.average_analytic_I3(scheme, drive, dopp, -grid).I3
+        plus = ca.intensities("analytic", scheme, drive, dopp, grid)[1]
+        minus = ca.intensities("analytic", scheme, drive, dopp, -grid)[1]
         assert np.max(np.abs(plus - minus) / plus) < 1e-8
 
     def test_positive_and_finite(self, case_b):
         scheme, drive, dopp = case_b
         grid = np.linspace(-2000, 2000, 81)
-        spec = ca.average_analytic_I3(scheme, drive, dopp, grid)
-        assert np.all(np.isfinite(spec.I3)) and np.all(spec.I3 >= 0)
+        spec = ca.intensities("analytic", scheme, drive, dopp, grid)
+        assert np.all(np.isfinite(spec[1])) and np.all(spec[1] >= 0)
 
     def test_equivalence_across_ratios_and_widths(self, case_a):
         # analytic route vs numeric average over geometry and width variants
@@ -158,9 +158,9 @@ class TestAnalytic:
             drv = replace(drv, rabi_2=400.0)
             for dnu in (300.0, 1100.0, 3000.0):
                 dopp = ca.DopplerParams(fwhm=dnu)
-                an = ca.average_analytic_I3(sch, drv, dopp, grid).I3
+                an = ca.intensities("analytic", sch, drv, dopp, grid)[1]
                 num = ca.average("perturbative", sch, drv, dopp,
-                                 rule, grid).I3
+                                 rule, grid)[1]
                 assert np.max(np.abs(an - num) / num) < 1e-4
 
 
@@ -173,7 +173,8 @@ class TestDegeneratePoles:
         scheme, drive, dopp = case_b
         drv = coincident_roots_drive(scheme, drive, dopp)
         grid = np.array([-5.0, 0.0, 5.0])
-        num = getattr(ca.average("perturbative", scheme, drv, dopp, gh200, grid), observable)
+        row = ("I2", "I3").index(observable)
+        num = ca.average("perturbative", scheme, drv, dopp, gh200, grid)[row]
 
         fallbacks, w_shapes = [], []
         rule, w = doppler._refined_rule, doppler.faddeeva_w
@@ -182,7 +183,7 @@ class TestDegeneratePoles:
         monkeypatch.setattr(doppler, "faddeeva_w",
                             lambda z: w_shapes.append(np.shape(z)) or w(z))
         analytic = getattr(doppler, f"average_analytic_{observable}")
-        an = getattr(analytic(scheme, drv, dopp, grid), observable)
+        an = analytic(scheme, drv, dopp, grid)[row]
 
         assert len(fallbacks) == 1
         assert w_shapes == [(2, 2)]         # the two roots of D at the two outer points
@@ -207,8 +208,7 @@ class TestFullExact:
             return doppler.intensities("full", scheme, drv, dopp, grid)
 
         def numeric(drv):
-            spec = ca.average("full", scheme, drv, dopp, gh200, grid)
-            return np.array([spec.I2, spec.I3])
+            return ca.average("full", scheme, drv, dopp, gh200, grid)
 
         got, ref = m_summed(exact, wts, drive), m_summed(numeric, wts, drive)
         for row, ref_row in zip(got, ref):
@@ -265,7 +265,7 @@ class TestFullExact:
         spec = ca.average("full", scheme, drive, dopp, gh200, grid)
         for k, delta1 in enumerate(grid):
             dense = self.dense_average(scheme, drive, dopp, delta1)
-            got = np.array([spec.I2[k], spec.I3[k]])
+            got = spec[:, k]
             assert np.all(np.abs(got - dense) < 1e-6 * dense), (delta1, got, dense)
 
     @pytest.mark.parametrize("x,rabi_2", [(-1.02, 400.0), (-0.9219, 0.0)])
@@ -279,8 +279,7 @@ class TestFullExact:
         grid = np.array([-400.0, -35.0, 0.0, 120.0])
         got = doppler.intensities("full", scheme, drive, dopp, grid)
         ref = ca.average("full", scheme, drive, dopp, gh200, grid)
-        for row, name in zip(got, ("I2", "I3")):
-            ref_row = getattr(ref, name)
+        for row, ref_row in zip(got, ref):
             assert np.all(np.isfinite(row))
             assert np.max(np.abs(row - ref_row)) <= 1e-6 * ref_row.max()
 
@@ -305,7 +304,7 @@ class TestFullExact:
         assert calls == [grid[worst]]
         point = ca.average("full", scheme, drive, dopp, gh200,
                            grid[worst:worst + 1])
-        assert got[0, worst] == point.I2[0] and got[1, worst] == point.I3[0]
+        assert np.array_equal(got[:, worst], point[:, 0])
         exact = doppler.intensities("full", scheme, drive, dopp, grid)
         rest = np.arange(len(grid)) != worst
         assert np.array_equal(got[1, rest], exact[1, rest])
@@ -327,10 +326,10 @@ class TestIntensities:
                                             *doppler_slopes(scheme, drive, dopp),
                                             drive.rabi_2)
         else:
-            spec = (ca.average_analytic_I2(scheme, drive, dopp, self.GRID)
+            spec = (ca.intensities("analytic", scheme, drive, dopp, self.GRID)
                     if engine == "analytic"
                     else ca.average(engine, scheme, drive, dopp, gh200, self.GRID))
-            expected = [spec.I2, spec.I3]
+            expected = spec
         assert rows.shape == (2, len(self.GRID))
         picked = [i for i, n in enumerate(("I2", "I3")) if observable in (n, "both")]
         for i in picked:
@@ -344,8 +343,8 @@ class TestIntensities:
         monkeypatch.setattr(doppler, "faddeeva_w",
                             lambda z: shapes.append(np.shape(z)) or w(z))
         for name in ("I2", "I3"):
-            getattr(ca, f"average_analytic_{name}")(*case_a, self.GRID)
-        doppler.intensities("analytic", *case_a, self.GRID)
+            getattr(doppler, f"average_analytic_{name}")(*case_a, self.GRID)
+        ca.intensities("analytic", *case_a, self.GRID)
         assert shapes == [(len(self.GRID), 2)] * 3
 
     def test_unknown_engine(self, case_a):
@@ -423,8 +422,8 @@ class TestDopplerScaling:
         drv = replace(drv, rabi_2=2000.0)
         dnus = np.geomspace(500.0, 3000.0, 8)
         vals = np.array([
-            ca.average_analytic_I3(sch, drv, ca.DopplerParams(fwhm=d),
-                                   np.array([0.0])).I3[0]
+            ca.intensities("analytic", sch, drv, ca.DopplerParams(fwhm=d),
+                           np.array([0.0]))[1][0]
             for d in dnus])
         t = 1.0 / dnus ** 2
         y = np.log(vals * dnus)
@@ -443,7 +442,7 @@ class TestEitDipAveraged:
         grid = np.linspace(-400, 400, 161) - drive.detuning_2
         spec = ca.average("full", scheme, drive, dopp, gh200, grid)
         center = int(np.argmin(np.abs(grid + drive.detuning_2)))
-        i2 = spec.I2
+        i2 = spec[0]
         assert i2[center] < i2[center - 4] and i2[center] < i2[center + 4]
         assert i2.max() > i2[center] * 1.02
 
@@ -451,7 +450,7 @@ class TestEitDipAveraged:
         # the strongest-component case-a spectrum already shows the doublet
         scheme, drive, dopp = case_a
         grid = np.linspace(-1500, 1500, 301)
-        i3 = ca.average("full", scheme, drive, dopp, gh200, grid).I3
+        i3 = ca.average("full", scheme, drive, dopp, gh200, grid)[1]
         center = len(grid) // 2
         assert i3[center] < i3[center - 1] and i3[center] < i3[center + 1]
         maxima = (i3[1:-1] > i3[:-2]) & (i3[1:-1] > i3[2:])
@@ -734,9 +733,10 @@ class TestResonantCurvature:
             doppler._weak_probe_curvature(
                 scheme, ca.DriveParams(rabi_1=1.0, rabi_2=0.0, detuning_2=1.0),
                 alpha, beta, rabi_2)
-        with pytest.raises(DegenerateRootError):        # x = -1: a = -alpha (alpha + beta) = 0
-            doppler._weak_probe_curvature(scheme, ca.DriveParams(rabi_1=1.0, rabi_2=0.0),
-                                          alpha, -alpha, rabi_2)
+        # x = -1: a = -alpha (alpha + beta) = 0, a D linear in u, is refused
+        ok, vals = doppler._weak_probe_curvature(
+            scheme, ca.DriveParams(rabi_1=1.0, rabi_2=0.0), alpha, -alpha, rabi_2)
+        assert not ok.any() and vals.size == 0
 
     def test_narrow_widths_take_the_stencil(self, case_a, monkeypatch):
         # w' and w'' from their recurrences lose about |zeta|^4 eps, so the
@@ -796,3 +796,41 @@ class TestNarrowWidth:
         narrow = doppler.intensities("analytic", scheme, drive,
                                      ca.DopplerParams(fwhm=fwhm), grid)
         np.testing.assert_allclose(narrow, zero, rtol=1e-8)
+
+
+class TestDopplerFreeGeometry:
+    """x = -1, counter-propagating beams of equal wavenumbers: alpha + beta
+    = 0 makes a = -alpha (alpha + beta) = 0, so D = b u + c is linear in u
+    with the one root z = -c/b, and 1/|D|^2 has the poles z and conj z."""
+
+    DELTA1 = np.array([-300.0, -50.0, 0.0, 50.0, 300.0])
+
+    @staticmethod
+    def setting(case_a):
+        from cascade_at.threshold import _geometry_for_x
+        scheme, drive = _geometry_for_x(case_a[0], -1.0, case_a[1].rabi_1)
+        return scheme, replace(drive, rabi_2=400.0), case_a[2]
+
+    def test_analytic_i3_matches_linear_closed_form(self, case_a):
+        # Integral e^{-u^2} / |u - z|^2 du = pi Re w(x0 + i |y|) / |y| for
+        # z = x0 + i y
+        scheme, drive, dopp = self.setting(case_a)
+        assert ca.wavenumber_ratio(scheme, drive) == -1.0
+        alpha, beta = doppler_slopes(scheme, drive, dopp)
+        den = ca.denominator_coefficients(scheme, self.DELTA1, drive.detuning_2,
+                                          drive.rabi_2, alpha, beta)
+        assert np.all(den.a == 0)
+        z = -den.c / den.b
+        closed = (rates(scheme).Gamma_3 * K_RHO33 * (drive.rabi_1 * drive.rabi_2 / 4) ** 2
+                  * SQRTPI * ca.w(z.real + 1j * np.abs(z.imag)).real
+                  / (np.abs(den.b) ** 2 * np.abs(z.imag)))
+        got = ca.intensities("analytic", scheme, drive, dopp, self.DELTA1)[1]
+        np.testing.assert_allclose(got, closed, rtol=1e-9)
+
+    def test_analytic_curvature_is_finite(self, case_a):
+        # the exact kernel refuses a = 0, so the analytic curvature takes
+        # the perturbative engine's stencil, with the same bits
+        scheme, drive, dopp = self.setting(case_a)
+        curv = ca.curvature_at_zero("analytic", scheme, drive, dopp)
+        assert math.isfinite(curv)
+        assert curv == ca.curvature_at_zero("perturbative", scheme, drive, dopp)

@@ -92,10 +92,13 @@ class TestDenominator:
 
     def test_degenerate_zero_width(self, case_a):
         scheme, drive, _ = case_a
+        # a zero width makes D constant in u: it has no quadratic roots
+        den = ca.denominator_coefficients(
+            scheme, 0.0, 0.0, drive.rabi_2,
+            *doppler_slopes(scheme, drive, ca.DopplerParams(fwhm=0.0)))
+        assert den.a == 0 and den.b == 0
         with pytest.raises(DegenerateRootError):
-            ca.denominator_coefficients(
-                scheme, 0.0, 0.0, drive.rabi_2,
-                *doppler_slopes(scheme, drive, ca.DopplerParams(fwhm=0.0)))
+            den.roots()
 
 
 class TestProperties:

@@ -60,9 +60,9 @@ class TestMSum:
         scheme, drive, dopp = case_a
         wts = ca.MSublevelWeights(entries=((0, 1.0),))
         grid = np.linspace(-300, 300, 7)
-        plain = ca.average_analytic_I3(scheme, drive, dopp, grid).I3
+        plain = ca.intensities("analytic", scheme, drive, dopp, grid)[1]
         summed = m_summed(
-            lambda d: ca.average_analytic_I3(scheme, d, dopp, grid).I3,
+            lambda d: ca.intensities("analytic", scheme, d, dopp, grid)[1],
             wts, drive)
         assert np.array_equal(plain, summed)
 
@@ -70,9 +70,9 @@ class TestMSum:
         scheme, drive, dopp = case_a
         wts = ca.MSublevelWeights(entries=((-1, 1.0), (0, 1.0), (1, 1.0)))
         grid = np.array([0.0, 150.0])
-        plain = ca.average_analytic_I3(scheme, drive, dopp, grid).I3
+        plain = ca.intensities("analytic", scheme, drive, dopp, grid)[1]
         summed = m_summed(
-            lambda d: ca.average_analytic_I3(scheme, d, dopp, grid).I3,
+            lambda d: ca.intensities("analytic", scheme, d, dopp, grid)[1],
             wts, drive)
         assert np.allclose(summed, 3 * plain, rtol=1e-14)
 
@@ -82,10 +82,10 @@ class TestMSum:
         wts = ca.MSublevelWeights(entries=((0, 0.0),))
         grid = np.array([25.0])
         summed = m_summed(
-            lambda d: ca.average_analytic_I2(scheme, d, dopp, grid).I2,
+            lambda d: ca.intensities("analytic", scheme, d, dopp, grid)[0],
             wts, drive)
-        direct = ca.average_analytic_I2(scheme, replace(drive, rabi_2=0.0),
-                                        dopp, grid).I2
+        direct = ca.intensities("analytic", scheme, replace(drive, rabi_2=0.0),
+                                dopp, grid)[0]
         assert summed == pytest.approx(direct, rel=1e-14)
 
     def test_commutes_with_velocity_average(self, case_a, gh200):
@@ -95,14 +95,14 @@ class TestMSum:
         grid = np.array([0.0, 90.0, 333.0])
 
         def spectrum_op(d):
-            return ca.average("perturbative", scheme, d, dopp, gh200, grid).I3
+            return ca.average("perturbative", scheme, d, dopp, gh200, grid)[1]
 
         sum_of_avgs = m_summed(spectrum_op, wts, drive)
         # same thing assembled from scalar evaluations per grid point
         pointwise = np.array([
             m_summed(lambda d, dd1=d1: ca.average(
                 "perturbative", scheme, d, dopp, gh200,
-                np.array([dd1])).I3[0], wts, drive)
+                np.array([dd1]))[1][0], wts, drive)
             for d1 in grid])
         assert np.max(np.abs(sum_of_avgs - pointwise) / pointwise) < 1e-10
 
@@ -111,9 +111,9 @@ class TestMSum:
         scheme, drive, dopp = case_a
         grid = np.linspace(-300, 300, 121)
         wts = weights(scheme.j2, scheme.j3)
-        plain = ca.average_analytic_I3(scheme, drive, dopp, grid).I3
+        plain = ca.intensities("analytic", scheme, drive, dopp, grid)[1]
         summed = m_summed(
-            lambda d: ca.average_analytic_I3(scheme, d, dopp, grid).I3,
+            lambda d: ca.intensities("analytic", scheme, d, dopp, grid)[1],
             wts, drive)
         center = len(grid) // 2
         # both spectra keep the central minimum, but the M-summed dip is
