@@ -2,9 +2,9 @@
 
 Subcommands: ``spectrum`` (probe-detuning scan), ``threshold`` (x sweep),
 ``surface`` (x times Doppler-width sweep), ``selftest`` (Faddeeva
-conformance and smoke checks) and ``preset`` (dump a bundled scenario
-file).  Output is deterministic CSV: identical inputs and flags produce
-byte-identical files.
+conformance, preset anchors and each exact engine against its numeric
+oracle) and ``preset`` (dump a bundled scenario file).  Output is
+deterministic CSV: identical inputs and flags produce byte-identical files.
 
 The argument parser is built once per process, so repeated in-process
 :func:`run` calls only parse.  Each command takes exactly one of
@@ -34,7 +34,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import doppler, faddeeva, liouville, model, msublevel, threshold
+from . import doppler, faddeeva, model, msublevel, threshold
 from .errors import CascadeError, ConfigError
 
 _DEFAULT_SCAN = {
@@ -277,7 +277,7 @@ def _cmd_selftest(args) -> int:
     ok = worst <= 1e-6
     print(f"max relative error {worst:.3e} ({'OK' if ok else 'FAIL'})")
 
-    # invariant smoke checks
+    # preset anchors and invariants
     checks = []
     sa, da, pa = model.preset("case_a")
     sb, db, _ = model.preset("case_b")
@@ -297,12 +297,6 @@ def _cmd_selftest(args) -> int:
     checks.append(("closed-form root difference vs quadratic roots",
                    abs(abs(cf) - quad_mod) / quad_mod < 1e-6))
     weak = replace(da, rabi_1=rp.Gamma_2 / 20)
-    grid = np.array([-600.0, -200.0, 0.0, 200.0, 600.0])
-    exact = doppler.intensities("full", sa, weak, pa, grid)[1]
-    numeric = doppler.average("full", sa, weak, pa,
-                              doppler.QuadratureRule.gauss_hermite(200), grid)[1]
-    checks.append(("full-engine pole expansion vs numeric average",
-                   np.max(np.abs(exact - numeric)) < 1e-6 * numeric.max()))
     close = []
     for om in (5.0, 50.0, 500.0):
         drv = replace(weak, rabi_2=om, detuning_2=0.0)
@@ -311,37 +305,19 @@ def _cmd_selftest(args) -> int:
         exact = threshold.curvature_at_zero("analytic", sa, drv, pa)
         close.append(abs(exact - threshold._second_derivative(f, h)) <= 1e-4 * f[2] / h ** 2)
     checks.append(("exact analytic curvature vs 5-point stencil", all(close)))
-    alpha, beta = doppler.doppler_slopes(sa, da, pa)
-    # at x = -1, alpha + beta = 0 and velocity_poles keeps M = S^-1 B_c
-    s_free, g_free = threshold._geometry_for_x(sa, -1.0, da.rabi_1)
-    u = np.arange(-3.0, 4.0)
-    for where, sch, drv in (("", sa, da),
-                            (" at x = -1 (Doppler-free)", s_free,
-                             replace(g_free, rabi_2=da.rabi_2))):
-        a, b = doppler.doppler_slopes(sch, drv, pa)
-        lam, res, _ = liouville.velocity_poles(sch, drv.rabi_1, 100.0, drv.detuning_2,
-                                               drv.rabi_2, a, b)
-        poles = (res / (1 + u[:, None, None] * lam)).sum(axis=-1).real
-        steady = np.transpose(liouville.populations_batch(
-            sch, drv, 100.0 + a * u, drv.detuning_2 + b * u))
-        checks.append((f"full-engine velocity poles{where} vs steady state at 7 velocities",
-                       np.max(np.abs(poles - steady)) <= 1e-10 * np.max(steady)))
-    # every finite pole on its own, the lower member of each conjugate pair too
-    ones = np.ones_like(grid)
-    lam, res, _ = liouville.velocity_poles(sa, da.rabi_1, grid, da.detuning_2,
-                                           da.rabi_2, alpha, beta)
-    full = []
-    for lam_k, res_k in zip(lam, res):
-        finite = np.abs(lam_k) > doppler._ZERO_EIGENVALUE
-        terms = res_k[:, finite] / lam_k[finite] * doppler._pole_integral(-1.0 / lam_k[finite])
-        full.append((res_k[:, ~finite].sum(axis=-1)
-                     + terms.sum(axis=-1) / math.sqrt(math.pi)).real)
-    full = np.array(full).T * [[rp.Gamma_2], [rp.Gamma_3]]
-    accepted, pair = doppler._full_engine_poles(sa, da, grid, alpha * ones, beta * ones,
-                                                da.rabi_2 * ones)
-    checks.append(("full-engine pair sum vs full pole sum",
-                   accepted.all() and np.all(np.abs(np.array(pair) - full)
-                                             <= 1e-12 * np.abs(full))))
+    # each exact engine against its numeric oracle, both rows; at x = -1
+    # (Doppler-free, alpha + beta = 0) the full engine's poles take the Schur form
+    grid = np.array([-600.0, -200.0, 0.0, 200.0, 600.0])
+    rule = doppler.QuadratureRule.gauss_hermite(200)
+    free = replace(sa, wavenumber_32=sa.wavenumber_21)
+    for engine, oracle, sch, where in (("full", "full", sa, "case a"),
+                                       ("full", "full", free, "x = -1 (Doppler-free)"),
+                                       ("analytic", "perturbative", sa, "case a")):
+        exact = doppler.intensities(engine, sch, weak, pa, grid)
+        numeric = doppler.average(oracle, sch, weak, pa, rule, grid)
+        peak = numeric.max(axis=-1, keepdims=True)
+        checks.append((f"{engine} engine vs numeric {oracle} average, {where}",
+                       np.all(np.abs(exact - numeric) < 1e-6 * peak)))
     for name, passed in checks:
         print(f"  {'PASS' if passed else 'FAIL'}  {name}")
         ok = ok and passed
@@ -384,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sp, "analytic")
     sp.set_defaults(func=_cmd_surface)
 
-    sp = sub.add_parser("selftest", help="Faddeeva conformance and smoke checks")
+    sp = sub.add_parser("selftest", help="Faddeeva conformance and engine checks")
     sp.set_defaults(func=_cmd_selftest)
 
     sp = sub.add_parser("preset", help="dump a bundled scenario file")

@@ -138,6 +138,15 @@ def _validated_intensity(vals: np.ndarray) -> np.ndarray:
     return np.maximum(vals, 0.0)
 
 
+def _probe_grid(delta1_grid) -> np.ndarray:
+    """``delta1_grid`` as a float array: a non-finite probe detuning is bad
+    input, refused before any route can turn it into a numerical failure."""
+    grid = np.asarray(delta1_grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError("probe-detuning grid must be finite")
+    return grid
+
+
 def _refined_rule(poles, base_order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule with geometric refinement around every
     velocity-space pole narrower than the base panels.
@@ -249,7 +258,7 @@ def average(engine: str, scheme: LevelScheme, drive: DriveParams, dopp: DopplerP
                           f"got {engine!r}")
     if rule.order < MIN_QUAD_ORDER:
         raise ConfigError(f"quadrature order must be >= {MIN_QUAD_ORDER}")
-    grid = np.asarray(delta1_grid, dtype=float)
+    grid = _probe_grid(delta1_grid)
     flat = grid.ravel()
     alpha, beta = doppler_slopes(scheme, drive, dopp)
     vals = np.full((2, flat.size), np.nan)
@@ -480,7 +489,7 @@ def intensities(engine: str, scheme: LevelScheme, drive: DriveParams, dopp: Dopp
     frequency times each folded weight (:func:`folded_weights`; the single
     weight 1.0 when ``msum`` is None) is one row of a single
     :func:`_row_average` call, and :func:`folded_sum` sums those rows."""
-    grid = np.asarray(delta1_grid, dtype=float)
+    grid = _probe_grid(delta1_grid)
     rabi_2 = drive.rabi_2 * folded_weights(msum).reshape((-1,) + (1,) * grid.ndim)
     alpha, beta = doppler_slopes(scheme, drive, dopp)
     rows = _row_average(engine, scheme, drive, grid, alpha, beta, rabi_2)

@@ -160,9 +160,9 @@ def steady_state_batch(scheme: LevelScheme, drive: DriveParams,
     try:
         v = np.linalg.solve(a, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
-        conds = [float(np.linalg.cond(a[k])) for k in range(min(len(d1), 4))]
+        # the worst of the whole batch; cond gives a singular matrix inf, silently
         raise SolverFailure(f"steady-state solve failed: {exc}",
-                            condition_number=max(conds)) from exc
+                            condition_number=float(np.linalg.cond(a).max())) from exc
     if not np.all(np.isfinite(v)):
         raise SolverFailure("steady-state solve produced non-finite entries")
     return v

@@ -26,6 +26,10 @@ class MSublevelWeights:
 
     entries: tuple[tuple[int, float], ...]
 
+    def __post_init__(self):
+        if not self.entries:
+            raise SelectionRuleError("an M sum needs at least one component")
+
     def folded(self) -> list[tuple[float, int]]:
         """(weight, multiplicity) pairs; exploits the M -> -M symmetry."""
         counts: dict[float, int] = {}

@@ -50,6 +50,7 @@ scenario's probe nor its coupling detuning.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -60,9 +61,7 @@ from .errors import ConfigError, NumericalError
 from .lineshape import doppler_slopes
 from .model import (C_M_PER_S, DopplerParams, DriveParams, LevelScheme,
                     most_probable_speed, rates)
-# m_summed stays bound here: perfbench/tracer.py patches it in every module
-# that binds it, and perfbench/selftests.py checks the patch on this module
-from .msublevel import MSublevelWeights, folded_sum, folded_weights, m_summed  # noqa: F401
+from .msublevel import MSublevelWeights, folded_sum, folded_weights
 
 SINGULAR_BAND = 0.02          # excluded neighbourhoods of x = 0 and x = -1
 _BRACKET = (1.0, 50000.0)     # MHz
@@ -227,26 +226,23 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
     drive = DriveParams(rabi_1=rabi_1, rabi_2=0.0)
 
     def curvatures(idx, rabi_2):
-        """Curvatures of the rows (cell idx[r], rabi_2[r]) and the mask of
-        rows that raise NumericalError (nan).  A failed batch is retried row
-        by row, each row being one call of a search run on its cell alone.
+        """Curvatures of the rows (cell idx[r], rabi_2[r]), nan where a row
+        raises NumericalError; every other curvature is finite.  A failed
+        batch is retried row by row, each row being one call of a search run
+        on its cell alone: a batched failure cannot be localized otherwise.
         A phase with no rows makes no call."""
         if not len(idx):
-            return np.empty(0), np.zeros(0, dtype=bool)
+            return np.empty(0)
         try:
-            return (_curvature_rows(engine, scheme, drive, alpha[idx], beta[idx], rabi_2,
-                                    msum),
-                    np.zeros(len(idx), dtype=bool))
+            return _curvature_rows(engine, scheme, drive, alpha[idx], beta[idx], rabi_2, msum)
         except NumericalError:
             pass
-        curv, bad = np.full(len(idx), np.nan), np.zeros(len(idx), dtype=bool)
+        curv = np.full(len(idx), np.nan)
         for r, i in enumerate(idx):
-            try:
+            with contextlib.suppress(NumericalError):
                 curv[r] = _curvature_rows(engine, scheme, drive, alpha[i:i + 1],
                                           beta[i:i + 1], rabi_2[r:r + 1], msum)[0]
-            except NumericalError:
-                bad[r] = True
-        return curv, bad
+        return curv
 
     n = len(seed)
     lo, hi = np.full(n, _BRACKET[0]), np.full(n, _BRACKET[1])
@@ -258,19 +254,18 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
     seeds = seed[seeded]
     lo_s = np.maximum(_BRACKET[0], seeds / 30)
     hi_s = np.minimum(_BRACKET[1], seeds * 30)
-    curv, bad = curvatures(np.concatenate((seeded, seeded)), np.concatenate((lo_s, hi_s)))
+    curv = curvatures(np.concatenate((seeded, seeded)), np.concatenate((lo_s, hi_s)))
     k = len(seeded)
     below, above = curv[:k] < 0, curv[k:] > 0
-    failed[seeded] = bad[:k] | (below & bad[k:])
-    take = below & above & ~failed[seeded]
+    failed[seeded] = np.isnan(curv[:k]) | (below & np.isnan(curv[k:]))
+    take = below & above
     lo[seeded[take]], hi[seeded[take]] = lo_s[take], hi_s[take]
 
     # 2. pre-scan
     live = np.flatnonzero(~failed)
     scans = np.geomspace(lo[live], hi[live], _PRESCAN_POINTS, axis=1)
-    curv, bad = curvatures(np.repeat(live, _PRESCAN_POINTS), scans.ravel())
-    bad = bad.reshape(scans.shape).any(axis=1)
-    curv = curv.reshape(scans.shape)
+    curv = curvatures(np.repeat(live, _PRESCAN_POINTS), scans.ravel()).reshape(scans.shape)
+    bad = np.isnan(curv).any(axis=1)
     signs = curv > 0
     rising = ~signs[:, :-1] & signs[:, 1:]
     found = rising.any(axis=1) & ~bad
@@ -297,15 +292,15 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
         inside = (la[step] < new) & (new < lb[step])
         new = np.where(inside, new, 0.5 * (la[step] + lb[step]))
         om = np.exp(new)
-        curv, bad = curvatures(stepped[step], om)
-        pos, neg = curv > 0, ~(curv > 0) & ~bad
+        curv = curvatures(stepped[step], om)
+        pos, neg = curv > 0, curv <= 0
         up, down = step[pos], step[neg]
         # an end kept a second time in a row has its value halved
         fa[up[kept[up] == -1]] /= 2
         fb[down[kept[down] == 1]] /= 2
         b[up], lb[up], fb[up], kept[up] = om[pos], new[pos], curv[pos], -1
         a[down], la[down], fa[down], kept[down] = om[neg], new[neg], curv[neg], 1
-        active[step[bad]] = False
+        active[step[np.isnan(curv)]] = False
 
     omega = np.full(n, np.nan)
     omega[stepped[active]] = np.sqrt(a[active] * b[active])

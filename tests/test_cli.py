@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cascade_at as ca
-from cascade_at import cli, doppler
+from cascade_at import cli, doppler, liouville
 from cascade_at.cli import _compute_spectrum, _emit_csv, _grid, _preset_scenario, run
 from cascade_at.msublevel import m_summed, weights
 from conftest import subprocess_env
@@ -608,11 +608,27 @@ class TestSelftest:
         assert res.returncode == 0, res.stdout + res.stderr
         assert "selftest: OK" in res.stdout
         assert "max relative error" in res.stdout
-        assert "PASS  full-engine velocity poles vs steady state" in res.stdout
-        assert ("PASS  full-engine velocity poles at x = -1 (Doppler-free) vs steady state"
-                " at 7 velocities") in res.stdout
         assert "PASS  exact analytic curvature vs 5-point stencil" in res.stdout
-        assert "PASS  full-engine pair sum vs full pole sum" in res.stdout
+        assert "PASS  full engine vs numeric full average, case a" in res.stdout
+        assert ("PASS  full engine vs numeric full average, x = -1 (Doppler-free)"
+                in res.stdout)
+        assert "PASS  analytic engine vs numeric perturbative average, case a" in res.stdout
+
+    def test_wrong_schur_coefficients_fail(self, monkeypatch, capsys):
+        # the full engine takes the Schur form only at x = -1, so that check
+        # alone sees coefficients off by 1e-3
+        schur = liouville._schur_eigenbasis
+
+        def wrong(*args):
+            lam, vecs, inv, coef = schur(*args)
+            return lam, vecs, inv, coef * 1.001
+
+        monkeypatch.setattr(liouville, "_schur_eigenbasis", wrong)
+        assert run(["selftest"]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL  full engine vs numeric full average, x = -1 (Doppler-free)" in out
+        assert "PASS  full engine vs numeric full average, case a" in out
+        assert "selftest: FAIL" in out
 
 
 class TestStartup:

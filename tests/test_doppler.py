@@ -351,6 +351,17 @@ class TestIntensities:
         with pytest.raises(ConfigError, match="engine must be one of"):
             doppler.intensities("exact", *case_a, self.GRID)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("call", ["analytic", "full", "perturbative", "average-full",
+                                      "average-perturbative"])
+    def test_non_finite_grid_is_bad_input(self, case_a, gh200, call, bad):
+        grid = np.array([bad, 0.0])
+        with pytest.raises(ConfigError, match="probe-detuning grid must be finite"):
+            if call.startswith("average-"):
+                doppler.average(call.split("-")[1], *case_a, gh200, grid)
+            else:
+                doppler.intensities(call, *case_a, grid)
+
 
 class TestValidatedIntensity:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

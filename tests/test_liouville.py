@@ -69,6 +69,17 @@ class TestSteadyState:
             steady_state_batch(scheme, drive, [30.0, 40.0], [-12.0, 0.0])
         assert err.value.condition_number > 1.0
 
+    def test_solver_failure_reports_worst_of_the_batch(self, case_a, monkeypatch):
+        # the ill-conditioned matrix is the fifth: the estimate covers the whole batch
+        scheme, drive, _ = case_a
+        monkeypatch.setattr(np.linalg, "solve", failing_lapack)
+        with pytest.raises(SolverFailure) as alone:
+            steady_state_batch(scheme, drive, [1e9], [0.0])
+        with pytest.raises(SolverFailure) as batch:
+            steady_state_batch(scheme, drive, [0.0, 0.0, 0.0, 0.0, 1e9], np.zeros(5))
+        assert alone.value.condition_number > 1e8
+        assert batch.value.condition_number == alone.value.condition_number
+
     def test_no_probe_all_ground(self, case_a):
         scheme, drive, _ = case_a
         dark = replace(drive, rabi_1=0.0)

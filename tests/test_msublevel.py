@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import cascade_at as ca
 from cascade_at.errors import SelectionRuleError
-from cascade_at.msublevel import m_summed, weights
+from cascade_at.msublevel import MSublevelWeights, m_summed, weights
 
 
 class TestWeights:
@@ -41,6 +41,11 @@ class TestWeights:
     def test_q_zero_forbidden(self):
         with pytest.raises(SelectionRuleError):
             weights(0, 0)
+
+    def test_empty_weights_refused(self):
+        # an M sum over no component has no value: refused where it is built
+        with pytest.raises(SelectionRuleError, match="at least one component"):
+            MSublevelWeights(entries=())
 
     @given(st.integers(1, 40), st.integers(-1, 1))
     @settings(max_examples=60, deadline=None)
