@@ -1,12 +1,12 @@
 """Gaussian velocity averaging of the fixed-velocity lineshapes.
 
-Every Doppler-averaged value of the package, apart from the analytic
-engine's exact threshold curvature, comes from one row average,
-:func:`_row_average`: rows of probe detunings with per-row Doppler slopes
-alpha, beta and coupling Rabi frequency Omega_2.  A spectrum is one row
-(:func:`intensities`); an M-summed spectrum makes the folded M weights one
-more row axis; a threshold search makes every (cell, Omega_2, M weight)
-stencil it needs a row.  Each grid point takes one of three routes:
+This module owns every Doppler average of the package and its M axis.
+Apart from the analytic engine's exact threshold curvature, each comes
+from one row average, :func:`_row_average`: rows of probe detunings with
+per-row Doppler slopes alpha, beta and coupling Rabi frequency Omega_2.  A spectrum is one row (:func:`intensities`); an M-summed spectrum
+makes the folded M weights one more row axis; the threshold search's
+curvatures (:func:`_curvature_rows`) make every (cell, Omega_2, M weight)
+stencil they need a row.  Each grid point takes one of three routes:
 
 * zero-width rows (alpha = 0) evaluate the model at u = 0;
 
@@ -22,14 +22,15 @@ stencil it needs a row.  Each grid point takes one of three routes:
   velocity with a diagonal slope, so each population is rational in u with
   at most six finite poles (:func:`cascade_at.liouville.velocity_poles`).
   They come in conjugate pairs with conjugate terms, so each pair takes one
-  Faddeeva value, at its upper member, and each real pole one.  The pole
-  builders run in blocks of a fixed number of grid points (1024 analytic,
-  256 full-engine), which bounds their temporaries at any grid size.
-  The threshold search takes the analytic I3's exact curvature from a
-  kernel of its own (:func:`_weak_probe_curvature`): at the resonant point
-  Delta_1 = Delta_2 = 0, D(iv) is a real quadratic in v, whose roots give
-  the poles, their derivatives and residues in closed form, 4096 points per
-  call;
+  Faddeeva value, at its upper member, and each real pole one.  The
+  analytic I3's curvature at the resonant point Delta_1 = Delta_2 = 0 has
+  an exact kernel of its own (:func:`_weak_probe_curvature`): there D(iv)
+  is a real quadratic in v, whose roots give the poles, their derivatives
+  and residues in closed form.  All three kernels run through one block
+  loop (:func:`_exact_blocks`) of a fixed number of grid points (1024
+  analytic, 256 full-engine, 4096 resonant-curvature), which bounds their
+  temporaries at any grid size and leaves the points a kernel refuses
+  flagged for the fallback;
 
 * every point of the ``perturbative`` engine, and every point a pole
   builder refuses (a D linear in u at x = -1, coincident roots of D, roots
@@ -52,6 +53,15 @@ exact routes; on the bundled presets they agree to ~1e-9 relative.
 average of one grid, with the folded M weights as rows when an M sum is
 asked for.  Every average returns one array: I2 and I3 as a leading axis
 of two, I2 first, before the grid's shape.
+
+:func:`_curvature_rows` gives the threshold search the I3 curvature at
+Delta_1 = 0 of rows of (Doppler slopes, Omega_2), each folded M weight one
+more point, summed by :func:`folded_sum`.  Analytic points take the exact
+kernel; the other engines, and the points it refuses or of zero width,
+take a 5-point central stencil of step h = max(0.5 MHz, Omega_2/200) on
+the row average, evaluated at Delta_1 = 0, h, 2h only: at resonant
+coupling I3 is even in Delta_1 for every engine (``docs/model.md``,
+"Stencil fallback").
 """
 from __future__ import annotations
 
@@ -83,14 +93,20 @@ _RESONANT_MAX_ERROR = 1e-3
 _EPS = np.finfo(float).eps
 # largest |zeta| the resonant curvature takes to the Faddeeva function (~1.46e3)
 _RESONANT_MAX_ZETA = (_RESONANT_MAX_ERROR / _EPS) ** 0.25
-# grid points per pole-builder call: bounds the temporaries at any grid size
-# (a full-engine point peaks at ~2 kB of real 6x6 and 6x7 and complex 6x6 stacks,
-# about 0.5 MB at 256 points; a resonant-curvature point at ~0.6 kB, 2.5 MB at
-# 4096 points, which holds a 5 x 13 threshold pre-scan in one call)
+# grid points per exact-kernel call (_exact_blocks): bounds the temporaries
+# at any grid size (a full-engine point peaks at ~2 kB of real 6x6 and 6x7
+# and complex 6x6 stacks, about 0.5 MB at 256 points; a resonant-curvature
+# point at ~0.6 kB, 2.5 MB at 4096 points, which holds a 5 x 13 threshold
+# pre-scan in one call)
 _WEAK_PROBE_BLOCK = 1024
 _FULL_ENGINE_BLOCK = 256
 _RESONANT_BLOCK = 4096
 _PANEL_NODES, _PANEL_WEIGHTS = leggauss(_PANEL_DEGREE)
+_STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])   # in units of the step h
+# I3 is even in Delta_1 at resonant coupling (module docstring): the stencil
+# is evaluated at its points 0, h, 2h, and _MIRROR picks [f2, f1, f0, f1, f2]
+_HALF_STENCIL = _STENCIL[2:]
+_MIRROR = np.array([2, 1, 0, 1, 2])
 
 ENGINES = ("full", "perturbative", "analytic")
 MIN_QUAD_ORDER = 16
@@ -426,6 +442,19 @@ def _full_engine_poles(scheme, drive, grid, alpha, beta, rabi_2):
     return ok, (rp.Gamma_2 * pops[:, 0].real, rp.Gamma_3 * pops[:, 1].real)
 
 
+def _exact_blocks(kernel, block: int, pending: np.ndarray, out: np.ndarray,
+                  scheme: LevelScheme, drive: DriveParams, *arrays) -> None:
+    """Run ``kernel(scheme, drive, *(a[part] for a in arrays))`` on the
+    points flagged in ``pending``, ``block`` per call.  Writes the values of
+    the points it accepts into the last axis of ``out`` and clears their
+    flags; the points it refuses stay flagged for the fallback."""
+    points = np.flatnonzero(pending)
+    for part in (points[i:i + block] for i in range(0, len(points), block)):
+        ok, accepted = kernel(scheme, drive, *(a[part] for a in arrays))
+        out[..., part[ok]] = accepted
+        pending[part[ok]] = False
+
+
 def _row_average(engine: str, scheme: LevelScheme, drive: DriveParams,
                  grid, alpha, beta, rabi_2) -> np.ndarray:
     """Doppler-averaged I2 and I3 of ``engine`` over rows of probe
@@ -447,7 +476,6 @@ def _row_average(engine: str, scheme: LevelScheme, drive: DriveParams,
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
     pole_routes = {"analytic": (_weak_probe_poles, _WEAK_PROBE_BLOCK),
                    "full": (_full_engine_poles, _FULL_ENGINE_BLOCK)}
-    builder, block = pole_routes.get(engine, (None, 0))
     model = "full" if engine == "full" else "perturbative"
     arrays = np.broadcast_arrays(np.asarray(grid, dtype=float), alpha, beta, rabi_2)
     shape = arrays[0].shape
@@ -455,13 +483,9 @@ def _row_average(engine: str, scheme: LevelScheme, drive: DriveParams,
 
     vals = np.full((2, grid.size), np.nan)
     numeric = alpha != 0.0
-    if builder is not None:
-        points = np.flatnonzero(numeric)
-        for part in (points[i:i + block] for i in range(0, len(points), block)):
-            ok, accepted = builder(scheme, drive, grid[part], alpha[part], beta[part],
-                                   rabi_2[part])
-            vals[:, part[ok]] = accepted
-            numeric[part[ok]] = False
+    if engine in pole_routes:
+        _exact_blocks(*pole_routes[engine], numeric, vals, scheme, drive,
+                      grid, alpha, beta, rabi_2)
     rule = QuadratureRule.gauss_hermite(FALLBACK_QUAD_ORDER) if numeric.any() else None
     _numeric_stage(model, scheme, drive, grid, alpha, beta, rabi_2, numeric, rule, vals)
     return _validated_intensity(vals.reshape((2,) + shape))
@@ -494,6 +518,50 @@ def intensities(engine: str, scheme: LevelScheme, drive: DriveParams, dopp: Dopp
     alpha, beta = doppler_slopes(scheme, drive, dopp)
     rows = _row_average(engine, scheme, drive, grid, alpha, beta, rabi_2)
     return folded_sum(rows.swapaxes(0, 1), msum)
+
+
+def _second_derivative(f, h):
+    """5-point central stencil over the last axis of ``f``, step ``h``."""
+    return (-f[..., 0] + 16 * f[..., 1] - 30 * f[..., 2] + 16 * f[..., 3]
+            - f[..., 4]) / (12 * h * h)
+
+
+def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
+                    alpha: np.ndarray, beta: np.ndarray, rabi_2: np.ndarray,
+                    msum: MSublevelWeights | None) -> np.ndarray:
+    """I3 curvature at Delta_1 = 0 of every row: Doppler slopes ``alpha[r]``,
+    ``beta[r]`` at coupling ``rabi_2[r]``.  ``scheme`` and ``drive`` carry
+    what all rows share (decay rates, the probe, resonant coupling).
+
+    Every (row, folded M weight) pair is one point.  Analytic points take
+    the exact curvature (:func:`_weak_probe_curvature`), ``_RESONANT_BLOCK``
+    points per call; the points it refuses, zero-width points (alpha = 0)
+    and every point of the other engines take the even half stencil, all in
+    one :func:`_row_average` call.  :func:`folded_sum` then sums the M axis.
+    Raises NumericalError if any row fails or gives a non-finite curvature.
+    """
+    rabi_2 = np.asarray(rabi_2, dtype=float)
+    weights = folded_weights(msum)
+    om = (rabi_2[:, None] * weights).ravel()              # (row, M weight), flat
+    alpha, beta = (np.repeat(np.asarray(s, dtype=float), len(weights)) for s in (alpha, beta))
+    curv = np.full(om.size, np.nan)
+    stencil = np.ones(om.size, dtype=bool)
+    if engine == "analytic":
+        # zero-width points skip the kernel; its refused points stay flagged
+        stencil = alpha != 0.0
+        _exact_blocks(_weak_probe_curvature, _RESONANT_BLOCK, stencil, curv, scheme, drive,
+                      alpha, beta, om)
+        stencil |= alpha == 0.0
+        if not np.all(np.isfinite(curv[~stencil])):
+            raise NumericalError("non-finite exact curvature")
+    if stencil.any():
+        # each row's step, from its own coupling, shared by its M weights
+        h = np.repeat(np.maximum(0.5, rabi_2 / 200.0), len(weights))[stencil]
+        i3 = _row_average(engine, scheme, drive, h[:, None] * _HALF_STENCIL,
+                          alpha[stencil, None], beta[stencil, None], om[stencil, None])[1]
+        curv[stencil] = _second_derivative(i3[:, _MIRROR], h)
+    curv = curv.reshape(len(rabi_2), len(weights))
+    return folded_sum(curv.T, msum)
 
 
 def root_difference_closed_form(scheme: LevelScheme, drive: DriveParams,

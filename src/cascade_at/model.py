@@ -207,7 +207,7 @@ def preset(case_id: str) -> tuple[LevelScheme, DriveParams, DopplerParams]:
     ``case_b``: |k1/k2| > 1, counter-propagating, coupling 60 MHz off
     resonance; the splitting is not resolved at the same field strength.
     """
-    if case_id in ("case_a", "case-a", "a"):
+    if case_id == "case_a":
         scheme = LevelScheme(
             wavenumber_21=14647.547, wavenumber_32=15888.065,
             lifetime_2=12.2, lifetime_3=21.0,
@@ -216,7 +216,7 @@ def preset(case_id: str) -> tuple[LevelScheme, DriveParams, DopplerParams]:
                             detuning_1=0.0, detuning_2=0.0, dir_1=1, dir_2=-1)
         dopp = DopplerParams(temperature=625.0)
         return scheme, drive, dopp
-    if case_id in ("case_b", "case-b", "b"):
+    if case_id == "case_b":
         scheme = LevelScheme(
             wavenumber_21=14828.639, wavenumber_32=13284.554,
             lifetime_2=12.2, lifetime_3=12.7,

@@ -22,27 +22,11 @@ runs in three phases:
    b/a <= 1 + 1e-3; the threshold is sqrt(ab).
 
 Each phase evaluates the curvature of all its (cell, Omega_2) rows in one
-row-batched call, so the cells share their numpy calls; a cell's arithmetic
-is the same as that of a search run on it alone.  A phase without rows
-makes no call, and the analytic rows of a phase take one kernel call up to
-4096 (row, M weight) points.  ``threshold_rabi`` is the 1 x 1 case and
-``threshold_curve`` the one-width case.
-
-The analytic engine's curvature is exact: the second derivative of the
-partial-fraction average at Delta_1 = 0, from the four poles of 1/|D|^2 and
-their derivatives (:func:`cascade_at.doppler._weak_probe_curvature`).  At
-resonant coupling these poles are +-z_0, +-z_1 for the roots z = iv of the
-real quadratic D(iv), which also makes I3 even in Delta_1.  The other
-engines, and the analytic points the exact form refuses (poles closer
-than 1e-9 relative, rounding over its guard, zero Doppler width), take a
-5-point central stencil of step h = max(0.5 MHz, Omega_2/200), evaluated
-at Delta_1 = 0, h, 2h only: at resonant coupling I3 is even in Delta_1
-for every engine.  In the analytic and perturbative engines
-D(-u, -Delta_1) = conj D(u, Delta_1) and the Gaussian weight is even; in
-the full engine P = diag(1, -1, 1) gives
-P H(d1, d2) P = -H(-d1, -d2) with real diagonal relaxation, so P rho* P is
-the steady state at the negated detunings, with the same populations.  An
-M sum adds the curvatures of its components.
+row-batched call of :func:`cascade_at.doppler._curvature_rows`, which owns
+the curvature, its M axis and its stencil fallback, so the cells share
+their numpy calls; a cell's arithmetic is the same as that of a search run
+on it alone.  A phase without rows makes no call.  ``threshold_rabi`` is
+the 1 x 1 case and ``threshold_curve`` the one-width case.
 
 The search runs at the probe ``rabi_1`` it is given (default the weak probe
 Gamma_2/20) and at resonant coupling; the CLI commands pass neither the
@@ -56,22 +40,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .doppler import ENGINES, _RESONANT_BLOCK, _row_average, _weak_probe_curvature
+from .doppler import ENGINES, _curvature_rows
 from .errors import ConfigError, NumericalError
 from .lineshape import doppler_slopes
 from .model import (C_M_PER_S, DopplerParams, DriveParams, LevelScheme,
                     most_probable_speed, rates)
-from .msublevel import MSublevelWeights, folded_sum, folded_weights
+from .msublevel import MSublevelWeights
 
 SINGULAR_BAND = 0.02          # excluded neighbourhoods of x = 0 and x = -1
 _BRACKET = (1.0, 50000.0)     # MHz
 _PRESCAN_POINTS = 20
 _REL_TOL = 1e-3
-_STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])   # in units of the step h
-# I3 is even in Delta_1 at resonant coupling (module docstring): the stencil
-# is evaluated at its points 0, h, 2h, and _MIRROR picks [f2, f1, f0, f1, f2]
-_HALF_STENCIL = _STENCIL[2:]
-_MIRROR = np.array([2, 1, 0, 1, 2])
 
 
 @dataclass(frozen=True)
@@ -97,11 +76,6 @@ class ThresholdMap:
     region_two: np.ndarray
 
 
-def _validate_engine(engine: str) -> None:
-    if engine not in ENGINES:
-        raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
-
-
 def _geometry_for_x(scheme: LevelScheme, x: float, rabi_1: float) -> tuple[LevelScheme, DriveParams]:
     """Scheme/drive pair realizing a signed wavenumber ratio x with the
     probe transition kept fixed."""
@@ -113,66 +87,20 @@ def _geometry_for_x(scheme: LevelScheme, x: float, rabi_1: float) -> tuple[Level
     return scheme_x, drive
 
 
-def _second_derivative(f, h):
-    """5-point central stencil over the last axis of ``f``, step ``h``."""
-    return (-f[..., 0] + 16 * f[..., 1] - 30 * f[..., 2] + 16 * f[..., 3]
-            - f[..., 4]) / (12 * h * h)
-
-
 def curvature_at_zero(engine: str, scheme: LevelScheme, drive: DriveParams,
                       dopp: DopplerParams,
                       msum: MSublevelWeights | None = None) -> float:
     """Second derivative of the Doppler-averaged I3 at zero probe detuning.
     Positive means a local minimum, i.e. resolved splitting.  Requires
     resonant coupling.  The one-row case of the threshold search's
-    curvatures (module docstring), with the same bits.
+    curvatures (:func:`cascade_at.doppler._curvature_rows`), with the same
+    bits.
     """
-    _validate_engine(engine)
     if drive.detuning_2 != 0.0:
         raise ConfigError("curvature condition is defined at resonant coupling")
     alpha, beta = doppler_slopes(scheme, drive, dopp)
     return float(_curvature_rows(engine, scheme, drive, np.array([alpha]),
                                  np.array([beta]), np.array([drive.rabi_2]), msum)[0])
-
-
-def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
-                    alpha: np.ndarray, beta: np.ndarray, rabi_2: np.ndarray,
-                    msum: MSublevelWeights | None) -> np.ndarray:
-    """I3 curvature at Delta_1 = 0 of every row: Doppler slopes ``alpha[r]``,
-    ``beta[r]`` at coupling ``rabi_2[r]``.  ``scheme`` and ``drive`` carry
-    what all rows share (decay rates, the probe, resonant coupling).
-
-    Every (row, folded M weight) pair is one point.  Analytic points take
-    the exact curvature (:func:`cascade_at.doppler._weak_probe_curvature`),
-    in blocks of ``_RESONANT_BLOCK``; the points it refuses, zero-width
-    points (alpha = 0) and every point of the other engines take the even
-    half stencil, all in one :func:`cascade_at.doppler._row_average` call.
-    ``folded_sum`` then sums the M axis.  Raises NumericalError if any row
-    fails or gives a non-finite curvature.
-    """
-    rabi_2 = np.asarray(rabi_2, dtype=float)
-    weights = folded_weights(msum)
-    om = (rabi_2[:, None] * weights).ravel()              # (row, M weight), flat
-    alpha, beta = (np.repeat(np.asarray(s, dtype=float), len(weights)) for s in (alpha, beta))
-    curv = np.full(om.size, np.nan)
-    stencil = np.ones(om.size, dtype=bool)
-    if engine == "analytic":
-        exact = np.flatnonzero(alpha != 0.0)
-        for part in (exact[i:i + _RESONANT_BLOCK]
-                     for i in range(0, len(exact), _RESONANT_BLOCK)):
-            ok, vals = _weak_probe_curvature(scheme, drive, alpha[part], beta[part], om[part])
-            curv[part[ok]] = vals
-            stencil[part[ok]] = False
-        if not np.all(np.isfinite(curv[~stencil])):
-            raise NumericalError("non-finite exact curvature")
-    if stencil.any():
-        # each row's step, from its own coupling, shared by its M weights
-        h = np.repeat(np.maximum(0.5, rabi_2 / 200.0), len(weights))[stencil]
-        i3 = _row_average(engine, scheme, drive, h[:, None] * _HALF_STENCIL,
-                          alpha[stencil, None], beta[stencil, None], om[stencil, None])[1]
-        curv[stencil] = _second_derivative(i3[:, _MIRROR], h)
-    curv = curv.reshape(len(rabi_2), len(weights))
-    return folded_sum(curv.T, msum)
 
 
 def region_two_estimate(scheme: LevelScheme, x: float) -> float | None:
@@ -206,7 +134,8 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
     ``dnu_grid`` (Doppler FWHM, MHz) by one lockstep search (module
     docstring).  A numerical failure in any curvature a cell needs leaves
     that cell nan and unconverged."""
-    _validate_engine(engine)
+    if engine not in ENGINES:
+        raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
     x_grid, dnu_grid = np.asarray(x_grid, dtype=float), np.asarray(dnu_grid, dtype=float)
     if x_grid.ndim != 1 or dnu_grid.ndim != 1:
         raise ConfigError("threshold x and Doppler width grids must be 1-D")
@@ -340,6 +269,4 @@ def threshold_surface(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
                       msum: MSublevelWeights | None = None,
                       rabi_1: float | None = None) -> ThresholdMap:
     """Threshold over the (x, Doppler width) plane."""
-    if np.any(np.asarray(dnu_grid, dtype=float) <= 0):
-        raise ConfigError("Doppler widths in the surface grid must be > 0")
     return _search(engine, scheme, x_grid, dnu_grid, msum, rabi_1)

@@ -316,6 +316,17 @@ class TestThresholdCommands:
         assert len(vals) == 3
         assert max(vals) / min(vals) - 1 < 0.02      # region II flatness
 
+    def test_surface_from_zero_width(self, tmp_path):
+        # a zero-width column is searched as threshold does at fwhm = 0
+        scen = small_scan("a.ini", tmp_path,
+                          ["x_start = -0.5", "x_stop = 0.5", "x_step = 1.0",
+                           "dnu_start = 0.0", "dnu_stop = 1100.0", "dnu_step = 1100.0"])
+        out = tmp_path / "surf.csv"
+        assert run(["surface", "--scenario", scen, "--out", str(out)]) == 0
+        rows = np.loadtxt(str(out), delimiter=",", skiprows=2)
+        assert rows[:, 1].tolist() == [0.0, 1100.0, 0.0, 1100.0]
+        assert rows[:, 3].all()
+
     def test_narrow_doppler_width_matches_zero_width(self, tmp_path):
         # roots of D beyond the Faddeeva function's domain and resonant
         # curvatures beyond its derivatives' accuracy take the numeric sum
@@ -628,6 +639,23 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "FAIL  full engine vs numeric full average, x = -1 (Doppler-free)" in out
         assert "PASS  full engine vs numeric full average, case a" in out
+        assert "selftest: FAIL" in out
+
+    def test_wrong_exact_curvature_fails(self, monkeypatch, capsys):
+        # the exact analytic curvature is 8.6e-4 to 1.4e-2 of f(0)/h^2 at the
+        # checked couplings, so scaling it by 1.5 moves it past the 1e-4
+        # tolerance against the perturbative stencil
+        kernel = doppler._weak_probe_curvature
+
+        def scaled(*args):
+            ok, vals = kernel(*args)
+            return ok, 1.5 * vals
+
+        monkeypatch.setattr(doppler, "_weak_probe_curvature", scaled)
+        assert run(["selftest"]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL  exact analytic curvature vs 5-point stencil" in out
+        assert "PASS  analytic engine vs numeric perturbative average, case a" in out
         assert "selftest: FAIL" in out
 
 

@@ -757,7 +757,6 @@ class TestResonantCurvature:
         # 0.01 to 30 MHz put |zeta| on both sides of the bound.  Region II,
         # where the root terms cancel and magnify the loss below the bound
         # too, is the next test's
-        from cascade_at.threshold import _curvature_rows
         scheme = case_a[0]
         cells = [(x, f) for x in (-1.95, 0.5, 1.95) for f in np.geomspace(0.01, 30.0, 9)]
         alpha, beta, rabi_2 = self.rows(scheme, cells, [100.0, 1000.0, 1e4])
@@ -768,8 +767,9 @@ class TestResonantCurvature:
         assert 0 < ok.sum() < ok.size
         assert np.abs(np.concatenate(zetas, axis=None)).max() <= doppler._RESONANT_MAX_ZETA
         monkeypatch.undo()
-        exact = _curvature_rows("analytic", scheme, drive, alpha, beta, rabi_2, None)
-        numeric = _curvature_rows("perturbative", scheme, drive, alpha, beta, rabi_2, None)
+        exact = doppler._curvature_rows("analytic", scheme, drive, alpha, beta, rabi_2, None)
+        numeric = doppler._curvature_rows("perturbative", scheme, drive, alpha, beta, rabi_2,
+                                          None)
         np.testing.assert_allclose(exact, numeric, rtol=1e-3)
 
     @pytest.mark.parametrize("x, fwhm, rabi_2", [(-0.9219, 200.0, 5e4),

@@ -41,8 +41,10 @@ class TestPresets:
             assert ca.wavenumber_ratio(scheme, drive) < 0
 
     def test_unknown_case(self):
-        with pytest.raises(ConfigError):
-            ca.preset("case_c")
+        # one spelling per case: the CLI maps its case-a to case_a itself
+        for case_id in ("case_c", "case-a", "a", "case-b", "b"):
+            with pytest.raises(ConfigError):
+                ca.preset(case_id)
 
 
 class TestDopplerFwhm:

@@ -7,12 +7,11 @@ import pytest
 
 import cascade_at as ca
 from cascade_at import doppler, threshold
+from cascade_at.doppler import _STENCIL, _curvature_rows, _second_derivative
 from cascade_at.errors import ConfigError, NumericalError
 from cascade_at.lineshape import doppler_slopes
 from cascade_at.msublevel import m_summed, weights
-from cascade_at.threshold import (_STENCIL, ThresholdResult, _curvature_rows,
-                                  _geometry_for_x, _second_derivative,
-                                  curvature_at_zero,
+from cascade_at.threshold import (ThresholdResult, _geometry_for_x, curvature_at_zero,
                                   region_two_estimate, threshold_curve,
                                   threshold_rabi, threshold_surface)
 from conftest import coincident_roots_drive
@@ -241,6 +240,19 @@ class TestThresholdSurface:
         assert slope[1] > 0.5
         assert abs(slope[0]) < 0.02
 
+    def test_zero_width_matches_curve(self, case_a):
+        # a zero-width cell enters the search through alpha = 0, as in
+        # threshold_curve; only negative widths are refused
+        scheme = case_a[0]
+        x_grid = np.array([-0.5, 0.5, 1.5])
+        tmap = threshold_surface("analytic", scheme, x_grid, np.array([0.0, 1100.0]))
+        for j, dnu in enumerate(tmap.dnu_grid):
+            curve = threshold_curve("analytic", scheme, x_grid, ca.DopplerParams(fwhm=dnu))
+            assert np.array_equal(tmap.omega_t[:, j], curve.omega_t[:, 0])
+            assert np.array_equal(tmap.converged[:, j], curve.converged[:, 0])
+            assert np.array_equal(tmap.non_monotonic[:, j], curve.non_monotonic[:, 0])
+        assert tmap.converged.all()
+
     def test_dnu_validation(self, case_a):
         scheme, _, _ = case_a
         with pytest.raises(ConfigError):
@@ -335,7 +347,7 @@ class TestPhaseCalls:
         """Rows per ``_curvature_rows`` call and points per exact-curvature
         kernel call, in call order."""
         calls = {"rows": [], "kernel": []}
-        rows, kernel = threshold._curvature_rows, threshold._weak_probe_curvature
+        rows, kernel = threshold._curvature_rows, doppler._weak_probe_curvature
 
         def counting_rows(engine, scheme, drive, alpha, beta, rabi_2, msum):
             calls["rows"].append(len(rabi_2))
@@ -346,7 +358,7 @@ class TestPhaseCalls:
             return kernel(scheme, drive, alpha, beta, rabi_2)
 
         monkeypatch.setattr(threshold, "_curvature_rows", counting_rows)
-        monkeypatch.setattr(threshold, "_weak_probe_curvature", counting_kernel)
+        monkeypatch.setattr(doppler, "_weak_probe_curvature", counting_kernel)
         return calls
 
     def test_no_call_without_rows(self, case_a, monkeypatch):
@@ -396,6 +408,25 @@ class TestCurvatureRows:
         cells = [make_cell(scheme, x, DOP, 36.0) for x in (-1.1162, -0.5, 0.5)]
         wts = weights(scheme.j2, scheme.j3) if msum else None
         self.check("full", scheme, cells, self.OMEGAS[::2], msum=wts, rabi_1=36.0)
+
+    def test_bits_do_not_depend_on_block_size(self, case_a, monkeypatch):
+        # 8 rows times 4 folded weights: blocks of 7 straddle the rows
+        scheme = case_a[0]
+        pairs = random_cells(scheme, np.random.default_rng(14), 8, 1.0)
+        rows = (ca.DriveParams(rabi_1=1.0, rabi_2=0.0), *slopes([c for c, _ in pairs]),
+                np.array([om for _, om in pairs]), weights(3, 3))
+        ref = _curvature_rows("analytic", scheme, *rows)
+        calls = []
+        kernel = doppler._weak_probe_curvature
+
+        def counting(sch, drive, alpha, beta, rabi_2):
+            calls.append(len(rabi_2))
+            return kernel(sch, drive, alpha, beta, rabi_2)
+
+        monkeypatch.setattr(doppler, "_weak_probe_curvature", counting)
+        monkeypatch.setattr(doppler, "_RESONANT_BLOCK", 7)
+        assert np.array_equal(_curvature_rows("analytic", scheme, *rows), ref)
+        assert sum(calls) == 8 * 4 and max(calls) <= 7
 
     def test_refused_row(self, case_b, monkeypatch):
         # at this Omega_2 the roots of D coincide at Delta_1 = 0: the exact
@@ -534,7 +565,6 @@ class TestEvenStencil:
             grids.append(np.broadcast_shapes(np.shape(grid), *map(np.shape, args[:3])))
             return average(engine, sch, drv, grid, *args, **kwargs)
 
-        monkeypatch.setattr(threshold, "_row_average", recording)
         monkeypatch.setattr(doppler, "_row_average", recording)
         _curvature_rows("perturbative", scheme, *rows)
         assert grids == [(len(pairs) * n_weights, 3)]
@@ -653,14 +683,14 @@ class TestSweepErrors:
 
     def test_non_finite_exact_curvature_marks_cell_unconverged(self, case_a, monkeypatch):
         plain = threshold_curve("analytic", case_a[0], self.GRID, DOP)
-        exact = threshold._weak_probe_curvature
+        exact = doppler._weak_probe_curvature
 
         def overflowing(scheme, drive, alpha, beta, rabi_2):
             ok, vals = exact(scheme, drive, alpha, beta, rabi_2)
             # inf at the co-propagating cell x = 0.5
             return ok, np.where(beta[ok] > 0, np.inf, vals)
 
-        monkeypatch.setattr(threshold, "_weak_probe_curvature", overflowing)
+        monkeypatch.setattr(doppler, "_weak_probe_curvature", overflowing)
         cell = make_cell(case_a[0], 0.5, DOP, 1.0)
         with pytest.raises(NumericalError):
             _curvature_rows("analytic", case_a[0], cell.drive, *slopes([cell]),
