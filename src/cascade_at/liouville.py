@@ -94,8 +94,9 @@ _J_HAT_INV = np.kron(np.eye(3), [[0.0, -1.0], [1.0, 0.0]]) / _TWO_PI
 _D1 = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 _D2 = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
 
-# velocity_poles diagonalizes B_c^{-1} S only while the smallest slope
-# |alpha|, |alpha + beta|, |beta| exceeds this fraction of the largest
+# velocity_poles diagonalizes B_c^{-1} S at a point only while the smallest
+# slope |alpha|, |alpha + beta|, |beta| there exceeds this fraction of the
+# largest
 _SLOPE_RATIO = 1e-3
 
 
@@ -198,12 +199,13 @@ def velocity_poles(scheme: LevelScheme, rabi_1: float, delta1, detuning_2,
 
     r_ik = (-A_pp^{-1} A_pc V)[i, k] (V^{-1} Sigma^{-1} J_hat^{-1} q)_k / mu_k,
     where the constant c_i = (-A_pp^{-1} s_p)_i is carried as one more
-    residue at lam = 0.  Where the smallest slope is at most
-    ``_SLOPE_RATIO`` of the largest at any point of the call (x near -1,
-    where alpha + beta -> 0, or nu_32 << nu_21), Sigma^{-1} would amplify
-    rounding or divide by zero, and the call diagonalizes
-    M = S^{-1} B_c = (R + D)^{-1} Sigma instead, with coefficients
-    V^{-1} S^{-1} q: the same eigenvectors, the same lam.
+    residue at lam = 0.  At a point where the smallest slope is at most
+    ``_SLOPE_RATIO`` of the largest (x near -1, where alpha + beta -> 0, or
+    nu_32 << nu_21), Sigma^{-1} would amplify rounding or divide by zero,
+    and the point diagonalizes M = S^{-1} B_c = (R + D)^{-1} Sigma instead,
+    with coefficients V^{-1} S^{-1} q: the same eigenvectors, the same lam.
+    The form is chosen per point, so a point has the bits of its call alone
+    whatever else the call holds.
 
     ``rabi_2``, ``alpha`` and ``beta`` may be per-row arrays that broadcast
     against ``delta1``, e.g. (rows, 1) against a (rows, points) grid.
@@ -228,10 +230,13 @@ def velocity_poles(scheme: LevelScheme, rabi_1: float, delta1, detuning_2,
     jq = pp.jq0 + w2[..., None] * pp.jq1
     sigma = alpha[..., None] * _D1 + beta[..., None] * _D2
     slopes = np.abs(sigma[..., ::2])        # |alpha|, |alpha + beta|, |beta|
-    solve_free = np.all(slopes.min(axis=-1) > _SLOPE_RATIO * slopes.max(axis=-1))
-    eigenbasis = _slope_eigenbasis if solve_free else _schur_eigenbasis
+    schur = np.broadcast_to(slopes.min(axis=-1) <= _SLOPE_RATIO * slopes.max(axis=-1), shape)
     try:
-        lam, vecs, inv, coef = eigenbasis(shifted, jq, sigma)
+        if schur.any() and not schur.all():
+            lam, vecs, inv, coef = _mixed_eigenbasis(shifted, jq, sigma, schur)
+        else:
+            eigenbasis = _schur_eigenbasis if schur.any() else _slope_eigenbasis
+            lam, vecs, inv, coef = eigenbasis(shifted, jq, sigma)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"velocity pole expansion failed: {exc}") from exc
     cond = np.linalg.norm(vecs, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
@@ -254,6 +259,21 @@ def _slope_eigenbasis(shifted, jq, sigma):
     inv = np.linalg.inv(vecs)
     coef = (inv @ (jq / sigma)[..., None])[..., 0] / mu
     return 1.0 / mu, vecs, inv, coef
+
+
+def _mixed_eigenbasis(shifted, jq, sigma, schur):
+    """(lam, V, V^{-1}, coefficients) of a call whose points take both
+    forms: each form on its own points (``schur`` flags the Schur form's),
+    scattered back, so that every point has the bits of its call alone."""
+    shape = schur.shape
+    jq = np.broadcast_to(jq, shape + (6,))
+    sigma = np.broadcast_to(sigma, shape + (6,))
+    out = (np.empty(shape + (6,), complex), np.empty(shape + (6, 6), complex),
+           np.empty(shape + (6, 6), complex), np.empty(shape + (6,), complex))
+    for eigenbasis, pick in ((_slope_eigenbasis, ~schur), (_schur_eigenbasis, schur)):
+        for dst, src in zip(out, eigenbasis(shifted[pick], jq[pick], sigma[pick])):
+            dst[pick] = src
+    return out
 
 
 def _schur_eigenbasis(shifted, jq, sigma):

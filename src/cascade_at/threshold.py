@@ -8,24 +8,25 @@ cell of a curve or surface at once.  The cells are the product of a 1-D
 grid of wavenumber ratios x and a 1-D grid of Doppler widths; the geometry
 realizing x is built once per x, and a cell enters the search only through
 its two Doppler slopes and, in region II, the seed of its x.  The search
-runs in three phases:
+runs in two phases:
 
-1. seed check: in the counter-propagating region -1 < x < 0 the analytic
-   estimate ``Gam / sqrt(-x (1+x))`` proposes the bracket [seed/30, seed*30],
-   kept where the curvature is negative at its bottom and positive at its top;
-2. pre-scan: 20 log-spaced Omega_2 over each cell's bracket find the first
-   negative-to-positive crossing and flag multiple sign changes;
-3. Illinois steps: every cell with a crossing moves one end of its bracket
+1. pre-scan: 20 log-spaced Omega_2 over each cell's bracket find the first
+   negative-to-positive crossing and flag multiple sign changes.  In the
+   counter-propagating region -1 < x < 0 the bracket is [seed/30, seed*30]
+   around the analytic estimate ``Gam / sqrt(-x (1+x))``, elsewhere 1 MHz to
+   50 GHz; a seeded cell whose scan is not negative at its bottom and
+   positive at its top scans 1 MHz to 50 GHz again, in one more call;
+2. Illinois steps: every cell with a crossing moves one end of its bracket
    [a, b] to the secant point of the two end curvatures on log Omega_2,
    halving the value of an end kept twice in a row and taking the
    geometric midpoint when the secant point is not strictly inside, until
    b/a <= 1 + 1e-3; the threshold is sqrt(ab).
 
-Each phase evaluates the curvature of all its (cell, Omega_2) rows in one
-row-batched call of :func:`cascade_at.doppler._curvature_rows`, which owns
-the curvature, its M axis and its stencil fallback, so the cells share
-their numpy calls; a cell's arithmetic is the same as that of a search run
-on it alone.  A phase without rows makes no call.  ``threshold_rabi`` is
+Each pre-scan pass and each Illinois step evaluates the curvature of all
+its (cell, Omega_2) rows in one row-batched call of
+:func:`cascade_at.doppler._curvature_rows`, which owns the curvature, its M
+axis and its stencil fallback, so the cells share their numpy calls; a
+cell's arithmetic is the same as that of a search run on it alone.  A pass without rows makes no call.  ``threshold_rabi`` is
 the 1 x 1 case and ``threshold_curve`` the one-width case.
 
 The search runs at the probe ``rabi_1`` it is given (default the weak probe
@@ -47,7 +48,7 @@ from .model import (C_M_PER_S, DopplerParams, DriveParams, LevelScheme,
                     most_probable_speed, rates)
 from .msublevel import MSublevelWeights
 
-SINGULAR_BAND = 0.02          # excluded neighbourhoods of x = 0 and x = -1
+SINGULAR_BAND = 0.02          # excluded neighbourhood of x = 0
 _BRACKET = (1.0, 50000.0)     # MHz
 _PRESCAN_POINTS = 20
 _REL_TOL = 1e-3
@@ -141,13 +142,14 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
         raise ConfigError("threshold x and Doppler width grids must be 1-D")
     if not (np.all(np.isfinite(x_grid)) and np.all(np.isfinite(dnu_grid))):
         raise ConfigError("threshold x and Doppler width grids must be finite")
-    bad = (np.abs(x_grid) < SINGULAR_BAND) | (np.abs(x_grid + 1.0) < SINGULAR_BAND)
+    bad = np.abs(x_grid) < SINGULAR_BAND
     if np.any(bad):
-        raise ConfigError(
-            f"x grid enters the singular bands |x| < {SINGULAR_BAND} or "
-            f"|x+1| < {SINGULAR_BAND}: {x_grid[bad]}")
+        raise ConfigError(f"x grid enters the singular band |x| < {SINGULAR_BAND}: {x_grid[bad]}")
     if rabi_1 is None:
         rabi_1 = rates(scheme).Gamma_2 / 20.0
+    if not rabi_1 > 0:
+        # I3 vanishes identically without a probe: every curvature is 0
+        raise ConfigError(f"threshold search needs a probe rabi_1 > 0, got {rabi_1}")
     alpha, beta = _cell_slopes(scheme, x_grid, dnu_grid, rabi_1)
     # region-II seeds depend on x only (nan outside region II)
     seed = np.repeat(np.array([region_two_estimate(scheme, float(x)) for x in x_grid],
@@ -159,7 +161,7 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
         raises NumericalError; every other curvature is finite.  A failed
         batch is retried row by row, each row being one call of a search run
         on its cell alone: a batched failure cannot be localized otherwise.
-        A phase with no rows makes no call."""
+        A pass with no rows makes no call."""
         if not len(idx):
             return np.empty(0)
         try:
@@ -174,42 +176,37 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
         return curv
 
     n = len(seed)
-    lo, hi = np.full(n, _BRACKET[0]), np.full(n, _BRACKET[1])
-    failed = np.zeros(n, dtype=bool)
+    # 1. pre-scan: region-II cells over [seed/30, seed*30], the rest (nan
+    # seed, which fmax and fmin ignore) over _BRACKET
+    lo, hi = np.fmax(_BRACKET[0], seed / 30), np.fmin(_BRACKET[1], seed * 30)
 
-    # 1. seed check, as `curv(lo_s) < 0 < curv(hi_s)`: the top counts only
-    # where the bottom is negative
-    seeded = np.flatnonzero(~np.isnan(seed))
-    seeds = seed[seeded]
-    lo_s = np.maximum(_BRACKET[0], seeds / 30)
-    hi_s = np.minimum(_BRACKET[1], seeds * 30)
-    curv = curvatures(np.concatenate((seeded, seeded)), np.concatenate((lo_s, hi_s)))
-    k = len(seeded)
-    below, above = curv[:k] < 0, curv[k:] > 0
-    failed[seeded] = np.isnan(curv[:k]) | (below & np.isnan(curv[k:]))
-    take = below & above
-    lo[seeded[take]], hi[seeded[take]] = lo_s[take], hi_s[take]
+    def prescan(cells):
+        scans = np.geomspace(lo[cells], hi[cells], _PRESCAN_POINTS, axis=1)
+        rows = curvatures(np.repeat(cells, _PRESCAN_POINTS), scans.ravel())
+        return scans, rows.reshape(scans.shape)
 
-    # 2. pre-scan
-    live = np.flatnonzero(~failed)
-    scans = np.geomspace(lo[live], hi[live], _PRESCAN_POINTS, axis=1)
-    curv = curvatures(np.repeat(live, _PRESCAN_POINTS), scans.ravel()).reshape(scans.shape)
-    bad = np.isnan(curv).any(axis=1)
+    scans, curv = prescan(np.arange(n))
+    # a seed bracket holds where the curvature is negative at its bottom and
+    # positive at its top; a nan bottom, or a nan top above a negative
+    # bottom, fails the cell, and every other seeded cell scans _BRACKET
+    bottom, top = curv[:, 0], curv[:, -1]
+    rescan = np.flatnonzero(~np.isnan(seed) & ((bottom >= 0) | ((bottom < 0) & (top <= 0))))
+    lo[rescan], hi[rescan] = _BRACKET
+    scans[rescan], curv[rescan] = prescan(rescan)
     signs = curv > 0
     rising = ~signs[:, :-1] & signs[:, 1:]
-    found = rising.any(axis=1) & ~bad
+    found = rising.any(axis=1) & ~np.isnan(curv).any(axis=1)
     # a positive sign before the first crossing (strong-probe dressing can
     # curve the line upward at negligible coupling) also counts as
     # non-monotonic: the reported value is still the smallest Omega_2 where
     # the curvature crosses from negative to positive.
-    non_monotonic = np.zeros(n, dtype=bool)
-    non_monotonic[live[found]] = ((rising.sum(axis=1) > 1) | signs[:, 0])[found]
+    non_monotonic = found & ((rising.sum(axis=1) > 1) | signs[:, 0])
     first = rising.argmax(axis=1)[found]
-    stepped = live[found]
+    stepped = np.flatnonzero(found)
     a, b = scans[found, first], scans[found, first + 1]
     fa, fb = curv[found, first], curv[found, first + 1]
 
-    # 3. Illinois steps on log Omega_2, each cell on its own bracket
+    # 2. Illinois steps on log Omega_2, each cell on its own bracket
     la, lb = np.log(a), np.log(b)
     kept = np.zeros(len(stepped), dtype=int)      # end kept last round: -1 a, 1 b
     active = np.ones(len(stepped), dtype=bool)

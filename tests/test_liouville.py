@@ -276,6 +276,28 @@ class TestVelocityPoles:
         self.check_against_steady_state(*self.setting("case_a", x, {}))
         assert forms == [form]
 
+    def test_mixed_call_has_each_points_bits(self, forms):
+        # the form is chosen per point: a call over x = -1, -1.001 and 1500
+        # (Schur form) and -0.5, 0.5 (slope form) gives every point the bits
+        # of its call alone
+        scheme, drive, dopp = ca.preset("case_a")
+        points = []
+        for x, delta1 in ((-1.0, 0.0), (-0.5, 300.0), (1500.0, -40.0), (-1.001, 5.0),
+                          (0.5, -1500.0)):
+            scheme_x, geometry = _geometry_for_x(scheme, x, drive.rabi_1)
+            points.append((delta1, *doppler_slopes(scheme_x, geometry, dopp)))
+        delta1, alpha, beta = map(np.array, zip(*points))
+        rabi_2 = np.array([0.0, 40.0, 400.0, 5e4, 1100.0])
+        got = velocity_poles(scheme, drive.rabi_1, delta1, drive.detuning_2, rabi_2,
+                             alpha, beta)
+        assert forms == ["slope", "schur"]
+        for k in range(len(points)):
+            alone = velocity_poles(scheme, drive.rabi_1, delta1[k:k + 1], drive.detuning_2,
+                                   rabi_2[k:k + 1], alpha[k:k + 1], beta[k:k + 1])
+            for mixed, ref in zip(got, alone):
+                assert np.array_equal(mixed[k:k + 1], ref)
+        assert forms[2:] == ["schur", "slope", "schur", "schur", "slope"]
+
     @pytest.mark.parametrize("case,x", [("case_a", None), ("case_b", None),
                                         ("case_a", -1.01), ("case_a", -1.03)])
     def test_both_forms_agree(self, case, x, forms, monkeypatch):

@@ -181,9 +181,26 @@ class TestThresholdRabi:
     def test_singular_band_rejected(self, case_a):
         scheme, _, _ = case_a
         with pytest.raises(ConfigError):
-            threshold_rabi("analytic", scheme, -0.995, DOP)
-        with pytest.raises(ConfigError):
             threshold_rabi("analytic", scheme, 0.01, DOP)
+
+    @pytest.mark.parametrize("rabi_1", [0.0, -1.0])
+    def test_no_probe_rejected(self, case_a, rabi_1):
+        # without a probe I3 vanishes and every curvature is 0: no threshold
+        # to find
+        with pytest.raises(ConfigError, match="rabi_1 > 0"):
+            threshold_curve("analytic", case_a[0], [-0.5], DOP, rabi_1=rabi_1)
+
+    @pytest.mark.parametrize("case", ["case_a", "case_b"])
+    def test_doppler_free_geometry(self, case):
+        # x = -1 and its neighbours are ordinary cells: the analytic
+        # threshold agrees with the perturbative one within the search's
+        # 1e-3 stop
+        scheme = ca.preset(case)[0]
+        x_grid = [-1.01, -1.0, -0.999]
+        an = threshold_curve("analytic", scheme, x_grid, DOP)
+        pert = threshold_curve("perturbative", scheme, x_grid, DOP)
+        assert an.converged.all() and pert.converged.all()
+        assert np.all(np.abs(an.omega_t / pert.omega_t - 1) < 1e-3)
 
 
 class TestThresholdCurve:
@@ -326,6 +343,20 @@ class TestLockstepSearch:
         assert [taken for _, taken in seen] == [False, False]
         assert seen[0][0].non_monotonic and seen[0][0].converged
 
+    def test_full_both_pole_forms(self, case_a):
+        # x = -1.001 and -1 take the Schur form of the velocity poles, -0.5
+        # the slope form, in one lockstep call
+        seen = assert_surface_matches_oracle("full", case_a[0], [-1.001, -1.0, -0.5],
+                                             [200.0])
+        assert all(r.converged for r, _ in seen)
+
+    def test_full_cell_bits_do_not_depend_on_its_batch(self, case_a):
+        # x = 1500 (|beta|/|alpha| = 6.7e-4) takes the Schur form, 0.5 the
+        # slope form
+        tmap = threshold_curve("full", case_a[0], [1500.0, 0.5], DOP)
+        for i, x in enumerate(tmap.x_grid):
+            assert tmap.omega_t[i, 0] == threshold_rabi("full", case_a[0], x, DOP).omega_t
+
     def test_full_msum_case_b(self, case_b):
         scheme, drive, _ = case_b
         seen = assert_surface_matches_oracle(
@@ -362,21 +393,34 @@ class TestPhaseCalls:
         return calls
 
     def test_no_call_without_rows(self, case_a, monkeypatch):
-        # outside region II no cell has a seed to check
+        # outside region II no cell has a seed bracket to scan again
         calls = self.record(monkeypatch)
         tmap = threshold_curve("analytic", case_a[0], [-1.5, 0.5, 1.5], DOP)
         assert tmap.converged.all()
         assert calls["rows"][0] == 3 * 20 and min(calls["rows"]) > 0
+        assert max(calls["rows"][1:]) <= 3
 
     def test_one_kernel_call_per_phase(self, case_a, monkeypatch):
         # a 5 x 13 surface as one CLI block computes it, region II seeded:
-        # seed check, pre-scan (5 x 13 cells x 20 couplings) and every
-        # Illinois step take one kernel call each
+        # the pre-scan (5 x 13 cells x 20 couplings) and every Illinois step
+        # take one kernel call each; every seed bracket holds, so no cell
+        # scans again
         calls = self.record(monkeypatch)
         x_grid = np.array([-0.95, -0.85, -0.75, -0.65, -0.55])
-        threshold_surface("analytic", case_a[0], x_grid, 200.0 + 400.0 * np.arange(13))
+        tmap = threshold_surface("analytic", case_a[0], x_grid,
+                                 200.0 + 400.0 * np.arange(13))
+        assert tmap.converged.all()
         assert calls["kernel"] == calls["rows"]
-        assert calls["rows"][:2] == [2 * 65, 65 * 20]
+        assert calls["rows"][0] == 65 * 20 and max(calls["rows"][1:]) <= 65
+
+    def test_failed_seed_scans_again(self, case_a, monkeypatch):
+        # at the 300 MHz probe both seed brackets fail (test_full_strong_probe):
+        # those two cells, and not x = 0.5, make one more 20-row pre-scan
+        calls = self.record(monkeypatch)
+        threshold_curve("full", case_a[0], [-0.975, -0.5, 0.5], ca.DopplerParams(fwhm=200.0),
+                        rabi_1=300.0)
+        assert calls["rows"][:2] == [3 * 20, 2 * 20]
+        assert max(calls["rows"][2:]) <= 3
 
 
 class TestCurvatureRows:
