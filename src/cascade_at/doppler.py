@@ -3,10 +3,11 @@
 This module owns every Doppler average of the package and its M axis.
 Apart from the analytic engine's exact threshold curvature, each comes
 from one row average, :func:`_row_average`: rows of probe detunings with
-per-row Doppler slopes alpha, beta and coupling Rabi frequency Omega_2.  A spectrum is one row (:func:`intensities`); an M-summed spectrum
-makes the folded M weights one more row axis; the threshold search's
-curvatures (:func:`_curvature_rows`) make every (cell, Omega_2, M weight)
-stencil they need a row.  Each grid point takes one of three routes:
+per-row Doppler slopes alpha, beta and coupling Rabi frequency Omega_2.
+A spectrum is one row (:func:`intensities`); an M-summed spectrum makes
+the folded M weights one more row axis; the threshold search's curvatures
+(:func:`_curvature_rows`) make every (cell, Omega_2, M weight) stencil
+they need a row.  Each grid point takes one of three routes:
 
 * zero-width rows (alpha = 0) evaluate the model at u = 0;
 
@@ -353,8 +354,6 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     the two roots' terms: there the terms cancel and magnify the loss of
     w' and w'' (x near -1 at strong coupling, region II at narrow widths).
     Refuses points where D is linear too (a = 0, at x = -1)."""
-    if drive.detuning_2 != 0.0:
-        raise ConfigError("the exact curvature is defined at resonant coupling")
     rp = rates(scheme)
     sigma = alpha + beta
     a = -(alpha * sigma)
@@ -531,7 +530,8 @@ def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
                     msum: MSublevelWeights | None) -> np.ndarray:
     """I3 curvature at Delta_1 = 0 of every row: Doppler slopes ``alpha[r]``,
     ``beta[r]`` at coupling ``rabi_2[r]``.  ``scheme`` and ``drive`` carry
-    what all rows share (decay rates, the probe, resonant coupling).
+    what all rows share (decay rates, the probe).  Both routes below need
+    resonant coupling; Delta_2 != 0 raises ConfigError here, its one check.
 
     Every (row, folded M weight) pair is one point.  Analytic points take
     the exact curvature (:func:`_weak_probe_curvature`), ``_RESONANT_BLOCK``
@@ -540,6 +540,8 @@ def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
     one :func:`_row_average` call.  :func:`folded_sum` then sums the M axis.
     Raises NumericalError if any row fails or gives a non-finite curvature.
     """
+    if drive.detuning_2 != 0.0:
+        raise ConfigError("the threshold curvature is defined at resonant coupling")
     rabi_2 = np.asarray(rabi_2, dtype=float)
     weights = folded_weights(msum)
     om = (rabi_2[:, None] * weights).ravel()              # (row, M weight), flat

@@ -26,8 +26,9 @@ Each pre-scan pass and each Illinois step evaluates the curvature of all
 its (cell, Omega_2) rows in one row-batched call of
 :func:`cascade_at.doppler._curvature_rows`, which owns the curvature, its M
 axis and its stencil fallback, so the cells share their numpy calls; a
-cell's arithmetic is the same as that of a search run on it alone.  A pass without rows makes no call.  ``threshold_rabi`` is
-the 1 x 1 case and ``threshold_curve`` the one-width case.
+cell's arithmetic is the same as that of a search run on it alone.  A pass
+without rows makes no call.  ``threshold_rabi`` is the 1 x 1 case and
+``threshold_curve`` the one-width case.
 
 The search runs at the probe ``rabi_1`` it is given (default the weak probe
 Gamma_2/20) and at resonant coupling; the CLI commands pass neither the
@@ -92,13 +93,10 @@ def curvature_at_zero(engine: str, scheme: LevelScheme, drive: DriveParams,
                       dopp: DopplerParams,
                       msum: MSublevelWeights | None = None) -> float:
     """Second derivative of the Doppler-averaged I3 at zero probe detuning.
-    Positive means a local minimum, i.e. resolved splitting.  Requires
-    resonant coupling.  The one-row case of the threshold search's
-    curvatures (:func:`cascade_at.doppler._curvature_rows`), with the same
-    bits.
+    Positive means a local minimum, i.e. resolved splitting.  The one-row
+    case of :func:`cascade_at.doppler._curvature_rows`, with the same bits
+    and its one check of resonant coupling (ConfigError if Delta_2 != 0).
     """
-    if drive.detuning_2 != 0.0:
-        raise ConfigError("curvature condition is defined at resonant coupling")
     alpha, beta = doppler_slopes(scheme, drive, dopp)
     return float(_curvature_rows(engine, scheme, drive, np.array([alpha]),
                                  np.array([beta]), np.array([drive.rabi_2]), msum)[0])

@@ -615,7 +615,9 @@ class TestCsvFormat:
 
 class TestSelftest:
     def test_selftest_passes(self):
-        res = run_cli(["selftest"])
+        # RuntimeWarning is an error as in the test suite (pyproject.toml): an
+        # overflow or a 0/0 must raise, not leave a silent inf or nan
+        res = run_cli(["selftest"], env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
         assert res.returncode == 0, res.stdout + res.stderr
         assert "selftest: OK" in res.stdout
         assert "max relative error" in res.stdout

@@ -740,10 +740,6 @@ class TestResonantCurvature:
     def test_resonant_coupling_and_quadratic_denominator_required(self, case_a):
         scheme = case_a[0]
         alpha, beta, rabi_2 = self.rows(scheme, [(-0.5, 1100.0)], [100.0])
-        with pytest.raises(ConfigError):
-            doppler._weak_probe_curvature(
-                scheme, ca.DriveParams(rabi_1=1.0, rabi_2=0.0, detuning_2=1.0),
-                alpha, beta, rabi_2)
         # x = -1: a = -alpha (alpha + beta) = 0, a D linear in u, is refused
         ok, vals = doppler._weak_probe_curvature(
             scheme, ca.DriveParams(rabi_1=1.0, rabi_2=0.0), alpha, -alpha, rabi_2)

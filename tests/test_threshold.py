@@ -120,10 +120,11 @@ class TestCurvature:
         faint = replace(drive, rabi_2=1.0)
         assert curvature_at_zero("analytic", scheme, faint, DOP) < 0
 
-    def test_requires_resonant_coupling(self, case_b):
+    @pytest.mark.parametrize("engine", doppler.ENGINES)
+    def test_requires_resonant_coupling(self, case_b, engine):
         scheme, drive, _ = case_b
         with pytest.raises(ConfigError):
-            curvature_at_zero("analytic", scheme, drive, DOP)
+            curvature_at_zero(engine, scheme, drive, DOP)
 
     def test_scale_invariant_sign(self, case_a):
         # curvature is linear in the intensity, so any positive rescaling
@@ -471,6 +472,24 @@ class TestCurvatureRows:
         monkeypatch.setattr(doppler, "_RESONANT_BLOCK", 7)
         assert np.array_equal(_curvature_rows("analytic", scheme, *rows), ref)
         assert sum(calls) == 8 * 4 and max(calls) <= 7
+
+    @pytest.mark.parametrize("engine", doppler.ENGINES)
+    def test_off_resonance_refused(self, case_a, engine, monkeypatch):
+        # both routes rest on Delta_2 = 0: off it the mirrored half stencil
+        # gives 25 times the 5-point curvature.  The check comes before any
+        # kernel or stencil call
+        scheme, _, dopp = case_a
+        drive = ca.DriveParams(rabi_1=0.65, rabi_2=400.0, detuning_2=60.0)
+        alpha, beta = doppler_slopes(scheme, drive, dopp)
+
+        def unreachable(*args):
+            raise AssertionError("curvature route called off resonance")
+
+        monkeypatch.setattr(doppler, "_row_average", unreachable)
+        monkeypatch.setattr(doppler, "_weak_probe_curvature", unreachable)
+        with pytest.raises(ConfigError, match="resonant coupling"):
+            _curvature_rows(engine, scheme, drive, np.array([alpha]), np.array([beta]),
+                            np.array([drive.rabi_2]), None)
 
     def test_refused_row(self, case_b, monkeypatch):
         # at this Omega_2 the roots of D coincide at Delta_1 = 0: the exact
