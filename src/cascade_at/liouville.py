@@ -94,9 +94,9 @@ _J_HAT_INV = np.kron(np.eye(3), [[0.0, -1.0], [1.0, 0.0]]) / _TWO_PI
 _D1 = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 _D2 = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
 
-# velocity_poles diagonalizes B_c^{-1} S at a point only while the smallest
-# slope |alpha|, |alpha + beta|, |beta| there exceeds this fraction of the
-# largest
+# a velocity_poles point takes the slope form N = Sigma^{-1} (R + D) while
+# the smallest slope |alpha|, |alpha + beta|, |beta| there exceeds this
+# fraction of the largest, and the Schur form M = (R + D)^{-1} Sigma otherwise
 _SLOPE_RATIO = 1e-3
 
 
@@ -204,8 +204,10 @@ def velocity_poles(scheme: LevelScheme, rabi_1: float, delta1, detuning_2,
     nu_32 << nu_21), Sigma^{-1} would amplify rounding or divide by zero,
     and the point diagonalizes M = S^{-1} B_c = (R + D)^{-1} Sigma instead,
     with coefficients V^{-1} S^{-1} q: the same eigenvectors, the same lam.
-    The form is chosen per point, so a point has the bits of its call alone
-    whatever else the call holds.
+    The form is chosen per point: each point brings its own matrix and
+    coefficient vector (the solve for M runs on the Schur points alone), and
+    one batched eig and one inv serve the whole call, so a point has the bits
+    of its call alone whatever else the call holds.
 
     ``rabi_2``, ``alpha`` and ``beta`` may be per-row arrays that broadcast
     against ``delta1``, e.g. (rows, 1) against a (rows, points) grid.
@@ -228,67 +230,38 @@ def velocity_poles(scheme: LevelScheme, rabi_1: float, delta1, detuning_2,
     shifted[...] = pp.r0 + w2m * (pp.r1 + w2m * pp.r2)
     shifted.reshape(shape + (36,))[..., ::7] += d1[..., None] * _D1 + detuning_2 * _D2
     jq = pp.jq0 + w2[..., None] * pp.jq1
-    sigma = alpha[..., None] * _D1 + beta[..., None] * _D2
+    sigma = np.broadcast_to(alpha[..., None] * _D1 + beta[..., None] * _D2, shape + (6,))
     slopes = np.abs(sigma[..., ::2])        # |alpha|, |alpha + beta|, |beta|
-    schur = np.broadcast_to(slopes.min(axis=-1) <= _SLOPE_RATIO * slopes.max(axis=-1), shape)
+    schur = slopes.min(axis=-1) <= _SLOPE_RATIO * slopes.max(axis=-1)
+    # per point the matrix to diagonalize and its coefficient vector: N and
+    # Sigma^{-1} jq, or M and (R + D)^{-1} jq; a Schur point divides by one
+    div = np.where(schur[..., None], 1.0, sigma)
+    mat = np.divide(shifted, div[..., None], out=shifted)
+    vec = jq / div
     try:
-        if schur.any() and not schur.all():
-            lam, vecs, inv, coef = _mixed_eigenbasis(shifted, jq, sigma, schur)
-        else:
-            eigenbasis = _schur_eigenbasis if schur.any() else _slope_eigenbasis
-            lam, vecs, inv, coef = eigenbasis(shifted, jq, sigma)
+        if schur.any():
+            rhs = np.empty((np.count_nonzero(schur), 6, 7))
+            rhs[..., 0] = vec[schur]
+            rhs[..., 1:] = sigma[schur][..., None, :] * np.eye(6)
+            sol = np.linalg.solve(mat[schur], rhs)
+            mat[schur], vec[schur] = sol[..., 1:], sol[..., 0]
+        ev, vecs = np.linalg.eig(mat)
+        inv = np.linalg.inv(vecs)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"velocity pole expansion failed: {exc}") from exc
+    # a slope point's eigenvalues are mu = 1/lam, and a zero mu is a singular S
+    mu = np.where(schur[..., None], 1.0, ev)
+    if np.any(mu == 0):
+        raise SolverFailure("velocity pole expansion failed: singular pencil")
+    coef = (inv @ vec[..., None])[..., 0]
+    coef /= mu
     cond = np.linalg.norm(vecs, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
     lam7 = np.zeros(shape + (7,), dtype=complex)
-    lam7[..., :6] = lam
+    lam7[..., :6] = np.where(schur[..., None], ev, 1.0 / mu)
     res = np.empty(shape + (2, 7), dtype=complex)
     np.multiply((pp.p0 + w2m * pp.p1) @ vecs, coef[..., None, :], out=res[..., :6])
     res[..., 6] = pp.rho_p0[1:]
     return lam7, res, cond
-
-
-def _slope_eigenbasis(shifted, jq, sigma):
-    """(lam, V, V^{-1}, coefficients) from N = Sigma^{-1} (R + D) =
-    V diag(mu) V^{-1}: lam = 1/mu, coefficients V^{-1} Sigma^{-1} jq / mu
-    (:func:`velocity_poles`).  Overwrites ``shifted``.  A zero mu is a
-    singular S."""
-    mu, vecs = np.linalg.eig(np.divide(shifted, sigma[..., None], out=shifted))
-    if np.any(mu == 0):
-        raise SolverFailure("velocity pole expansion failed: singular pencil")
-    inv = np.linalg.inv(vecs)
-    coef = (inv @ (jq / sigma)[..., None])[..., 0] / mu
-    return 1.0 / mu, vecs, inv, coef
-
-
-def _mixed_eigenbasis(shifted, jq, sigma, schur):
-    """(lam, V, V^{-1}, coefficients) of a call whose points take both
-    forms: each form on its own points (``schur`` flags the Schur form's),
-    scattered back, so that every point has the bits of its call alone."""
-    shape = schur.shape
-    jq = np.broadcast_to(jq, shape + (6,))
-    sigma = np.broadcast_to(sigma, shape + (6,))
-    out = (np.empty(shape + (6,), complex), np.empty(shape + (6, 6), complex),
-           np.empty(shape + (6, 6), complex), np.empty(shape + (6,), complex))
-    for eigenbasis, pick in ((_slope_eigenbasis, ~schur), (_schur_eigenbasis, schur)):
-        for dst, src in zip(out, eigenbasis(shifted[pick], jq[pick], sigma[pick])):
-            dst[pick] = src
-    return out
-
-
-def _schur_eigenbasis(shifted, jq, sigma):
-    """(lam, V, V^{-1}, coefficients) from M = S^{-1} B_c =
-    (R + D)^{-1} Sigma = V diag(lam) V^{-1}, coefficients V^{-1} S^{-1} q =
-    V^{-1} (R + D)^{-1} jq, by one solve for (R + D)^{-1} [jq | Sigma]
-    (:func:`velocity_poles`): the form for slopes of very different size,
-    and for a zero one."""
-    rhs = np.empty(shifted.shape[:-1] + (7,))
-    rhs[..., 0] = jq
-    rhs[..., 1:] = sigma[..., None, :] * np.eye(6)
-    sol = np.linalg.solve(shifted, rhs)
-    lam, vecs = np.linalg.eig(sol[..., 1:])
-    inv = np.linalg.inv(vecs)
-    return lam, vecs, inv, (inv @ sol[..., :1])[..., 0]
 
 
 def populations_batch(scheme: LevelScheme, drive: DriveParams,

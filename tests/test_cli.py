@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cascade_at as ca
-from cascade_at import cli, doppler, liouville
+from cascade_at import cli, doppler
 from cascade_at.cli import _compute_spectrum, _emit_csv, _grid, _preset_scenario, run
 from cascade_at.msublevel import m_summed, weights
 from conftest import subprocess_env
@@ -629,14 +629,17 @@ class TestSelftest:
 
     def test_wrong_schur_coefficients_fail(self, monkeypatch, capsys):
         # the full engine takes the Schur form only at x = -1, so that check
-        # alone sees coefficients off by 1e-3
-        schur = liouville._schur_eigenbasis
+        # alone sees coefficients off by 1e-3: the Schur form's solve for
+        # (R + D)^{-1} [jq | Sigma] is the only one with 7 right-hand sides
+        solve = np.linalg.solve
 
-        def wrong(*args):
-            lam, vecs, inv, coef = schur(*args)
-            return lam, vecs, inv, coef * 1.001
+        def wrong(a, b):
+            sol = solve(a, b)
+            if b.shape[-1] == 7:
+                sol[..., 0] *= 1.001
+            return sol
 
-        monkeypatch.setattr(liouville, "_schur_eigenbasis", wrong)
+        monkeypatch.setattr(np.linalg, "solve", wrong)
         assert run(["selftest"]) == 3
         out = capsys.readouterr().out
         assert "FAIL  full engine vs numeric full average, x = -1 (Doppler-free)" in out

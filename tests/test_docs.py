@@ -1,4 +1,5 @@
-"""The cookbook is executable documentation: run every fenced sh command."""
+"""The cookbook and the README are executable documentation: run every
+fenced sh command of the cookbook and the README's python block."""
 import hashlib
 import re
 import subprocess
@@ -10,7 +11,9 @@ import pytest
 
 from conftest import subprocess_env
 
-COOKBOOK = Path(__file__).resolve().parent.parent / "docs" / "cookbook.md"
+ROOT = Path(__file__).resolve().parent.parent
+COOKBOOK = ROOT / "docs" / "cookbook.md"
+README = ROOT / "README.md"
 
 # SHA-256 of the four cookbook spectra, measured with numpy 2.4.6 and scipy
 # 1.17.1.  Any change of arithmetic that moves a printed digit changes them.
@@ -98,3 +101,13 @@ def test_cookbook_spectrum_sha256(workdir, cookbook_run, name):
     produce(cookbook_run, out)
     digest = hashlib.sha256((workdir / out).read_bytes()).hexdigest()
     assert digest == SPECTRA_SHA256[name]
+
+
+def test_readme_quick_start():
+    # the python block as written: the spectra have the shape its comment
+    # gives, and the case-a threshold is its "~13 MHz"
+    code, = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    names = {}
+    exec(code, names)
+    assert names["spec"].shape == (2, 601)
+    assert 12 <= names["res"].omega_t <= 14

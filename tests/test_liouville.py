@@ -225,10 +225,14 @@ class TestVelocityPoles:
             drive = replace(geometry, rabi_2=drive.rabi_2)
         return scheme, replace(drive, **changes), dopp
 
+    def grid_args(self, scheme, drive, dopp):
+        """The velocity_poles arguments of a setting over GRID."""
+        return (scheme, drive.rabi_1, self.GRID, drive.detuning_2, drive.rabi_2,
+                *doppler_slopes(scheme, drive, dopp))
+
     def check_against_steady_state(self, scheme, drive, dopp):
         alpha, beta = doppler_slopes(scheme, drive, dopp)
-        lam, res, _ = velocity_poles(scheme, drive.rabi_1, self.GRID, drive.detuning_2,
-                                     drive.rabi_2, alpha, beta)
+        lam, res, _ = velocity_poles(*self.grid_args(scheme, drive, dopp))
         u = self.U[:, None]
         got = (res / (1 + u[..., None, None] * lam[:, None, :])).sum(axis=-1).real
         d1 = self.GRID + alpha * u
@@ -239,19 +243,34 @@ class TestVelocityPoles:
             assert np.all(np.abs(got[..., k] - row) <= 1e-10 * np.abs(row).max())
 
     @pytest.fixture
-    def forms(self, monkeypatch):
-        """The eigenbasis form each velocity_poles call takes, in order."""
-        ran = []
-        for form in ("slope", "schur"):
-            name = f"_{form}_eigenbasis"
-            original = getattr(liouville, name)
-
-            def spy(*args, _form=form, _original=original):
-                ran.append(_form)
+    def linalg_calls(self, monkeypatch):
+        """The np.linalg eig, inv and solve calls made, by name, in order."""
+        made = []
+        for name in ("eig", "inv", "solve"):
+            def spy(*args, _name=name, _original=getattr(np.linalg, name)):
+                made.append(_name)
                 return _original(*args)
 
-            monkeypatch.setattr(liouville, name, spy)
-        return ran
+            monkeypatch.setattr(np.linalg, name, spy)
+        return made
+
+    @staticmethod
+    def in_form(form, monkeypatch, *args):
+        """velocity_poles with every point in ``form``: _SLOPE_RATIO 0 takes
+        the slope form wherever no slope is zero, inf the Schur form."""
+        with monkeypatch.context() as m:
+            m.setattr(liouville, "_SLOPE_RATIO", {"slope": 0.0, "schur": math.inf}[form])
+            return velocity_poles(*args)
+
+    @staticmethod
+    def mixed_points(xs):
+        """(delta1, alpha, beta) of case a at the geometry of each x."""
+        scheme, drive, dopp = ca.preset("case_a")
+        points = []
+        for x, delta1 in xs:
+            scheme_x, geometry = _geometry_for_x(scheme, x, drive.rabi_1)
+            points.append((delta1, *doppler_slopes(scheme_x, geometry, dopp)))
+        return scheme, drive, map(np.array, zip(*points))
 
     @pytest.mark.parametrize("case,x,changes", [
         ("case_a", None, {}),
@@ -272,44 +291,71 @@ class TestVelocityPoles:
         (-1e4, "schur"),
         (-1.01, "slope"),
     ])
-    def test_slope_rule_picks_the_form(self, x, form, forms):
-        self.check_against_steady_state(*self.setting("case_a", x, {}))
-        assert forms == [form]
+    def test_slope_rule_picks_the_form(self, x, form, monkeypatch):
+        # the default call has the bits of the call with every point in form
+        setting = self.setting("case_a", x, {})
+        self.check_against_steady_state(*setting)
+        args = self.grid_args(*setting)
+        for got, ref in zip(velocity_poles(*args), self.in_form(form, monkeypatch, *args)):
+            assert np.array_equal(got, ref)
 
-    def test_mixed_call_has_each_points_bits(self, forms):
+    def test_mixed_call_has_each_points_bits(self, monkeypatch):
         # the form is chosen per point: a call over x = -1, -1.001 and 1500
         # (Schur form) and -0.5, 0.5 (slope form) gives every point the bits
-        # of its call alone
-        scheme, drive, dopp = ca.preset("case_a")
-        points = []
-        for x, delta1 in ((-1.0, 0.0), (-0.5, 300.0), (1500.0, -40.0), (-1.001, 5.0),
-                          (0.5, -1500.0)):
-            scheme_x, geometry = _geometry_for_x(scheme, x, drive.rabi_1)
-            points.append((delta1, *doppler_slopes(scheme_x, geometry, dopp)))
-        delta1, alpha, beta = map(np.array, zip(*points))
+        # of its call alone, and of that call in its form
+        scheme, drive, (delta1, alpha, beta) = self.mixed_points(
+            ((-1.0, 0.0), (-0.5, 300.0), (1500.0, -40.0), (-1.001, 5.0), (0.5, -1500.0)))
         rabi_2 = np.array([0.0, 40.0, 400.0, 5e4, 1100.0])
         got = velocity_poles(scheme, drive.rabi_1, delta1, drive.detuning_2, rabi_2,
                              alpha, beta)
-        assert forms == ["slope", "schur"]
-        for k in range(len(points)):
-            alone = velocity_poles(scheme, drive.rabi_1, delta1[k:k + 1], drive.detuning_2,
-                                   rabi_2[k:k + 1], alpha[k:k + 1], beta[k:k + 1])
-            for mixed, ref in zip(got, alone):
+        for k, form in enumerate(("schur", "slope", "schur", "schur", "slope")):
+            args = (scheme, drive.rabi_1, delta1[k:k + 1], drive.detuning_2,
+                    rabi_2[k:k + 1], alpha[k:k + 1], beta[k:k + 1])
+            alone = velocity_poles(*args)
+            for mixed, ref, forced in zip(got, alone, self.in_form(form, monkeypatch, *args)):
                 assert np.array_equal(mixed[k:k + 1], ref)
-        assert forms[2:] == ["schur", "slope", "schur", "schur", "slope"]
+                assert np.array_equal(ref, forced)
+
+    def test_mixed_rows_have_each_rows_bits(self):
+        # rows x points, per-row slopes and Omega_2 as (rows, 1) against one
+        # grid (the layout of doppler._row_average): x = -1 and -1.0005 take
+        # the Schur form, -0.5 and 1.5 the slope form
+        scheme, drive, (_, alpha, beta) = self.mixed_points(
+            ((-1.0, 0.0), (-0.5, 0.0), (-1.0005, 0.0), (1.5, 0.0)))
+        rabi_2 = np.array([0.0, 400.0, 5e4, 40.0])
+        grid = np.linspace(-1500.0, 1500.0, 7)
+        rows = lambda k: (scheme, drive.rabi_1, grid, drive.detuning_2, rabi_2[k, None],
+                          alpha[k, None], beta[k, None])
+        got = velocity_poles(*rows(slice(None)))
+        assert got[0].shape == (4, 7, 7)
+        for k in range(4):
+            for block, ref in zip(got, velocity_poles(*rows(slice(k, k + 1)))):
+                assert np.array_equal(block[k:k + 1], ref)
+
+    def test_one_eigendecomposition_per_call(self, linalg_calls):
+        # a call whose points take both forms makes one eig and one inv for
+        # all of them, and one solve for its Schur points
+        scheme, drive, (delta1, alpha, beta) = self.mixed_points(
+            ((-1.0, 0.0), (-0.5, 300.0), (-1.001, 5.0), (0.5, -1500.0)))
+        _pencil_parts(scheme, drive.rabi_1)
+        linalg_calls.clear()
+        velocity_poles(scheme, drive.rabi_1, delta1, drive.detuning_2, drive.rabi_2,
+                       alpha, beta)
+        assert sorted(linalg_calls) == ["eig", "inv", "solve"]
 
     @pytest.mark.parametrize("case,x", [("case_a", None), ("case_b", None),
                                         ("case_a", -1.01), ("case_a", -1.03)])
-    def test_both_forms_agree(self, case, x, forms, monkeypatch):
+    def test_both_forms_agree(self, case, x, linalg_calls, monkeypatch):
         # the Doppler-averaged pole sums, to 1e-12 of the sum of the moduli of
-        # their terms
+        # their terms; only the Schur form solves for (R + D)^{-1}
         scheme, drive, dopp = self.setting(case, x, {})
         args = (scheme, drive, self.GRID, *doppler_slopes(scheme, drive, dopp), drive.rabi_2)
         monkeypatch.setattr(liouville, "_SLOPE_RATIO", 0.0)
         slope, scale = seven_pole_sum(*args)
+        assert "solve" not in linalg_calls
         monkeypatch.setattr(liouville, "_SLOPE_RATIO", math.inf)
         schur = seven_pole_sum(*args)[0]
-        assert forms == ["slope", "schur"]
+        assert linalg_calls.count("solve") == 1
         assert np.all(np.abs(slope - schur) <= 1e-12 * scale)
 
     @pytest.mark.parametrize("slope_ratio, routine", [(0.0, "eig"), (math.inf, "eig"),
@@ -326,12 +372,22 @@ class TestVelocityPoles:
             velocity_poles(scheme, drive.rabi_1, self.GRID, drive.detuning_2, drive.rabi_2,
                            alpha, beta)
 
-    def test_zero_mu_is_a_singular_pencil(self):
+    def test_zero_mu_is_a_singular_pencil(self, monkeypatch):
         # N = Sigma^{-1} (R + D) with a zero eigenvalue: S is singular, and
-        # the slope form refuses it as a singular solve would
-        shifted = np.diag([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-        with pytest.raises(SolverFailure):
-            liouville._slope_eigenbasis(shifted, np.ones(6), np.ones(6))
+        # the slope form refuses it as a singular solve would; the Schur form
+        # keeps a zero lam (x = -1, the two-photon coherences)
+        eig = np.linalg.eig
+
+        def zero_first(a):
+            mu, vecs = eig(a)
+            mu[..., 0] = 0.0
+            return mu, vecs
+
+        monkeypatch.setattr(np.linalg, "eig", zero_first)
+        with pytest.raises(SolverFailure, match="singular pencil"):
+            velocity_poles(*self.grid_args(*self.setting("case_a", None, {})))
+        lam = velocity_poles(*self.grid_args(*self.setting("case_a", -1.0, {})))[0]
+        assert np.all(lam[:, 0] == 0)
 
     def test_doppler_free_geometry(self, gh200):
         # x = -1: alpha + beta = 0 exactly, the two-photon coherences have
