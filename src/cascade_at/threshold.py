@@ -16,13 +16,20 @@ runs in two phases:
    around the analytic estimate ``Gam / sqrt(-x (1+x))``, elsewhere 1 MHz to
    50 GHz; a seeded cell whose scan is not negative at its bottom and
    positive at its top scans 1 MHz to 50 GHz again, in one more call;
-2. Illinois steps: every cell with a crossing moves one end of its bracket
-   [a, b] to the secant point of the two end curvatures on log Omega_2,
-   halving the value of an end kept twice in a row and taking the
-   geometric midpoint when the secant point is not strictly inside, until
-   b/a <= 1 + 1e-3; the threshold is sqrt(ab).
+2. Newton pairs: every cell with a crossing [a, b] evaluates two rows,
+   at log Omega_2 = e +- h around its estimate e, with
+   h = 0.4999 ln(1 + 1e-3).  A pair that straddles the crossing becomes
+   the bracket; otherwise it replaces the end on its side.  The pair's
+   central difference gives the next Newton estimate.  Where its slope is
+   not positive or its step longer than the bracket, the secant point of
+   the ends is taken instead, and after 3 passes in a row that do not halve
+   the bracket the log-midpoint; every estimate is clipped into
+   [ln a + h, ln b - h].  The first estimate takes two Newton steps from
+   the secant point of the scan's bracket on the quadratic through its ends
+   and the scan point beside the end of smaller |curvature|.  The passes
+   stop at b/a <= 1 + 1e-3; the threshold is sqrt(ab).
 
-Each pre-scan pass and each Illinois step evaluates the curvature of all
+Each pre-scan pass and each Newton pass evaluates the curvature of all
 its (cell, Omega_2) rows in one row-batched call of
 :func:`cascade_at.doppler._curvature_rows`, which owns the curvature, its M
 axis and its stencil fallback, so the cells share their numpy calls; a
@@ -53,6 +60,10 @@ SINGULAR_BAND = 0.02          # excluded neighbourhood of x = 0
 _BRACKET = (1.0, 50000.0)     # MHz
 _PRESCAN_POINTS = 20
 _REL_TOL = 1e-3
+# half the log spacing of a Newton pair: a pair that straddles the crossing
+# is a bracket with b/a = exp(2 _PAIR) < 1 + _REL_TOL
+_PAIR = 0.4999 * math.log1p(_REL_TOL)
+_STALLS = 3                   # passes that do not halve a bracket before its midpoint
 
 
 @dataclass(frozen=True)
@@ -127,6 +138,34 @@ def _cell_slopes(scheme: LevelScheme, x_grid: np.ndarray, dnu_grid: np.ndarray,
     return alpha, (sign_nu32[:, None] * v_p / C_M_PER_S).ravel()
 
 
+def _newton_step(value, slope, limit):
+    """value / slope where the slope is positive and the step at most
+    ``limit`` long, nan elsewhere; no division by zero and no overflow."""
+    ok = (slope > 0) & (np.abs(value) <= limit * slope)
+    return np.divide(value, slope, out=np.full(np.shape(value), np.nan), where=ok)
+
+
+def _secant(la, lb, fa, fb):
+    """Secant point of the bracket [la, lb] with fa <= 0 < fb."""
+    return lb - fb * (lb - la) / (fb - fa)
+
+
+def _first_estimate(la, lb, fa, fb, ln, fn):
+    """Start of the Newton pairs in the pre-scan bracket [la, lb]: two
+    Newton steps from its secant point on the quadratic through its ends and
+    the scan point (ln, fn), kept where they end strictly inside the bracket;
+    the secant point elsewhere."""
+    width = lb - la
+    secant = _secant(la, lb, fa, fb)
+    d1 = (fb - fa) / width
+    d2 = ((fn - fb) / (ln - lb) - d1) / (ln - la)
+    est = secant
+    for _ in range(2):
+        est = est - _newton_step(fa + (d1 + d2 * (est - lb)) * (est - la),
+                                 d1 + d2 * (2 * est - la - lb), width)
+    return np.where((la < est) & (est < lb), est, secant)
+
+
 def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
             msum: MSublevelWeights | None, rabi_1: float | None) -> ThresholdMap:
     """Threshold map over the product of the 1-D grids ``x_grid`` and
@@ -189,8 +228,9 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
     # bottom, fails the cell, and every other seeded cell scans _BRACKET
     bottom, top = curv[:, 0], curv[:, -1]
     rescan = np.flatnonzero(~np.isnan(seed) & ((bottom >= 0) | ((bottom < 0) & (top <= 0))))
-    lo[rescan], hi[rescan] = _BRACKET
-    scans[rescan], curv[rescan] = prescan(rescan)
+    if len(rescan):
+        lo[rescan], hi[rescan] = _BRACKET
+        scans[rescan], curv[rescan] = prescan(rescan)
     signs = curv > 0
     rising = ~signs[:, :-1] & signs[:, 1:]
     found = rising.any(axis=1) & ~np.isnan(curv).any(axis=1)
@@ -200,36 +240,48 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
     # the curvature crosses from negative to positive.
     non_monotonic = found & ((rising.sum(axis=1) > 1) | signs[:, 0])
     first = rising.argmax(axis=1)[found]
-    stepped = np.flatnonzero(found)
     a, b = scans[found, first], scans[found, first + 1]
     fa, fb = curv[found, first], curv[found, first + 1]
 
-    # 2. Illinois steps on log Omega_2, each cell on its own bracket
+    # 2. Newton pairs on log Omega_2, each cell on its own bracket; the
+    # arrays hold the cells still refining
+    cells = np.flatnonzero(found)
     la, lb = np.log(a), np.log(b)
-    kept = np.zeros(len(stepped), dtype=int)      # end kept last round: -1 a, 1 b
-    active = np.ones(len(stepped), dtype=bool)
-    while True:
-        step = np.flatnonzero(active & (b / a > 1.0 + _REL_TOL))
-        if not len(step):
-            break
-        new = lb[step] - fb[step] * (lb[step] - la[step]) / (fb[step] - fa[step])
-        inside = (la[step] < new) & (new < lb[step])
-        new = np.where(inside, new, 0.5 * (la[step] + lb[step]))
-        om = np.exp(new)
-        curv = curvatures(stepped[step], om)
-        pos, neg = curv > 0, curv <= 0
-        up, down = step[pos], step[neg]
-        # an end kept a second time in a row has its value halved
-        fa[up[kept[up] == -1]] /= 2
-        fb[down[kept[down] == 1]] /= 2
-        b[up], lb[up], fb[up], kept[up] = om[pos], new[pos], curv[pos], -1
-        a[down], la[down], fa[down], kept[down] = om[neg], new[neg], curv[neg], 1
-        active[step[np.isnan(curv)]] = False
-
+    # the scan point beside the end of smaller |curvature|, or beside the
+    # other end at the end of the scan
+    side = np.where(((np.abs(fa) < np.abs(fb)) & (first > 0))
+                    | (first + 2 == _PRESCAN_POINTS), first - 1, first + 2)
+    est = _first_estimate(la, lb, fa, fb, np.log(scans[found, side]), curv[found, side])
+    stalls = np.zeros(len(cells), dtype=int)
     omega = np.full(n, np.nan)
-    omega[stepped[active]] = np.sqrt(a[active] * b[active])
-    converged = np.zeros(n, dtype=bool)
-    converged[stepped[active]] = True
+    while len(cells):
+        e = np.minimum(np.maximum(est, la + _PAIR), lb - _PAIR)
+        lm, lp = e - _PAIR, e + _PAIR
+        om = np.exp(np.concatenate((lm, lp)))
+        fm, fp = curvatures(np.concatenate((cells, cells)), om).reshape(2, -1)
+        om_m, om_p = om.reshape(2, -1)
+        # the new bracket is the first negative-to-positive crossing of
+        # (a, lower, upper, b): [a, lower] where f(lower) > 0, else the pair
+        # where it straddles, else [upper, b]
+        low, up = fm <= 0, fp > 0
+        width = lb - la
+        a, la, fa = (np.where(low, np.where(up, m, p), end)
+                     for m, p, end in ((om_m, om_p, a), (lm, lp, la), (fm, fp, fa)))
+        b, lb, fb = (np.where(low, np.where(up, p, end), m)
+                     for m, p, end in ((om_m, om_p, b), (lm, lp, lb), (fm, fp, fb)))
+        stalls = np.where(lb - la <= 0.5 * width, 0, stalls + 1)
+        newton = e - _newton_step(_PAIR * (fp + fm), fp - fm, lb - la)
+        est = np.where(stalls >= _STALLS, 0.5 * (la + lb),
+                       np.where(np.isnan(newton), _secant(la, lb, fa, fb), newton))
+        # a nan in either row fails the cell
+        failed = np.isnan(fm) | np.isnan(fp)
+        done = ~failed & (b / a <= 1.0 + _REL_TOL)
+        omega[cells[done]] = np.sqrt(a[done] * b[done])
+        keep = ~failed & ~done
+        cells, a, b, la, lb, fa, fb, est, stalls = (
+            v[keep] for v in (cells, a, b, la, lb, fa, fb, est, stalls))
+
+    converged = ~np.isnan(omega)
     shape = (len(x_grid), len(dnu_grid))
     return ThresholdMap(
         x_grid=x_grid, dnu_grid=dnu_grid, omega_t=omega.reshape(shape),
@@ -244,7 +296,7 @@ def threshold_rabi(engine: str, scheme: LevelScheme, x: float, dopp: DopplerPara
     """Smallest coupling Rabi frequency with resolved splitting at ratio x:
     the one-cell case of the lockstep search (module docstring).  The
     pre-scan reports multiple sign changes via ``non_monotonic``; the
-    Illinois steps stop at 1e-3 relative.  A numerical failure gives an
+    Newton pairs stop at 1e-3 relative.  A numerical failure gives an
     unconverged nan result.
     """
     tmap = _search(engine, scheme, [x], [dopp.fwhm_mhz(scheme)], msum, rabi_1)

@@ -28,17 +28,24 @@ def make_cell(scheme, x, dopp, rabi_1):
     return Cell(scheme_x, drive_x, dopp, *doppler_slopes(scheme_x, drive_x, dopp))
 
 
+def newton_step(value, slope, limit):
+    """value / slope where the slope is positive and the step at most
+    ``limit`` long, else nan."""
+    return value / slope if slope > 0 and abs(value) <= limit * slope else math.nan
+
+
 def scalar_search(engine, scheme, x, dopp, msum=None, rabi_1=None):
     """Slow oracle for the lockstep search: one cell, one curvature_at_zero
-    call per evaluation, seed check, pre-scan and Illinois steps on
-    log Omega_2 in plain Python.  Also returns whether the region-II seed
-    bracket was taken (None outside region II)."""
+    call per evaluation, seed check, pre-scan and Newton pairs on
+    log Omega_2 in plain Python, each operation in the lockstep's order.
+    Also returns whether the region-II seed bracket was taken (None outside
+    region II)."""
     if rabi_1 is None:
         rabi_1 = ca.rates(scheme).Gamma_2 / 20.0
     scheme_x, drive0 = _geometry_for_x(scheme, x, rabi_1)
 
     def curv(om2):
-        return curvature_at_zero(engine, scheme_x, replace(drive0, rabi_2=om2),
+        return curvature_at_zero(engine, scheme_x, replace(drive0, rabi_2=float(om2)),
                                  dopp, msum=msum)
 
     lo, hi = 1.0, 50000.0
@@ -61,21 +68,45 @@ def scalar_search(engine, scheme, x, dopp, msum=None, rabi_1=None):
     # np.log and np.exp, as in the lockstep search: math.log can differ in
     # the last bit
     la, lb = np.log(a), np.log(b)
-    kept = None
+    # first estimate: two Newton steps from the secant point on the
+    # quadratic through the ends and the scan point beside the end of
+    # smaller |curvature| (the other neighbour at the end of the scan)
+    j = k - 1 if (abs(fa) < abs(fb) and k > 0) or k + 2 == len(scan) else k + 2
+    ln, fn = np.log(scan[j]), vals[j]
+    width = lb - la
+    secant = lb - fb * (lb - la) / (fb - fa)
+    d1 = (fb - fa) / width
+    d2 = ((fn - fb) / (ln - lb) - d1) / (ln - la)
+    est = secant
+    for _ in range(2):
+        est = est - newton_step(fa + (d1 + d2 * (est - lb)) * (est - la),
+                                d1 + d2 * (2 * est - la - lb), width)
+    if not la < est < lb:
+        est = secant
+    h = 0.4999 * math.log1p(1e-3)
+    stalls = 0
     while b / a > 1.0 + 1e-3:
-        new = lb - fb * (lb - la) / (fb - fa)
-        if not la < new < lb:
-            new = 0.5 * (la + lb)
-        om = float(np.exp(new))
-        f = curv(om)
-        if f > 0:
-            if kept == "a":
-                fa /= 2
-            b, lb, fb, kept = om, new, f, "a"
+        e = min(max(est, la + h), lb - h)
+        lm, lp = e - h, e + h
+        om_m, om_p = np.exp(lm), np.exp(lp)
+        fm, fp = curv(om_m), curv(om_p)
+        width = lb - la
+        if fm > 0:
+            b, lb, fb = om_m, lm, fm
         else:
-            if kept == "b":
-                fb /= 2
-            a, la, fa, kept = om, new, f, "b"
+            a, la, fa = om_m, lm, fm
+            if fp > 0:
+                b, lb, fb = om_p, lp, fp
+            else:
+                a, la, fa = om_p, lp, fp
+        stalls = 0 if lb - la <= 0.5 * width else stalls + 1
+        step = newton_step(h * (fp + fm), fp - fm, lb - la)
+        if stalls >= 3:
+            est = 0.5 * (la + lb)
+        elif math.isnan(step):
+            est = lb - fb * (lb - la) / (fb - fa)
+        else:
+            est = e - step
     return ThresholdResult(math.sqrt(a * b), True, non_monotonic), taken
 
 
@@ -394,25 +425,28 @@ class TestPhaseCalls:
         return calls
 
     def test_no_call_without_rows(self, case_a, monkeypatch):
-        # outside region II no cell has a seed bracket to scan again
+        # outside region II no cell has a seed bracket to scan again; a
+        # Newton pass evaluates a pair of rows per cell
         calls = self.record(monkeypatch)
         tmap = threshold_curve("analytic", case_a[0], [-1.5, 0.5, 1.5], DOP)
         assert tmap.converged.all()
         assert calls["rows"][0] == 3 * 20 and min(calls["rows"]) > 0
-        assert max(calls["rows"][1:]) <= 3
+        assert max(calls["rows"][1:]) <= 2 * 3
+        assert len(calls["rows"]) <= 3
 
     def test_one_kernel_call_per_phase(self, case_a, monkeypatch):
         # a 5 x 13 surface as one CLI block computes it, region II seeded:
-        # the pre-scan (5 x 13 cells x 20 couplings) and every Illinois step
-        # take one kernel call each; every seed bracket holds, so no cell
-        # scans again
+        # the pre-scan (5 x 13 cells x 20 couplings) and every Newton pass
+        # (a pair of couplings per cell) take one kernel call each; every
+        # seed bracket holds, so no cell scans again
         calls = self.record(monkeypatch)
         x_grid = np.array([-0.95, -0.85, -0.75, -0.65, -0.55])
         tmap = threshold_surface("analytic", case_a[0], x_grid,
                                  200.0 + 400.0 * np.arange(13))
         assert tmap.converged.all()
         assert calls["kernel"] == calls["rows"]
-        assert calls["rows"][0] == 65 * 20 and max(calls["rows"][1:]) <= 65
+        assert calls["rows"][0] == 65 * 20 and max(calls["rows"][1:]) <= 2 * 65
+        assert len(calls["rows"]) <= 3
 
     def test_failed_seed_scans_again(self, case_a, monkeypatch):
         # at the 300 MHz probe both seed brackets fail (test_full_strong_probe):
@@ -421,7 +455,95 @@ class TestPhaseCalls:
         threshold_curve("full", case_a[0], [-0.975, -0.5, 0.5], ca.DopplerParams(fwhm=200.0),
                         rabi_1=300.0)
         assert calls["rows"][:2] == [3 * 20, 2 * 20]
-        assert max(calls["rows"][2:]) <= 3
+        assert max(calls["rows"][2:]) <= 2 * 3
+        assert len(calls["rows"]) <= 5
+
+
+    # the default 40 x 13 case-a surface, and the same cells in the 5 x 13
+    # blocks of the benchmark's CLI calls
+    X_GRID = np.round(np.arange(-1.95, 2.0, 0.1), 2)
+    DNU_GRID = 200.0 + 400.0 * np.arange(13)
+
+    def test_surface_blocks_take_four_calls(self, case_a, monkeypatch):
+        calls = self.record(monkeypatch)
+        for block in range(8):
+            calls["rows"].clear()
+            tmap = threshold_surface("analytic", case_a[0], self.X_GRID[5 * block:5 * block + 5],
+                                     self.DNU_GRID)
+            assert tmap.converged.all()
+            assert len(calls["rows"]) <= 4
+
+    @pytest.mark.parametrize("engine, rows", [("analytic", 12627), ("full", 12592)])
+    def test_default_surface_calls_and_rows(self, case_a, monkeypatch, engine, rows):
+        # at most the pre-scan and three Newton passes, and no more rows than
+        # the Illinois steps took (7 calls and 12,627 rows analytic, 8 and
+        # 12,592 full)
+        calls = self.record(monkeypatch)
+        tmap = threshold_surface(engine, case_a[0], self.X_GRID, self.DNU_GRID)
+        assert tmap.converged.all()
+        assert len(calls["rows"]) <= 4 and sum(calls["rows"]) <= rows
+
+
+class TestNewtonPairs:
+    """The refinement on synthetic curvature profiles f(ln Omega_2 - ln r)
+    of one cell pre-scanned over 1 MHz to 50 GHz (x = 0.5)."""
+
+    SCAN = np.geomspace(1.0, 50000.0, 20)
+    # the root mid-interval, just above and just below a scan point, and in
+    # the first and last scan intervals
+    ROOTS = {"mid": math.sqrt(SCAN[7] * SCAN[8]), "above": SCAN[7] * (1 + 1e-4),
+             "below": SCAN[8] * (1 - 1e-4), "bottom": SCAN[0] * 1.01,
+             "top": SCAN[18] * 1.01}
+    # (profile, bound on lockstep calls): a steep tanh has zero central
+    # differences away from its root; d^3 zero slope at its root, where
+    # Newton converges linearly and the stall rule takes midpoints; sign(d)
+    # zero central differences everywhere but at its root, so the secant
+    # point of its +-1 ends bisects the bracket
+    PROFILES = {"tanh": (lambda d: np.tanh(100.0 * d), 7),
+                "cube": (lambda d: d ** 3, 16),
+                "sign": (np.sign, 10),
+                "expm1": (np.expm1, 3)}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("root", list(ROOTS))
+    @pytest.mark.parametrize("profile", list(PROFILES))
+    def test_converges_to_root(self, case_a, monkeypatch, profile, root):
+        f, bound = self.PROFILES[profile]
+        r = self.ROOTS[root]
+        calls = []
+
+        def synthetic(engine, scheme, drive, alpha, beta, rabi_2, msum):
+            calls.append(len(rabi_2))
+            return f(np.log(rabi_2) - np.log(r))
+
+        monkeypatch.setattr(threshold, "_curvature_rows", synthetic)
+        res = threshold_rabi("analytic", case_a[0], 0.5, DOP)
+        assert res.converged and not res.non_monotonic
+        assert abs(res.omega_t / r - 1) <= 5e-4
+        assert len(calls) <= bound
+        # the oracle's curvature_at_zero goes through the same profile
+        assert scalar_search("analytic", case_a[0], 0.5, DOP)[0] == res
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_failure_in_a_pass_fails_its_cell_only(self, case_a, monkeypatch):
+        # the 200 MHz cell fails within 1% of its root, where no scan point
+        # lies: a Newton pass, not the pre-scan, meets the failure
+        r = self.ROOTS["mid"]
+        cut = threshold._cell_slopes(case_a[0], np.array([0.5]), np.array([200.0, 1100.0]),
+                                     1.0)[0].mean()
+
+        def synthetic(engine, scheme, drive, alpha, beta, rabi_2, msum):
+            d = np.log(rabi_2) - np.log(r)
+            if np.any((alpha < cut) & (np.abs(d) < 0.01)):
+                raise NumericalError("solver failed")
+            return np.expm1(d)
+
+        monkeypatch.setattr(threshold, "_curvature_rows", synthetic)
+        tmap = threshold_surface("analytic", case_a[0], np.array([0.5]),
+                                 np.array([200.0, 1100.0]))
+        assert tmap.converged.tolist() == [[False, True]]
+        assert np.isnan(tmap.omega_t[0, 0])
+        assert tmap.omega_t[0, 1] == threshold_rabi("analytic", case_a[0], 0.5, DOP).omega_t
 
 
 class TestCurvatureRows:
