@@ -35,7 +35,8 @@ they need a row.  Each grid point takes one of three routes:
 
 * every point of the ``perturbative`` engine, and every point a pole
   builder refuses (a D linear in u at x = -1, coincident roots of D, roots
-  beyond the Faddeeva function's domain, an ill-conditioned eigenbasis)
+  beyond the Faddeeva function's domain, pole terms that cancel to
+  rounding, an ill-conditioned eigenbasis)
   takes the numeric sum of :func:`average`: the nominal Gauss-Hermite rule,
   or, where velocity-space poles lie too close to the real axis for its
   nodes (the natural widths gamma/(k v_p) fall below the node spacing), a
@@ -87,13 +88,14 @@ _PANEL_DEGREE = 12
 _DEGENERATE_SEP = 1e-9     # relative pole separation refused by partial fractions
 _ZERO_EIGENVALUE = 1e-8    # |lam| counted as zero; keeps |p| = 1/|lam| within w's domain
 _COND_LIMIT = 1e8          # eigenbasis 1-norm condition number refused by the pole expansion
-# largest estimated relative error of an exact resonant curvature: w' and w''
-# from their recurrences lose about |zeta|^4 eps relative, and the two roots'
-# terms t0, t1 magnify that by (|t0| + |t1|) / |t0 + t1|
-_RESONANT_MAX_ERROR = 1e-3
+# largest estimated relative rounding error of an exact pole sum: its terms
+# t_k magnify a relative loss of each by sum |t_k| / |sum t_k|, and in the
+# resonant curvature w' and w'' from their recurrences lose about
+# |zeta|^4 eps relative
+_MAX_ROUNDING_ERROR = 1e-3
 _EPS = np.finfo(float).eps
 # largest |zeta| the resonant curvature takes to the Faddeeva function (~1.46e3)
-_RESONANT_MAX_ZETA = (_RESONANT_MAX_ERROR / _EPS) ** 0.25
+_RESONANT_MAX_ZETA = (_MAX_ROUNDING_ERROR / _EPS) ** 0.25
 # grid points per exact-kernel call (_exact_blocks): bounds the temporaries
 # at any grid size (a full-engine point peaks at ~2 kB of real 6x6 and 6x7
 # and complex 6x6 stacks, about 0.5 MB at 256 points; a resonant-curvature
@@ -306,8 +308,11 @@ def _weak_probe_poles(scheme, drive, grid, alpha, beta, rabi_2):
     over the four poles is 2 Re of the sum over the two roots.  I2's
     quadratic numerator gamma_13^2 + (d1 + d2)^2 has real coefficients and
     is continued off the real axis to the roots, so its conjugate-pole terms
-    are conjugates too.  Returns the mask of accepted points and their
-    (I2, I3)."""
+    are conjugates too.  Refuses points where the four poles' terms t_k of
+    I2 or of I3 cancel, eps sum |t_k| > ``_MAX_ROUNDING_ERROR`` |sum t_k|
+    (narrow widths at strong coupling, where I2 at Delta_1 = 0 can be
+    ~1e-16 of its terms).
+    Returns the mask of accepted points and their (I2, I3)."""
     rp = rates(scheme)
     ok = alpha * (alpha + beta) != 0
     grid, alpha, beta, rabi_2 = grid[ok], alpha[ok], beta[ok], rabi_2[ok]
@@ -323,12 +328,18 @@ def _weak_probe_poles(scheme, drive, grid, alpha, beta, rabi_2):
     z, q = z[kept], [d[kept] for d in q]
     residue = 1.0 / (np.square(np.abs(den.a[kept, None])) * (q[0] * q[1] * q[2]))
     terms = residue * _pole_integral(z)
-    prefactor = rp.Gamma_2 * K_RHO22 * (drive.rabi_1 / 2) ** 2
     d2ph = grid[kept, None] + drive.detuning_2 + (alpha[kept] + beta[kept])[:, None] * z
-    numerator = rp.gamma_13 ** 2 + d2ph * d2ph
-    i2 = prefactor * 2 * (numerator * terms).sum(axis=-1).real / _SQRTPI
-    prefactor = rp.Gamma_3 * K_RHO33 * np.square(drive.rabi_1 * rabi_2[kept] / 4)
-    return ok, (i2, prefactor * 2 * terms.sum(axis=-1).real / _SQRTPI)
+    # the roots' terms of I2 and of I3: (observable, point, root)
+    terms = np.stack(((rp.gamma_13 ** 2 + d2ph * d2ph) * terms, terms))
+    sums = terms.sum(axis=-1).real
+    # the rounding guard compares products, so a zero sum cannot make it warn
+    exact = ~np.any(_EPS * np.abs(terms).sum(axis=-1) > _MAX_ROUNDING_ERROR * np.abs(sums),
+                    axis=0)
+    ok[ok] = exact
+    prefactor = rp.Gamma_2 * K_RHO22 * (drive.rabi_1 / 2) ** 2
+    i2 = prefactor * 2 * sums[0, exact] / _SQRTPI
+    prefactor = rp.Gamma_3 * K_RHO33 * np.square(drive.rabi_1 * rabi_2[kept][exact] / 4)
+    return ok, (i2, prefactor * 2 * sums[1, exact] / _SQRTPI)
 
 
 def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
@@ -350,7 +361,7 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     |zeta| = ``_RESONANT_MAX_ZETA`` (narrow Doppler widths), where w'' from
     its recurrence has lost all but 1e-3, and points whose rounding
     estimate eps (1 + max |zeta|^4) (|t0| + |t1|) exceeds
-    ``_RESONANT_MAX_ERROR`` |t0 + t1|, with t0, t1 the imaginary parts of
+    ``_MAX_ROUNDING_ERROR`` |t0 + t1|, with t0, t1 the imaginary parts of
     the two roots' terms: there the terms cancel and magnify the loss of
     w' and w'' (x near -1 at strong coupling, region II at narrow widths).
     Refuses points where D is linear too (a = 0, at x = -1)."""
@@ -408,7 +419,7 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     # the rounding guard, with max |zeta| = r_max / |a| (a != 0), compares
     # products, so a zero sum of the terms cannot make it warn
     loss = _EPS * (1 + np.square(np.square(r_max / np.abs(a))))
-    kept = ~(loss * (np.abs(t0) + np.abs(t1)) > _RESONANT_MAX_ERROR * np.abs(total))
+    kept = ~(loss * (np.abs(t0) + np.abs(t1)) > _MAX_ROUNDING_ERROR * np.abs(total))
     ok[ok] = kept
     return ok, ((-2 * _SQRTPI) * prefactor * total)[kept]
 

@@ -5,17 +5,13 @@ intensity develops a local minimum at zero probe detuning, i.e. when its
 curvature there changes sign.  The threshold is the smallest coupling Rabi
 frequency with positive curvature.  One lockstep search finds it for every
 cell of a curve or surface at once.  The cells are the product of a 1-D
-grid of wavenumber ratios x and a 1-D grid of Doppler widths; the geometry
-realizing x is built once per x, and a cell enters the search only through
-its two Doppler slopes and, in region II, the seed of its x.  The search
-runs in two phases:
+grid of wavenumber ratios x and a 1-D grid of Doppler widths; a cell enters
+the search only through its two Doppler slopes.  The search runs in two
+phases:
 
-1. pre-scan: 20 log-spaced Omega_2 over each cell's bracket find the first
-   negative-to-positive crossing and flag multiple sign changes.  In the
-   counter-propagating region -1 < x < 0 the bracket is [seed/30, seed*30]
-   around the analytic estimate ``Gam / sqrt(-x (1+x))``, elsewhere 1 MHz to
-   50 GHz; a seeded cell whose scan is not negative at its bottom and
-   positive at its top scans 1 MHz to 50 GHz again, in one more call;
+1. pre-scan: the same 20 log-spaced Omega_2 from 1 MHz to 50 GHz, for
+   every cell, find the first negative-to-positive crossing and flag
+   multiple sign changes;
 2. Newton pairs: every cell with a crossing [a, b] evaluates two rows,
    at log Omega_2 = e +- h around its estimate e, with
    h = 0.4999 ln(1 + 1e-3).  A pair that straddles the crossing becomes
@@ -29,8 +25,8 @@ runs in two phases:
    and the scan point beside the end of smaller |curvature|.  The passes
    stop at b/a <= 1 + 1e-3; the threshold is sqrt(ab).
 
-Each pre-scan pass and each Newton pass evaluates the curvature of all
-its (cell, Omega_2) rows in one row-batched call of
+The pre-scan and each Newton pass evaluate the curvature of all their
+(cell, Omega_2) rows in one row-batched call of
 :func:`cascade_at.doppler._curvature_rows`, which owns the curvature, its M
 axis and its stencil fallback, so the cells share their numpy calls; a
 cell's arithmetic is the same as that of a search run on it alone.  A pass
@@ -52,8 +48,7 @@ import numpy as np
 from .doppler import ENGINES, _curvature_rows
 from .errors import ConfigError, NumericalError
 from .lineshape import doppler_slopes
-from .model import (C_M_PER_S, DopplerParams, DriveParams, LevelScheme,
-                    most_probable_speed, rates)
+from .model import C_CM_PER_S, C_M_PER_S, DopplerParams, DriveParams, LevelScheme, rates
 from .msublevel import MSublevelWeights
 
 SINGULAR_BAND = 0.02          # excluded neighbourhood of x = 0
@@ -113,26 +108,18 @@ def curvature_at_zero(engine: str, scheme: LevelScheme, drive: DriveParams,
                                  np.array([beta]), np.array([drive.rabi_2]), msum)[0])
 
 
-def region_two_estimate(scheme: LevelScheme, x: float) -> float | None:
-    """Closed-form threshold seed Gam/sqrt(-x(1+x)) for -1 < x < 0."""
-    if not -1.0 < x < 0.0:
-        return None
-    rp = rates(scheme)
-    gam = rp.gamma_12 * (1 + x) - rp.gamma_13 * x
-    return gam / math.sqrt(-x * (1 + x))
-
-
-def _cell_slopes(scheme: LevelScheme, x_grid: np.ndarray, dnu_grid: np.ndarray,
-                 rabi_1: float) -> tuple[np.ndarray, np.ndarray]:
+def _cell_slopes(scheme: LevelScheme, x_grid: np.ndarray,
+                 dnu_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Doppler slopes (alpha, beta) of the x-major cells of the product of
-    ``x_grid`` and ``dnu_grid``, with the bits of :func:`doppler_slopes` per
-    cell.  The probe transition is the same for every x, so v_p and alpha
-    depend on the width only; beta is sign(x) nu_32(x) times v_p(width),
-    over c.  The geometry is built once per x, v_p once per width."""
-    v_p = np.array([most_probable_speed(scheme, DopplerParams(fwhm=float(w)))
-                    for w in dnu_grid])
-    geometries = [_geometry_for_x(scheme, float(x), rabi_1) for x in x_grid]
-    sign_nu32 = np.array([drive.dir_2 * scheme_x.nu_32 for scheme_x, drive in geometries])
+    ``x_grid`` and ``dnu_grid``, with the bits of :func:`doppler_slopes` on
+    each cell's :func:`_geometry_for_x`.  The probe transition is the same
+    for every x, so v_p (in the order of operations of
+    :func:`most_probable_speed`) and alpha depend on the width only; beta
+    is sign(x) nu_32(x) v_p / c, with nu_32(x) the frequency of the
+    wavenumber k_21/|x| (as ``LevelScheme.nu_32`` computes it)."""
+    v_p = dnu_grid * C_M_PER_S / (2 * math.sqrt(math.log(2.0)) * scheme.nu_21)
+    nu_32 = C_CM_PER_S * (scheme.wavenumber_21 / np.abs(x_grid)) / 1e6
+    sign_nu32 = np.where(x_grid > 0, 1.0, -1.0) * nu_32
     # every geometry has dir_1 = 1
     alpha = np.tile(scheme.nu_21 * v_p / C_M_PER_S, len(x_grid))
     return alpha, (sign_nu32[:, None] * v_p / C_M_PER_S).ravel()
@@ -179,6 +166,8 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
         raise ConfigError("threshold x and Doppler width grids must be 1-D")
     if not (np.all(np.isfinite(x_grid)) and np.all(np.isfinite(dnu_grid))):
         raise ConfigError("threshold x and Doppler width grids must be finite")
+    if np.any(dnu_grid < 0):
+        raise ConfigError("Doppler widths must be >= 0")
     bad = np.abs(x_grid) < SINGULAR_BAND
     if np.any(bad):
         raise ConfigError(f"x grid enters the singular band |x| < {SINGULAR_BAND}: {x_grid[bad]}")
@@ -187,10 +176,7 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
     if not rabi_1 > 0:
         # I3 vanishes identically without a probe: every curvature is 0
         raise ConfigError(f"threshold search needs a probe rabi_1 > 0, got {rabi_1}")
-    alpha, beta = _cell_slopes(scheme, x_grid, dnu_grid, rabi_1)
-    # region-II seeds depend on x only (nan outside region II)
-    seed = np.repeat(np.array([region_two_estimate(scheme, float(x)) for x in x_grid],
-                              dtype=float), len(dnu_grid))
+    alpha, beta = _cell_slopes(scheme, x_grid, dnu_grid)
     drive = DriveParams(rabi_1=rabi_1, rabi_2=0.0)
 
     def curvatures(idx, rabi_2):
@@ -212,25 +198,11 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
                                           beta[i:i + 1], rabi_2[r:r + 1], msum)[0]
         return curv
 
-    n = len(seed)
-    # 1. pre-scan: region-II cells over [seed/30, seed*30], the rest (nan
-    # seed, which fmax and fmin ignore) over _BRACKET
-    lo, hi = np.fmax(_BRACKET[0], seed / 30), np.fmin(_BRACKET[1], seed * 30)
-
-    def prescan(cells):
-        scans = np.geomspace(lo[cells], hi[cells], _PRESCAN_POINTS, axis=1)
-        rows = curvatures(np.repeat(cells, _PRESCAN_POINTS), scans.ravel())
-        return scans, rows.reshape(scans.shape)
-
-    scans, curv = prescan(np.arange(n))
-    # a seed bracket holds where the curvature is negative at its bottom and
-    # positive at its top; a nan bottom, or a nan top above a negative
-    # bottom, fails the cell, and every other seeded cell scans _BRACKET
-    bottom, top = curv[:, 0], curv[:, -1]
-    rescan = np.flatnonzero(~np.isnan(seed) & ((bottom >= 0) | ((bottom < 0) & (top <= 0))))
-    if len(rescan):
-        lo[rescan], hi[rescan] = _BRACKET
-        scans[rescan], curv[rescan] = prescan(rescan)
+    n = len(alpha)
+    # 1. pre-scan: every cell over the same couplings
+    scans = np.geomspace(*_BRACKET, _PRESCAN_POINTS)
+    curv = curvatures(np.repeat(np.arange(n), _PRESCAN_POINTS),
+                      np.tile(scans, n)).reshape(n, _PRESCAN_POINTS)
     signs = curv > 0
     rising = ~signs[:, :-1] & signs[:, 1:]
     found = rising.any(axis=1) & ~np.isnan(curv).any(axis=1)
@@ -240,7 +212,7 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
     # the curvature crosses from negative to positive.
     non_monotonic = found & ((rising.sum(axis=1) > 1) | signs[:, 0])
     first = rising.argmax(axis=1)[found]
-    a, b = scans[found, first], scans[found, first + 1]
+    a, b = scans[first], scans[first + 1]
     fa, fb = curv[found, first], curv[found, first + 1]
 
     # 2. Newton pairs on log Omega_2, each cell on its own bracket; the
@@ -251,7 +223,7 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
     # other end at the end of the scan
     side = np.where(((np.abs(fa) < np.abs(fb)) & (first > 0))
                     | (first + 2 == _PRESCAN_POINTS), first - 1, first + 2)
-    est = _first_estimate(la, lb, fa, fb, np.log(scans[found, side]), curv[found, side])
+    est = _first_estimate(la, lb, fa, fb, np.log(scans[side]), curv[found, side])
     stalls = np.zeros(len(cells), dtype=int)
     omega = np.full(n, np.nan)
     while len(cells):

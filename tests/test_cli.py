@@ -174,8 +174,8 @@ class TestByteIdentity:
     # with numpy 2.4.6 and scipy 1.17.1.  Any change of arithmetic that moves
     # a printed digit of a threshold changes them.
     EXPECTED = {
-        "threshold": "b56f12a5d3282a2d71eafd5caf0b34cc9366394813e765d9401dd2180138dece",
-        "surface": "0bdc6b2d2abf67b1f6ad3aa0bcdb0767feed86260b351e3c857ea7ffb3297fb6",
+        "threshold": "5655bbc4d5d7adf5d5ad0d69d28849a08934654e447a7c56f5f67d747788a46d",
+        "surface": "833e46c43e1e373799de53eda948364003533d86e4825348ffc6b81c011d0b44",
     }
 
     @pytest.mark.parametrize("command", ["threshold", "surface"])
@@ -190,13 +190,13 @@ class TestByteIdentity:
     # the M sum on, measured with the same numpy and scipy
     THRESHOLDS = {
         "threshold --preset case-b":
-            "c3d0e181d4be2dfe08b435e9e1fee7cfc317fea3913ca4c6d869a52d1d553e54",
+            "b3644fbeb28c906bd6fb3b3307ee4a64cc96ea680992269a795f99e81f036336",
         "surface --preset case-b":
-            "208477a6047db1bee109ab2267a5e72f91521d42305672ac98d79657cd8b5c38",
+            "b37a04fa73a8b1ab6b9fe341516bb57b592488f43cc8ffd0d0ce5cbe0aaba564",
         "threshold --preset case-a --msum on":
-            "73165b81152608b35bc6c2f078d42ef92c2124f2b875b46530dddba436852fbc",
+            "f4dbed8564cafcbdf5cbd826647d8be87b13e38f5b558392204cacab59fe2a1a",
         "surface --preset case-a --msum on":
-            "2723fd0d216ec4231b07d653a3b7fb729540d06eda109ce2e78c7f99fb5a6a9e",
+            "ed2bf6d78c4f335fd24dc3f4504724c454e358a445dc79d4c10d8a88e6569429",
     }
 
     @pytest.mark.parametrize("command", list(THRESHOLDS))
@@ -226,8 +226,8 @@ class TestByteIdentity:
     # The single-M full CSVs are not pinned: their last digits are rounding
     # noise of the stencil curvature.
     FULL = {
-        "threshold": "cc551877409c00346aee25793b975e5f3bf338b69d41d7154cdefedf917031dd",
-        "surface": "d0db8ed50fb9487c5687d986afbf66d31847b71728731e7954246ee16cdef816",
+        "threshold": "9bcbac80273bc64ff724a17bfa53aee90286adf7f60f055e87a4e61825cfea50",
+        "surface": "3b94ccfc8eade250f1ca7d7e1433f2c0a814ad21b22fa9cee1e33eda5ef4c95c",
     }
 
     @pytest.mark.parametrize("command", list(FULL))
@@ -255,9 +255,9 @@ class TestByteIdentity:
     # still sees any change of the full-engine averages
     FULL_THRESHOLD = [
         765.900676, 747.591396, 725.769801, 698.578624, 665.703629, 623.666632,
-        568.081321, 491.558199, 379.662165, 197.045467, 13.9193133, 10.8472679,
-        9.97782426, 9.69355626, 9.71556207, 9.97237233, 10.4782414, 11.3415231,
-        12.9217085, 17.2002227, 2553.82011, 2054.52528, 1839.5225, 1701.37595,
+        568.081321, 491.558199, 379.662165, 197.045467, 13.9185186, 10.848836,
+        9.97787102, 9.69335943, 9.7153413, 9.97240926, 10.4795843, 11.3434171,
+        12.9228874, 17.2005934, 2553.82011, 2054.52528, 1839.5225, 1701.37595,
         1601.27996, 1525.37183, 1465.50665, 1417.10449, 1377.23379, 1343.89624,
         1315.66644, 1291.49541, 1270.59462, 1252.36123, 1236.32803, 1222.12841,
         1209.6859, 1198.2854, 1188.00951, 1178.70358,

@@ -1,6 +1,9 @@
 """The cookbook and the README are executable documentation: run every
-fenced sh command of the cookbook and the README's python block."""
+fenced sh command of the cookbook and the README's python block.  Every
+name of the package that the model note cites exists."""
 import hashlib
+import importlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -13,6 +16,7 @@ from conftest import subprocess_env
 
 ROOT = Path(__file__).resolve().parent.parent
 COOKBOOK = ROOT / "docs" / "cookbook.md"
+MODEL = ROOT / "docs" / "model.md"
 README = ROOT / "README.md"
 
 # SHA-256 of the four cookbook spectra, measured with numpy 2.4.6 and scipy
@@ -111,3 +115,18 @@ def test_readme_quick_start():
     exec(code, names)
     assert names["spec"].shape == (2, 601)
     assert 12 <= names["res"].omega_t <= 14
+
+
+def test_model_note_names_resolve():
+    # every `module.name` (or `cascade_at.name`) that the model note cites
+    # under cascade_at resolves, so a deleted or renamed name cannot stay in
+    # the note; other packages' names (`scipy.special.wofz`) are not checked
+    import cascade_at
+    modules = {m.name for m in pkgutil.iter_modules(cascade_at.__path__)}
+    cited = re.findall(r"`(?:cascade_at\.)?(\w+)\.(\w+)", MODEL.read_text())
+    names = sorted({(mod, name) for mod, name in cited if mod in modules | {"cascade_at"}})
+    assert ("threshold", "_search") in names and ("cascade_at", "intensities") in names
+    missing = [f"{mod}.{name}" for mod, name in names
+               if not hasattr(cascade_at if mod == "cascade_at"
+                              else importlib.import_module(f"cascade_at.{mod}"), name)]
+    assert missing == []

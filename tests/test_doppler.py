@@ -628,6 +628,25 @@ class TestRootPairs:
         ok = self.compare(scheme, drv, *doppler_slopes(scheme, drv, dopp), grid)
         assert list(ok) == [True, True, False, True, True]
 
+    @pytest.mark.parametrize("fwhm", [1.0, 2.0])
+    def test_cancelling_terms_take_the_numeric_sum(self, case_a, gh200, fwhm):
+        # at Delta_1 = 0 the I2 terms of the two roots cancel to rounding
+        # (the pole sum gave -2.06e-16 where the numeric sum gives 9.7e-17,
+        # a "significantly negative intensity"): the kernel refuses the
+        # point, which takes the numeric sum on the same GH200 rule
+        from cascade_at.threshold import _geometry_for_x
+        scheme = case_a[0]
+        scheme_x, drive_x = _geometry_for_x(scheme, -0.611, ca.rates(scheme).Gamma_2 / 20)
+        drive = replace(drive_x, rabi_2=5e4)
+        dopp = ca.DopplerParams(fwhm=fwhm)
+        grid = np.array([0.0])
+        alpha, beta = doppler_slopes(scheme_x, drive, dopp)
+        ok, _ = doppler._weak_probe_poles(scheme_x, drive, grid, np.array([alpha]),
+                                          np.array([beta]), np.array([drive.rabi_2]))
+        assert not ok.any()
+        assert np.array_equal(ca.intensities("analytic", scheme_x, drive, dopp, grid),
+                              ca.average("perturbative", scheme_x, drive, dopp, gh200, grid))
+
 
 def pole_difference_curvature(scheme, drive, alpha, beta, rabi_2):
     """The analytic I3's curvature at Delta_1 = 0 by the general pole

@@ -12,8 +12,7 @@ from cascade_at.errors import ConfigError, NumericalError
 from cascade_at.lineshape import doppler_slopes
 from cascade_at.msublevel import m_summed, weights
 from cascade_at.threshold import (ThresholdResult, _geometry_for_x, curvature_at_zero,
-                                  region_two_estimate, threshold_curve,
-                                  threshold_rabi, threshold_surface)
+                                  threshold_curve, threshold_rabi, threshold_surface)
 from conftest import coincident_roots_drive
 
 DOP = ca.DopplerParams(fwhm=1100.0)
@@ -36,10 +35,8 @@ def newton_step(value, slope, limit):
 
 def scalar_search(engine, scheme, x, dopp, msum=None, rabi_1=None):
     """Slow oracle for the lockstep search: one cell, one curvature_at_zero
-    call per evaluation, seed check, pre-scan and Newton pairs on
-    log Omega_2 in plain Python, each operation in the lockstep's order.
-    Also returns whether the region-II seed bracket was taken (None outside
-    region II)."""
+    call per evaluation, pre-scan and Newton pairs on log Omega_2 in plain
+    Python, each operation in the lockstep's order."""
     if rabi_1 is None:
         rabi_1 = ca.rates(scheme).Gamma_2 / 20.0
     scheme_x, drive0 = _geometry_for_x(scheme, x, rabi_1)
@@ -48,20 +45,12 @@ def scalar_search(engine, scheme, x, dopp, msum=None, rabi_1=None):
         return curvature_at_zero(engine, scheme_x, replace(drive0, rabi_2=float(om2)),
                                  dopp, msum=msum)
 
-    lo, hi = 1.0, 50000.0
-    seed = region_two_estimate(scheme_x, x)
-    taken = None
-    if seed is not None:
-        lo_s, hi_s = max(lo, seed / 30), min(hi, seed * 30)
-        taken = curv(lo_s) < 0 < curv(hi_s)
-        if taken:
-            lo, hi = lo_s, hi_s
-    scan = np.geomspace(lo, hi, 20)
+    scan = np.geomspace(1.0, 50000.0, 20)
     vals = [curv(om) for om in scan]
     signs = np.array(vals) > 0
     crossings = np.nonzero(~signs[:-1] & signs[1:])[0]
     if len(crossings) == 0:
-        return ThresholdResult(omega_t=float("nan"), converged=False), taken
+        return ThresholdResult(omega_t=float("nan"), converged=False)
     non_monotonic = len(crossings) > 1 or bool(signs[0])
     k = crossings[0]
     a, b, fa, fb = float(scan[k]), float(scan[k + 1]), vals[k], vals[k + 1]
@@ -107,25 +96,25 @@ def scalar_search(engine, scheme, x, dopp, msum=None, rabi_1=None):
             est = lb - fb * (lb - la) / (fb - fa)
         else:
             est = e - step
-    return ThresholdResult(math.sqrt(a * b), True, non_monotonic), taken
+    return ThresholdResult(math.sqrt(a * b), True, non_monotonic)
 
 
 def assert_surface_matches_oracle(engine, scheme, x_grid, dnu_grid, msum=None,
                                   rabi_1=None):
     """Every cell of one lockstep surface equals the scalar oracle exactly;
-    returns the oracle's (result, seed taken) per cell."""
+    returns the oracle's result per cell."""
     tmap = threshold_surface(engine, scheme, np.array(x_grid), np.array(dnu_grid),
                              msum=msum, rabi_1=rabi_1)
     seen = []
     for i, x in enumerate(x_grid):
         for j, dnu in enumerate(dnu_grid):
-            ref, taken = scalar_search(engine, scheme, x, ca.DopplerParams(fwhm=dnu),
-                                       msum=msum, rabi_1=rabi_1)
+            ref = scalar_search(engine, scheme, x, ca.DopplerParams(fwhm=dnu),
+                                msum=msum, rabi_1=rabi_1)
             got = tmap.omega_t[i, j]
             assert got == ref.omega_t or (math.isnan(got) and math.isnan(ref.omega_t))
             assert tmap.converged[i, j] == ref.converged
             assert tmap.non_monotonic[i, j] == ref.non_monotonic
-            seen.append((ref, taken))
+            seen.append(ref)
     return seen
 
 
@@ -170,13 +159,17 @@ class TestCurvature:
 
 class TestThresholdRabi:
     def test_case_a_near_seed(self, case_a):
+        # region II: the threshold lies near Gam / sqrt(-x (1+x)), the zero
+        # curvature of the width-free pole separation (docs/model.md)
         scheme, _, _ = case_a
         x = -0.9219
         res = threshold_rabi("analytic", scheme, x, DOP)
         assert res.converged
-        seed = region_two_estimate(_geometry_for_x(scheme, x, 1.0)[0], x)
-        assert seed == pytest.approx(18.6, abs=0.5)
-        assert seed / 3 < res.omega_t < seed * 3
+        rp = ca.rates(scheme)
+        gam = rp.gamma_12 * (1 + x) - rp.gamma_13 * x
+        estimate = gam / math.sqrt(-x * (1 + x))
+        assert estimate == pytest.approx(18.6, abs=0.5)
+        assert estimate / 3 < res.omega_t < estimate * 3
 
     def test_case_b_order_of_ghz(self, case_b):
         scheme, drive, _ = case_b
@@ -322,37 +315,19 @@ class TestThresholdSurface:
             with pytest.raises(ConfigError):
                 threshold_curve("analytic", scheme, x_grid, DOP)
 
-    def test_geometry_built_once_per_x(self, case_a, monkeypatch):
-        calls = []
-        geometry = threshold._geometry_for_x
-
-        def counting(scheme, x, rabi_1):
-            calls.append(x)
-            return geometry(scheme, x, rabi_1)
-
-        monkeypatch.setattr(threshold, "_geometry_for_x", counting)
-        tmap = threshold_surface("analytic", case_a[0], np.array([-1.9, -0.5, 0.5]),
-                                 np.array([200.0, 1100.0, 3000.0, 5000.0]))
-        assert tmap.omega_t.shape == (3, 4)
-        assert calls == [-1.9, -0.5, 0.5]
-
-    def test_cell_slopes_equal_doppler_slopes(self, case_a, monkeypatch):
-        # v_p once per width, the geometry once per x, and each cell's
-        # (alpha, beta) with the bits of doppler_slopes on its geometry
-        scheme = case_a[0]
-        x_grid = np.array([-1.95, -1.116, -0.5, 0.3, 1.95])
-        dnu_grid = 200.0 + 400.0 * np.arange(13)
-        calls = []
-        speed = threshold.most_probable_speed
-        monkeypatch.setattr(threshold, "most_probable_speed",
-                            lambda sch, dopp: calls.append(dopp.fwhm) or speed(sch, dopp))
-        alpha, beta = threshold._cell_slopes(scheme, x_grid, dnu_grid, 0.65)
-        assert calls == dnu_grid.tolist()
-        ref = [doppler_slopes(*threshold._geometry_for_x(scheme, float(x), 0.65),
-                              ca.DopplerParams(fwhm=float(w)))
-               for x in x_grid for w in dnu_grid]
-        assert alpha.tolist() == [a for a, _ in ref]
-        assert beta.tolist() == [b for _, b in ref]
+    def test_cell_slopes_equal_doppler_slopes(self):
+        # array arithmetic with the bits of doppler_slopes on each cell's
+        # geometry, x = -1 and a zero width included
+        x_grid = np.array([-1.95, -1.116, -1.0, -0.5, 0.3, 1.95])
+        dnu_grid = np.concatenate(([0.0, 1.0], 200.0 + 400.0 * np.arange(13)))
+        for case in ("case_a", "case_b"):
+            scheme = ca.preset(case)[0]
+            alpha, beta = threshold._cell_slopes(scheme, x_grid, dnu_grid)
+            ref = [doppler_slopes(*_geometry_for_x(scheme, float(x), 0.65),
+                                  ca.DopplerParams(fwhm=float(w)))
+                   for x in x_grid for w in dnu_grid]
+            assert alpha.tolist() == [a for a, _ in ref]
+            assert beta.tolist() == [b for _, b in ref]
 
 
 class TestLockstepSearch:
@@ -362,25 +337,29 @@ class TestLockstepSearch:
         wts = weights(scheme.j2, scheme.j3) if msum else None
         seen = assert_surface_matches_oracle("analytic", scheme, [-1.9, -0.5, 0.05],
                                              [200.0, 20000.0], msum=wts)
-        assert any(taken for _, taken in seen)             # seeded region II
-        assert any(not r.converged for r, _ in seen)       # no crossing
-        assert sum(r.converged for r, _ in seen) >= 4
+        assert any(not r.converged for r in seen)          # no crossing
+        assert sum(r.converged for r in seen) >= 4
+
+    def test_analytic_narrow_widths(self, case_a):
+        # at Doppler widths of 1 and 2 MHz the pre-scan's top, 50 GHz, is a
+        # point where the pole sum of I2 cancels to rounding: the stencil's
+        # average takes the numeric sum there, and both cells converge
+        seen = assert_surface_matches_oracle("analytic", case_a[0], [-0.611], [1.0, 2.0])
+        assert all(r.converged for r in seen)
 
     def test_full_strong_probe(self, case_a):
-        # a 300 MHz probe dresses the line and both seed brackets fail: at
-        # x = -0.975 the curvature is already positive at the bottom (and
-        # changes sign more than once), at x = -0.5 still negative at the top
+        # a 300 MHz probe dresses the line: at x = -0.975 the curvature is
+        # already positive at 1 MHz and changes sign more than once
         seen = assert_surface_matches_oracle("full", case_a[0], [-0.975, -0.5], [200.0],
                                              rabi_1=300.0)
-        assert [taken for _, taken in seen] == [False, False]
-        assert seen[0][0].non_monotonic and seen[0][0].converged
+        assert seen[0].non_monotonic and seen[0].converged
 
     def test_full_both_pole_forms(self, case_a):
         # x = -1.001 and -1 take the Schur form of the velocity poles, -0.5
         # the slope form, in one lockstep call
         seen = assert_surface_matches_oracle("full", case_a[0], [-1.001, -1.0, -0.5],
                                              [200.0])
-        assert all(r.converged for r, _ in seen)
+        assert all(r.converged for r in seen)
 
     def test_full_cell_bits_do_not_depend_on_its_batch(self, case_a):
         # x = 1500 (|beta|/|alpha| = 6.7e-4) takes the Schur form, 0.5 the
@@ -394,12 +373,12 @@ class TestLockstepSearch:
         seen = assert_surface_matches_oracle(
             "full", scheme, [-1.1162, -0.5, 0.5], [1100.0],
             msum=weights(scheme.j2, scheme.j3), rabi_1=drive.rabi_1)
-        assert all(r.converged for r, _ in seen)
+        assert all(r.converged for r in seen)
 
     def test_perturbative(self, case_a):
         seen = assert_surface_matches_oracle("perturbative", case_a[0], [-0.5, 0.5],
                                              [1100.0])
-        assert all(r.converged for r, _ in seen)
+        assert all(r.converged for r in seen)
 
 
 class TestPhaseCalls:
@@ -425,8 +404,7 @@ class TestPhaseCalls:
         return calls
 
     def test_no_call_without_rows(self, case_a, monkeypatch):
-        # outside region II no cell has a seed bracket to scan again; a
-        # Newton pass evaluates a pair of rows per cell
+        # one pre-scan call; a Newton pass evaluates a pair of rows per cell
         calls = self.record(monkeypatch)
         tmap = threshold_curve("analytic", case_a[0], [-1.5, 0.5, 1.5], DOP)
         assert tmap.converged.all()
@@ -435,10 +413,9 @@ class TestPhaseCalls:
         assert len(calls["rows"]) <= 3
 
     def test_one_kernel_call_per_phase(self, case_a, monkeypatch):
-        # a 5 x 13 surface as one CLI block computes it, region II seeded:
-        # the pre-scan (5 x 13 cells x 20 couplings) and every Newton pass
-        # (a pair of couplings per cell) take one kernel call each; every
-        # seed bracket holds, so no cell scans again
+        # a 5 x 13 region-II surface as one CLI block computes it: the
+        # pre-scan (5 x 13 cells x 20 couplings) and every Newton pass (a
+        # pair of couplings per cell) take one kernel call each
         calls = self.record(monkeypatch)
         x_grid = np.array([-0.95, -0.85, -0.75, -0.65, -0.55])
         tmap = threshold_surface("analytic", case_a[0], x_grid,
@@ -446,17 +423,15 @@ class TestPhaseCalls:
         assert tmap.converged.all()
         assert calls["kernel"] == calls["rows"]
         assert calls["rows"][0] == 65 * 20 and max(calls["rows"][1:]) <= 2 * 65
-        assert len(calls["rows"]) <= 3
+        assert len(calls["rows"]) <= 4
 
-    def test_failed_seed_scans_again(self, case_a, monkeypatch):
-        # at the 300 MHz probe both seed brackets fail (test_full_strong_probe):
-        # those two cells, and not x = 0.5, make one more 20-row pre-scan
+    def test_strong_probe_scans_once(self, case_a, monkeypatch):
+        # the 300 MHz probe of test_full_strong_probe: region II and x = 0.5
+        # share the one pre-scan call, and three Newton passes follow
         calls = self.record(monkeypatch)
         threshold_curve("full", case_a[0], [-0.975, -0.5, 0.5], ca.DopplerParams(fwhm=200.0),
                         rabi_1=300.0)
-        assert calls["rows"][:2] == [3 * 20, 2 * 20]
-        assert max(calls["rows"][2:]) <= 2 * 3
-        assert len(calls["rows"]) <= 5
+        assert calls["rows"] == [3 * 20, 2 * 3, 2 * 3, 2 * 3]
 
 
     # the default 40 x 13 case-a surface, and the same cells in the 5 x 13
@@ -522,15 +497,15 @@ class TestNewtonPairs:
         assert abs(res.omega_t / r - 1) <= 5e-4
         assert len(calls) <= bound
         # the oracle's curvature_at_zero goes through the same profile
-        assert scalar_search("analytic", case_a[0], 0.5, DOP)[0] == res
+        assert scalar_search("analytic", case_a[0], 0.5, DOP) == res
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failure_in_a_pass_fails_its_cell_only(self, case_a, monkeypatch):
         # the 200 MHz cell fails within 1% of its root, where no scan point
         # lies: a Newton pass, not the pre-scan, meets the failure
         r = self.ROOTS["mid"]
-        cut = threshold._cell_slopes(case_a[0], np.array([0.5]), np.array([200.0, 1100.0]),
-                                     1.0)[0].mean()
+        cut = threshold._cell_slopes(case_a[0], np.array([0.5]),
+                                     np.array([200.0, 1100.0]))[0].mean()
 
         def synthetic(engine, scheme, drive, alpha, beta, rabi_2, msum):
             d = np.log(rabi_2) - np.log(r)
