@@ -315,6 +315,23 @@ class TestThresholdSurface:
             with pytest.raises(ConfigError):
                 threshold_curve("analytic", scheme, x_grid, DOP)
 
+    def test_geometry_built_once_per_x(self, case_a, monkeypatch):
+        # at most once per x: the search takes every cell's slopes from
+        # _cell_slopes and builds no per-x geometry at all
+        calls = []
+        geometry = threshold._geometry_for_x
+
+        def counting(scheme, x, rabi_1):
+            calls.append(x)
+            return geometry(scheme, x, rabi_1)
+
+        monkeypatch.setattr(threshold, "_geometry_for_x", counting)
+        tmap = threshold_surface("analytic", case_a[0], np.array([-1.9, -0.5, 0.5]),
+                                 np.array([200.0, 1100.0, 3000.0, 5000.0]))
+        assert tmap.omega_t.shape == (3, 4)
+        assert tmap.converged.any()
+        assert calls == []
+
     def test_cell_slopes_equal_doppler_slopes(self):
         # array arithmetic with the bits of doppler_slopes on each cell's
         # geometry, x = -1 and a zero width included
