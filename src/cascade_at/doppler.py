@@ -146,15 +146,22 @@ class QuadratureRule:
 
 
 def _validated_intensity(vals: np.ndarray) -> np.ndarray:
-    """Clip ``vals`` at zero after checking each row (the last axis) for
-    non-finite values and for negative ones beyond 1e-9 of its peak."""
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError("non-finite intensity in Doppler average")
-    if vals.size:
-        peak = np.max(np.abs(vals), axis=-1, keepdims=True)
-        if np.any(vals < -1e-9 * np.maximum(peak, 1e-300)):
-            raise NumericalError("significantly negative intensity in Doppler average")
-    return np.maximum(vals, 0.0)
+    """``vals`` (I2 and I3 as a leading axis of two) clipped at zero, with
+    nan in both observables across every row (the last axis) where either
+    has a non-finite value or a negative one beyond 1e-9 of its row's peak.
+    Raises nothing; :func:`_spectrum` raises for a spectrum."""
+    peak = np.max(np.abs(vals), axis=-1, keepdims=True, initial=0.0)
+    bad = ~np.isfinite(vals) | (vals < -1e-9 * np.maximum(peak, 1e-300))
+    return np.where(bad.any(axis=-1, keepdims=True).any(axis=0), np.nan,
+                    np.maximum(vals, 0.0))
+
+
+def _spectrum(vals: np.ndarray) -> np.ndarray:
+    """``vals``, or NumericalError if any row failed (nan): a user asked for it."""
+    if np.isnan(vals).any():
+        raise NumericalError("non-finite or significantly negative intensity "
+                             "in Doppler average")
+    return vals
 
 
 def _probe_grid(delta1_grid) -> np.ndarray:
@@ -270,7 +277,7 @@ def average(engine: str, scheme: LevelScheme, drive: DriveParams, dopp: DopplerP
     first) before the grid's shape, as :func:`intensities` returns them.
     ``fwhm = 0`` short-circuits to the v_z = 0 evaluation.
     Summation order is fixed (ascending node index) so results are
-    bit-reproducible.
+    bit-reproducible.  Raises NumericalError if any row fails.
     """
     if engine not in ("full", "perturbative"):
         raise ConfigError(f"average integrates the full or perturbative model, "
@@ -284,7 +291,7 @@ def average(engine: str, scheme: LevelScheme, drive: DriveParams, dopp: DopplerP
     _numeric_stage(engine, scheme, drive, flat, np.full(flat.size, alpha),
                    np.full(flat.size, beta), np.full(flat.size, drive.rabi_2),
                    np.ones(flat.size, bool), rule, vals)
-    return _validated_intensity(vals.reshape((2,) + grid.shape))
+    return _spectrum(_validated_intensity(vals.reshape((2,) + grid.shape)))
 
 
 def _pole_integral(poles):
@@ -480,7 +487,8 @@ def _row_average(engine: str, scheme: LevelScheme, drive: DriveParams,
     a pole builder refuses, and every point of engine "perturbative", takes
     the numeric sum of :func:`average`, with its row's alpha, beta and
     Omega_2, on the Gauss-Hermite rule of order ``FALLBACK_QUAD_ORDER``.
-    Each row is validated on its own.
+    A failed row (:func:`_validated_intensity`) is nan, the others keep
+    their bits; a NumericalError of a whole pole block propagates.
     """
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -522,11 +530,12 @@ def intensities(engine: str, scheme: LevelScheme, drive: DriveParams, dopp: Dopp
     The one owner of a spectrum's M axis: the drive's coupling Rabi
     frequency times each folded weight (:func:`folded_weights`; the single
     weight 1.0 when ``msum`` is None) is one row of a single
-    :func:`_row_average` call, and :func:`folded_sum` sums those rows."""
+    :func:`_row_average` call, and :func:`folded_sum` sums those rows.
+    Raises NumericalError if any row fails."""
     grid = _probe_grid(delta1_grid)
     rabi_2 = drive.rabi_2 * folded_weights(msum).reshape((-1,) + (1,) * grid.ndim)
     alpha, beta = doppler_slopes(scheme, drive, dopp)
-    rows = _row_average(engine, scheme, drive, grid, alpha, beta, rabi_2)
+    rows = _spectrum(_row_average(engine, scheme, drive, grid, alpha, beta, rabi_2))
     return folded_sum(rows.swapaxes(0, 1), msum)
 
 
@@ -549,7 +558,8 @@ def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
     points per call; the points it refuses, zero-width points (alpha = 0)
     and every point of the other engines take the even half stencil, all in
     one :func:`_row_average` call.  :func:`folded_sum` then sums the M axis.
-    Raises NumericalError if any row fails or gives a non-finite curvature.
+    A non-finite curvature, exact or of a failed stencil row, is nan, and
+    so is its row's M sum.  Zero rows make no kernel call.
     """
     if drive.detuning_2 != 0.0:
         raise ConfigError("the threshold curvature is defined at resonant coupling")
@@ -565,14 +575,13 @@ def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
         _exact_blocks(_weak_probe_curvature, _RESONANT_BLOCK, stencil, curv, scheme, drive,
                       alpha, beta, om)
         stencil |= alpha == 0.0
-        if not np.all(np.isfinite(curv[~stencil])):
-            raise NumericalError("non-finite exact curvature")
     if stencil.any():
         # each row's step, from its own coupling, shared by its M weights
         h = np.repeat(np.maximum(0.5, rabi_2 / 200.0), len(weights))[stencil]
         i3 = _row_average(engine, scheme, drive, h[:, None] * _HALF_STENCIL,
                           alpha[stencil, None], beta[stencil, None], om[stencil, None])[1]
         curv[stencil] = _second_derivative(i3[:, _MIRROR], h)
+    curv[~np.isfinite(curv)] = np.nan
     curv = curv.reshape(len(rabi_2), len(weights))
     return folded_sum(curv.T, msum)
 

@@ -29,9 +29,12 @@ The pre-scan and each Newton pass evaluate the curvature of all their
 (cell, Omega_2) rows in one row-batched call of
 :func:`cascade_at.doppler._curvature_rows`, which owns the curvature, its M
 axis and its stencil fallback, so the cells share their numpy calls; a
-cell's arithmetic is the same as that of a search run on it alone.  A pass
-without rows makes no call.  ``threshold_rabi`` is the 1 x 1 case and
-``threshold_curve`` the one-width case.
+cell's arithmetic is the same as that of a search run on it alone.  An
+empty grid calls no kernel.  A failed row is a nan curvature, which leaves
+only its cell nan and unconverged; a NumericalError that no row can be
+blamed for (a LAPACK failure of a whole pole block, a singular pencil)
+propagates.  ``threshold_rabi`` is the 1 x 1 case and ``threshold_curve``
+the one-width case.
 
 The search runs at the probe ``rabi_1`` it is given (default the weak probe
 Gamma_2/20) and at resonant coupling; the CLI commands pass neither the
@@ -39,14 +42,13 @@ scenario's probe nor its coupling detuning.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .doppler import ENGINES, _curvature_rows
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .lineshape import doppler_slopes
 from .model import C_CM_PER_S, C_M_PER_S, DopplerParams, DriveParams, LevelScheme, rates
 from .msublevel import MSublevelWeights
@@ -157,8 +159,9 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
             msum: MSublevelWeights | None, rabi_1: float | None) -> ThresholdMap:
     """Threshold map over the product of the 1-D grids ``x_grid`` and
     ``dnu_grid`` (Doppler FWHM, MHz) by one lockstep search (module
-    docstring).  A numerical failure in any curvature a cell needs leaves
-    that cell nan and unconverged."""
+    docstring).  A nan in any curvature a cell needs, a row that failed,
+    leaves that cell nan and unconverged; a NumericalError of a whole batch
+    propagates."""
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
     x_grid, dnu_grid = np.asarray(x_grid, dtype=float), np.asarray(dnu_grid, dtype=float)
@@ -179,30 +182,12 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
     alpha, beta = _cell_slopes(scheme, x_grid, dnu_grid)
     drive = DriveParams(rabi_1=rabi_1, rabi_2=0.0)
 
-    def curvatures(idx, rabi_2):
-        """Curvatures of the rows (cell idx[r], rabi_2[r]), nan where a row
-        raises NumericalError; every other curvature is finite.  A failed
-        batch is retried row by row, each row being one call of a search run
-        on its cell alone: a batched failure cannot be localized otherwise.
-        A pass with no rows makes no call."""
-        if not len(idx):
-            return np.empty(0)
-        try:
-            return _curvature_rows(engine, scheme, drive, alpha[idx], beta[idx], rabi_2, msum)
-        except NumericalError:
-            pass
-        curv = np.full(len(idx), np.nan)
-        for r, i in enumerate(idx):
-            with contextlib.suppress(NumericalError):
-                curv[r] = _curvature_rows(engine, scheme, drive, alpha[i:i + 1],
-                                          beta[i:i + 1], rabi_2[r:r + 1], msum)[0]
-        return curv
-
     n = len(alpha)
     # 1. pre-scan: every cell over the same couplings
     scans = np.geomspace(*_BRACKET, _PRESCAN_POINTS)
-    curv = curvatures(np.repeat(np.arange(n), _PRESCAN_POINTS),
-                      np.tile(scans, n)).reshape(n, _PRESCAN_POINTS)
+    curv = _curvature_rows(engine, scheme, drive, np.repeat(alpha, _PRESCAN_POINTS),
+                           np.repeat(beta, _PRESCAN_POINTS), np.tile(scans, n),
+                           msum).reshape(n, _PRESCAN_POINTS)
     signs = curv > 0
     rising = ~signs[:, :-1] & signs[:, 1:]
     found = rising.any(axis=1) & ~np.isnan(curv).any(axis=1)
@@ -230,7 +215,9 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
         e = np.minimum(np.maximum(est, la + _PAIR), lb - _PAIR)
         lm, lp = e - _PAIR, e + _PAIR
         om = np.exp(np.concatenate((lm, lp)))
-        fm, fp = curvatures(np.concatenate((cells, cells)), om).reshape(2, -1)
+        pair = np.concatenate((cells, cells))
+        fm, fp = _curvature_rows(engine, scheme, drive, alpha[pair], beta[pair], om,
+                                 msum).reshape(2, -1)
         om_m, om_p = om.reshape(2, -1)
         # the new bracket is the first negative-to-positive crossing of
         # (a, lower, upper, b): [a, lower] where f(lower) > 0, else the pair
@@ -268,8 +255,8 @@ def threshold_rabi(engine: str, scheme: LevelScheme, x: float, dopp: DopplerPara
     """Smallest coupling Rabi frequency with resolved splitting at ratio x:
     the one-cell case of the lockstep search (module docstring).  The
     pre-scan reports multiple sign changes via ``non_monotonic``; the
-    Newton pairs stop at 1e-3 relative.  A numerical failure gives an
-    unconverged nan result.
+    Newton pairs stop at 1e-3 relative.  A failed curvature row gives an
+    unconverged nan result; a NumericalError of a whole batch propagates.
     """
     tmap = _search(engine, scheme, [x], [dopp.fwhm_mhz(scheme)], msum, rabi_1)
     return ThresholdResult(omega_t=float(tmap.omega_t[0, 0]),

@@ -120,10 +120,16 @@ def test_readme_quick_start():
 def test_model_note_names_resolve():
     # every `module.name` (or `cascade_at.name`) that the model note cites
     # under cascade_at resolves, so a deleted or renamed name cannot stay in
-    # the note; other packages' names (`scipy.special.wofz`) are not checked
+    # the note; other packages' names (`scipy.special.wofz`) are not checked.
+    # A private or ALL_CAPS name is cited with its module, so that it is
+    # checked too
     import cascade_at
     modules = {m.name for m in pkgutil.iter_modules(cascade_at.__path__)}
-    cited = re.findall(r"`(?:cascade_at\.)?(\w+)\.(\w+)", MODEL.read_text())
+    text = MODEL.read_text()
+    bare = [span for span in re.findall(r"`([^`]*)`", text)
+            if re.match(r"(_\w*|[A-Z][A-Z0-9_]*)\b(?!\.)", span)]
+    assert bare == []
+    cited = re.findall(r"`(?:cascade_at\.)?(\w+)\.(\w+)", text)
     names = sorted({(mod, name) for mod, name in cited if mod in modules | {"cascade_at"}})
     assert ("threshold", "_search") in names and ("cascade_at", "intensities") in names
     missing = [f"{mod}.{name}" for mod, name in names

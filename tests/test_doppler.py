@@ -364,25 +364,55 @@ class TestIntensities:
 
 
 class TestValidatedIntensity:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_raises(self, bad):
-        with pytest.raises(NumericalError, match="non-finite"):
-            doppler._validated_intensity(np.array([1.0, bad, 0.5]))
+    # (observable, row, point): two rows of two points, I2 first
+    CLEAN = np.array([[[1.0, -5e-10], [2.0, 0.5]], [[3.0, 0.25], [4.0, 1.0]]])
 
-    def test_negative_beyond_1e9_of_peak_raises(self):
-        with pytest.raises(NumericalError, match="negative"):
-            doppler._validated_intensity(np.array([1.0, -2e-9, 0.5]))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-8])
+    @pytest.mark.parametrize("observable", [0, 1])
+    def test_failed_row_is_nan_in_both_observables(self, bad, observable):
+        # a non-finite value, or a negative one beyond 1e-9 of its row's
+        # peak, in either observable fails the row; the other row keeps its
+        # clipped bits
+        vals = self.CLEAN.copy()
+        vals[observable, 1, 1] = bad
+        got = doppler._validated_intensity(vals)
+        assert np.isnan(got[:, 1]).all()
+        assert np.array_equal(got[:, 0], [[1.0, 0.0], [3.0, 0.25]])
 
     def test_rounding_negative_clipped(self):
-        got = doppler._validated_intensity(np.array([1.0, -5e-10, 0.5]))
-        assert np.array_equal(got, [1.0, 0.0, 0.5])
+        assert np.array_equal(doppler._validated_intensity(self.CLEAN),
+                              np.maximum(self.CLEAN, 0.0))
 
     def test_each_row_against_its_own_peak(self):
         # -5e-10 is rounding in a row of peak 1, but 5e-4 of a row of peak 1e-6
-        rows = np.array([[1.0, -5e-10], [1e-6, -5e-10]])
-        assert np.array_equal(doppler._validated_intensity(rows[:1]), [[1.0, 0.0]])
-        with pytest.raises(NumericalError, match="negative"):
-            doppler._validated_intensity(rows)
+        rows = np.array([[[1.0, -5e-10], [1e-6, -5e-10]]] * 2)
+        got = doppler._validated_intensity(rows)
+        assert np.array_equal(got[:, 0], [[1.0, 0.0]] * 2)
+        assert np.isnan(got[:, 1]).all()
+
+    @staticmethod
+    def check_spectra_raise(case_a, gh200, monkeypatch, bad):
+        """A spectrum is asked for by a user: ``bad`` as I2 at one point
+        makes both ``intensities`` and ``average`` raise."""
+        point = doppler._numeric_point
+
+        def failing(*args):
+            i2, i3 = point(*args)
+            return (bad, i3) if args[3] == 0.0 else (i2, i3)
+
+        monkeypatch.setattr(doppler, "_numeric_point", failing)
+        grid = np.array([-100.0, 0.0, 100.0])
+        with pytest.raises(NumericalError, match="non-finite or significantly negative"):
+            doppler.intensities("perturbative", *case_a, grid)
+        with pytest.raises(NumericalError, match="non-finite or significantly negative"):
+            doppler.average("perturbative", *case_a, gh200, grid)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, case_a, gh200, monkeypatch, bad):
+        self.check_spectra_raise(case_a, gh200, monkeypatch, bad)
+
+    def test_negative_beyond_1e9_of_peak_raises(self, case_a, gh200, monkeypatch):
+        self.check_spectra_raise(case_a, gh200, monkeypatch, -1.0)
 
 
 class TestClosedForm:

@@ -475,6 +475,37 @@ class TestPhaseCalls:
         assert tmap.converged.all()
         assert len(calls["rows"]) <= 4 and sum(calls["rows"]) <= rows
 
+    def test_failed_prescan_row_costs_no_call(self, case_a, monkeypatch):
+        # one failed pre-scan row (an inf from the exact kernel at x = 1.05,
+        # 3000 MHz) in a 5 x 13 surface block: the search takes the clean
+        # run's calls, only that cell is nan and unconverged, and every other
+        # cell keeps its bits
+        x_grid = self.X_GRID[30:35]
+        calls = self.record(monkeypatch)
+        clean = threshold_surface("analytic", case_a[0], x_grid, self.DNU_GRID)
+        clean_calls, clean_rows = len(calls["rows"]), sum(calls["rows"])
+        alpha, beta = threshold._cell_slopes(case_a[0], x_grid[:1], self.DNU_GRID[7:8])
+        scan = np.geomspace(1.0, 50000.0, 20)[5]
+        counting, hits = doppler._weak_probe_curvature, []
+
+        def failing(scheme, drive, a, b, rabi_2):
+            ok, vals = counting(scheme, drive, a, b, rabi_2)
+            hit = ((a == alpha[0]) & (b == beta[0]) & (rabi_2 == scan))[ok]
+            hits.append(hit.sum())
+            return ok, np.where(hit, np.inf, vals)
+
+        monkeypatch.setattr(doppler, "_weak_probe_curvature", failing)
+        calls["rows"].clear()
+        tmap = threshold_surface("analytic", case_a[0], x_grid, self.DNU_GRID)
+        assert sum(hits) == 1
+        assert len(calls["rows"]) == clean_calls and sum(calls["rows"]) < clean_rows
+        failed = np.zeros(clean.omega_t.shape, dtype=bool)
+        failed[0, 7] = True
+        assert np.isnan(tmap.omega_t[failed]).all() and not tmap.converged[failed].any()
+        assert clean.converged.all() and tmap.converged[~failed].all()
+        assert np.array_equal(tmap.omega_t[~failed], clean.omega_t[~failed])
+        assert np.array_equal(tmap.non_monotonic, clean.non_monotonic & ~failed)
+
 
 class TestNewtonPairs:
     """The refinement on synthetic curvature profiles f(ln Omega_2 - ln r)
@@ -526,9 +557,7 @@ class TestNewtonPairs:
 
         def synthetic(engine, scheme, drive, alpha, beta, rabi_2, msum):
             d = np.log(rabi_2) - np.log(r)
-            if np.any((alpha < cut) & (np.abs(d) < 0.01)):
-                raise NumericalError("solver failed")
-            return np.expm1(d)
+            return np.where((alpha < cut) & (np.abs(d) < 0.01), np.nan, np.expm1(d))
 
         monkeypatch.setattr(threshold, "_curvature_rows", synthetic)
         tmap = threshold_surface("analytic", case_a[0], np.array([0.5]),
@@ -586,6 +615,21 @@ class TestCurvatureRows:
         monkeypatch.setattr(doppler, "_RESONANT_BLOCK", 7)
         assert np.array_equal(_curvature_rows("analytic", scheme, *rows), ref)
         assert sum(calls) == 8 * 4 and max(calls) <= 7
+
+    @pytest.mark.parametrize("msum", [False, True])
+    @pytest.mark.parametrize("engine", doppler.ENGINES)
+    def test_zero_rows_call_no_kernel(self, case_a, engine, msum, monkeypatch):
+        # the pre-scan of an empty grid: an empty array, no kernel or
+        # stencil call
+        def unreachable(*args):
+            raise AssertionError("curvature route called without rows")
+
+        monkeypatch.setattr(doppler, "_row_average", unreachable)
+        monkeypatch.setattr(doppler, "_weak_probe_curvature", unreachable)
+        empty = np.empty(0)
+        got = _curvature_rows(engine, case_a[0], ca.DriveParams(rabi_1=1.0, rabi_2=0.0),
+                              empty, empty, empty, weights(3, 3) if msum else None)
+        assert got.shape == (0,)
 
     @pytest.mark.parametrize("engine", doppler.ENGINES)
     def test_off_resonance_refused(self, case_a, engine, monkeypatch):
@@ -834,7 +878,9 @@ class TestSweepErrors:
     GRID = np.array([-0.5, 0.5])
 
     def test_bug_propagates(self, case_a, monkeypatch):
-        for exc in (ZeroDivisionError, ConfigError):
+        # a failed row comes back as a nan curvature, so every exception of
+        # the curvature layer, a NumericalError too, propagates
+        for exc in (ZeroDivisionError, ConfigError, NumericalError):
             def broken(*args, **kwargs):
                 raise exc("bug in the curvature")
 
@@ -847,9 +893,9 @@ class TestSweepErrors:
         rows = threshold._curvature_rows
 
         def failing(engine, scheme, drive, alpha, beta, rabi_2, msum):
-            if np.any(beta > 0):                  # the co-propagating cell x = 0.5
-                raise NumericalError("solver failed")
-            return rows(engine, scheme, drive, alpha, beta, rabi_2, msum)
+            # nan rows at the co-propagating cell x = 0.5
+            return np.where(beta > 0, np.nan, rows(engine, scheme, drive, alpha, beta,
+                                                    rabi_2, msum))
 
         monkeypatch.setattr(threshold, "_curvature_rows", failing)
         tmap = threshold_curve("analytic", case_a[0], self.GRID, DOP)
@@ -869,9 +915,8 @@ class TestSweepErrors:
 
         monkeypatch.setattr(doppler, "_weak_probe_curvature", overflowing)
         cell = make_cell(case_a[0], 0.5, DOP, 1.0)
-        with pytest.raises(NumericalError):
-            _curvature_rows("analytic", case_a[0], cell.drive, *slopes([cell]),
-                            np.array([100.0]), None)
+        assert np.isnan(_curvature_rows("analytic", case_a[0], cell.drive, *slopes([cell]),
+                                        np.array([100.0]), None)).all()
         tmap = threshold_curve("analytic", case_a[0], self.GRID, DOP)
         assert np.isnan(tmap.omega_t[1, 0]) and not tmap.converged[1, 0]
         assert tmap.omega_t[0, 0] == plain.omega_t[0, 0] and tmap.converged[0, 0]
