@@ -34,9 +34,9 @@ they need a row.  Each grid point takes one of three routes:
   flagged for the fallback;
 
 * every point of the ``perturbative`` engine, and every point a pole
-  builder refuses (a D linear in u at x = -1, coincident roots of D, roots
-  beyond the Faddeeva function's domain, pole terms that cancel to
-  rounding, an ill-conditioned eigenbasis)
+  builder refuses (a D linear in u at x = -1, coincident roots of D or
+  eigenvalues of the velocity pencil, roots beyond the Faddeeva function's
+  domain, pole terms that cancel to rounding)
   takes the numeric sum of :func:`average`: the nominal Gauss-Hermite rule,
   or, where velocity-space poles lie too close to the real axis for its
   nodes (the natural widths gamma/(k v_p) fall below the node spacing), a
@@ -78,7 +78,7 @@ from .faddeeva import _MAX_ABS as _FADDEEVA_MAX_ABS
 from .faddeeva import w as faddeeva_w
 from .lineshape import (K_RHO22, K_RHO33, denominator_coefficients, doppler_slopes,
                         rho_weak_batch)
-from .liouville import populations_batch, velocity_poles
+from .liouville import _ZERO_EIGENVALUE, populations_batch, velocity_poles
 from .model import DopplerParams, DriveParams, LevelScheme, rates, wavenumber_ratio
 from .msublevel import MSublevelWeights, folded_sum, folded_weights
 
@@ -86,8 +86,6 @@ _SQRTPI = math.sqrt(math.pi)
 _U_MAX = 6.5               # Gaussian support cutoff: exp(-6.5^2) ~ 5e-19
 _PANEL_DEGREE = 12
 _DEGENERATE_SEP = 1e-9     # relative pole separation refused by partial fractions
-_ZERO_EIGENVALUE = 1e-8    # |lam| counted as zero; keeps |p| = 1/|lam| within w's domain
-_COND_LIMIT = 1e8          # eigenbasis 1-norm condition number refused by the pole expansion
 # largest estimated relative rounding error of an exact pole sum: its terms
 # t_k magnify a relative loss of each by sum |t_k| / |sum t_k|, and in the
 # resonant curvature w' and w'' from their recurrences lose about
@@ -96,6 +94,8 @@ _MAX_ROUNDING_ERROR = 1e-3
 _EPS = np.finfo(float).eps
 # largest |zeta| the resonant curvature takes to the Faddeeva function (~1.46e3)
 _RESONANT_MAX_ZETA = (_MAX_ROUNDING_ERROR / _EPS) ** 0.25
+# the pairs of a velocity_poles point's six modes
+_MODE_PAIRS = np.triu_indices(6, 1)
 # grid points per exact-kernel call (_exact_blocks): bounds the temporaries
 # at any grid size (a full-engine point peaks at ~2 kB of real 6x6 and 6x7
 # and complex 6x6 stacks, about 0.5 MB at 256 points; a resonant-curvature
@@ -431,32 +431,59 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     return ok, ((-2 * _SQRTPI) * prefactor * total)[kept]
 
 
-def _full_engine_poles(scheme, drive, grid, alpha, beta, rabi_2):
-    """Full steady state by its velocity poles: 1/(1 + u lam) =
-    (1/lam)/(u - p) with p = -1/lam.  The eigenvalues of the real pencil
-    come in exact conjugate pairs whose terms are conjugate, so a pair
-    counts as twice the real part of its upper member's term (Im lam > 0,
-    and so Im p > 0): one Faddeeva value per pair and one per real lam.
-    Eigenvalues with |lam| <= 1e-8 (the lam = 0 column that carries the
-    population constant, and the two-photon coherences as x -> -1) count as
-    a constant residue, an error below lam^2.  ``alpha``, ``beta`` and
-    ``rabi_2`` are given per grid point.  Returns the mask of accepted
-    points and their (I2, I3).  Refuses grid points whose eigenbasis has
-    ||V||_1 ||V^{-1}||_1 > 1e8."""
-    lam, res, cond = velocity_poles(scheme, drive.rabi_1, grid, drive.detuning_2,
-                                    rabi_2, alpha, beta)
-    ok = cond <= _COND_LIMIT
-    lam, res = lam[ok], res[ok]
+def _pole_separation(lam):
+    """Per point, the smallest distance between two of the six eigenvalues
+    of its velocity pencil, at least one of them finite, relative to the
+    larger modulus: the residues divide by such differences
+    (:func:`cascade_at.liouville.velocity_poles`), and the poles p = -1/lam
+    have the same relative separations."""
+    mod = np.abs(lam[..., :6])
+    a, b = _MODE_PAIRS
+    larger = np.maximum(mod[..., a], mod[..., b])
+    gap = np.abs(lam[..., a] - lam[..., b])
+    ratio = np.full(gap.shape, np.inf)
+    np.divide(gap, larger, out=ratio, where=larger > _ZERO_EIGENVALUE)
+    return ratio.min(axis=-1)
+
+
+def _full_engine_terms(lam, res):
+    """The real terms of the Doppler-averaged rho22 and rho33 of each point,
+    (point, 2, 7), which sum to them: per finite pole 1/(1 + u lam) =
+    (1/lam)/(u - p) with p = -1/lam, and per |lam| <= 1e-8 the residue
+    itself, the constant it stands for with an error below lam^2.  The
+    eigenvalues of the real pencil come in exact conjugate pairs with
+    conjugate terms, so a pair counts as twice the real part of its upper
+    member's term (Im lam > 0, and so Im p > 0) and the lower member as 0:
+    one Faddeeva value per pair and one per real lam."""
     finite = np.abs(lam) > _ZERO_EIGENVALUE
     upper = finite & (lam.imag >= 0)
     pole_lam = lam[upper]
-    kernel = np.zeros(lam.shape, dtype=complex)
+    kernel = np.where(finite, 0.0, 1.0).astype(complex)
     kernel[upper] = (np.where(pole_lam.imag > 0, 2.0, 1.0) / pole_lam
-                     * _pole_integral(-1.0 / pole_lam))
-    pops = (np.where(finite[:, None, :], 0.0, res).sum(axis=-1)
-            + (res * kernel[:, None, :]).sum(axis=-1) / _SQRTPI)
+                     * _pole_integral(-1.0 / pole_lam) / _SQRTPI)
+    return (res * kernel[:, None, :]).real
+
+
+def _full_engine_poles(scheme, drive, grid, alpha, beta, rabi_2):
+    """Full steady state by its velocity poles
+    (:func:`cascade_at.liouville.velocity_poles`), summed term by term
+    (:func:`_full_engine_terms`).  ``alpha``, ``beta`` and ``rabi_2`` are
+    given per grid point.  Returns the mask of accepted points and their
+    (I2, I3).  Refuses, by the analytic pole builder's two rules, grid
+    points whose pole separation (:func:`_pole_separation`) is below 1e-9,
+    and points whose terms t_k of I2 or of I3 cancel:
+    eps sum |t_k| > ``_MAX_ROUNDING_ERROR`` |sum t_k|, or a nan."""
+    lam, res = velocity_poles(scheme, drive.rabi_1, grid, drive.detuning_2,
+                              rabi_2, alpha, beta)
+    ok = _pole_separation(lam) >= _DEGENERATE_SEP
+    terms = _full_engine_terms(lam[ok], res[ok])
+    pops = terms.sum(axis=-1)
+    # a product, so that neither a zero sum nor a nan can warn; nan fails it
+    exact = np.all(_EPS * np.abs(terms).sum(axis=-1) <= _MAX_ROUNDING_ERROR * np.abs(pops),
+                   axis=-1)
+    ok[ok] = exact
     rp = rates(scheme)
-    return ok, (rp.Gamma_2 * pops[:, 0].real, rp.Gamma_3 * pops[:, 1].real)
+    return ok, (rp.Gamma_2 * pops[exact, 0], rp.Gamma_3 * pops[exact, 1])
 
 
 def _exact_blocks(kernel, block: int, pending: np.ndarray, out: np.ndarray,

@@ -98,6 +98,14 @@ _D2 = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
 # the smallest slope |alpha|, |alpha + beta|, |beta| there exceeds this
 # fraction of the largest, and the Schur form M = (R + D)^{-1} Sigma otherwise
 _SLOPE_RATIO = 1e-3
+# |lam| counted as zero; keeps |p| = 1/|lam| within w's domain
+_ZERO_EIGENVALUE = 1e-8
+# _mode_residues filters the residue of mode k by every mode j with
+# |x_j| > _FILTER_RATIO |x_k|
+_FILTER_RATIO = 15.0
+# the mode before each of the six: a conjugate pair's upper member comes
+# right before its lower one
+_PRECEDING = np.array([0, 0, 1, 2, 3, 4])
 
 
 class _PencilParts(NamedTuple):
@@ -130,9 +138,10 @@ def _pencil_parts(scheme: LevelScheme, rabi_1: float) -> _PencilParts:
     a0, coupling, _, _, source = _liouvillian_parts(scheme, rabi_1)
     real = lambda m: (_T_INV @ m @ _T).real
     a0, c = real(a0), real(coupling)
-    app_inv = np.linalg.inv(a0[:3, :3])
-    p0, p1 = -app_inv @ a0[:3, 3:], -app_inv @ c[:3, 3:]
-    rho_p0 = -app_inv @ (_T_INV @ source).real[:3]
+    # -A_pp^{-1} [A0_pc | C_pc | s_p] by one solve
+    sol = -np.linalg.solve(a0[:3, :3], np.column_stack(
+        (a0[:3, 3:], c[:3, 3:], (_T_INV @ source).real[:3])))
+    p0, p1, rho_p0 = sol[:, :6], sol[:, 6:12], sol[:, 12]
     rot = lambda m: _J_HAT_INV @ m
     return _PencilParts(
         r0=rot(a0[3:, 3:] + a0[3:, :3] @ p0),
@@ -193,30 +202,35 @@ def velocity_poles(scheme: LevelScheme, rabi_1: float, delta1, detuning_2,
 
         N = B_c^{-1} S = Sigma^{-1} (R + D)
 
-    is a row scaling, and diagonalizing N = V diag(mu) V^{-1} gives
+    is a row scaling.  With its eigenvalues mu_k, the spectral projectors
+    E_k and v = Sigma^{-1} J_hat^{-1} q,
 
         rho_ii(u) = c_i + sum_k r_ik / (1 + u lam_k),   lam_k = 1 / mu_k,
 
-    r_ik = (-A_pp^{-1} A_pc V)[i, k] (V^{-1} Sigma^{-1} J_hat^{-1} q)_k / mu_k,
-    where the constant c_i = (-A_pp^{-1} s_p)_i is carried as one more
-    residue at lam = 0.  At a point where the smallest slope is at most
-    ``_SLOPE_RATIO`` of the largest (x near -1, where alpha + beta -> 0, or
-    nu_32 << nu_21), Sigma^{-1} would amplify rounding or divide by zero,
-    and the point diagonalizes M = S^{-1} B_c = (R + D)^{-1} Sigma instead,
-    with coefficients V^{-1} S^{-1} q: the same eigenvectors, the same lam.
-    The form is chosen per point: each point brings its own matrix and
-    coefficient vector (the solve for M runs on the Schur points alone), and
-    one batched eig and one inv serve the whole call, so a point has the bits
-    of its call alone whatever else the call holds.
+    r_ik = (P E_k v)_i / mu_k with P the rho22, rho33 rows of
+    -A_pp^{-1} A_pc, where the constant c_i = (-A_pp^{-1} s_p)_i is carried
+    as one more residue at lam = 0.  At a point where the smallest slope is
+    at most ``_SLOPE_RATIO`` of the largest (x near -1, where
+    alpha + beta -> 0, or nu_32 << nu_21), Sigma^{-1} would amplify
+    rounding or divide by zero, and the point takes M = S^{-1} B_c =
+    (R + D)^{-1} Sigma and v = (R + D)^{-1} J_hat^{-1} q instead, with
+    lam_k its eigenvalues and r_ik = (P E_k v)_i.  There the modes with
+    |lam| <= ``_ZERO_EIGENVALUE`` (the two-photon coherences at x = -1) are
+    never divided by: their residues, summed, join the constant, as
+    P v - sum of the other residues, since the rational function is P v at
+    u = 0.  The form is chosen per point: each point brings its own matrix
+    and vector (the solve for M runs on the Schur points alone), one
+    batched eigvals serves the whole call, and :func:`_mode_residues`
+    forms the residues from the eigenvalues alone, with no eigenvector, so
+    a point has the bits of its call alone whatever else the call holds.
 
     ``rabi_2``, ``alpha`` and ``beta`` may be per-row arrays that broadcast
     against ``delta1``, e.g. (rows, 1) against a (rows, points) grid.
-    Returns ``(lam, res, cond)``: the (..., 7) complex eigenvalues, the
-    (..., 2, 7) residues of rho22 and rho33, and ||V||_1 ||V^{-1}||_1, over
-    the broadcast grid shape.  The eigenvalues of the real N or M come as
-    exact conjugate pairs, each with exactly conjugate eigenvectors.  For a
-    6x6 V the 1-norm product lies within a factor of 6 of the 2-norm
-    condition number.
+    Returns ``(lam, res)``: the (..., 7) complex eigenvalues and the
+    (..., 2, 7) residues of rho22 and rho33 over the broadcast grid shape.
+    The eigenvalues of the real N or M come as exact conjugate pairs with
+    exactly conjugate residues.  Exactly coincident eigenvalues give nan
+    residues.
     """
     if scheme.transit_rate <= 0:
         raise SingularSystemError("steady state needs transit_rate > 0")
@@ -245,23 +259,105 @@ def velocity_poles(scheme: LevelScheme, rabi_1: float, delta1, detuning_2,
             rhs[..., 1:] = sigma[schur][..., None, :] * np.eye(6)
             sol = np.linalg.solve(mat[schur], rhs)
             mat[schur], vec[schur] = sol[..., 1:], sol[..., 0]
-        ev, vecs = np.linalg.eig(mat)
-        inv = np.linalg.inv(vecs)
+        x = np.linalg.eigvals(mat).astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"velocity pole expansion failed: {exc}") from exc
     # a slope point's eigenvalues are mu = 1/lam, and a zero mu is a singular S
-    mu = np.where(schur[..., None], 1.0, ev)
+    mu = np.where(schur[..., None], 1.0, x)
     if np.any(mu == 0):
         raise SolverFailure("velocity pole expansion failed: singular pencil")
-    coef = (inv @ vec[..., None])[..., 0]
-    coef /= mu
-    cond = np.linalg.norm(vecs, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
-    lam7 = np.zeros(shape + (7,), dtype=complex)
-    lam7[..., :6] = np.where(schur[..., None], ev, 1.0 / mu)
+    zero = schur[..., None] & (np.abs(x) <= _ZERO_EIGENVALUE)
+    pop = np.broadcast_to(pp.p0 + w2m * pp.p1, shape + (2, 6))
     res = np.empty(shape + (2, 7), dtype=complex)
-    np.multiply((pp.p0 + w2m * pp.p1) @ vecs, coef[..., None, :], out=res[..., :6])
+    res[..., :6] = _mode_residues(*(a.reshape((-1,) + a.shape[len(shape):])
+                                    for a in (mat, vec, pop, x, mu, zero))).reshape(shape + (2, 6))
     res[..., 6] = pp.rho_p0[1:]
-    return lam7, res, cond
+    if schur.any():
+        # a Schur point's lam = 0 modes, summed: P v less the other residues
+        res[..., 6] += np.where(schur[..., None],
+                                (pop @ vec[..., None])[..., 0] - res[..., :6].sum(axis=-1), 0.0)
+    lam7 = np.zeros(shape + (7,), dtype=complex)
+    lam7[..., :6] = np.where(schur[..., None], x, 1.0 / mu)
+    return lam7, res
+
+
+def _mode_residues(mat, vec, pop, x, mu, skip):
+    """The residues (P E_k v)_i / mu_k, at [point, i, k], of the rational
+    functions P (zI + X)^{-1} v at their poles z = -x_k, from the
+    eigenvalues x alone, over a flat batch of points: matrices X (``mat``),
+    vectors v, 2x6 rows P (``pop``), eigenvalues, divisors mu and the modes
+    to ``skip`` (residue 0, never divided by).
+
+    E_k v = adj(x_k I - X) v / prod_{j != k} (x_j - x_k) is the spectral
+    projector of mode k applied to v.  From the characteristic polynomial
+    det(zI + X) = sum_m e_m z^(6-m), whose real e_m come from the x_j, the
+    adjugate is adj(zI + X) v = sum_m z^(5-m) k_m with k_0 = v and
+    k_m = e_m v - X k_(m-1), five real mat-vecs per point, and
+    P E_k v = sum_m (-x_k)^(5-m) P k_m / prod_{j != k} (x_j - x_k) by
+    Horner.  That sum leaves E_k v a rounding part along each mode j far
+    larger than k, amplified by about (|x_j| / |x_k|)^5 (the slope form as
+    x -> -1, or weak residues beside strong ones); every upper or real mode
+    k with a mode j of |x_j| > ``_FILTER_RATIO`` |x_k| takes E_k v as a
+    vector instead and applies the factors (X - x_j) / (x_k - x_j) of E_k
+    once more, which remove those parts.  A lower member's residue is the
+    conjugate of its upper member's (``_PRECEDING``).  Coincident
+    eigenvalues give nan."""
+    # E_k does not change when X and x scale together: divided by the power
+    # of two just above max |x|, exactly, no product of six x can overflow
+    # (the scaling changes no digit, so it is skipped where none would)
+    top = np.abs(x).max(axis=-1)
+    if not np.all((top < 1e30) & (top > 1e-30)):
+        unit = np.ldexp(1.0, -np.frexp(top)[1])
+        mat, x = mat * unit[:, None, None], x * unit[:, None]
+    roots = x.T.copy()                                   # [k, point]
+    e = np.zeros((7, len(x)), dtype=complex)
+    e[0] = 1.0
+    for j in range(6):
+        e[1:j + 2] += roots[j] * e[:j + 1]
+    e = e.real
+    krylov = [vec]
+    for m in range(1, 6):
+        krylov.append(e[m, :, None] * vec - np.einsum("nij,nj->ni", mat, krylov[-1]))
+    krylov = np.stack(krylov, axis=1)                    # k_m in row m
+    den = np.ones_like(roots)                 # prod_{j != k} (x_j - x_k) mu_k, at [k, point]
+    for j in range(6):
+        diff = roots[j] - roots
+        diff[j] = 1.0
+        den *= diff
+    den *= mu.T
+    weight = np.full(den.shape, np.nan, dtype=complex)  # 1 / den, nan where den = 0
+    np.divide(1.0, den, out=weight, where=den != 0)
+    weight[skip.T] = 0.0
+    num = np.moveaxis(pop @ krylov.transpose(0, 2, 1), 0, -1).copy()  # P k_m at [:, m]
+    neg = -roots
+    res = num[:, 0, None] * neg + num[:, 1, None]        # [i, k, point]
+    for m in range(2, 6):
+        res *= neg
+        res += num[:, m, None]
+    res *= weight
+    mod = np.abs(roots)
+    mode, point = np.nonzero((mod.max(axis=0) > _FILTER_RATIO * mod)
+                             & (roots.imag >= 0) & ~skip.T)
+    if point.size:
+        xk, nodes = roots[mode, point, None], x[point]
+        far = np.abs(nodes) > _FILTER_RATIO * np.abs(xk)
+        # (X - x_j) / (x_k - x_j) where mode j is far, the identity elsewhere
+        scale = far / np.where(far, xk - nodes, 1.0)
+        shift = ~far - nodes * scale
+        vecs = krylov[point]
+        proj = vecs[:, 0] * -xk + vecs[:, 1]
+        for m in range(2, 6):
+            proj *= -xk
+            proj += vecs[:, m]
+        proj *= weight[mode, point, None]
+        mats = mat[point]
+        real = lambda a: a.view(float).reshape(-1, 6, 2)   # a complex 6-vector as 6x2
+        for j in np.flatnonzero(far.any(axis=0)):
+            xv = (mats @ real(proj)).reshape(-1, 12).view(complex)
+            proj = scale[:, j, None] * xv + shift[:, j, None] * proj
+        res[:, mode, point] = (pop[point] @ real(proj)).reshape(-1, 4).view(complex).T
+    np.conjugate(res[:, _PRECEDING], out=res, where=roots.imag < 0)
+    return np.moveaxis(res, -1, 0)
 
 
 def populations_batch(scheme: LevelScheme, drive: DriveParams,

@@ -26,6 +26,23 @@ AMU = 1.66053906892e-27         # atomic mass unit, kg
 
 _LN2 = math.log(2.0)
 
+# Bounds on the parameters, beyond which the engines' arithmetic overflows,
+# underflows or loses its digits; the dataclasses below refuse values past
+# them with a ConfigError:
+# * every rate, Rabi frequency, detuning and Doppler width is at most
+#   MAX_RATE MHz in magnitude (100 THz, below the optical frequencies
+#   themselves), the radiative rates 1/(2 pi tau) of the lifetimes and a
+#   Doppler width derived from the temperature included;
+# * a nonzero transit rate is at least MIN_TRANSIT_RATE MHz: it is the only
+#   decay of level |1>, and as it goes to zero the full engine's velocity
+#   pencil grows entries of order 1/w_t whose pole residues lose digits
+#   (5 of 16 at 1e-12 MHz);
+# * the mass is at least MIN_MASS amu, below the electron's 5.5e-4 amu, so
+#   that m c^2 is a normal double.
+MAX_RATE = 1e8
+MIN_TRANSIT_RATE = 1e-3
+MIN_MASS = 1e-4
+
 
 def _require_finite(params) -> None:
     """Reject nan and inf in the numeric fields of a parameter dataclass."""
@@ -33,6 +50,13 @@ def _require_finite(params) -> None:
         value = getattr(params, f.name)
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
+
+
+def _require_rate(name: str, value: float) -> None:
+    """Reject a rate, Rabi frequency, detuning or width beyond MAX_RATE."""
+    if abs(value) > MAX_RATE:
+        raise ConfigError(f"{name} must be at most {MAX_RATE:.0e} MHz in magnitude, "
+                          f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,13 +88,20 @@ class LevelScheme:
             raise ConfigError("transition wavenumbers must be positive")
         if self.lifetime_2 <= 0 or self.lifetime_3 <= 0:
             raise ConfigError("lifetimes must be positive")
-        if self.mass <= 0:
-            raise ConfigError("mass must be positive")
+        for name in ("lifetime_2", "lifetime_3"):
+            _require_rate(f"the radiative rate of {name}",
+                          1e3 / (2 * math.pi * getattr(self, name)))
+        if self.mass < MIN_MASS:
+            raise ConfigError(f"mass must be at least {MIN_MASS:g} amu, got {self.mass!r}")
         for b in (self.branch_2_to_1, self.branch_3_to_2):
             if not 0.0 <= b <= 1.0:
                 raise ConfigError("branching fractions must lie in [0, 1]")
         if self.transit_rate < 0:
             raise ConfigError("transit_rate must be >= 0")
+        if 0 < self.transit_rate < MIN_TRANSIT_RATE:
+            raise ConfigError(f"a nonzero transit_rate must be at least {MIN_TRANSIT_RATE:g} MHz, "
+                              f"got {self.transit_rate!r}")
+        _require_rate("transit_rate", self.transit_rate)
         open_system = self.branch_2_to_1 < 1.0 or self.branch_3_to_2 < 1.0
         if open_system and self.transit_rate == 0.0:
             raise ConfigError(
@@ -113,6 +144,8 @@ class DriveParams:
         _require_finite(self)
         if self.rabi_1 < 0 or self.rabi_2 < 0:
             raise ConfigError("Rabi frequencies must be >= 0")
+        for name in ("rabi_1", "rabi_2", "detuning_1", "detuning_2"):
+            _require_rate(name, getattr(self, name))
         if self.dir_1 not in (-1, 1) or self.dir_2 not in (-1, 1):
             raise ConfigError("propagation directions must be +1 or -1")
 
@@ -134,6 +167,8 @@ class DopplerParams:
             raise ConfigError("temperature must be > 0")
         if self.fwhm is not None and self.fwhm < 0:
             raise ConfigError("fwhm must be >= 0")
+        if self.fwhm is not None:
+            _require_rate("fwhm", self.fwhm)
 
     def fwhm_mhz(self, scheme: LevelScheme) -> float:
         """Doppler FWHM of the probe transition, MHz."""
@@ -183,7 +218,9 @@ def doppler_fwhm(scheme: LevelScheme, temperature: float) -> float:
     if temperature == 0:
         return 0.0
     mc2 = scheme.mass * AMU * C_M_PER_S**2
-    return scheme.nu_21 * math.sqrt(8 * _LN2 * KB * temperature / mc2)
+    fwhm = scheme.nu_21 * math.sqrt(8 * _LN2 * KB * temperature / mc2)
+    _require_rate(f"the Doppler width at {temperature!r} K", fwhm)
+    return fwhm
 
 
 def most_probable_speed(scheme: LevelScheme, dopp: DopplerParams) -> float:

@@ -37,9 +37,6 @@ class MSublevelWeights:
             counts[w] = counts.get(w, 0) + 1
         return sorted(counts.items())
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def weights(j2: int, j3: int) -> MSublevelWeights:
     """Coupling-field weights over M in [-J_min, J_min] for linearly

@@ -80,8 +80,8 @@ def seven_pole_sum(scheme, drive, grid, alpha, beta, rabi_2):
     placeholder pole at 1j.  The oracle of the pair sum.  Also returns the
     sum of the terms' moduli, the scale at which rounding enters a sum whose
     terms cancel."""
-    lam, res, _ = velocity_poles(scheme, drive.rabi_1, grid, drive.detuning_2,
-                                 rabi_2, alpha, beta)
+    lam, res = velocity_poles(scheme, drive.rabi_1, grid, drive.detuning_2,
+                              rabi_2, alpha, beta)
     lam = lam[:, None, :]
     finite = np.abs(lam) > doppler._ZERO_EIGENVALUE
     safe = np.where(finite, lam, 1.0)

@@ -227,7 +227,7 @@ class TestByteIdentity:
     # noise of the stencil curvature.
     FULL = {
         "threshold": "9bcbac80273bc64ff724a17bfa53aee90286adf7f60f055e87a4e61825cfea50",
-        "surface": "3b94ccfc8eade250f1ca7d7e1433f2c0a814ad21b22fa9cee1e33eda5ef4c95c",
+        "surface": "61fc8b674b2def09239827a4559f7f74d9967eb143ebb8b85f37d8cda87ff089",
     }
 
     @pytest.mark.parametrize("command", list(FULL))
@@ -496,6 +496,18 @@ class TestErrorPaths:
         assert res.returncode == 2, res.stdout[:200] + res.stderr
         assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
         assert "must be finite" in res.stderr
+
+    @pytest.mark.parametrize("engine", ["analytic", "full"])
+    @pytest.mark.parametrize("line", ["mass = 1e-300", "rabi_1 = 1e200", "rabi_2 = 1e200"])
+    def test_extreme_finite_value_is_one_error_line(self, tmp_path, engine, line):
+        # m c^2 underflowed to 0, and (rabi_1 / 2) ** 2 overflowed, with a
+        # traceback; the other cases warned of an overflow before exiting 3
+        scen = small_scan("a.ini", tmp_path, [line])
+        assert line in open(scen).read().splitlines()
+        res = run_cli(["spectrum", "--scenario", scen, "--engine", engine])
+        assert res.returncode in (2, 3), res.stdout[:200] + res.stderr
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+        assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
 
     def test_msum_without_rotational_levels_exits_2(self, tmp_path):
         # the rotational quantum numbers default to 0, and the coupling

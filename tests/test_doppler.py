@@ -283,16 +283,19 @@ class TestFullExact:
             assert np.all(np.isfinite(row))
             assert np.max(np.abs(row - ref_row)) <= 1e-6 * ref_row.max()
 
-    def test_conditioning_fallback(self, case_a, gh200, monkeypatch):
-        # lower the condition-number limit so that the one grid point with
-        # the worst eigenbasis is refused and averaged numerically
+    @staticmethod
+    def refuse_worst(case_a, gh200, monkeypatch, name, choose):
+        """Set the refusal limit ``name`` to the value ``choose(lam, res)``
+        gives with the index of the worst point of a small grid, and check
+        that this point, and no other, takes the numeric sum and gets its
+        bits, while every other point keeps its exact bits."""
         scheme, drive, dopp = case_a
         grid = np.array([-300.0, -10.0, 0.0, 250.0])
         alpha, beta = doppler_slopes(scheme, drive, dopp)
-        cond = velocity_poles(scheme, drive.rabi_1, grid, drive.detuning_2,
-                              drive.rabi_2, alpha, beta)[2]
-        worst = int(np.argmax(cond))
-        monkeypatch.setattr(doppler, "_COND_LIMIT", np.sort(cond)[-2])
+        lam, res = velocity_poles(scheme, drive.rabi_1, grid, drive.detuning_2,
+                                  drive.rabi_2, alpha, beta)
+        worst, limit = choose(lam, res)
+        monkeypatch.setattr(doppler, name, limit)
         calls = []
         numeric = doppler._numeric_point
         monkeypatch.setattr(doppler, "_numeric_point",
@@ -302,13 +305,36 @@ class TestFullExact:
         monkeypatch.undo()
 
         assert calls == [grid[worst]]
-        point = ca.average("full", scheme, drive, dopp, gh200,
-                           grid[worst:worst + 1])
+        point = ca.average("full", scheme, drive, dopp, gh200, grid[worst:worst + 1])
         assert np.array_equal(got[:, worst], point[:, 0])
         exact = doppler.intensities("full", scheme, drive, dopp, grid)
         rest = np.arange(len(grid)) != worst
-        assert np.array_equal(got[1, rest], exact[1, rest])
-        assert abs(got[1, worst] - exact[1, worst]) < 1e-6 * exact[1].max()
+        assert np.array_equal(got[:, rest], exact[:, rest])
+        assert np.all(np.abs(got[:, worst] - exact[:, worst]) < 1e-6 * exact.max(axis=1))
+
+    def test_separation_fallback(self, case_a, gh200, monkeypatch):
+        # raise the separation limit to between the closest and the next
+        # closest pole pair of the grid: the point with the closest pair is
+        # refused
+        def limit(lam, res):
+            sep = doppler._pole_separation(lam)
+            low, next_low = np.sort(sep)[:2]
+            return int(np.argmin(sep)), math.sqrt(low * next_low)
+
+        self.refuse_worst(case_a, gh200, monkeypatch, "_DEGENERATE_SEP", limit)
+
+    def test_rounding_fallback(self, case_a, gh200, monkeypatch):
+        # lower the rounding limit to between the worst and the next worst
+        # estimate eps sum |t_k| / |sum t_k| of the grid: the point with the
+        # worst is refused
+        def limit(lam, res):
+            terms = doppler._full_engine_terms(lam, res)
+            loss = (doppler._EPS * np.abs(terms).sum(axis=-1)
+                    / np.abs(terms.sum(axis=-1))).max(axis=-1)
+            next_high, high = np.sort(loss)[-2:]
+            return int(np.argmax(loss)), math.sqrt(high * next_high)
+
+        self.refuse_worst(case_a, gh200, monkeypatch, "_MAX_ROUNDING_ERROR", limit)
 
 
 class TestIntensities:

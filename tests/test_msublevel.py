@@ -10,7 +10,7 @@ from cascade_at.msublevel import MSublevelWeights, m_summed, weights
 class TestWeights:
     def test_p_branch_j1_to_0(self):
         w = weights(1, 0)
-        assert len(w) == 1
+        assert len(w.entries) == 1
         assert w.entries == ((0, 1.0),)
 
     def test_q_branch_j1(self):
@@ -20,7 +20,7 @@ class TestWeights:
 
     def test_case_a_p_branch(self):
         w = weights(20, 19)
-        assert len(w) == 39
+        assert len(w.entries) == 39
         vals = dict(w.entries)
         assert all(vals[m] == vals[-m] for m in range(20))
         assert all(v > 0 for v in vals.values())
