@@ -13,32 +13,30 @@ they need a row.  Each grid point takes one of three routes:
 
 * engines ``analytic`` and ``full`` sum velocity poles exactly via
   ``Integral e^{-t^2}/(t - z) dt = i pi w(z)`` for Im z > 0 (the lower
-  half-plane reached by conjugation symmetry), one pole integral
-  (:func:`_pole_integral`) for both.  For ``analytic``, the weak-probe
-  1/|D(u)|^2 has four simple poles, the roots of D and their conjugates,
-  whose terms are the conjugates of the roots' ones:
-  :func:`_weak_probe_poles` solves D, guards the pole separation, forms the
-  residues and takes one Faddeeva value per root, and the sum is 2 Re of
-  the two roots' terms.  For ``full``, the Liouvillian is affine in
+  half-plane reached by conjugation symmetry), in one pole sum
+  (:func:`_pole_sum`) for both.  For ``full``, the Liouvillian is affine in
   velocity with a diagonal slope, so each population is rational in u with
   at most six finite poles (:func:`cascade_at.liouville.velocity_poles`).
-  They come in conjugate pairs with conjugate terms, so each pair takes one
-  Faddeeva value, at its upper member, and each real pole one.  The
-  analytic I3's curvature at the resonant point Delta_1 = Delta_2 = 0 has
-  an exact kernel of its own (:func:`_weak_probe_curvature`): there D(iv)
-  is a real quadratic in v, whose roots give the poles, their derivatives
-  and residues in closed form.  All three kernels run through one block
-  loop (:func:`_exact_blocks`) of a fixed number of grid points (1024
-  analytic, 256 full-engine, 4096 resonant-curvature), which bounds their
+  For ``analytic``, the weak-probe 1/|D(u)|^2 has four simple poles, the
+  roots of D and their conjugates: :func:`_weak_probe_poles` solves D and
+  hands them to the sum in the same layout.  The poles come in conjugate
+  pairs with conjugate terms, so each pair takes one Faddeeva value, at
+  its upper member, and each real pole one; the sum refuses points whose
+  poles nearly coincide or whose terms cancel to rounding.  The analytic
+  I3's curvature at the resonant point Delta_1 = Delta_2 = 0 has an exact
+  kernel of its own (:func:`_weak_probe_curvature`): there D(iv) is a real
+  quadratic in v, whose roots give the poles, their derivatives and
+  residues in closed form.  All three kernels run through one block loop
+  (:func:`_exact_blocks`) of a fixed number of grid points (1024 analytic,
+  256 full-engine, 4096 resonant-curvature), which bounds their
   temporaries at any grid size and leaves the points a kernel refuses
   flagged for the fallback;
 
-* every point of the ``perturbative`` engine, and every point a pole
-  builder refuses (a D linear in u at x = -1, coincident roots of D or
-  eigenvalues of the velocity pencil, roots beyond the Faddeeva function's
-  domain, pole terms that cancel to rounding)
-  takes the numeric sum of :func:`average`: the nominal Gauss-Hermite rule,
-  or, where velocity-space poles lie too close to the real axis for its
+* every point of the ``perturbative`` engine, and every point an exact
+  route refuses (a D linear in u at x = -1, coincident poles, pole terms
+  that cancel to rounding) takes the numeric sum of :func:`average`: the
+  nominal Gauss-Hermite rule, or, where velocity-space poles lie too close
+  to the real axis for its
   nodes (the natural widths gamma/(k v_p) fall below the node spacing), a
   pole-refined composite Gauss-Legendre rule with the same Gaussian weight
   and equivalent base resolution.  The refinement sits on the model's own
@@ -74,12 +72,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, DegenerateRootError, NumericalError
-from .faddeeva import _MAX_ABS as _FADDEEVA_MAX_ABS
 from .faddeeva import w as faddeeva_w
 from .lineshape import (K_RHO22, K_RHO33, denominator_coefficients, doppler_slopes,
                         rho_weak_batch)
 from .liouville import _ZERO_EIGENVALUE, populations_batch, velocity_poles
-from .model import DopplerParams, DriveParams, LevelScheme, rates, wavenumber_ratio
+from .model import (MAX_RATE, DopplerParams, DriveParams, LevelScheme, rates,
+                    wavenumber_ratio)
 from .msublevel import MSublevelWeights, folded_sum, folded_weights
 
 _SQRTPI = math.sqrt(math.pi)
@@ -94,8 +92,6 @@ _MAX_ROUNDING_ERROR = 1e-3
 _EPS = np.finfo(float).eps
 # largest |zeta| the resonant curvature takes to the Faddeeva function (~1.46e3)
 _RESONANT_MAX_ZETA = (_MAX_ROUNDING_ERROR / _EPS) ** 0.25
-# the pairs of a velocity_poles point's six modes
-_MODE_PAIRS = np.triu_indices(6, 1)
 # grid points per exact-kernel call (_exact_blocks): bounds the temporaries
 # at any grid size (a full-engine point peaks at ~2 kB of real 6x6 and 6x7
 # and complex 6x6 stacks, about 0.5 MB at 256 points; a resonant-curvature
@@ -165,11 +161,15 @@ def _spectrum(vals: np.ndarray) -> np.ndarray:
 
 
 def _probe_grid(delta1_grid) -> np.ndarray:
-    """``delta1_grid`` as a float array: a non-finite probe detuning is bad
-    input, refused before any route can turn it into a numerical failure."""
+    """``delta1_grid`` as a float array: a probe detuning that is not finite
+    or beyond ``MAX_RATE`` in magnitude, the bound of
+    :class:`~cascade_at.model.DriveParams`, is bad input, refused before any
+    route can turn it into a numerical failure or an overflow."""
     grid = np.asarray(delta1_grid, dtype=float)
-    if not np.all(np.isfinite(grid)):
-        raise ConfigError("probe-detuning grid must be finite")
+    # nan fails the comparison too
+    if not np.all(np.abs(grid) <= MAX_RATE):
+        raise ConfigError(f"probe-detuning grid must be finite and at most {MAX_RATE:.0e} "
+                          f"MHz in magnitude")
     return grid
 
 
@@ -304,22 +304,17 @@ def _pole_integral(poles):
 
 def _weak_probe_poles(scheme, drive, grid, alpha, beta, rabi_2):
     """Perturbative I2 and I3 by partial fractions over the four simple
-    poles of 1/|D(u)|^2, the roots z of D and their conjugates.  Solves D at
-    the probe detunings ``grid`` (``alpha``, ``beta`` and ``rabi_2`` per
-    point).  Refuses points where D is linear (a = 0, at x = -1), and
-    points whose poles come closer than 1e-9 relative or lie beyond the
-    Faddeeva function's domain |z| <= 1e8 (a Doppler width far below the
-    natural widths).  The residues are 1/(|a|^2 q0 q1 q2) over each root's
-    differences to the other three poles.  Each conjugate pole's term is
-    the conjugate of its root's, as w(-conj zeta) = conj w(zeta), so a sum
-    over the four poles is 2 Re of the sum over the two roots.  I2's
-    quadratic numerator gamma_13^2 + (d1 + d2)^2 has real coefficients and
-    is continued off the real axis to the roots, so its conjugate-pole terms
-    are conjugates too.  Refuses points where the four poles' terms t_k of
-    I2 or of I3 cancel, eps sum |t_k| > ``_MAX_ROUNDING_ERROR`` |sum t_k|
-    (narrow widths at strong coupling, where I2 at Delta_1 = 0 can be
-    ~1e-16 of its terms).
-    Returns the mask of accepted points and their (I2, I3)."""
+    poles P of N(u)/|D(u)|^2, the roots z of D and their conjugates, summed
+    by :func:`_pole_sum` in the layout of
+    :func:`cascade_at.liouville.velocity_poles`: lam = -1/P and each residue
+    times lam.  Solves D at the probe detunings ``grid`` (``alpha``,
+    ``beta`` and ``rabi_2`` per point) and refuses points where D is linear
+    (a = 0, at x = -1).  The residue of 1/|D|^2 at a root is
+    1/(|a|^2 q0 q1 q2) over its differences to the other three poles, nan
+    at a double pole; N is I2's gamma_13^2 + (d1 + d2)^2, continued off the
+    real axis, and 1 for I3.  Both have real coefficients, so each
+    conjugate pole's residue is the conjugate of its root's.  Returns the
+    mask of accepted points and their (I2, I3)."""
     rp = rates(scheme)
     ok = alpha * (alpha + beta) != 0
     grid, alpha, beta, rabi_2 = grid[ok], alpha[ok], beta[ok], rabi_2[ok]
@@ -327,26 +322,22 @@ def _weak_probe_poles(scheme, drive, grid, alpha, beta, rabi_2):
     z = np.stack(den.roots(), axis=-1)                   # (point, root)
     # to the other root, then to the conjugates of roots 0 and 1
     zc = np.conj(z)
-    q = (z - z[:, ::-1], z - zc[:, :1], z - zc[:, 1:])
-    sep = np.minimum.reduce([np.abs(d) for d in q]).min(axis=-1)
-    scale = np.maximum(np.abs(z).max(axis=-1), 1e-30)
-    kept = ~((sep < _DEGENERATE_SEP * scale) | (scale > _FADDEEVA_MAX_ABS))
+    product = np.square(np.abs(den.a[:, None])) * ((z - z[:, ::-1]) * (z - zc[:, :1])
+                                                   * (z - zc[:, 1:]))
+    # nan at a double pole, which _pole_sum refuses
+    residue = np.full(z.shape, np.nan, dtype=complex)
+    np.divide(1.0, product, out=residue, where=product != 0)
+    lam = -1.0 / z
+    d2ph = grid[:, None] + drive.detuning_2 + (alpha + beta)[:, None] * z
+    res = np.empty((len(z), 2, 4), dtype=complex)
+    res[:, 1, :2] = residue * lam
+    res[:, 0, :2] = (rp.gamma_13 ** 2 + d2ph * d2ph) * res[:, 1, :2]
+    res[..., 2:] = np.conj(res[..., :2])
+    kept, sums = _pole_sum(np.concatenate((lam, np.conj(lam)), axis=-1), res)
     ok[ok] = kept
-    z, q = z[kept], [d[kept] for d in q]
-    residue = 1.0 / (np.square(np.abs(den.a[kept, None])) * (q[0] * q[1] * q[2]))
-    terms = residue * _pole_integral(z)
-    d2ph = grid[kept, None] + drive.detuning_2 + (alpha[kept] + beta[kept])[:, None] * z
-    # the roots' terms of I2 and of I3: (observable, point, root)
-    terms = np.stack(((rp.gamma_13 ** 2 + d2ph * d2ph) * terms, terms))
-    sums = terms.sum(axis=-1).real
-    # the rounding guard compares products, so a zero sum cannot make it warn
-    exact = ~np.any(_EPS * np.abs(terms).sum(axis=-1) > _MAX_ROUNDING_ERROR * np.abs(sums),
-                    axis=0)
-    ok[ok] = exact
-    prefactor = rp.Gamma_2 * K_RHO22 * (drive.rabi_1 / 2) ** 2
-    i2 = prefactor * 2 * sums[0, exact] / _SQRTPI
-    prefactor = rp.Gamma_3 * K_RHO33 * np.square(drive.rabi_1 * rabi_2[kept][exact] / 4)
-    return ok, (i2, prefactor * 2 * sums[1, exact] / _SQRTPI)
+    prefactor = rp.Gamma_3 * K_RHO33 * np.square(drive.rabi_1 * rabi_2[kept] / 4)
+    return ok, (rp.Gamma_2 * K_RHO22 * (drive.rabi_1 / 2) ** 2 * sums[:, 0],
+                prefactor * sums[:, 1])
 
 
 def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
@@ -431,59 +422,59 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     return ok, ((-2 * _SQRTPI) * prefactor * total)[kept]
 
 
-def _pole_separation(lam):
-    """Per point, the smallest distance between two of the six eigenvalues
-    of its velocity pencil, at least one of them finite, relative to the
-    larger modulus: the residues divide by such differences
-    (:func:`cascade_at.liouville.velocity_poles`), and the poles p = -1/lam
-    have the same relative separations."""
-    mod = np.abs(lam[..., :6])
-    a, b = _MODE_PAIRS
-    larger = np.maximum(mod[..., a], mod[..., b])
-    gap = np.abs(lam[..., a] - lam[..., b])
-    ratio = np.full(gap.shape, np.inf)
-    np.divide(gap, larger, out=ratio, where=larger > _ZERO_EIGENVALUE)
-    return ratio.min(axis=-1)
+def _pole_sum(lam, res):
+    """The Gaussian average of rational functions in the layout of
+    :func:`cascade_at.liouville.velocity_poles`, sum_k r_k / (1 + u lam_k)
+    per point: eigenvalues ``lam`` (point, mode) and residues ``res``
+    (point, function, mode), with exact conjugate pairs of eigenvalues
+    carrying exactly conjugate residues.  Returns the mask of accepted
+    points and their averages (point, function).
 
-
-def _full_engine_terms(lam, res):
-    """The real terms of the Doppler-averaged rho22 and rho33 of each point,
-    (point, 2, 7), which sum to them: per finite pole 1/(1 + u lam) =
-    (1/lam)/(u - p) with p = -1/lam, and per |lam| <= 1e-8 the residue
-    itself, the constant it stands for with an error below lam^2.  The
-    eigenvalues of the real pencil come in exact conjugate pairs with
-    conjugate terms, so a pair counts as twice the real part of its upper
-    member's term (Im lam > 0, and so Im p > 0) and the lower member as 0:
-    one Faddeeva value per pair and one per real lam."""
-    finite = np.abs(lam) > _ZERO_EIGENVALUE
+    A finite pole p = -1/lam has the term (r/lam) i pi w(p) / sqrt(pi)
+    (:func:`_pole_integral`); a pole with |lam| <= 1e-8 stands for the
+    constant r, with an error below lam^2, and takes no Faddeeva value.  A
+    conjugate pair counts as twice the real part of its upper member's term
+    (Im lam > 0, and so Im p > 0) and the lower member as 0: one Faddeeva
+    value per pair and one per real lam.  Refuses points where two of the
+    first six eigenvalues, not both at most 1e-8, come closer than
+    ``_DEGENERATE_SEP`` times the larger modulus (the residues divide by
+    such differences, and the poles have the same relative separations;
+    a seventh column is velocity_poles's constant, at lam = 0), and points
+    whose terms t_k of any function cancel,
+    eps sum |t_k| > ``_MAX_ROUNDING_ERROR`` |sum t_k|, or are nan.  Both
+    rules compare products, so no zero or nan can make them warn."""
+    mod = np.abs(lam)
+    modes = np.arange(min(lam.shape[-1], 6))
+    a, b = np.nonzero(modes[:, None] < modes)            # every pair of modes
+    larger = np.maximum(mod[:, a], mod[:, b])
+    gap = np.abs(lam[:, a] - lam[:, b])
+    ok = np.all((gap >= _DEGENERATE_SEP * larger) | (larger <= _ZERO_EIGENVALUE), axis=-1)
+    if not ok.all():
+        lam, res, mod = lam[ok], res[ok], mod[ok]
+    finite = mod > _ZERO_EIGENVALUE
     upper = finite & (lam.imag >= 0)
     pole_lam = lam[upper]
     kernel = np.where(finite, 0.0, 1.0).astype(complex)
     kernel[upper] = (np.where(pole_lam.imag > 0, 2.0, 1.0) / pole_lam
                      * _pole_integral(-1.0 / pole_lam) / _SQRTPI)
-    return (res * kernel[:, None, :]).real
+    terms = (res * kernel[:, None, :]).real
+    sums = terms.sum(axis=-1)
+    exact = np.all(_EPS * np.abs(terms).sum(axis=-1) <= _MAX_ROUNDING_ERROR * np.abs(sums),
+                   axis=-1)
+    ok[ok] = exact
+    return ok, sums[exact]
 
 
 def _full_engine_poles(scheme, drive, grid, alpha, beta, rabi_2):
     """Full steady state by its velocity poles
-    (:func:`cascade_at.liouville.velocity_poles`), summed term by term
-    (:func:`_full_engine_terms`).  ``alpha``, ``beta`` and ``rabi_2`` are
-    given per grid point.  Returns the mask of accepted points and their
-    (I2, I3).  Refuses, by the analytic pole builder's two rules, grid
-    points whose pole separation (:func:`_pole_separation`) is below 1e-9,
-    and points whose terms t_k of I2 or of I3 cancel:
-    eps sum |t_k| > ``_MAX_ROUNDING_ERROR`` |sum t_k|, or a nan."""
+    (:func:`cascade_at.liouville.velocity_poles`), summed by
+    :func:`_pole_sum`.  ``alpha``, ``beta`` and ``rabi_2`` are given per
+    grid point.  Returns the mask of accepted points and their (I2, I3)."""
     lam, res = velocity_poles(scheme, drive.rabi_1, grid, drive.detuning_2,
                               rabi_2, alpha, beta)
-    ok = _pole_separation(lam) >= _DEGENERATE_SEP
-    terms = _full_engine_terms(lam[ok], res[ok])
-    pops = terms.sum(axis=-1)
-    # a product, so that neither a zero sum nor a nan can warn; nan fails it
-    exact = np.all(_EPS * np.abs(terms).sum(axis=-1) <= _MAX_ROUNDING_ERROR * np.abs(pops),
-                   axis=-1)
-    ok[ok] = exact
+    ok, pops = _pole_sum(lam, res)
     rp = rates(scheme)
-    return ok, (rp.Gamma_2 * pops[exact, 0], rp.Gamma_3 * pops[exact, 1])
+    return ok, (rp.Gamma_2 * pops[:, 0], rp.Gamma_3 * pops[:, 1])
 
 
 def _exact_blocks(kernel, block: int, pending: np.ndarray, out: np.ndarray,

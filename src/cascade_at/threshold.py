@@ -50,7 +50,8 @@ import numpy as np
 from .doppler import ENGINES, _curvature_rows
 from .errors import ConfigError
 from .lineshape import doppler_slopes
-from .model import C_CM_PER_S, C_M_PER_S, DopplerParams, DriveParams, LevelScheme, rates
+from .model import (C_CM_PER_S, C_M_PER_S, MAX_RATE, DopplerParams, DriveParams, LevelScheme,
+                    rates)
 from .msublevel import MSublevelWeights
 
 SINGULAR_BAND = 0.02          # excluded neighbourhood of x = 0
@@ -171,6 +172,9 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
         raise ConfigError("threshold x and Doppler width grids must be finite")
     if np.any(dnu_grid < 0):
         raise ConfigError("Doppler widths must be >= 0")
+    if np.any(dnu_grid > MAX_RATE):
+        # the bound of DopplerParams, which the search does not build
+        raise ConfigError(f"Doppler widths must be at most {MAX_RATE:.0e} MHz")
     bad = np.abs(x_grid) < SINGULAR_BAND
     if np.any(bad):
         raise ConfigError(f"x grid enters the singular band |x| < {SINGULAR_BAND}: {x_grid[bad]}")

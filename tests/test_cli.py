@@ -331,9 +331,10 @@ class TestThresholdCommands:
         assert rows[:, 3].all()
 
     def test_narrow_doppler_width_matches_zero_width(self, tmp_path):
-        # roots of D beyond the Faddeeva function's domain and resonant
-        # curvatures beyond its derivatives' accuracy take the numeric sum
-        # and the stencil: a width of 0.001 MHz gives the zero-width curve
+        # roots of D beyond the Faddeeva function's domain take the pole
+        # sum's constant rule, and resonant curvatures beyond its
+        # derivatives' accuracy the stencil: a width of 0.001 MHz gives the
+        # zero-width curve
         dump = run_cli(["preset", "case-a"]).stdout
         curves = []
         for fwhm in ("0.001", "0.0"):
@@ -508,6 +509,41 @@ class TestErrorPaths:
         assert res.returncode in (2, 3), res.stdout[:200] + res.stderr
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
         assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
+
+    @pytest.mark.parametrize("command,value", [
+        ("surface", "dnu = 1e9"), ("surface", "dnu = 1e300"),
+        ("spectrum --engine analytic", "delta1 = 1e9"),
+        ("spectrum --engine analytic", "delta1 = 1e300"),
+        ("spectrum --engine analytic", "delta1 = -1e300"),
+        ("spectrum --engine full", "delta1 = 1e9"),
+        ("spectrum --engine full", "delta1 = 1e300"),
+        ("spectrum --engine full", "delta1 = -1e300")],
+        ids=["surface-1e9", "surface-1e300", "analytic-1e9", "analytic-1e300",
+             "analytic-minus-1e300", "full-1e9", "full-1e300", "full-minus-1e300"])
+    def test_beyond_max_rate_is_one_error_line(self, tmp_path, command, value):
+        # a Doppler width or probe detuning beyond model.MAX_RATE on a scan
+        # grid, as DopplerParams and DriveParams refuse it: 1e300 overflowed
+        # or failed as a singular pencil, and 1e9 ran
+        key, number = value.split(" = ")
+        scen = small_scan("a.ini", tmp_path, [f"{key}_start = {number}",
+                                              f"{key}_stop = {number}"])
+        res = run_cli(command.split() + ["--scenario", scen, "--out", str(tmp_path / "o.csv")],
+                      {"PYTHONWARNINGS": "error::RuntimeWarning"})
+        assert res.returncode == 2, res.stdout[:200] + res.stderr
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+        assert "at most 1e+08 MHz" in res.stderr
+
+    @pytest.mark.parametrize("command,lines", [
+        ("surface", ["dnu_start = 1e8", "dnu_stop = 1e8", "x_start = -0.55", "x_stop = -0.45"]),
+        ("spectrum --engine analytic", ["delta1_start = -1e8", "delta1_stop = 1e8",
+                                        "delta1_step = 1e8"]),
+        ("spectrum --engine full", ["delta1_start = -1e8", "delta1_stop = 1e8",
+                                    "delta1_step = 1e8"])], ids=["surface", "analytic", "full"])
+    def test_max_rate_itself_runs(self, tmp_path, command, lines):
+        scen = small_scan("a.ini", tmp_path, lines)
+        res = run_cli(command.split() + ["--scenario", scen, "--out", str(tmp_path / "o.csv")],
+                      {"PYTHONWARNINGS": "error::RuntimeWarning"})
+        assert res.returncode == 0, res.stderr
 
     def test_msum_without_rotational_levels_exits_2(self, tmp_path):
         # the rotational quantum numbers default to 0, and the coupling

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -186,7 +187,8 @@ class TestDegeneratePoles:
         an = analytic(scheme, drv, dopp, grid)[row]
 
         assert len(fallbacks) == 1
-        assert w_shapes == [(2, 2)]         # the two roots of D at the two outer points
+        # one call, shared by I2 and I3: the two roots of D at the two outer points
+        assert w_shapes == [(4,)]
         assert np.max(np.abs(an - num) / num) < 1e-6
         # the fallback is that same GH200 average, so check the middle point
         # against adaptive quadrature as well
@@ -285,39 +287,48 @@ class TestFullExact:
 
     @staticmethod
     def refuse_worst(case_a, gh200, monkeypatch, name, choose):
-        """Set the refusal limit ``name`` to the value ``choose(lam, res)``
-        gives with the index of the worst point of a small grid, and check
-        that this point, and no other, takes the numeric sum and gets its
-        bits, while every other point keeps its exact bits."""
+        """For each exact engine, set the refusal limit ``name`` to the value
+        ``choose(lam, res)`` gives with the index of the worst point of a
+        small grid, from the eigenvalues and residues its pole builder hands
+        to ``_pole_sum``, and check that this point, and no other, takes the
+        numeric sum and gets its bits, while every other point keeps its
+        exact bits."""
         scheme, drive, dopp = case_a
         grid = np.array([-300.0, -10.0, 0.0, 250.0])
-        alpha, beta = doppler_slopes(scheme, drive, dopp)
-        lam, res = velocity_poles(scheme, drive.rabi_1, grid, drive.detuning_2,
-                                  drive.rabi_2, alpha, beta)
-        worst, limit = choose(lam, res)
-        monkeypatch.setattr(doppler, name, limit)
-        calls = []
-        numeric = doppler._numeric_point
-        monkeypatch.setattr(doppler, "_numeric_point",
-                            lambda model, sch, drv, delta1, *a:
-                            calls.append(delta1) or numeric(model, sch, drv, delta1, *a))
-        got = doppler.intensities("full", scheme, drive, dopp, grid)
-        monkeypatch.undo()
+        for engine, model in (("full", "full"), ("analytic", "perturbative")):
+            handed, pole_sum = [], doppler._pole_sum
+            monkeypatch.setattr(doppler, "_pole_sum",
+                                lambda lam, res: handed.append((lam, res)) or pole_sum(lam, res))
+            exact = doppler.intensities(engine, scheme, drive, dopp, grid)
+            monkeypatch.undo()
+            [(lam, res)] = handed
+            worst, limit = choose(lam, res)
+            monkeypatch.setattr(doppler, name, limit)
+            calls = []
+            numeric = doppler._numeric_point
+            monkeypatch.setattr(doppler, "_numeric_point",
+                                lambda model, sch, drv, delta1, *a:
+                                calls.append(delta1) or numeric(model, sch, drv, delta1, *a))
+            got = doppler.intensities(engine, scheme, drive, dopp, grid)
+            monkeypatch.undo()
 
-        assert calls == [grid[worst]]
-        point = ca.average("full", scheme, drive, dopp, gh200, grid[worst:worst + 1])
-        assert np.array_equal(got[:, worst], point[:, 0])
-        exact = doppler.intensities("full", scheme, drive, dopp, grid)
-        rest = np.arange(len(grid)) != worst
-        assert np.array_equal(got[:, rest], exact[:, rest])
-        assert np.all(np.abs(got[:, worst] - exact[:, worst]) < 1e-6 * exact.max(axis=1))
+            assert calls == [grid[worst]], engine
+            point = ca.average(model, scheme, drive, dopp, gh200, grid[worst:worst + 1])
+            assert np.array_equal(got[:, worst], point[:, 0]), engine
+            rest = np.arange(len(grid)) != worst
+            assert np.array_equal(got[:, rest], exact[:, rest]), engine
+            assert np.all(np.abs(got[:, worst] - exact[:, worst])
+                          < 1e-6 * exact.max(axis=1)), engine
 
     def test_separation_fallback(self, case_a, gh200, monkeypatch):
         # raise the separation limit to between the closest and the next
-        # closest pole pair of the grid: the point with the closest pair is
-        # refused
+        # closest pole pair of the grid, each point's smallest distance
+        # between two of its first six eigenvalues relative to the larger
+        # modulus: the point with the closest pair is refused
         def limit(lam, res):
-            sep = doppler._pole_separation(lam)
+            sep = [min(abs(x - y) / max(abs(x), abs(y))
+                       for x, y in itertools.combinations(row[:6], 2)
+                       if max(abs(x), abs(y)) > 1e-8) for row in lam]
             low, next_low = np.sort(sep)[:2]
             return int(np.argmin(sep)), math.sqrt(low * next_low)
 
@@ -328,13 +339,32 @@ class TestFullExact:
         # estimate eps sum |t_k| / |sum t_k| of the grid: the point with the
         # worst is refused
         def limit(lam, res):
-            terms = doppler._full_engine_terms(lam, res)
+            terms = folded_terms(lam, res)
             loss = (doppler._EPS * np.abs(terms).sum(axis=-1)
                     / np.abs(terms.sum(axis=-1))).max(axis=-1)
             next_high, high = np.sort(loss)[-2:]
             return int(np.argmax(loss)), math.sqrt(high * next_high)
 
         self.refuse_worst(case_a, gh200, monkeypatch, "_MAX_ROUNDING_ERROR", limit)
+
+
+def folded_terms(lam, res):
+    """The real terms (point, function, mode) of the pole sums of
+    ``doppler._pole_sum``, one pole at a time: the residue itself for
+    |lam| <= 1e-8, the real part of (r/lam) s i sqrt(pi) w(s p), p = -1/lam
+    and s = sign Im p, for a real pole, twice that for the upper member of a
+    conjugate pair, and 0 for its lower member."""
+    terms = np.zeros(res.shape)
+    for k, row in enumerate(lam):
+        for m, value in enumerate(row):
+            if abs(value) <= 1e-8:
+                terms[k, :, m] = res[k, :, m].real
+            elif value.imag >= 0:
+                p = -1.0 / value
+                s = 1.0 if p.imag > 0 else -1.0
+                integral = s * 1j * SQRTPI * ca.w(s * p)
+                terms[k, :, m] = (1 + (value.imag > 0)) * (res[k, :, m] / value * integral).real
+    return terms
 
 
 class TestIntensities:
@@ -362,27 +392,30 @@ class TestIntensities:
             assert np.array_equal(rows[i], expected[i])
 
     def test_analytic_both_in_one_pass(self, case_a, monkeypatch):
-        # an analytic spectrum makes one Faddeeva call of shape (n, 2), on
-        # the two roots of D at every point: I2 and I3 share the roots, the
-        # pole products and that call
+        # an analytic spectrum makes one Faddeeva call of two values per
+        # point, on the upper member of each conjugate pair of poles: I2 and
+        # I3 share the roots, the pole products and that call
         shapes, w = [], doppler.faddeeva_w
         monkeypatch.setattr(doppler, "faddeeva_w",
                             lambda z: shapes.append(np.shape(z)) or w(z))
         for name in ("I2", "I3"):
             getattr(doppler, f"average_analytic_{name}")(*case_a, self.GRID)
         ca.intensities("analytic", *case_a, self.GRID)
-        assert shapes == [(len(self.GRID), 2)] * 3
+        assert shapes == [(2 * len(self.GRID),)] * 3
 
     def test_unknown_engine(self, case_a):
         with pytest.raises(ConfigError, match="engine must be one of"):
             doppler.intensities("exact", *case_a, self.GRID)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e9, 1e300, -1e300])
     @pytest.mark.parametrize("call", ["analytic", "full", "perturbative", "average-full",
                                       "average-perturbative"])
     def test_non_finite_grid_is_bad_input(self, case_a, gh200, call, bad):
+        # beyond MAX_RATE, the bound of DriveParams: 1e300 MHz failed as a
+        # singular pencil or a non-finite Faddeeva argument, and 1e9 MHz ran
         grid = np.array([bad, 0.0])
-        with pytest.raises(ConfigError, match="probe-detuning grid must be finite"):
+        with pytest.raises(ConfigError, match="probe-detuning grid must be finite and "
+                                              "at most 1e\\+08 MHz in magnitude"):
             if call.startswith("average-"):
                 doppler.average(call.split("-")[1], *case_a, gh200, grid)
             else:
@@ -870,7 +903,7 @@ class TestNarrowWidth:
     @pytest.mark.parametrize("fwhm", [1e-3, 1e-4, 1e-6])
     def test_spectra_tend_to_zero_width(self, case_a, fwhm):
         # below ~1e-4 MHz the roots of D leave the Faddeeva function's domain
-        # |z| <= 1e8; those points take the numeric sum instead of raising
+        # |z| <= 1e8; their |lam| < 1e-8 takes the pole sum's constant rule
         scheme, drive, _ = case_a
         grid = np.linspace(-600.0, 600.0, 61)
         zero = doppler.intensities("analytic", scheme, drive,

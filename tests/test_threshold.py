@@ -10,6 +10,7 @@ from cascade_at import doppler, threshold
 from cascade_at.doppler import _STENCIL, _curvature_rows, _second_derivative
 from cascade_at.errors import ConfigError, NumericalError
 from cascade_at.lineshape import doppler_slopes
+from cascade_at.model import MAX_RATE
 from cascade_at.msublevel import m_summed, weights
 from cascade_at.threshold import (ThresholdResult, _geometry_for_x, curvature_at_zero,
                                   threshold_curve, threshold_rabi, threshold_surface)
@@ -304,14 +305,18 @@ class TestThresholdSurface:
     @pytest.mark.parametrize("x_grid, dnu_grid", [
         ([math.nan, -0.5], [1100.0]), ([math.inf], [1100.0]), ([-math.inf], [1100.0]),
         ([-0.5], [math.nan, 1100.0]), ([-0.5], [math.inf]),
-        ([[-0.5, 0.5]], [1100.0]), ([-0.5], [[1100.0]]), (-0.5, [1100.0])],
+        ([[-0.5, 0.5]], [1100.0]), ([-0.5], [[1100.0]]), (-0.5, [1100.0]),
+        ([-0.5], [1e9]), ([-0.5], [1e300])],
         ids=["nan-x", "inf-x", "minus-inf-x", "nan-width", "inf-width", "2d-x",
-             "2d-width", "scalar-x"])
+             "2d-width", "scalar-x", "1e9-width", "1e300-width"])
     def test_bad_grids_rejected(self, case_a, x_grid, dnu_grid):
+        # widths beyond MAX_RATE, which DopplerParams refuses: 1e300 MHz
+        # overflowed in the cell slopes, and 1e9 MHz ran
         scheme = case_a[0]
         with pytest.raises(ConfigError):
             threshold_surface("analytic", scheme, x_grid, dnu_grid)
-        if np.ndim(dnu_grid) == 1 and np.all(np.isfinite(dnu_grid)):
+        # a good width grid leaves the bad x grid, which the curve refuses too
+        if np.ndim(dnu_grid) == 1 and np.all(np.abs(dnu_grid) <= MAX_RATE):
             with pytest.raises(ConfigError):
                 threshold_curve("analytic", scheme, x_grid, DOP)
 
