@@ -106,6 +106,8 @@ _STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])   # in units of the step h
 # is evaluated at its points 0, h, 2h, and _MIRROR picks [f2, f1, f0, f1, f2]
 _HALF_STENCIL = _STENCIL[2:]
 _MIRROR = np.array([2, 1, 0, 1, 2])
+# the signs of the resonant curvature's t = -(2 a v + b) at its two roots
+_ROOT_SIGNS = np.array([[1.0], [-1.0]])
 
 ENGINES = ("full", "perturbative", "analytic")
 MIN_QUAD_ORDER = 16
@@ -366,35 +368,41 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     rp = rates(scheme)
     sigma = alpha + beta
     a = -(alpha * sigma)
+    abs_a = np.abs(a)
+    four_a = 4 * a
     quarter = np.square(rabi_2 / 2)                      # Omega_2^2 / 4
-    b = alpha * rp.gamma_13 + sigma * rp.gamma_12
+    # b and g share their two products
+    alpha_13, sigma_12 = alpha * rp.gamma_13, sigma * rp.gamma_12
+    b = alpha_13 + sigma_12
     c = rp.gamma_12 * rp.gamma_13 + quarter
-    g = alpha * rp.gamma_13 - sigma * rp.gamma_12
+    g = alpha_13 - sigma_12
     # D's discriminant rounds as in the spectra's kernel, so the guard below
     # refuses the same points
-    disc = b * b + 4 * a * c
+    b2 = b * b
+    disc = b2 + four_a * c
     sq = np.copysign(1.0, b) * np.sqrt(disc + 0j)
     q = -(b + sq) / 2                                   # a v0 = q, v0 v1 = -c/a
     # the poles' distances times |a|: |v0 - v1| = |sq|, |v0 + v1| = |b|,
     # 2|v0| and 2|v1|, against the larger of |v0| and |v1|
     r0 = np.abs(q)
-    r1 = c * np.abs(a) / r0
+    r1 = c * abs_a / r0
     sep = np.minimum(np.minimum(np.abs(sq), np.abs(b)), 2 * np.minimum(r0, r1))
     r_max = np.maximum(r0, r1)                           # |a| max |zeta|
     ok = (a != 0) & ~((sep < _DEGENERATE_SEP * r_max)
-                      | (r_max > _RESONANT_MAX_ZETA * np.abs(a)))
-    if not ok.all():
-        alpha, beta, rabi_2, a, b, c, g, quarter, disc, sq, q, r_max = (
-            x[ok] for x in (alpha, beta, rabi_2, a, b, c, g, quarter, disc, sq, q, r_max))
+                      | (r_max > _RESONANT_MAX_ZETA * abs_a))
+    if np.count_nonzero(ok) < ok.size:
+        alpha, beta, rabi_2, a, abs_a, four_a, b, b2, c, g, quarter, disc, sq, q, r_max = (
+            x[ok] for x in (alpha, beta, rabi_2, a, abs_a, four_a, b, b2, c, g, quarter,
+                            disc, sq, q, r_max))
     # z' = e1 + f1 v, z'' = i eps t, L' = i lam v and L'' = kappa + eps b / v,
     # with L the log of the root's residue
     f1 = beta * g / disc
     e1 = (quarter * (4 * alpha + 2 * beta) + (rp.gamma_12 - rp.gamma_13) * g) / disc
     lam = -2 * a * f1 / b
     eps = 2 * quarter * np.square(beta / disc)
-    kappa = 4 * a * eps - f1 * f1 * (1 + disc / (b * b))
+    kappa = four_a * eps - f1 * f1 * (1 + disc / b2)
     v = np.array((q / a, -c / q))                        # (root, point)
-    t = np.multiply.outer([1.0, -1.0], sq)              # -(2 a v + b)
+    t = _ROOT_SIGNS * sq                                 # -(2 a v + b)
     dz = e1 + f1 * v
     dlog = (1j * lam) * v
     d2z = (1j * eps) * t
@@ -416,10 +424,13 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     prefactor = rp.Gamma_3 * K_RHO33 * np.square(drive.rabi_1 * rabi_2 / 4)
     # the rounding guard, with max |zeta| = r_max / |a| (a != 0), compares
     # products, so a zero sum of the terms cannot make it warn
-    loss = _EPS * (1 + np.square(np.square(r_max / np.abs(a))))
+    loss = _EPS * (1 + np.square(np.square(r_max / abs_a)))
     kept = ~(loss * (np.abs(t0) + np.abs(t1)) > _MAX_ROUNDING_ERROR * np.abs(total))
-    ok[ok] = kept
-    return ok, ((-2 * _SQRTPI) * prefactor * total)[kept]
+    curvature = (-2 * _SQRTPI) * prefactor * total
+    if np.count_nonzero(kept) < kept.size:
+        ok[ok] = kept
+        curvature = curvature[kept]
+    return ok, curvature
 
 
 def _pole_sum(lam, res):
@@ -480,9 +491,17 @@ def _full_engine_poles(scheme, drive, grid, alpha, beta, rabi_2):
 def _exact_blocks(kernel, block: int, pending: np.ndarray, out: np.ndarray,
                   scheme: LevelScheme, drive: DriveParams, *arrays) -> None:
     """Run ``kernel(scheme, drive, *(a[part] for a in arrays))`` on the
-    points flagged in ``pending``, ``block`` per call.  Writes the values of
-    the points it accepts into the last axis of ``out`` and clears their
-    flags; the points it refuses stay flagged for the fallback."""
+    points flagged in ``pending``, ``block`` per call; when every point is
+    pending and they fit one block, on the arrays themselves, without a
+    gather and a scatter (the kernels write to no argument).  Writes the
+    values of the points it accepts into the last axis of ``out`` and
+    clears their flags; the points it refuses stay flagged for the
+    fallback."""
+    if 0 < np.count_nonzero(pending) == pending.size <= block:
+        ok, accepted = kernel(scheme, drive, *arrays)
+        out[..., ok] = accepted
+        pending[ok] = False
+        return
     points = np.flatnonzero(pending)
     for part in (points[i:i + block] for i in range(0, len(points), block)):
         ok, accepted = kernel(scheme, drive, *(a[part] for a in arrays))
@@ -584,16 +603,19 @@ def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
     rabi_2 = np.asarray(rabi_2, dtype=float)
     weights = folded_weights(msum)
     om = (rabi_2[:, None] * weights).ravel()              # (row, M weight), flat
-    alpha, beta = (np.repeat(np.asarray(s, dtype=float), len(weights)) for s in (alpha, beta))
+    alpha = np.asarray(alpha, dtype=float).repeat(len(weights))
+    beta = np.asarray(beta, dtype=float).repeat(len(weights))
     curv = np.full(om.size, np.nan)
-    stencil = np.ones(om.size, dtype=bool)
     if engine == "analytic":
         # zero-width points skip the kernel; its refused points stay flagged
-        stencil = alpha != 0.0
+        zero = alpha == 0.0
+        stencil = ~zero
         _exact_blocks(_weak_probe_curvature, _RESONANT_BLOCK, stencil, curv, scheme, drive,
                       alpha, beta, om)
-        stencil |= alpha == 0.0
-    if stencil.any():
+        stencil |= zero
+    else:
+        stencil = np.ones(om.size, dtype=bool)
+    if np.count_nonzero(stencil):
         # each row's step, from its own coupling, shared by its M weights
         h = np.repeat(np.maximum(0.5, rabi_2 / 200.0), len(weights))[stencil]
         i3 = _row_average(engine, scheme, drive, h[:, None] * _HALF_STENCIL,

@@ -62,6 +62,9 @@ _REL_TOL = 1e-3
 # is a bracket with b/a = exp(2 _PAIR) < 1 + _REL_TOL
 _PAIR = 0.4999 * math.log1p(_REL_TOL)
 _STALLS = 3                   # passes that do not halve a bracket before its midpoint
+# the pre-scan's couplings, and the steps from a Newton pair's centre to its rows
+_SCANS = np.geomspace(*_BRACKET, _PRESCAN_POINTS)
+_PAIR_STEPS = np.array([[-_PAIR], [_PAIR]])
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,7 @@ def _cell_slopes(scheme: LevelScheme, x_grid: np.ndarray,
     wavenumber k_21/|x| (as ``LevelScheme.nu_32`` computes it)."""
     v_p = dnu_grid * C_M_PER_S / (2 * math.sqrt(math.log(2.0)) * scheme.nu_21)
     nu_32 = C_CM_PER_S * (scheme.wavenumber_21 / np.abs(x_grid)) / 1e6
-    sign_nu32 = np.where(x_grid > 0, 1.0, -1.0) * nu_32
+    sign_nu32 = np.sign(x_grid) * nu_32                  # x != 0
     # every geometry has dir_1 = 1
     alpha = np.tile(scheme.nu_21 * v_p / C_M_PER_S, len(x_grid))
     return alpha, (sign_nu32[:, None] * v_p / C_M_PER_S).ravel()
@@ -168,15 +171,15 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
     x_grid, dnu_grid = np.asarray(x_grid, dtype=float), np.asarray(dnu_grid, dtype=float)
     if x_grid.ndim != 1 or dnu_grid.ndim != 1:
         raise ConfigError("threshold x and Doppler width grids must be 1-D")
-    if not (np.all(np.isfinite(x_grid)) and np.all(np.isfinite(dnu_grid))):
+    if not (np.isfinite(x_grid).all() and np.isfinite(dnu_grid).all()):
         raise ConfigError("threshold x and Doppler width grids must be finite")
-    if np.any(dnu_grid < 0):
+    if (dnu_grid < 0).any():
         raise ConfigError("Doppler widths must be >= 0")
-    if np.any(dnu_grid > MAX_RATE):
+    if (dnu_grid > MAX_RATE).any():
         # the bound of DopplerParams, which the search does not build
         raise ConfigError(f"Doppler widths must be at most {MAX_RATE:.0e} MHz")
     bad = np.abs(x_grid) < SINGULAR_BAND
-    if np.any(bad):
+    if bad.any():
         raise ConfigError(f"x grid enters the singular band |x| < {SINGULAR_BAND}: {x_grid[bad]}")
     if rabi_1 is None:
         rabi_1 = rates(scheme).Gamma_2 / 20.0
@@ -188,61 +191,64 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
 
     n = len(alpha)
     # 1. pre-scan: every cell over the same couplings
-    scans = np.geomspace(*_BRACKET, _PRESCAN_POINTS)
-    curv = _curvature_rows(engine, scheme, drive, np.repeat(alpha, _PRESCAN_POINTS),
-                           np.repeat(beta, _PRESCAN_POINTS), np.tile(scans, n),
+    curv = _curvature_rows(engine, scheme, drive, alpha.repeat(_PRESCAN_POINTS),
+                           beta.repeat(_PRESCAN_POINTS), np.tile(_SCANS, n),
                            msum).reshape(n, _PRESCAN_POINTS)
     signs = curv > 0
     rising = ~signs[:, :-1] & signs[:, 1:]
-    found = rising.any(axis=1) & ~np.isnan(curv).any(axis=1)
+    crossings = rising.sum(axis=1)
+    found = (crossings > 0) & ~np.isnan(curv).any(axis=1)
     # a positive sign before the first crossing (strong-probe dressing can
     # curve the line upward at negligible coupling) also counts as
     # non-monotonic: the reported value is still the smallest Omega_2 where
     # the curvature crosses from negative to positive.
-    non_monotonic = found & ((rising.sum(axis=1) > 1) | signs[:, 0])
+    non_monotonic = found & ((crossings > 1) | signs[:, 0])
     first = rising.argmax(axis=1)[found]
-    a, b = scans[first], scans[first + 1]
+    a, b = _SCANS[first], _SCANS[first + 1]
     fa, fb = curv[found, first], curv[found, first + 1]
 
-    # 2. Newton pairs on log Omega_2, each cell on its own bracket; the
-    # arrays hold the cells still refining
+    # 2. Newton pairs on log Omega_2, each cell on its own bracket [a, b],
+    # held as the columns of rows (Omega_2, ln Omega_2, curvature) of its
+    # ends ``lo`` and ``hi``; the arrays hold the cells still refining
     cells = np.flatnonzero(found)
     la, lb = np.log(a), np.log(b)
     # the scan point beside the end of smaller |curvature|, or beside the
     # other end at the end of the scan
     side = np.where(((np.abs(fa) < np.abs(fb)) & (first > 0))
                     | (first + 2 == _PRESCAN_POINTS), first - 1, first + 2)
-    est = _first_estimate(la, lb, fa, fb, np.log(scans[side]), curv[found, side])
+    est = _first_estimate(la, lb, fa, fb, np.log(_SCANS[side]), curv[found, side])
+    lo, hi = np.array((a, la, fa)), np.array((b, lb, fb))
     stalls = np.zeros(len(cells), dtype=int)
     omega = np.full(n, np.nan)
     while len(cells):
-        e = np.minimum(np.maximum(est, la + _PAIR), lb - _PAIR)
-        lm, lp = e - _PAIR, e + _PAIR
-        om = np.exp(np.concatenate((lm, lp)))
+        e = np.minimum(np.maximum(est, lo[1] + _PAIR), hi[1] - _PAIR)
+        lpair = e + _PAIR_STEPS                          # rows e - h, e + h
+        om = np.exp(lpair)
         pair = np.concatenate((cells, cells))
-        fm, fp = _curvature_rows(engine, scheme, drive, alpha[pair], beta[pair], om,
-                                 msum).reshape(2, -1)
-        om_m, om_p = om.reshape(2, -1)
+        f = _curvature_rows(engine, scheme, drive, alpha[pair], beta[pair], om.ravel(),
+                            msum).reshape(2, -1)
+        ends = np.array((om, lpair, f))                  # (row, pair member, cell)
         # the new bracket is the first negative-to-positive crossing of
         # (a, lower, upper, b): [a, lower] where f(lower) > 0, else the pair
         # where it straddles, else [upper, b]
-        low, up = fm <= 0, fp > 0
-        width = lb - la
-        a, la, fa = (np.where(low, np.where(up, m, p), end)
-                     for m, p, end in ((om_m, om_p, a), (lm, lp, la), (fm, fp, fa)))
-        b, lb, fb = (np.where(low, np.where(up, p, end), m)
-                     for m, p, end in ((om_m, om_p, b), (lm, lp, lb), (fm, fp, fb)))
+        low, up = f[0] <= 0, f[1] > 0
+        width = hi[1] - lo[1]
+        lo = np.where(low, np.where(up, ends[:, 0], ends[:, 1]), lo)
+        hi = np.where(low, np.where(up, ends[:, 1], hi), ends[:, 0])
+        # a nan in either row fails the cell
+        failed = np.isnan(f[0]) | np.isnan(f[1])
+        done = ~failed & (hi[0] / lo[0] <= 1.0 + _REL_TOL)
+        if np.count_nonzero(done):
+            omega[cells[done]] = np.sqrt(lo[0, done] * hi[0, done])
+        keep = ~(failed | done)
+        if not np.count_nonzero(keep):
+            break
+        (a, la, fa), (b, lb, fb) = lo, hi
         stalls = np.where(lb - la <= 0.5 * width, 0, stalls + 1)
-        newton = e - _newton_step(_PAIR * (fp + fm), fp - fm, lb - la)
+        newton = e - _newton_step(_PAIR * (f[1] + f[0]), f[1] - f[0], lb - la)
         est = np.where(stalls >= _STALLS, 0.5 * (la + lb),
                        np.where(np.isnan(newton), _secant(la, lb, fa, fb), newton))
-        # a nan in either row fails the cell
-        failed = np.isnan(fm) | np.isnan(fp)
-        done = ~failed & (b / a <= 1.0 + _REL_TOL)
-        omega[cells[done]] = np.sqrt(a[done] * b[done])
-        keep = ~failed & ~done
-        cells, a, b, la, lb, fa, fb, est, stalls = (
-            v[keep] for v in (cells, a, b, la, lb, fa, fb, est, stalls))
+        cells, lo, hi, est, stalls = (v[..., keep] for v in (cells, lo, hi, est, stalls))
 
     converged = ~np.isnan(omega)
     shape = (len(x_grid), len(dnu_grid))

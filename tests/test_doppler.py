@@ -613,6 +613,49 @@ class TestConjugatePairs:
         assert np.array_equal(doppler._row_average(*args), ref)
 
 
+class TestExactBlocks:
+    """The block loop of the exact kernels, ``doppler._exact_blocks``."""
+
+    @staticmethod
+    def run(pending, block):
+        """A kernel that accepts the even values, halved, and records the
+        arrays it is given, on the values 0..9."""
+        seen = []
+
+        def kernel(scheme, drive, values):
+            seen.append(values)
+            ok = values % 2 == 0
+            return ok, values[ok] / 2
+
+        values, out = np.arange(10.0), np.full(10, np.nan)
+        doppler._exact_blocks(kernel, block, pending, out, None, None, values)
+        return values, seen, out
+
+    def test_one_block_of_every_point_passes_the_arrays(self):
+        pending = np.ones(10, dtype=bool)
+        values, seen, out = self.run(pending, 10)
+        assert len(seen) == 1 and seen[0] is values
+        assert np.array_equal(pending, values % 2 == 1)
+        assert np.array_equal(out, np.where(pending, np.nan, values / 2), equal_nan=True)
+
+    @pytest.mark.parametrize("block", [10, 3])
+    def test_gathered_points_get_the_same_values(self, block):
+        # with a point not pending, or more points than one block, the
+        # kernel gets copies of the pending points; each point's value is
+        # the one it gets in the pass-through
+        _, _, ref = self.run(np.ones(10, dtype=bool), 10)
+        pending = np.arange(10) != 4
+        values, seen, out = self.run(pending, block)
+        assert all(part is not values for part in seen)
+        assert [len(part) for part in seen] == ([9] if block == 10 else [3, 3, 3])
+        assert np.isnan(out[4]) and not pending[4]
+        assert np.array_equal(np.delete(out, 4), np.delete(ref, 4), equal_nan=True)
+
+    def test_no_pending_point_calls_no_kernel(self):
+        values, seen, out = self.run(np.zeros(10, dtype=bool), 10)
+        assert seen == [] and np.isnan(out).all()
+
+
 def mp_pole_sum(mp, scheme, drive, alpha, beta, delta1):
     """(I2, I3) of the full engine at one probe detuning by the velocity pole
     sum in 40-digit arithmetic: M = S^{-1} B_c = (R + D)^{-1} Sigma and

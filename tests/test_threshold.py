@@ -408,10 +408,14 @@ class TestPhaseCalls:
 
     @staticmethod
     def record(monkeypatch):
-        """Rows per ``_curvature_rows`` call and points per exact-curvature
-        kernel call, in call order."""
-        calls = {"rows": [], "kernel": []}
+        """Rows per ``_curvature_rows`` call, points per exact-curvature
+        kernel call and grid points per fallback call, in call order.  The
+        fallback is the analytic pole builder ``_weak_probe_poles``, which
+        the row average calls for the stencils of the points the kernel
+        refuses."""
+        calls = {"rows": [], "kernel": [], "fallback": []}
         rows, kernel = threshold._curvature_rows, doppler._weak_probe_curvature
+        fallback = doppler._weak_probe_poles
 
         def counting_rows(engine, scheme, drive, alpha, beta, rabi_2, msum):
             calls["rows"].append(len(rabi_2))
@@ -421,8 +425,13 @@ class TestPhaseCalls:
             calls["kernel"].append(len(rabi_2))
             return kernel(scheme, drive, alpha, beta, rabi_2)
 
+        def counting_fallback(scheme, drive, grid, alpha, beta, rabi_2):
+            calls["fallback"].append(len(grid))
+            return fallback(scheme, drive, grid, alpha, beta, rabi_2)
+
         monkeypatch.setattr(threshold, "_curvature_rows", counting_rows)
         monkeypatch.setattr(doppler, "_weak_probe_curvature", counting_kernel)
+        monkeypatch.setattr(doppler, "_weak_probe_poles", counting_fallback)
         return calls
 
     def test_no_call_without_rows(self, case_a, monkeypatch):
@@ -462,13 +471,23 @@ class TestPhaseCalls:
     DNU_GRID = 200.0 + 400.0 * np.arange(13)
 
     def test_surface_blocks_take_four_calls(self, case_a, monkeypatch):
+        # the benchmark's eight blocks, with the x grids its CLI calls build
+        # at x offsets 0, 0.0123 and 0.0299: at most 4 lockstep and 4 kernel
+        # calls each, and at most one fallback call, which 2 or 3 blocks of
+        # each offset make
         calls = self.record(monkeypatch)
-        for block in range(8):
-            calls["rows"].clear()
-            tmap = threshold_surface("analytic", case_a[0], self.X_GRID[5 * block:5 * block + 5],
-                                     self.DNU_GRID)
-            assert tmap.converged.all()
-            assert len(calls["rows"]) <= 4
+        for offset in (0.0, 0.0123, 0.0299):
+            fallbacks = 0
+            for block in range(8):
+                for made in calls.values():
+                    made.clear()
+                x_grid = -1.95 + offset + 0.5 * block + 0.1 * np.arange(5)
+                tmap = threshold_surface("analytic", case_a[0], x_grid, self.DNU_GRID)
+                assert tmap.converged.all()
+                assert len(calls["rows"]) <= 4 and len(calls["kernel"]) <= 4
+                assert len(calls["fallback"]) <= 1
+                fallbacks += len(calls["fallback"])
+            assert 2 <= fallbacks <= 3
 
     @pytest.mark.parametrize("engine, rows", [("analytic", 12627), ("full", 12592)])
     def test_default_surface_calls_and_rows(self, case_a, monkeypatch, engine, rows):
@@ -603,22 +622,40 @@ class TestCurvatureRows:
         self.check("full", scheme, cells, self.OMEGAS[::2], msum=wts, rabi_1=36.0)
 
     def test_bits_do_not_depend_on_block_size(self, case_a, monkeypatch):
-        # 8 rows times 4 folded weights: blocks of 7 straddle the rows
+        # 8 rows times 4 folded weights: one block of every point, which the
+        # kernel gets as the arrays themselves; the same rows among a
+        # zero-width row and a refused row (x = -1, where D is linear), whose
+        # pending points are gathered; and blocks of 7 that straddle the rows
         scheme = case_a[0]
+        drive, wts = ca.DriveParams(rabi_1=1.0, rabi_2=0.0), weights(3, 3)
         pairs = random_cells(scheme, np.random.default_rng(14), 8, 1.0)
-        rows = (ca.DriveParams(rabi_1=1.0, rabi_2=0.0), *slopes([c for c, _ in pairs]),
-                np.array([om for _, om in pairs]), weights(3, 3))
-        ref = _curvature_rows("analytic", scheme, *rows)
+        alpha, beta = slopes([c for c, _ in pairs])
+        rabi_2 = np.array([om for _, om in pairs])
         calls = []
         kernel = doppler._weak_probe_curvature
 
-        def counting(sch, drive, alpha, beta, rabi_2):
-            calls.append(len(rabi_2))
-            return kernel(sch, drive, alpha, beta, rabi_2)
+        def counting(sch, drv, a, b, om):
+            calls.append(len(om))
+            return kernel(sch, drv, a, b, om)
 
         monkeypatch.setattr(doppler, "_weak_probe_curvature", counting)
+        ref = _curvature_rows("analytic", scheme, drive, alpha, beta, rabi_2, wts)
+        assert calls == [8 * 4]
+
+        linear = make_cell(scheme, -1.0, DOP, 1.0)
+        before = [2, 6]                  # the extra rows go before rows 2 and 6
+        mixed = (np.insert(alpha, before, [0.0, linear.alpha]),
+                 np.insert(beta, before, [0.0, linear.beta]), np.insert(rabi_2, before, 300.0))
+        calls.clear()
+        got = _curvature_rows("analytic", scheme, drive, *mixed, wts)
+        assert calls == [9 * 4]                   # the zero-width row skips the kernel
+        assert np.array_equal(np.delete(got, [2, 7]), ref)
+        assert np.isfinite(got).all()
+
+        calls.clear()
         monkeypatch.setattr(doppler, "_RESONANT_BLOCK", 7)
-        assert np.array_equal(_curvature_rows("analytic", scheme, *rows), ref)
+        assert np.array_equal(_curvature_rows("analytic", scheme, drive, alpha, beta,
+                                              rabi_2, wts), ref)
         assert sum(calls) == 8 * 4 and max(calls) <= 7
 
     @pytest.mark.parametrize("msum", [False, True])
