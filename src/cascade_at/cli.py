@@ -73,24 +73,13 @@ _KEY_TYPES = {section: {f.name: int if f.type in (int, "int") else float for f i
 _KEY_TYPES["scan"] = dict.fromkeys(_DEFAULT_SCAN, float)
 
 
-@functools.cache
-def _ini_reader() -> configparser.ConfigParser:
-    """The scenario files' INI reader, built once per process: its
-    constructor lists every attribute of the parser, which costs a
-    scenario's parse again.  :func:`_parse_scenario` drops the sections of
-    the last file before it reads the next."""
-    # no header can name the empty section, so [DEFAULT] is read as an
-    # ordinary section and rejected by name below, instead of its keys
-    # turning up in every other section; the empty section gets no keys
-    return configparser.ConfigParser(interpolation=None, default_section="")
-
-
 def _parse_scenario(path: str) -> Scenario:
     """The scenario of an INI file: each model section's keys are the fields
     of its dataclass, and a field with a default may be left out."""
-    cp = _ini_reader()
-    for section in cp.sections():
-        cp.remove_section(section)
+    # no header can name the empty section, so [DEFAULT] is read as an
+    # ordinary section and rejected by name below, instead of its keys
+    # turning up in every other section
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
@@ -198,12 +187,14 @@ def _write(text: str, out: str | None) -> None:
 def _emit_csv(header_cols, columns, subcommand: str, fingerprint: str, out: str | None) -> None:
     """Write equal-length ``columns`` as CSV under a comment line and the
     header: booleans as 1/0, everything else with 9 significant digits."""
-    columns = [np.asarray(col) for col in columns]
-    # one printf-style format per row: %d prints a bool as 1/0, and %.9g a
-    # number as f"{v:.9g}" does
-    row = ",".join("%d" if col.dtype == bool else "%.9g" for col in columns)
+    texts = []
+    for col in map(np.asarray, columns):
+        if col.dtype == bool:
+            texts.append(["1" if v else "0" for v in col.tolist()])
+        else:
+            texts.append([f"{v:.9g}" for v in col.tolist()])
     lines = [f"# cascade-at v1 {subcommand} {fingerprint}", ",".join(header_cols)]
-    lines += [row % values for values in zip(*(col.tolist() for col in columns))]
+    lines += map(",".join, zip(*texts))
     _write("\n".join(lines) + "\n", out)
 
 

@@ -627,20 +627,6 @@ class TestParser:
         assert run(["preset", "case-a", "--out", str(out)]) == 0
         assert len(built) == 6
 
-    def test_ini_reader_carries_nothing_between_files(self, tmp_path, capsys):
-        # the INI reader is built once per process; a file read after
-        # another sees none of its sections
-        full, part = tmp_path / "full.ini", tmp_path / "part.ini"
-        full.write_text(cli._dump_scenario(_preset_scenario("case-a")) + "\n[lasers]\npower = 3\n")
-        part.write_text(cli._dump_scenario(_preset_scenario("case-a")).split("[doppler]")[0])
-        assert run(["threshold", "--scenario", str(full)]) == 2
-        assert capsys.readouterr().err == "error: unknown scenario section [lasers]\n"
-        assert run(["threshold", "--scenario", str(part)]) == 2
-        assert capsys.readouterr().err == "error: scenario is missing section [doppler]\n"
-        full.write_text(cli._dump_scenario(_preset_scenario("case-a")))
-        assert cli._parse_scenario(str(full)) == _preset_scenario("case-a")
-        assert cli._ini_reader() is cli._ini_reader()
-
 
 class TestPresetDump:
     # SHA-256 of `cascade-at preset <case>`: the scenario file every CSV
