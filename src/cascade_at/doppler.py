@@ -106,6 +106,8 @@ _STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])   # in units of the step h
 # is evaluated at its points 0, h, 2h, and _MIRROR picks [f2, f1, f0, f1, f2]
 _HALF_STENCIL = _STENCIL[2:]
 _MIRROR = np.array([2, 1, 0, 1, 2])
+# the signs of the resonant curvature's t = -(2 a v + b) at its two roots
+_ROOT_SIGNS = np.array([[1.0], [-1.0]])
 
 ENGINES = ("full", "perturbative", "analytic")
 MIN_QUAD_ORDER = 16
@@ -388,7 +390,8 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     r_max = np.maximum(r0, r1)                           # |a| max |zeta|
     ok = (a != 0) & ~((sep < _DEGENERATE_SEP * r_max)
                       | (r_max > _RESONANT_MAX_ZETA * abs_a))
-    if not ok.all():
+    # the point masks are counted, which costs less per call than ndarray.all
+    if np.count_nonzero(ok) < ok.size:
         alpha, beta, rabi_2, a, abs_a, four_a, b, b2, c, g, quarter, disc, sq, q, r_max = (
             x[ok] for x in (alpha, beta, rabi_2, a, abs_a, four_a, b, b2, c, g, quarter,
                             disc, sq, q, r_max))
@@ -400,7 +403,7 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     eps = 2 * quarter * np.square(beta / disc)
     kappa = four_a * eps - f1 * f1 * (1 + disc / b2)
     v = np.array((q / a, -c / q))                        # (root, point)
-    t = np.multiply.outer([1.0, -1.0], sq)              # -(2 a v + b)
+    t = _ROOT_SIGNS * sq                                 # -(2 a v + b)
     dz = e1 + f1 * v
     dlog = (1j * lam) * v
     d2z = (1j * eps) * t
@@ -425,7 +428,7 @@ def _weak_probe_curvature(scheme, drive, alpha, beta, rabi_2):
     loss = _EPS * (1 + np.square(np.square(r_max / abs_a)))
     kept = ~(loss * (np.abs(t0) + np.abs(t1)) > _MAX_ROUNDING_ERROR * np.abs(total))
     curvature = (-2 * _SQRTPI) * prefactor * total
-    if not kept.all():
+    if np.count_nonzero(kept) < kept.size:
         ok[ok] = kept
         curvature = curvature[kept]
     return ok, curvature
@@ -495,7 +498,7 @@ def _exact_blocks(kernel, block: int, pending: np.ndarray, out: np.ndarray,
     values of the points it accepts into the last axis of ``out`` and
     clears their flags; the points it refuses stay flagged for the
     fallback."""
-    if 0 < pending.size <= block and pending.all():
+    if 0 < np.count_nonzero(pending) == pending.size <= block:
         ok, accepted = kernel(scheme, drive, *arrays)
         out[..., ok] = accepted
         pending[ok] = False
@@ -601,7 +604,8 @@ def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
     rabi_2 = np.asarray(rabi_2, dtype=float)
     weights = folded_weights(msum)
     om = (rabi_2[:, None] * weights).ravel()              # (row, M weight), flat
-    alpha, beta = (np.repeat(np.asarray(s, dtype=float), len(weights)) for s in (alpha, beta))
+    alpha = np.asarray(alpha, dtype=float).repeat(len(weights))
+    beta = np.asarray(beta, dtype=float).repeat(len(weights))
     curv = np.full(om.size, np.nan)
     if engine == "analytic":
         # zero-width points skip the kernel; its refused points stay flagged
@@ -612,7 +616,7 @@ def _curvature_rows(engine: str, scheme: LevelScheme, drive: DriveParams,
         stencil |= zero
     else:
         stencil = np.ones(om.size, dtype=bool)
-    if stencil.any():
+    if np.count_nonzero(stencil):
         # each row's step, from its own coupling, shared by its M weights
         h = np.repeat(np.maximum(0.5, rabi_2 / 200.0), len(weights))[stencil]
         i3 = _row_average(engine, scheme, drive, h[:, None] * _HALF_STENCIL,

@@ -171,15 +171,15 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
     x_grid, dnu_grid = np.asarray(x_grid, dtype=float), np.asarray(dnu_grid, dtype=float)
     if x_grid.ndim != 1 or dnu_grid.ndim != 1:
         raise ConfigError("threshold x and Doppler width grids must be 1-D")
-    if not (np.all(np.isfinite(x_grid)) and np.all(np.isfinite(dnu_grid))):
+    if not (np.isfinite(x_grid).all() and np.isfinite(dnu_grid).all()):
         raise ConfigError("threshold x and Doppler width grids must be finite")
-    if np.any(dnu_grid < 0):
+    if (dnu_grid < 0).any():
         raise ConfigError("Doppler widths must be >= 0")
-    if np.any(dnu_grid > MAX_RATE):
+    if (dnu_grid > MAX_RATE).any():
         # the bound of DopplerParams, which the search does not build
         raise ConfigError(f"Doppler widths must be at most {MAX_RATE:.0e} MHz")
     bad = np.abs(x_grid) < SINGULAR_BAND
-    if np.any(bad):
+    if bad.any():
         raise ConfigError(f"x grid enters the singular band |x| < {SINGULAR_BAND}: {x_grid[bad]}")
     if rabi_1 is None:
         rabi_1 = rates(scheme).Gamma_2 / 20.0
@@ -191,8 +191,8 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
 
     n = len(alpha)
     # 1. pre-scan: every cell over the same couplings
-    curv = _curvature_rows(engine, scheme, drive, np.repeat(alpha, _PRESCAN_POINTS),
-                           np.repeat(beta, _PRESCAN_POINTS), np.tile(_SCANS, n),
+    curv = _curvature_rows(engine, scheme, drive, alpha.repeat(_PRESCAN_POINTS),
+                           beta.repeat(_PRESCAN_POINTS), np.tile(_SCANS, n),
                            msum).reshape(n, _PRESCAN_POINTS)
     signs = curv > 0
     rising = ~signs[:, :-1] & signs[:, 1:]
@@ -238,10 +238,10 @@ def _search(engine: str, scheme: LevelScheme, x_grid, dnu_grid,
         # a nan in either row fails the cell
         failed = np.isnan(f[0]) | np.isnan(f[1])
         done = ~failed & (hi[0] / lo[0] <= 1.0 + _REL_TOL)
-        if done.any():
+        if np.count_nonzero(done):
             omega[cells[done]] = np.sqrt(lo[0, done] * hi[0, done])
         keep = ~(failed | done)
-        if not keep.any():
+        if not np.count_nonzero(keep):
             break
         (a, la, fa), (b, lb, fb) = lo, hi
         stalls = np.where(lb - la <= 0.5 * width, 0, stalls + 1)
