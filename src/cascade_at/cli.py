@@ -20,6 +20,12 @@ and the defaults of the keys that may be left out all come from the
 dataclasses.  ``[scan]`` holds the grids of ``_DEFAULT_SCAN``.  ``preset``
 writes every field that is set, in the same layout.
 
+Only the commands that compute (``spectrum``, ``threshold``, ``surface``
+and ``selftest``) import numpy and the engine modules, all of them at once
+in :func:`_load_engines` and only after the scenario is read: ``preset``,
+``--help``, a usage error and a missing or malformed scenario file end
+without them.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 from __future__ import annotations
@@ -27,14 +33,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
-import hashlib
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 
-import numpy as np
-
-from . import doppler, faddeeva, model, msublevel, threshold
+from . import model
 from .errors import CascadeError, ConfigError
 
 _DEFAULT_SCAN = {
@@ -147,7 +150,19 @@ def _dump_scenario(sc: Scenario) -> str:
     return "\n".join(lines)
 
 
-def _grid(scan: dict, prefix: str) -> np.ndarray:
+def _load_engines() -> None:
+    """Import numpy and every engine module, as one unit: the first command
+    that computes pays for all of them, and after it every module that a
+    caller may patch between calls (the benchmark's span tracer does) is
+    loaded, whichever engine the command used."""
+    import numpy  # noqa: F401
+
+    from . import doppler, faddeeva, lineshape, liouville, msublevel, threshold  # noqa: F401
+
+
+def _grid(scan: dict, prefix: str):
+    import numpy as np
+
     start = scan[f"{prefix}_start"]
     stop = scan[f"{prefix}_stop"]
     step = scan[f"{prefix}_step"]
@@ -167,6 +182,8 @@ def _grid(scan: dict, prefix: str) -> np.ndarray:
 
 
 def _fingerprint(sc: Scenario, args_repr: str) -> str:
+    import hashlib
+
     text = _dump_scenario(sc) + "\n" + args_repr
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -187,6 +204,8 @@ def _write(text: str, out: str | None) -> None:
 def _emit_csv(header_cols, columns, subcommand: str, fingerprint: str, out: str | None) -> None:
     """Write equal-length ``columns`` as CSV under a comment line and the
     header: booleans as 1/0, everything else with 9 significant digits."""
+    import numpy as np
+
     texts = []
     for col in map(np.asarray, columns):
         if col.dtype == bool:
@@ -200,8 +219,12 @@ def _emit_csv(header_cols, columns, subcommand: str, fingerprint: str, out: str 
 
 def _inputs(args):
     """The scenario of ``--scenario`` or ``--preset``, and the M-sublevel
-    weights of ``--msum`` (None when off)."""
+    weights of ``--msum`` (None when off).  The engines load once the
+    scenario is read."""
     sc = _parse_scenario(args.scenario) if args.scenario else _preset_scenario(args.preset)
+    _load_engines()
+    from . import msublevel
+
     wts = msublevel.weights(sc.scheme.j2, sc.scheme.j3) if args.msum == "on" else None
     return sc, wts
 
@@ -209,6 +232,8 @@ def _inputs(args):
 def _compute_spectrum(sc: Scenario, engine, observable, wts):
     """The columns of ``observable`` by name, summed over the M weights
     ``wts`` (none when None) by :func:`cascade_at.doppler.intensities`."""
+    from . import doppler
+
     grid = _grid(sc.scan, "delta1")
     rows = doppler.intensities(engine, sc.scheme, sc.drive, sc.dopp, grid, msum=wts)
     return grid, {name: row for name, row in zip(("I2", "I3"), rows)
@@ -217,6 +242,8 @@ def _compute_spectrum(sc: Scenario, engine, observable, wts):
 
 def _cmd_spectrum(args) -> int:
     sc, wts = _inputs(args)
+    from . import doppler
+
     grid, cols = _compute_spectrum(sc, args.engine, args.observable, wts)
     if args.normalize == "peak":
         for key, arr in cols.items():
@@ -232,6 +259,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_threshold(args) -> int:
     sc, wts = _inputs(args)
+    from . import threshold
+
     x_grid = _grid(sc.scan, "x")
     tmap = threshold.threshold_curve(args.engine, sc.scheme, x_grid, sc.dopp, msum=wts)
     fp = _fingerprint(sc, repr(("threshold", args.engine, wts is not None)))
@@ -243,6 +272,10 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_surface(args) -> int:
     sc, wts = _inputs(args)
+    import numpy as np
+
+    from . import threshold
+
     x_grid = _grid(sc.scan, "x")
     dnu_grid = _grid(sc.scan, "dnu")
     cells = len(x_grid) * len(dnu_grid)
@@ -269,6 +302,11 @@ _SELFTEST_POINTS = (
 
 
 def _cmd_selftest(args) -> int:
+    _load_engines()
+    import numpy as np
+
+    from . import doppler, faddeeva, threshold
+
     print("Faddeeva conformance (z, w(z), reference, rel err)")
     worst = 0.0
     for z in _SELFTEST_POINTS:

@@ -12,6 +12,8 @@ GRID = np.linspace(-600.0, 600.0, 6).reshape(2, 3)
 def test_every_exported_name_resolves():
     missing = [name for name in ca.__all__ if not hasattr(ca, name)]
     assert ca.__all__ and not missing
+    # the engine names resolve on first access, and dir() lists them before it
+    assert set(ca.__all__) <= set(dir(ca))
 
 
 def test_intensities_is_the_entry_point():

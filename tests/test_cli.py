@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cascade_at as ca
-from cascade_at import cli, doppler
+from cascade_at import cli, doppler, threshold
 from cascade_at.cli import _compute_spectrum, _emit_csv, _grid, _preset_scenario, run
 from cascade_at.msublevel import m_summed, weights
 from conftest import subprocess_env
@@ -569,8 +569,8 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("command, module, name", [
         ("spectrum", doppler, "intensities"),
-        ("threshold", cli.threshold, "threshold_curve"),
-        ("surface", cli.threshold, "threshold_surface"),
+        ("threshold", threshold, "threshold_curve"),
+        ("surface", threshold, "threshold_surface"),
     ])
     def test_numerical_failure_exits_3(self, capsys, monkeypatch, command, module, name):
         def failing(*args, **kwargs):
@@ -716,13 +716,21 @@ class TestSelftest:
 
 
 class TestStartup:
-    def test_preset_loads_no_scipy(self):
-        # scipy is imported where a Gauss-Hermite rule or w is first needed
-        code = ("import sys\n"
-                "from cascade_at.cli import run\n"
-                "assert run(['preset', 'case-a']) == 0\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    @pytest.mark.parametrize("argv, code", [
+        (["preset", "case-a"], 0),
+        (["--help"], 0),
+        (["spectrum", "--bogus"], 2),
+        (["spectrum", "--scenario", "/nonexistent.ini"], 2),
+    ], ids=["preset", "help", "usage-error", "missing-scenario"])
+    def test_starts_without_numpy(self, argv, code):
+        # numpy, scipy and the engines load on the first command that computes
+        script = ("import sys\n"
+                  "from cascade_at.cli import run\n"
+                  f"print(run({argv!r}))\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                  "('numpy', 'scipy') or m.startswith('cascade_at.')))")
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, env=subprocess_env())
         assert res.returncode == 0, res.stderr
-        assert res.stdout.splitlines()[-1] == "[]"
+        assert res.stdout.splitlines()[-2:] == [
+            str(code), "['cascade_at.cli', 'cascade_at.errors', 'cascade_at.model']"]
